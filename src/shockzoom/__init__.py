@@ -17,7 +17,7 @@ from .flux import (BUILTIN_FLUXES, FluxModel, ShockData, burgers,
 from .grid import (GridFunction, Window, l1_distance, mass, max_forward_slope,
                    periodic_mass, trapezoid)
 from .solver import (CENTRAL, LLF, Clamped, OleinikReport, Periodic,
-                     SolverConfig, oleinik_check, solve, step)
+                     SolverConfig, oleinik_check, solve)
 from .inviscid import (SmoothData, ZBoundsReport, ZPoint, blowup_time,
                        characteristic_value, two_shock, single_shock,
                        z_bounds_audit, z_eval, z_root)

@@ -18,7 +18,6 @@ Configuration is a flat list of dotted ``key = value`` pairs (see
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
@@ -28,7 +27,7 @@ import numpy as np
 from . import experiments, io
 from .errors import ConfigError, InstabilityError, NotConvergedError, ShockzoomError
 from .diagnostics import phase_audit
-from .flux import FluxModel, burgers, burgers_plus_linear, quartic_perturbed
+from .flux import FluxModel, burgers, make_flux
 from .grid import GridFunction, Window
 from .inviscid import z_eval
 from .profiles import eternal_z_limit, traveling_wave
@@ -44,7 +43,7 @@ DEFAULTS: Dict[str, str] = {
     "run.eps2": "0.01,0.004",
     "run.out": "out",
     "run.seed": "0",
-    "run.threads": "0",
+    "run.threads": "0",  # still accepted in configs; studies run in one thread
     "scenario.tau": "1.0",
     "scenario.u_minus": "1.0",
     "scenario.u_star": "0.0",
@@ -145,12 +144,6 @@ class Config:
             return LLF
         raise ConfigError(f"solver.scheme: unknown scheme {name!r}")
 
-    def threads(self) -> int:
-        n = self.int("run.threads")
-        if n <= 0:
-            n = int(os.environ.get("SHOCKZOOM_THREADS", "1") or "1")
-        return max(1, n)
-
 
 def load_config(path: Optional[str], sets: Sequence[str]) -> Config:
     values: Dict[str, str] = {}
@@ -174,19 +167,19 @@ def load_config(path: Optional[str], sets: Sequence[str]) -> Config:
     return Config(values)
 
 
-def make_flux(cfg: Config) -> FluxModel:
+def _flux(cfg: Config) -> FluxModel:
     name = cfg.str("flux.name")
-    if name == "burgers":
-        return burgers()
-    if name in ("burgers-linear", "burgers-plus-linear"):
-        return burgers_plus_linear(cfg.float("flux.b"))
-    if name in ("quartic", "quartic-perturbed"):
-        return quartic_perturbed(cfg.float("flux.kappa"))
-    raise ConfigError(f"flux.name: unknown flux {name!r}")
+    try:
+        # each flux parses only the parameters it uses
+        return make_flux(name, b=cfg.str("flux.b"), kappa=cfg.str("flux.kappa"))
+    except KeyError:
+        raise ConfigError(f"flux.name: unknown flux {name!r}")
+    except ValueError as e:
+        raise ConfigError(f"flux {name!r}: {e}")
 
 
 def make_scenario(cfg: Config, scenario_id: str) -> Scenario:
-    flux = make_flux(cfg)
+    flux = _flux(cfg)
     if scenario_id not in SCENARIO_IDS:
         raise ConfigError(f"run.scenario: unknown scenario {scenario_id!r}")
     kw = dict(tau=cfg.float("scenario.tau"))
@@ -212,9 +205,17 @@ def make_scenario(cfg: Config, scenario_id: str) -> Scenario:
         raise ConfigError(f"scenario parameters: {e}")
 
 
-def _window(cfg: Config, prefix: str) -> Window:
-    return Window(cfg.float(f"{prefix}.t_min"), cfg.float(f"{prefix}.t_max"),
-                  cfg.float(f"{prefix}.x_min"), cfg.float(f"{prefix}.x_max"))
+def _window(prefix: str, t_min: float, t_max: float, x_min: float,
+            x_max: float) -> Window:
+    try:
+        return Window(t_min, t_max, x_min, x_max)
+    except ValueError as e:
+        raise ConfigError(f"{prefix}: {e}")
+
+
+def _config_window(cfg: Config, prefix: str) -> Window:
+    return _window(prefix, cfg.float(f"{prefix}.t_min"), cfg.float(f"{prefix}.t_max"),
+                   cfg.float(f"{prefix}.x_min"), cfg.float(f"{prefix}.x_max"))
 
 
 def _out_dir(cfg: Config, override: Optional[str]) -> Path:
@@ -260,14 +261,13 @@ def cmd_run(cfg: Config, out_override: Optional[str]) -> int:
     scenario_id = cfg.str("run.scenario")
     scenario = make_scenario(cfg, scenario_id)
     out = _out_dir(cfg, out_override)
-    threads = cfg.threads()
     scheme = cfg.scheme()
     seed = cfg.int("run.seed")
     checks: list = []
 
     if scenario.kind == "shock_formation":
         eps = cfg.eps_list("run.eps2", minimum=2)
-        window = _window(cfg, "window2")
+        window = _config_window(cfg, "window2")
         times = list(window.t_samples(cfg.int("zoom2.nt")))
         z_wave = experiments.eternal_z(
             cfg.float("zref.n"), window, SolverConfig(1.0, flux_scheme=scheme),
@@ -276,14 +276,14 @@ def cmd_run(cfg: Config, out_override: Optional[str]) -> int:
         outcomes = experiments.formation_zoom(
             scenario, eps, z_wave, window=window, nt=cfg.int("zoom2.nt"),
             ny=cfg.int("zoom2.ny"), dx_hat=cfg.float("grid.dx_hat"),
-            scheme=scheme, threads=threads)
+            scheme=scheme)
         sups = [o.sup_error for o in outcomes]
         checks.append(("sup-decreasing", eps[-1],
                        min(a - b for a, b in zip(sups[:-1], sups[1:])),
                        _strictly_decreasing(sups)))
     elif scenario.kind == "merging_shocks":
         eps = cfg.eps_list("run.eps", minimum=2)
-        window = _window(cfg, "window")
+        window = _config_window(cfg, "window")
         # the surrogate must cover the zoom window plus the shift search range
         pad = Window(window.t_min - 1.25, window.t_max + 1.25,
                      window.x_min - 1.25, window.x_max + 1.25)
@@ -294,7 +294,7 @@ def cmd_run(cfg: Config, out_override: Optional[str]) -> int:
         outcomes = experiments.merging_zoom(
             scenario, eps, wave, window=window, nt=cfg.int("zoom.nt"),
             ny=cfg.int("zoom.ny"), base_divisor=cfg.float("grid.base_divisor"),
-            scheme=scheme, threads=threads)
+            scheme=scheme)
         l1s = [o.l1_error for o in outcomes]
         checks.append(("l1-decreasing", eps[-1],
                        min(a - b for a, b in zip(l1s[:-1], l1s[1:])),
@@ -303,11 +303,11 @@ def cmd_run(cfg: Config, out_override: Optional[str]) -> int:
                        -cauchy.log_slope, cauchy.decreasing))
     else:
         eps = cfg.eps_list("run.eps", minimum=2)
-        window = _window(cfg, "window")
+        window = _config_window(cfg, "window")
         outcomes = experiments.single_shock_zoom(
             scenario, eps, window=window, nt=cfg.int("zoom.nt"),
             ny=cfg.int("zoom.ny"), base_divisor=cfg.float("grid.base_divisor"),
-            scheme=scheme, threads=threads)
+            scheme=scheme)
         sups = [o.sup_error for o in outcomes]
         jump = scenario.states[0] - scenario.states[-1]
         checks.append(("sup-decreasing", eps[-1],
@@ -341,11 +341,14 @@ def cmd_sweep(cfg: Config, out_override: Optional[str]) -> int:
     scenario = make_scenario(cfg, scenario_id)
     if scenario.kind == "shock_formation":
         raise ConfigError("run.scenario: rate sweeps need an exact shocked reference")
+    n_nodes = cfg.int("sweep.n_nodes")
+    if n_nodes < 2:
+        raise ConfigError("sweep.n_nodes: need at least two nodes")
     out = _out_dir(cfg, out_override)
     eps = cfg.eps_list("run.eps", minimum=3)
     report = experiments.kuznetsov_sweep(
         scenario, eps, t_check=cfg.opt_float("sweep.t_check"),
-        n_nodes=cfg.int("sweep.n_nodes"), scheme=cfg.scheme())
+        n_nodes=n_nodes, scheme=cfg.scheme())
     min_slope = cfg.float("sweep.min_slope")
     pw = {e: err for e, err, _ in report.pointwise}
     rows = [experiments.ZoomOutcome(e, pw.get(e, 0.0), l1, 0.0)
@@ -444,7 +447,7 @@ def cmd_profile(cfg: Config, out_override: Optional[str], u_minus: float,
     if half_width <= 0.0 or dx <= 0.0 or half_width < dx:
         raise ConfigError("--half-width/--dx: need 0 < dx <= half_width")
     out = _out_dir(cfg, out_override)
-    wave = traveling_wave(make_flux(cfg), u_minus, u_plus, half_width, dx)
+    wave = traveling_wave(_flux(cfg), u_minus, u_plus, half_width, dx)
     io.write_profile(out / "profile.csv", wave.profile.x, wave.profile.values)
     io.write_summary(out / "summary.json", {
         "command": "profile", "config": cfg.values,
@@ -458,7 +461,7 @@ def cmd_profile(cfg: Config, out_override: Optional[str], u_minus: float,
 def cmd_merge(cfg: Config, out_override: Optional[str]) -> int:
     scenario = make_scenario(cfg, "theorem1-merging")
     out = _out_dir(cfg, out_override)
-    window = _window(cfg, "window")
+    window = _config_window(cfg, "window")
     wave, cauchy = experiments.merging_surrogate(
         scenario, taus=cfg.floats("merge.taus"), window=window,
         comparison_time=cfg.float("merge.comparison_time"),
@@ -481,9 +484,13 @@ def cmd_merge(cfg: Config, out_override: Optional[str]) -> int:
 
 
 def cmd_zlimit(cfg: Config, out_override: Optional[str]) -> int:
+    x_max = cfg.float("zlimit.x_max")
+    window = _window("zlimit", cfg.float("zlimit.t_min"), cfg.float("zlimit.t_max"),
+                     -x_max, x_max)
+    dx = cfg.float("zlimit.dx")
+    if dx <= 0.0:
+        raise ConfigError("zlimit.dx: need a positive spacing")
     out = _out_dir(cfg, out_override)
-    window = Window(cfg.float("zlimit.t_min"), cfg.float("zlimit.t_max"),
-                    -cfg.float("zlimit.x_max"), cfg.float("zlimit.x_max"))
     n_list = cfg.floats("zlimit.n_list")
     if len(n_list) < 2 or any(b <= a for a, b in zip(n_list[:-1], n_list[1:])):
         raise ConfigError("zlimit.n_list: need at least two increasing horizons")
@@ -491,7 +498,7 @@ def cmd_zlimit(cfg: Config, out_override: Optional[str]) -> int:
         raise ConfigError("zlimit.t_min: window starts before the smallest horizon")
     try:
         wave, report = eternal_z_limit(n_list, window, cfg.float("zlimit.tol"),
-                                       dx=cfg.float("zlimit.dx"))
+                                       dx=dx)
     except NotConvergedError as e:
         io.write_summary(out / "summary.json", {
             "command": "zlimit", "config": cfg.values, "passed": False,

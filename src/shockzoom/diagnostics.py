@@ -8,7 +8,7 @@ the later stages of the approach to the wave.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -182,8 +182,7 @@ def phase_audit(initial: GridFunction, flux: FluxModel, delta0: float,
     t1, t2 = phase_times(M, m, a, b, flux.c1, delta1, u_minus, u_plus)
     tol = 0.1 * delta1 if tolerance is None else float(tolerance)
 
-    run_cfg = SolverConfig(cfg.viscosity, Clamped(u_minus, u_plus),
-                           cfg.cfl_advection, cfg.diffusion_number, cfg.flux_scheme)
+    run_cfg = replace(cfg, boundary=Clamped(u_minus, u_plus))
     check_times = [t1, 0.5 * (t1 + t2), t2, 1.2 * t2]
     snaps = solve(initial, flux, run_cfg, check_times[-1], check_times)
 
@@ -240,8 +239,7 @@ def kuznetsov_audit(initial: GridFunction, flux: FluxModel,
     ref_vals = np.asarray(reference(t_check, initial.x), dtype=float)
     ref_state = initial.with_values(ref_vals)
     for eps in eps_arr:
-        run_cfg = SolverConfig(eps, cfg.boundary, cfg.cfl_advection,
-                               cfg.diffusion_number, cfg.flux_scheme)
+        run_cfg = replace(cfg, viscosity=eps)
         final = solve(initial, flux, run_cfg, t_check, [t_check])[-1][1]
         finals.append(final)
         errors.append(l1_distance(final, ref_state))

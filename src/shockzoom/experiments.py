@@ -13,7 +13,6 @@ staying at a fixed relative level.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -25,7 +24,8 @@ from .grid import GridFunction, Window, l1_distance, periodic_mass, trapezoid
 from .inviscid import z_bounds_audit, z_root
 from .profiles import (CauchyReport, EternalZ, MergingTriple, TravelingWave,
                        eternal_z, merging_wave, traveling_wave)
-from .rescale import RescaleFrame, SnapshotInterpolant, fit_formation_frame, fit_shift
+from .rescale import (RescaleFrame, SnapshotInterpolant, fit_formation_frame, fit_shift,
+                      zoom_sample)
 from .scenarios import Scenario
 from .solver import (CENTRAL, Clamped, OleinikReport, Periodic, SolverConfig,
                      oleinik_check, solve)
@@ -66,28 +66,30 @@ def solve_scenario(scenario: Scenario, eps: float, dx: float,
 def _zoom_slices(scenario: Scenario, eps: float, dx: float, frame: RescaleFrame,
                  s_grid: np.ndarray, y_grid: np.ndarray,
                  scheme: str) -> List[Tuple[float, GridFunction]]:
+    """Solve the scenario at the frame's times and sample the zoomed field."""
     t_phys = [float(frame.to_physical(s, 0.0)[0]) for s in s_grid]
     snaps = solve_scenario(scenario, eps, dx, t_phys, scheme)
-    interp = SnapshotInterpolant(snaps)
-    template = GridFunction(float(y_grid[0]), float(y_grid[1] - y_grid[0]),
-                            np.zeros(y_grid.size))
-    out = []
-    for s in s_grid:
-        tp, xp = frame.to_physical(float(s), y_grid)
-        out.append((float(s), template.with_values(
-            frame.rescale_values(interp(float(tp), xp)))))
-    return out
+    return zoom_sample(SnapshotInterpolant(snaps), frame, s_grid, y_grid)
 
 
-def _sweep_l1(per_slice: np.ndarray, ds: float) -> float:
-    return trapezoid(per_slice, ds) if per_slice.size > 1 else float(per_slice[0])
+def _mismatch(slices: List[Tuple[float, GridFunction]],
+              model: Callable) -> Tuple[float, float]:
+    """Sup and space-time L1 norm of |u - model(s, g)| over the zoom slices."""
+    sup = 0.0
+    per_slice = np.empty(len(slices))
+    for i, (s, g) in enumerate(slices):
+        diff = np.abs(g.values - model(s, g))
+        sup = max(sup, float(np.max(diff)))
+        per_slice[i] = trapezoid(diff, g.dx)
+    if len(slices) == 1:
+        return sup, float(per_slice[0])
+    return sup, trapezoid(per_slice, slices[1][0] - slices[0][0])
 
 
 def single_shock_zoom(scenario: Scenario, eps_list: Sequence[float], *,
                       window: Optional[Window] = None, nt: int = 21, ny: int = 401,
                       base_divisor: float = 8.0, scheme: str = CENTRAL,
-                      template: Optional[TravelingWave] = None,
-                      threads: int = 1) -> List[ZoomOutcome]:
+                      template: Optional[TravelingWave] = None) -> List[ZoomOutcome]:
     """Compare type-1 zooms of the single-shock scenario with a fitted wave.
 
     The shift is fitted once per viscosity, on the central time slice; the
@@ -104,27 +106,19 @@ def single_shock_zoom(scenario: Scenario, eps_list: Sequence[float], *,
             abs(lam) * max(abs(window.t_min), abs(window.t_max)) + 6.0
         template = traveling_wave(scenario.flux, u_minus, u_plus, half, 0.005)
     eps_max = max(eps_list)
-
-    def one(eps: float) -> ZoomOutcome:
+    k0 = int(np.argmin(np.abs(s_grid)))
+    out = []
+    for eps in eps_list:
         frame = RescaleFrame.type1(scenario.tau, scenario.xi, float(eps))
         dx = refined_dx(float(eps), eps_max, base_divisor)
         slices = _zoom_slices(scenario, float(eps), dx, frame, s_grid, y_grid, scheme)
-        k0 = int(np.argmin(np.abs(s_grid)))
-        centered = slices[k0][1]
-        moved = GridFunction(centered.x_left - lam * float(s_grid[k0]),
-                             centered.dx, centered.values)
+        # the wave moves at the shock speed through the zoom window
+        s0, centered = slices[k0]
+        moved = GridFunction(centered.x_left - lam * s0, centered.dx, centered.values)
         fit = fit_shift(moved, template, template.midpoint)
-        sup = 0.0
-        per_slice = np.empty(len(slices))
-        for i, (s, g) in enumerate(slices):
-            model = template(g.x - lam * s - fit.shift)
-            diff = np.abs(g.values - model)
-            sup = max(sup, float(np.max(diff)))
-            per_slice[i] = trapezoid(diff, g.dx)
-        ds = float(s_grid[1] - s_grid[0]) if nt > 1 else 1.0
-        return ZoomOutcome(float(eps), sup, _sweep_l1(per_slice, ds), fit.shift)
-
-    return _map_maybe_parallel(one, eps_list, threads)
+        sup, l1 = _mismatch(slices, lambda s, g: template(g.x - lam * s - fit.shift))
+        out.append(ZoomOutcome(float(eps), sup, l1, fit.shift))
+    return out
 
 
 def merging_surrogate(scenario: Scenario, *,
@@ -157,7 +151,7 @@ def merging_zoom(scenario: Scenario, eps_list: Sequence[float],
                  window: Optional[Window] = None, nt: int = 21, ny: int = 401,
                  base_divisor: float = 8.0, scheme: str = CENTRAL,
                  shift_range: float = 1.0, lattice_step: float = 0.125,
-                 dy_step: float = 0.05, threads: int = 1) -> List[ZoomOutcome]:
+                 dy_step: float = 0.05) -> List[ZoomOutcome]:
     """L1-compare type-1 zooms with the interaction wave, shift-fitted in (t, x).
 
     The shift is found by lattice search (time steps matching the surrogate
@@ -168,30 +162,28 @@ def merging_zoom(scenario: Scenario, eps_list: Sequence[float],
         window = Window(-5.0, 5.0, -5.0, 5.0)
     s_grid = window.t_samples(nt)
     y_grid = window.x_samples(ny)
-    ds = float(s_grid[1] - s_grid[0]) if nt > 1 else 1.0
-    dy = float(y_grid[1] - y_grid[0])
     eps_max = max(eps_list)
     n_shift = int(round(shift_range / lattice_step))
     dt_cands = lattice_step * np.arange(-n_shift, n_shift + 1)
     n_dy = int(round(shift_range / dy_step))
     dy_cands = dy_step * np.arange(-n_dy, n_dy + 1)
 
-    def l1_against(u_rows: np.ndarray, dt_shift: float, dy_shift: float) -> float:
-        per = np.empty(len(s_grid))
-        for i, s in enumerate(s_grid):
-            w = wave_interp(float(s + dt_shift), y_grid + dy_shift)
-            per[i] = trapezoid(np.abs(u_rows[i] - w), dy)
-        return _sweep_l1(per, ds)
+    def shifted(dt_shift: float, dy_shift: float) -> Callable:
+        return lambda s, g: wave_interp(s + dt_shift, y_grid + dy_shift)
 
-    def one(eps: float) -> ZoomOutcome:
+    out = []
+    for eps in eps_list:
         frame = RescaleFrame.type1(scenario.tau, scenario.xi, float(eps))
         dx = refined_dx(float(eps), eps_max, base_divisor)
         slices = _zoom_slices(scenario, float(eps), dx, frame, s_grid, y_grid, scheme)
-        u_rows = np.stack([g.values for _, g in slices])
+
+        def l1_against(dt_shift: float, dy_shift: float) -> float:
+            return _mismatch(slices, shifted(dt_shift, dy_shift))[1]
+
         best = (np.inf, 0.0, 0.0)
         for dt_s in dt_cands:
             for dy_s in dy_cands:
-                val = l1_against(u_rows, float(dt_s), float(dy_s))
+                val = l1_against(float(dt_s), float(dy_s))
                 if val < best[0]:
                     best = (val, float(dt_s), float(dy_s))
         # fine local scan of the time shift: the optimum drifts off the
@@ -201,33 +193,29 @@ def merging_zoom(scenario: Scenario, eps_list: Sequence[float],
         for dt_f in bt + (lattice_step / 8.0) * np.arange(-8, 9):
             if abs(dt_f) > shift_range:
                 continue
-            val = l1_against(u_rows, float(dt_f), by)
+            val = l1_against(float(dt_f), by)
             if val < best[0]:
                 best = (val, float(dt_f), by)
         # parabolic refinement of the space shift at the winning point
         _, bt, by = best
-        lo, mid, hi = (l1_against(u_rows, bt, by - dy_step), best[0],
-                       l1_against(u_rows, bt, by + dy_step))
+        lo, mid, hi = (l1_against(bt, by - dy_step), best[0],
+                       l1_against(bt, by + dy_step))
         denom = lo - 2.0 * mid + hi
         if denom > 0.0:
             vertex = by + 0.5 * dy_step * (lo - hi) / denom
-            val = l1_against(u_rows, bt, vertex)
+            val = l1_against(bt, vertex)
             if val < best[0]:
                 best = (val, bt, vertex)
-        l1_best, bt, by = best
-        sup = 0.0
-        for i, s in enumerate(s_grid):
-            w = wave_interp(float(s + bt), y_grid + by)
-            sup = max(sup, float(np.max(np.abs(u_rows[i] - w))))
-        return ZoomOutcome(float(eps), sup, float(l1_best), float(by), float(bt))
-
-    return _map_maybe_parallel(one, eps_list, threads)
+        _, bt, by = best
+        sup, l1 = _mismatch(slices, shifted(bt, by))
+        out.append(ZoomOutcome(float(eps), sup, l1, float(by), float(bt)))
+    return out
 
 
 def formation_zoom(scenario: Scenario, eps_list: Sequence[float],
                    z_wave: EternalZ, *, window: Optional[Window] = None,
                    nt: int = 17, ny: int = 321, dx_hat: float = 0.04,
-                   scheme: str = CENTRAL, threads: int = 1) -> List[ZoomOutcome]:
+                   scheme: str = CENTRAL) -> List[ZoomOutcome]:
     """Compare type-2 zooms of a formation scenario with the eternal wave.
 
     General frames are normalised through the fitted (c, sigma, lam): the
@@ -247,29 +235,16 @@ def formation_zoom(scenario: Scenario, eps_list: Sequence[float],
     f2 = float(scenario.flux.d2f(np.float64(u_c)))
     s_grid = window.t_samples(nt)
     y_grid = window.x_samples(ny)
-    ds = float(s_grid[1] - s_grid[0]) if nt > 1 else 1.0
     z_interp = SnapshotInterpolant(list(z_wave.trajectory))
-
-    def one(eps: float) -> ZoomOutcome:
-        eps_eff = float(eps) / fit.sigma
-        amp = eps_eff ** -0.25 * f2 / fit.sigma
+    out = []
+    for eps in eps_list:
+        frame = RescaleFrame.type2(fit.tau_eps, fit.xi_eps, float(eps), u_c,
+                                   time_scale=fit.sigma, drift=fit.lam, value_scale=f2)
         dx = dx_hat * float(eps) ** 0.75
-        t_phys = [fit.tau_eps + math.sqrt(eps_eff) * float(s) / fit.sigma
-                  for s in s_grid]
-        snaps = solve_scenario(scenario, float(eps), dx, t_phys, scheme)
-        interp = SnapshotInterpolant(snaps)
-        sup = 0.0
-        per_slice = np.empty(len(s_grid))
-        for i, (s, tp) in enumerate(zip(s_grid, t_phys)):
-            xp = fit.xi_eps + fit.lam * (tp - fit.tau_eps) + eps_eff ** 0.75 * y_grid
-            u_row = amp * (interp(float(tp), xp) - u_c)
-            z_row = z_interp(float(s), y_grid)
-            diff = np.abs(u_row - z_row)
-            sup = max(sup, float(np.max(diff)))
-            per_slice[i] = trapezoid(diff, float(y_grid[1] - y_grid[0]))
-        return ZoomOutcome(float(eps), sup, _sweep_l1(per_slice, ds), 0.0)
-
-    return _map_maybe_parallel(one, eps_list, threads)
+        slices = _zoom_slices(scenario, float(eps), dx, frame, s_grid, y_grid, scheme)
+        sup, l1 = _mismatch(slices, lambda s, g: z_interp(s, y_grid))
+        out.append(ZoomOutcome(float(eps), sup, l1, 0.0))
+    return out
 
 
 def kuznetsov_sweep(scenario: Scenario, eps_list: Sequence[float], *,
@@ -417,11 +392,3 @@ def suite_oleinik(eps: float = 1.0, n_nodes: int = 1024, length: float = 2 * mat
     rows = [("slope", t, margin, margin >= 0.0)
             for (t, slope, bound, margin) in report.rows]
     return report, rows
-
-
-def _map_maybe_parallel(fn: Callable, values: Sequence, threads: int) -> list:
-    vals = list(values)
-    if threads <= 1 or len(vals) <= 1:
-        return [fn(v) for v in vals]
-    with ThreadPoolExecutor(max_workers=min(threads, len(vals))) as pool:
-        return list(pool.map(fn, vals))

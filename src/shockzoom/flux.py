@@ -136,10 +136,16 @@ BUILTIN_FLUXES = {
     "burgers-plus-linear": lambda params: burgers_plus_linear(float(params.get("b", 1.0))),
     "quartic-perturbed": lambda params: quartic_perturbed(float(params.get("kappa", 0.05))),
 }
+# the short names the command line accepts
+BUILTIN_FLUXES["burgers-linear"] = BUILTIN_FLUXES["burgers-plus-linear"]
+BUILTIN_FLUXES["quartic"] = BUILTIN_FLUXES["quartic-perturbed"]
 
 
 def make_flux(name: str, **params) -> FluxModel:
-    """Look up a built-in flux by name with keyword parameters."""
+    """Look up a built-in flux by name with keyword parameters.
+
+    Unknown names raise KeyError; bad parameter values raise ValueError.
+    """
     try:
         factory = BUILTIN_FLUXES[name]
     except KeyError:

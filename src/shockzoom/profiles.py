@@ -11,7 +11,7 @@ Three families:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -236,8 +236,7 @@ def merging_wave(triple: MergingTriple, flux: FluxModel, tau_list: Sequence[floa
     for i, tau in enumerate(taus):
         data = merging_initial(triple, tau, template, profiles=(w1, w2))
         bc = Clamped(float(data.values[0]), float(data.values[-1]))
-        run_cfg = SolverConfig(cfg.viscosity, bc, cfg.cfl_advection,
-                               cfg.diffusion_number, cfg.flux_scheme)
+        run_cfg = replace(cfg, boundary=bc)
         if i == 0:
             targets = [s - tau for s in full_times if s > tau]
             snaps = solve(data, flux, run_cfg, targets[-1], targets)
@@ -315,8 +314,7 @@ def eternal_z(n: float, window: Window, cfg: Optional[SolverConfig] = None, *,
     if times[0] < -n:
         raise ValueError("snapshot before the launch time")
     bc = Clamped(clamp(-1.0), clamp(+1.0))
-    run_cfg = SolverConfig(1.0, bc, cfg.cfl_advection, cfg.diffusion_number,
-                           cfg.flux_scheme)
+    run_cfg = replace(cfg, boundary=bc)
     shifted = [t + n for t in times]
     snaps = solve(data, burgers(), run_cfg, shifted[-1], shifted)
     traj = tuple((t - n, g) for t, g in snaps)

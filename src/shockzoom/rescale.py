@@ -1,13 +1,18 @@
 """Zoom frames around a distinguished space-time point and fitting helpers.
 
-A frame maps observation coordinates (t, x) to physical coordinates
+A frame with clock rate sigma (``time_scale``) and drift lam zooms at the
+effective viscosity e = eps / sigma.  It maps observation coordinates
+(t, x) to physical coordinates
 
-    (tau_eps + eps^alpha * t,  xi_eps + eps^beta * x)
+    t_phys = tau_eps + e^alpha * t / sigma
+    x_phys = xi_eps + lam * (t_phys - tau_eps) + e^beta * x
 
-and rescales values by eps^(-gamma) after subtracting a centre value.
-Type-1 frames (exponents 1, 1, 0) resolve a formed shock of width eps;
-type-2 frames (1/2, 3/4, 1/4) resolve the first instant of gradient
-blow-up, where amplitudes shrink like eps^(1/4).
+and rescales values by e^(-gamma) * value_scale / sigma after subtracting
+a centre value.  Type-1 frames (exponents 1, 1, 0) resolve a formed shock
+of width eps; type-2 frames (1/2, 3/4, 1/4) resolve the first instant of
+gradient blow-up, where amplitudes shrink like eps^(1/4).  With the
+default sigma = 1, lam = 0 and value_scale = 1 the plain power-law zoom
+remains.
 """
 from __future__ import annotations
 
@@ -30,10 +35,16 @@ class RescaleFrame:
     beta: float
     gamma: float
     u_center: float = 0.0
+    time_scale: float = 1.0
+    drift: float = 0.0
+    # turns u - u_center into a speed, e.g. f''(u_c) near a formation point
+    value_scale: float = 1.0
 
     def __post_init__(self):
         if self.eps <= 0.0:
             raise ValueError("eps must be positive")
+        if self.time_scale <= 0.0:
+            raise ValueError("time_scale must be positive")
 
     @classmethod
     def type1(cls, tau_eps: float, xi_eps: float, eps: float,
@@ -42,15 +53,26 @@ class RescaleFrame:
 
     @classmethod
     def type2(cls, tau_eps: float, xi_eps: float, eps: float,
-              u_center: float = 0.0) -> "RescaleFrame":
-        return cls(tau_eps, xi_eps, eps, 0.5, 0.75, 0.25, u_center)
+              u_center: float = 0.0, time_scale: float = 1.0, drift: float = 0.0,
+              value_scale: float = 1.0) -> "RescaleFrame":
+        return cls(tau_eps, xi_eps, eps, 0.5, 0.75, 0.25, u_center,
+                   time_scale, drift, value_scale)
+
+    @property
+    def eps_eff(self) -> float:
+        """The viscosity seen on the frame's clock."""
+        return self.eps / self.time_scale
 
     def to_physical(self, t, x) -> Tuple[np.ndarray, np.ndarray]:
-        return (self.tau_eps + self.eps ** self.alpha * np.asarray(t, dtype=float),
-                self.xi_eps + self.eps ** self.beta * np.asarray(x, dtype=float))
+        e = self.eps_eff
+        t_phys = self.tau_eps + e ** self.alpha * np.asarray(t, dtype=float) / self.time_scale
+        return (t_phys, self.xi_eps + self.drift * (t_phys - self.tau_eps)
+                + e ** self.beta * np.asarray(x, dtype=float))
 
     def rescale_values(self, u):
-        return (np.asarray(u, dtype=float) - self.u_center) / self.eps ** self.gamma
+        # a clock running sigma times faster sees speeds sigma times smaller
+        gain = self.eps_eff ** -self.gamma * self.value_scale / self.time_scale
+        return gain * (np.asarray(u, dtype=float) - self.u_center)
 
 
 class SnapshotInterpolant:
@@ -92,19 +114,21 @@ class SnapshotInterpolant:
 
 
 def zoom_sample(evaluator: Callable, frame: RescaleFrame, t_samples: Sequence[float],
-                template: GridFunction) -> List[Tuple[float, GridFunction]]:
+                x_samples: np.ndarray) -> List[Tuple[float, GridFunction]]:
     """Sample the rescaled field on observation coordinates.
 
     ``evaluator(t_phys, x_phys_array)`` must return physical values; the
-    result is a snapshot list in observation coordinates on the template
-    grid.
+    result is a snapshot list in observation coordinates, each on the
+    uniform grid starting at ``x_samples[0]`` with its first spacing.  The
+    field is evaluated at ``x_samples`` themselves.
     """
+    x_obs = np.asarray(x_samples, dtype=float)
+    x_left, dx = float(x_obs[0]), float(x_obs[1] - x_obs[0])
     out = []
-    x_obs = template.x
     for t in t_samples:
         t_phys, x_phys = frame.to_physical(t, x_obs)
         u = evaluator(float(t_phys), x_phys)
-        out.append((float(t), template.with_values(frame.rescale_values(u))))
+        out.append((float(t), GridFunction(x_left, dx, frame.rescale_values(u))))
     return out
 
 

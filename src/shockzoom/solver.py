@@ -87,26 +87,12 @@ def stable_dt(values: np.ndarray, dx: float, flux: FluxModel, cfg: SolverConfig)
     return float(dt)
 
 
-def _rhs_periodic(u: np.ndarray, dx: float, flux: FluxModel, cfg: SolverConfig) -> np.ndarray:
-    fu = flux.f(u)
-    u_next = np.roll(u, -1)
-    f_next = np.roll(fu, -1)
-    interface = 0.5 * (fu + f_next)
-    if cfg.flux_scheme == LLF:
-        a = np.maximum(np.abs(flux.df(u)), np.abs(flux.df(u_next)))
-        interface = interface - 0.5 * a * (u_next - u)
-    rhs = -(interface - np.roll(interface, 1)) / dx
-    if cfg.viscosity > 0.0:
-        rhs += cfg.viscosity * (u_next - 2.0 * u + np.roll(u, 1)) / (dx * dx)
-    return rhs
-
-
-def _rhs_clamped(u: np.ndarray, dx: float, flux: FluxModel, cfg: SolverConfig,
-                 bl: float, br: float) -> np.ndarray:
-    # ghost nodes hold the clamp values; endpoints are re-pinned after the update
+def _rhs(u: np.ndarray, left: float, right: float, dx: float, flux: FluxModel,
+         cfg: SolverConfig) -> np.ndarray:
+    # one ghost node at each end: the clamp values, or the wrapped neighbours
     ue = np.empty(u.size + 2)
-    ue[0] = bl
-    ue[-1] = br
+    ue[0] = left
+    ue[-1] = right
     ue[1:-1] = u
     fu = flux.f(ue)
     interface = 0.5 * (fu[:-1] + fu[1:])
@@ -123,16 +109,17 @@ def _rhs_clamped(u: np.ndarray, dx: float, flux: FluxModel, cfg: SolverConfig,
 def _heun(u: np.ndarray, dx: float, flux: FluxModel, cfg: SolverConfig,
           dt: float, t: float) -> np.ndarray:
     if isinstance(cfg.boundary, Periodic):
-        k1 = _rhs_periodic(u, dx, flux, cfg)
+        k1 = _rhs(u, u[-1], u[0], dx, flux, cfg)
         mid = u + dt * k1
-        k2 = _rhs_periodic(mid, dx, flux, cfg)
+        k2 = _rhs(mid, mid[-1], mid[0], dx, flux, cfg)
         return u + (0.5 * dt) * (k1 + k2)
+    # clamped ends are re-pinned after each stage
     bl0, br0 = cfg.boundary.at(t)
     bl1, br1 = cfg.boundary.at(t + dt)
-    k1 = _rhs_clamped(u, dx, flux, cfg, bl0, br0)
+    k1 = _rhs(u, bl0, br0, dx, flux, cfg)
     mid = u + dt * k1
     mid[0], mid[-1] = bl1, br1
-    k2 = _rhs_clamped(mid, dx, flux, cfg, bl1, br1)
+    k2 = _rhs(mid, bl1, br1, dx, flux, cfg)
     out = u + (0.5 * dt) * (k1 + k2)
     out[0], out[-1] = bl1, br1
     return out
@@ -143,24 +130,6 @@ def _check_stable(u: np.ndarray, cap: float, t: float) -> None:
     if not np.isfinite(m) or m > cap:
         raise InstabilityError(
             f"solution blew up at t={t:.6g}: max|u|={m:.3g} exceeds cap {cap:.3g}")
-
-
-def step(state: GridFunction, flux: FluxModel, cfg: SolverConfig, dt: float,
-         t: float = 0.0) -> GridFunction:
-    """Advance one Heun step of size dt.
-
-    dt must respect the stability bounds for the current state; violating
-    them is a usage error, not a numerical accident.
-    """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    limit = stable_dt(state.values, state.dx, flux, cfg)
-    if dt > limit * (1.0 + 1e-9):
-        raise ValueError(f"dt={dt:.3g} exceeds the stability bound {limit:.3g}")
-    cap = 10.0 * max(1.0, float(np.max(np.abs(state.values))))
-    u = _heun(state.values, state.dx, flux, cfg, dt, t)
-    _check_stable(u, cap, t + dt)
-    return state.with_values(u)
 
 
 def solve(initial: GridFunction, flux: FluxModel, cfg: SolverConfig,

@@ -53,14 +53,6 @@ def test_config_file_and_set_precedence(tmp_path):
         load_config(str(cfgfile), [])
 
 
-def test_threads_env_fallback(monkeypatch):
-    monkeypatch.setenv("SHOCKZOOM_THREADS", "3")
-    assert Config({}).threads() == 3
-    monkeypatch.delenv("SHOCKZOOM_THREADS")
-    assert Config({}).threads() == 1
-    assert Config({"run.threads": "2"}).threads() == 2
-
-
 def test_exit_code_2_paths(tmp_path):
     out = str(tmp_path / "o")
     assert main(["audit", "--suite", "nope", "--out", out]) == 2
@@ -68,6 +60,12 @@ def test_exit_code_2_paths(tmp_path):
     assert main(["run", "--set", "bogus.key=1", "--out", out]) == 2
     assert main(["z-table", "--t", "1.0", "--x", "-1", "1", "--out", out]) == 2
     assert main(["sweep", "--scenario", "theorem2-formation", "--out", out]) == 2
+    assert main(["profile", "--set", "flux.name=quartic", "--set", "flux.kappa=-1",
+                 "--out", out]) == 2
+    assert main(["profile", "--set", "flux.name=nope", "--out", out]) == 2
+    assert main(["run", "--set", "window.t_min=6", "--out", out]) == 2
+    assert main(["sweep", "--set", "sweep.n_nodes=1", "--out", out]) == 2
+    assert main(["zlimit", "--set", "zlimit.dx=0", "--out", out]) == 2
 
 
 def test_ztable_rows_and_values(tmp_path):

@@ -2,11 +2,13 @@
 import numpy as np
 import pytest
 
-from shockzoom import (GridFunction, Periodic, SolverConfig, burgers,
-                       build_scenario)
-from shockzoom.experiments import (contraction_check, mass_drift_check,
-                                   refined_dx, scenario_grid,
-                                   suite_cubic_bounds, suite_oleinik)
+from shockzoom import (GridFunction, Periodic, SolverConfig, Window, burgers,
+                       burgers_plus_linear, build_scenario, eternal_z)
+from shockzoom.experiments import (contraction_check, formation_zoom,
+                                   mass_drift_check, merging_surrogate,
+                                   merging_zoom, refined_dx, scenario_grid,
+                                   single_shock_zoom, suite_cubic_bounds,
+                                   suite_oleinik)
 
 
 def test_refined_dx_scaling():
@@ -58,3 +60,64 @@ def test_oleinik_suite_positive_slope_decay():
     report, rows = suite_oleinik(n_nodes=256)
     assert report.passed
     assert all(r[3] for r in rows)
+
+
+# Coarse versions of the three zooms, about two seconds together.  Their
+# outputs are pinned to 1e-12 so that any change to the frame arithmetic,
+# the sampling or the shift fits shows here, not only in the slow gate.
+
+
+def _pinned(outcomes, expected):
+    got = [(o.eps, o.sup_error, o.l1_error, o.shift, o.shift_t) for o in outcomes]
+    assert len(got) == len(expected)
+    for row, want in zip(got, expected):
+        assert row == pytest.approx(want, rel=1e-12)
+
+
+def test_single_shock_zoom_regression():
+    scen = build_scenario("theorem1-single", burgers())
+    outcomes = single_shock_zoom(scen, (0.08, 0.04), window=Window(-2.0, 2.0, -4.0, 4.0),
+                                 nt=5, ny=81, base_divisor=4.0)
+    _pinned(outcomes, [
+        (0.08, 0.00568476296849707, 0.057860722875788854, 3.552713678800501e-15, 0.0),
+        (0.04, 0.0010683082229202001, 0.011831051031390486, -4.153708276666279e-05, 0.0),
+    ])
+
+
+def test_merging_zoom_regression():
+    scen = build_scenario("theorem1-merging", burgers())
+    wave, cauchy = merging_surrogate(scen, taus=(-14.0, -16.0),
+                                     window=Window(-2.25, 2.25, -3.25, 3.25),
+                                     comparison_time=-3.0, dx=0.1)
+    assert cauchy.distances == pytest.approx((0.017360161955189902,), rel=1e-12)
+    outcomes = merging_zoom(scen, (0.08, 0.04), wave, window=Window(-1.0, 1.0, -2.0, 2.0),
+                            nt=3, ny=41, base_divisor=4.0)
+    _pinned(outcomes, [
+        (0.08, 0.02758828313492101, 0.10515739890029924, 0.009072243579052624, 1.0),
+        (0.04, 0.006193173691092291, 0.015000537878432509, 0.006417894240508365, 0.53125),
+    ])
+
+
+def test_formation_zoom_regression():
+    # sigma = 2^(-1/3) and lam = 0.5 exercise the normalised type-2 frame
+    scen = build_scenario("theorem2-formation", burgers_plus_linear(0.5), amplitude=2.0)
+    window = Window(-1.0, 0.5, -2.0, 2.0)
+    z_wave = eternal_z(4.0, window, dx=0.1, x_max=15.0,
+                       snapshot_times=list(window.t_samples(3)))
+    outcomes = formation_zoom(scen, (0.04, 0.02), z_wave, window=window,
+                              nt=3, ny=41, dx_hat=0.1)
+    _pinned(outcomes, [
+        (0.04, 0.011953375766026841, 0.02715625038059926, 0.0, 0.0),
+        (0.02, 0.023945407535047925, 0.10528340244009876, 0.0, 0.0),
+    ])
+
+
+def test_oleinik_suite_regression():
+    report, _ = suite_oleinik(n_nodes=128)
+    assert report.violations == 0
+    assert report.worst_margin == pytest.approx(0.47561812174443036, rel=1e-12)
+    expected = [(0.5, 0.5043619312208035, 2.098174770424681, 1.5938128392038777),
+                (1.0, 0.30985556765288036, 1.0981747704246811, 0.7883192027718008),
+                (2.0, 0.12255664868025067, 0.598174770424681, 0.47561812174443036)]
+    for row, want in zip(report.rows, expected):
+        assert row == pytest.approx(want, rel=1e-12)

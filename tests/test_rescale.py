@@ -1,4 +1,6 @@
 """Zoom frames, snapshot interpolation, and the fitting helpers."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,8 +8,9 @@ from hypothesis import strategies as st
 
 from shockzoom import (DegenerateError, FormationPoint, GridFunction,
                        NoCrossingError, OutOfDomainError, RescaleFrame,
-                       SnapshotInterpolant, burgers, convergence_rate,
-                       fit_formation_frame, fit_shift, zoom_sample)
+                       SnapshotInterpolant, burgers, burgers_plus_linear,
+                       convergence_rate, fit_formation_frame, fit_shift,
+                       zoom_sample)
 from shockzoom.errors import NonPositiveError
 
 
@@ -34,9 +37,38 @@ def test_zoom_sample_roundtrip():
     # must be the observation coordinate plus the frame offset scaling
     f = RescaleFrame.type1(0.0, 1.0, 0.25)
     template = GridFunction.from_callable(lambda x: 0.0 * x, -2.0, 2.0, 0.5)
-    snaps = zoom_sample(lambda t, x: x, f, [0.0, 1.0], template)
+    snaps = zoom_sample(lambda t, x: x, f, [0.0, 1.0], template.x)
     for t, g in snaps:
         assert np.allclose(g.values, 1.0 + 0.25 * g.x, atol=1e-14)
+
+
+def test_type2_frame_carries_formation_normalisation():
+    # sigma != 1 and lam != 0: the frame must reproduce the hand-written
+    # formation mapping t = tau + sqrt(e) s / sigma, x = xi + lam (t - tau)
+    # + e^(3/4) y, v = e^(-1/4) f''(u_c) / sigma * (u - u_c), e = eps / sigma
+    flux = burgers_plus_linear(0.5)
+    point = FormationPoint(1.0, 0.2, 0.3, 0.0, 0.0, -6.0 / 2.0 ** 3)
+    fit = fit_formation_frame(point, flux)
+    assert fit.sigma != 1.0 and fit.lam != 0.0
+    eps = 0.004
+    f2 = float(flux.d2f(np.float64(point.u_value)))
+    frame = RescaleFrame.type2(fit.tau_eps, fit.xi_eps, eps, point.u_value,
+                               time_scale=fit.sigma, drift=fit.lam, value_scale=f2)
+    eps_eff = eps / fit.sigma
+    amp = eps_eff ** -0.25 * f2 / fit.sigma
+    y = np.linspace(-3.0, 3.0, 13)
+
+    def field(t, x):
+        return 0.3 - 0.2 * np.tanh(x - 0.5 * t)
+
+    for s, g in zoom_sample(field, frame, [-2.0, 0.0, 0.75], y):
+        tp = fit.tau_eps + math.sqrt(eps_eff) * s / fit.sigma
+        xp = fit.xi_eps + fit.lam * (tp - fit.tau_eps) + eps_eff ** 0.75 * y
+        t_frame, x_frame = frame.to_physical(s, y)
+        assert float(t_frame) == pytest.approx(tp, rel=1e-15)
+        assert np.allclose(x_frame, xp, rtol=1e-15, atol=0.0)
+        assert np.allclose(g.values, amp * (field(tp, xp) - point.u_value),
+                           rtol=1e-12, atol=0.0)
 
 
 @settings(max_examples=40, deadline=None)
