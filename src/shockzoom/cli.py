@@ -18,6 +18,7 @@ Configuration is a flat list of dotted ``key = value`` pairs (see
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
@@ -107,14 +108,23 @@ class Config:
         except ValueError:
             raise ConfigError(f"{key}: expected a number, got {self.values[key]!r}")
 
+    def positive(self, key: str) -> float:
+        val = self.float(key)
+        if not 0.0 < val < math.inf:
+            raise ConfigError(f"{key}: need a positive number, got {self.values[key]!r}")
+        return val
+
     def opt_float(self, key: str) -> Optional[float]:
         return None if self.values[key] == "" else self.float(key)
 
-    def int(self, key: str) -> int:
+    def int(self, key: str, minimum: Optional[int] = None) -> int:
         try:
-            return int(self.values[key])
+            val = int(self.values[key])
         except ValueError:
             raise ConfigError(f"{key}: expected an integer, got {self.values[key]!r}")
+        if minimum is not None and val < minimum:
+            raise ConfigError(f"{key}: need at least {minimum}, got {val}")
+        return val
 
     def floats(self, key: str) -> List[float]:
         raw = self.values[key]
@@ -257,6 +267,13 @@ def _health_rows(scenario: Scenario, eps: float, seed: int) -> list:
     return rows
 
 
+def _zoom_settings(cfg: Config, scheme: str) -> dict:
+    """Keyword arguments of the type-1 zooms."""
+    return dict(window=_config_window(cfg, "window"),
+                nt=cfg.int("zoom.nt", minimum=1), ny=cfg.int("zoom.ny", minimum=2),
+                base_divisor=cfg.positive("grid.base_divisor"), scheme=scheme)
+
+
 def cmd_run(cfg: Config, out_override: Optional[str]) -> int:
     scenario_id = cfg.str("run.scenario")
     scenario = make_scenario(cfg, scenario_id)
@@ -265,17 +282,22 @@ def cmd_run(cfg: Config, out_override: Optional[str]) -> int:
     seed = cfg.int("run.seed")
     checks: list = []
 
+    # every setting is read, and so checked, before the first solve
     if scenario.kind == "shock_formation":
         eps = cfg.eps_list("run.eps2", minimum=2)
         window = _config_window(cfg, "window2")
-        times = list(window.t_samples(cfg.int("zoom2.nt")))
+        nt = cfg.int("zoom2.nt", minimum=1)
+        ny = cfg.int("zoom2.ny", minimum=2)
+        dx_hat = cfg.positive("grid.dx_hat")
+        n = cfg.positive("zref.n")
+        if window.t_min < -n:
+            raise ConfigError("zref.n: window2.t_min lies before the launch time -zref.n")
         z_wave = experiments.eternal_z(
-            cfg.float("zref.n"), window, SolverConfig(1.0, flux_scheme=scheme),
-            dx=cfg.float("zref.dx"), x_max=cfg.float("zref.x_max"),
-            snapshot_times=times)
+            n, window, SolverConfig(1.0, flux_scheme=scheme),
+            dx=cfg.positive("zref.dx"), x_max=cfg.positive("zref.x_max"),
+            snapshot_times=list(window.t_samples(nt)))
         outcomes = experiments.formation_zoom(
-            scenario, eps, z_wave, window=window, nt=cfg.int("zoom2.nt"),
-            ny=cfg.int("zoom2.ny"), dx_hat=cfg.float("grid.dx_hat"),
+            scenario, eps, z_wave, window=window, nt=nt, ny=ny, dx_hat=dx_hat,
             scheme=scheme)
         sups = [o.sup_error for o in outcomes]
         checks.append(("sup-decreasing", eps[-1],
@@ -283,18 +305,17 @@ def cmd_run(cfg: Config, out_override: Optional[str]) -> int:
                        _strictly_decreasing(sups)))
     elif scenario.kind == "merging_shocks":
         eps = cfg.eps_list("run.eps", minimum=2)
-        window = _config_window(cfg, "window")
+        zoom = _zoom_settings(cfg, scheme)
+        window = zoom["window"]
         # the surrogate must cover the zoom window plus the shift search range
-        pad = Window(window.t_min - 1.25, window.t_max + 1.25,
-                     window.x_min - 1.25, window.x_max + 1.25)
+        pad = experiments.SHIFT_RANGE + 0.25
         wave, cauchy = experiments.merging_surrogate(
-            scenario, taus=cfg.floats("merge.taus"), window=pad,
+            scenario, taus=cfg.floats("merge.taus"),
+            window=Window(window.t_min - pad, window.t_max + pad,
+                          window.x_min - pad, window.x_max + pad),
             comparison_time=cfg.float("merge.comparison_time"),
-            dx=cfg.float("merge.dx"))
-        outcomes = experiments.merging_zoom(
-            scenario, eps, wave, window=window, nt=cfg.int("zoom.nt"),
-            ny=cfg.int("zoom.ny"), base_divisor=cfg.float("grid.base_divisor"),
-            scheme=scheme)
+            dx=cfg.positive("merge.dx"))
+        outcomes = experiments.merging_zoom(scenario, eps, wave, **zoom)
         l1s = [o.l1_error for o in outcomes]
         checks.append(("l1-decreasing", eps[-1],
                        min(a - b for a, b in zip(l1s[:-1], l1s[1:])),
@@ -303,11 +324,8 @@ def cmd_run(cfg: Config, out_override: Optional[str]) -> int:
                        -cauchy.log_slope, cauchy.decreasing))
     else:
         eps = cfg.eps_list("run.eps", minimum=2)
-        window = _config_window(cfg, "window")
-        outcomes = experiments.single_shock_zoom(
-            scenario, eps, window=window, nt=cfg.int("zoom.nt"),
-            ny=cfg.int("zoom.ny"), base_divisor=cfg.float("grid.base_divisor"),
-            scheme=scheme)
+        outcomes = experiments.single_shock_zoom(scenario, eps,
+                                                 **_zoom_settings(cfg, scheme))
         sups = [o.sup_error for o in outcomes]
         jump = scenario.states[0] - scenario.states[-1]
         checks.append(("sup-decreasing", eps[-1],
@@ -341,14 +359,14 @@ def cmd_sweep(cfg: Config, out_override: Optional[str]) -> int:
     scenario = make_scenario(cfg, scenario_id)
     if scenario.kind == "shock_formation":
         raise ConfigError("run.scenario: rate sweeps need an exact shocked reference")
-    n_nodes = cfg.int("sweep.n_nodes")
-    if n_nodes < 2:
-        raise ConfigError("sweep.n_nodes: need at least two nodes")
+    n_nodes = cfg.int("sweep.n_nodes", minimum=2)
+    t_check = cfg.opt_float("sweep.t_check")
+    if t_check is not None and not t_check > 0.0:
+        raise ConfigError("sweep.t_check: need a positive time")
     out = _out_dir(cfg, out_override)
     eps = cfg.eps_list("run.eps", minimum=3)
     report = experiments.kuznetsov_sweep(
-        scenario, eps, t_check=cfg.opt_float("sweep.t_check"),
-        n_nodes=n_nodes, scheme=cfg.scheme())
+        scenario, eps, t_check=t_check, n_nodes=n_nodes, scheme=cfg.scheme())
     min_slope = cfg.float("sweep.min_slope")
     pw = {e: err for e, err, _ in report.pointwise}
     rows = [experiments.ZoomOutcome(e, pw.get(e, 0.0), l1, 0.0)
@@ -420,9 +438,7 @@ def _phase_suite():
 
 def cmd_ztable(cfg: Config, out_override: Optional[str],
                t_values: Sequence[float], x_range: Sequence[float]) -> int:
-    n = cfg.int("ztable.n")
-    if n < 2:
-        raise ConfigError("ztable.n: need at least two points")
+    n = cfg.int("ztable.n", minimum=2)
     if len(x_range) != 2 or x_range[0] >= x_range[1]:
         raise ConfigError("--x: need x_min < x_max")
     if not t_values:
@@ -465,7 +481,7 @@ def cmd_merge(cfg: Config, out_override: Optional[str]) -> int:
     wave, cauchy = experiments.merging_surrogate(
         scenario, taus=cfg.floats("merge.taus"), window=window,
         comparison_time=cfg.float("merge.comparison_time"),
-        dx=cfg.float("merge.dx"))
+        dx=cfg.positive("merge.dx"))
     times = window.t_samples(cfg.int("merge.nt"))
     ys = window.x_samples(201)
     snaps = [(float(t), GridFunction(float(ys[0]), float(ys[1] - ys[0]),
@@ -487,9 +503,7 @@ def cmd_zlimit(cfg: Config, out_override: Optional[str]) -> int:
     x_max = cfg.float("zlimit.x_max")
     window = _window("zlimit", cfg.float("zlimit.t_min"), cfg.float("zlimit.t_max"),
                      -x_max, x_max)
-    dx = cfg.float("zlimit.dx")
-    if dx <= 0.0:
-        raise ConfigError("zlimit.dx: need a positive spacing")
+    dx = cfg.positive("zlimit.dx")
     out = _out_dir(cfg, out_override)
     n_list = cfg.floats("zlimit.n_list")
     if len(n_list) < 2 or any(b <= a for a, b in zip(n_list[:-1], n_list[1:])):

@@ -14,9 +14,8 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import NoCrossingError
-from .flux import FluxModel, chord, rankine_hugoniot
-from .grid import GridFunction, Window, l1_distance
-from .inviscid import SmoothData
+from .flux import FluxModel, chord
+from .grid import GridFunction, l1_distance
 from .profiles import TravelingWave, traveling_wave
 from .rescale import FitResult, RateFit, convergence_rate, fit_shift
 from .solver import Clamped, SolverConfig, solve
@@ -28,10 +27,6 @@ class WCurve:
 
     u: np.ndarray
     w: np.ndarray
-
-    @property
-    def samples(self) -> Tuple[Tuple[float, float], ...]:
-        return tuple(zip(self.u.tolist(), self.w.tolist()))
 
 
 def w_curve(state: GridFunction, flux: FluxModel) -> WCurve:

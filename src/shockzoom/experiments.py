@@ -22,13 +22,19 @@ from .diagnostics import KuznetsovReport, kuznetsov_audit
 from .flux import FluxModel
 from .grid import GridFunction, Window, l1_distance, periodic_mass, trapezoid
 from .inviscid import z_bounds_audit, z_root
-from .profiles import (CauchyReport, EternalZ, MergingTriple, TravelingWave,
-                       eternal_z, merging_wave, traveling_wave)
+from .profiles import CauchyReport, EternalZ, eternal_z, merging_wave, traveling_wave
 from .rescale import (RescaleFrame, SnapshotInterpolant, fit_formation_frame, fit_shift,
                       zoom_sample)
 from .scenarios import Scenario
 from .solver import (CENTRAL, Clamped, OleinikReport, Periodic, SolverConfig,
                      oleinik_check, solve)
+
+# The merging shift search tries time shifts on the surrogate's snapshot
+# lattice, so no time interpolation error enters, and space shifts on a
+# finer grid, both within +-SHIFT_RANGE.
+SHIFT_RANGE = 1.0
+SHIFT_LATTICE = 0.125
+SHIFT_DY = 0.05
 
 
 @dataclass(frozen=True)
@@ -88,8 +94,7 @@ def _mismatch(slices: List[Tuple[float, GridFunction]],
 
 def single_shock_zoom(scenario: Scenario, eps_list: Sequence[float], *,
                       window: Optional[Window] = None, nt: int = 21, ny: int = 401,
-                      base_divisor: float = 8.0, scheme: str = CENTRAL,
-                      template: Optional[TravelingWave] = None) -> List[ZoomOutcome]:
+                      base_divisor: float = 8.0, scheme: str = CENTRAL) -> List[ZoomOutcome]:
     """Compare type-1 zooms of the single-shock scenario with a fitted wave.
 
     The shift is fitted once per viscosity, on the central time slice; the
@@ -101,10 +106,9 @@ def single_shock_zoom(scenario: Scenario, eps_list: Sequence[float], *,
     u_minus, u_plus = scenario.states
     s_grid = window.t_samples(nt)
     y_grid = window.x_samples(ny)
-    if template is None:
-        half = max(abs(window.x_min), abs(window.x_max)) + \
-            abs(lam) * max(abs(window.t_min), abs(window.t_max)) + 6.0
-        template = traveling_wave(scenario.flux, u_minus, u_plus, half, 0.005)
+    half = max(abs(window.x_min), abs(window.x_max)) + \
+        abs(lam) * max(abs(window.t_min), abs(window.t_max)) + 6.0
+    template = traveling_wave(scenario.flux, u_minus, u_plus, half, 0.005)
     eps_max = max(eps_list)
     k0 = int(np.argmin(np.abs(s_grid)))
     out = []
@@ -124,20 +128,20 @@ def single_shock_zoom(scenario: Scenario, eps_list: Sequence[float], *,
 def merging_surrogate(scenario: Scenario, *,
                       taus: Sequence[float] = (-20.0, -30.0, -40.0),
                       window: Optional[Window] = None,
-                      comparison_time: float = -10.0,
-                      lattice_step: float = 0.125, dx: float = 0.05,
+                      comparison_time: float = -10.0, dx: float = 0.05,
                       ) -> Tuple[SnapshotInterpolant, CauchyReport]:
     """Build the two-shock interaction wave surrogate for zoom comparisons.
 
-    Snapshots land on a fixed time lattice wide enough to evaluate shifted
-    copies; the returned interpolant is exact at lattice times.
+    Snapshots land on the SHIFT_LATTICE time lattice over the window; the
+    returned interpolant is exact at lattice times.  For a zoom, pad the
+    zoom window by more than SHIFT_RANGE so that shifted copies stay inside.
     """
     if scenario.merging is None:
         raise ValueError("scenario has no merging data")
     if window is None:
         window = Window(-5.5, 5.5, -6.0, 6.0)
-    n_lat = int(round((window.t_max - window.t_min) / lattice_step))
-    lattice = window.t_min + lattice_step * np.arange(n_lat + 1)
+    n_lat = int(round((window.t_max - window.t_min) / SHIFT_LATTICE))
+    lattice = window.t_min + SHIFT_LATTICE * np.arange(n_lat + 1)
     traj, report = merging_wave(scenario.merging, scenario.flux, taus, window,
                                 SolverConfig(viscosity=1.0), dx=dx,
                                 comparison_time=comparison_time,
@@ -149,13 +153,10 @@ def merging_surrogate(scenario: Scenario, *,
 def merging_zoom(scenario: Scenario, eps_list: Sequence[float],
                  wave_interp: SnapshotInterpolant, *,
                  window: Optional[Window] = None, nt: int = 21, ny: int = 401,
-                 base_divisor: float = 8.0, scheme: str = CENTRAL,
-                 shift_range: float = 1.0, lattice_step: float = 0.125,
-                 dy_step: float = 0.05) -> List[ZoomOutcome]:
+                 base_divisor: float = 8.0, scheme: str = CENTRAL) -> List[ZoomOutcome]:
     """L1-compare type-1 zooms with the interaction wave, shift-fitted in (t, x).
 
-    The shift is found by lattice search (time steps matching the surrogate
-    snapshot lattice, so no time interpolation error enters) followed by a
+    The shift is found by lattice search (see SHIFT_RANGE) followed by a
     parabolic refinement of the space shift.
     """
     if window is None:
@@ -163,10 +164,10 @@ def merging_zoom(scenario: Scenario, eps_list: Sequence[float],
     s_grid = window.t_samples(nt)
     y_grid = window.x_samples(ny)
     eps_max = max(eps_list)
-    n_shift = int(round(shift_range / lattice_step))
-    dt_cands = lattice_step * np.arange(-n_shift, n_shift + 1)
-    n_dy = int(round(shift_range / dy_step))
-    dy_cands = dy_step * np.arange(-n_dy, n_dy + 1)
+    n_shift = int(round(SHIFT_RANGE / SHIFT_LATTICE))
+    dt_cands = SHIFT_LATTICE * np.arange(-n_shift, n_shift + 1)
+    n_dy = int(round(SHIFT_RANGE / SHIFT_DY))
+    dy_cands = SHIFT_DY * np.arange(-n_dy, n_dy + 1)
 
     def shifted(dt_shift: float, dy_shift: float) -> Callable:
         return lambda s, g: wave_interp(s + dt_shift, y_grid + dy_shift)
@@ -190,19 +191,19 @@ def merging_zoom(scenario: Scenario, eps_list: Sequence[float],
         # coarse lattice as eps shrinks, and the leftover dt error would
         # otherwise floor the sweep
         _, bt, by = best
-        for dt_f in bt + (lattice_step / 8.0) * np.arange(-8, 9):
-            if abs(dt_f) > shift_range:
+        for dt_f in bt + (SHIFT_LATTICE / 8.0) * np.arange(-8, 9):
+            if abs(dt_f) > SHIFT_RANGE:
                 continue
             val = l1_against(float(dt_f), by)
             if val < best[0]:
                 best = (val, float(dt_f), by)
         # parabolic refinement of the space shift at the winning point
         _, bt, by = best
-        lo, mid, hi = (l1_against(bt, by - dy_step), best[0],
-                       l1_against(bt, by + dy_step))
+        lo, mid, hi = (l1_against(bt, by - SHIFT_DY), best[0],
+                       l1_against(bt, by + SHIFT_DY))
         denom = lo - 2.0 * mid + hi
         if denom > 0.0:
-            vertex = by + 0.5 * dy_step * (lo - hi) / denom
+            vertex = by + 0.5 * SHIFT_DY * (lo - hi) / denom
             val = l1_against(bt, vertex)
             if val < best[0]:
                 best = (val, bt, vertex)
@@ -249,8 +250,7 @@ def formation_zoom(scenario: Scenario, eps_list: Sequence[float],
 
 def kuznetsov_sweep(scenario: Scenario, eps_list: Sequence[float], *,
                     t_check: Optional[float] = None, n_nodes: int = 4096,
-                    scheme: str = CENTRAL,
-                    lipschitz_margin: float = 0.5) -> KuznetsovReport:
+                    scheme: str = CENTRAL) -> KuznetsovReport:
     """Viscosity sweep of a scenario against its exact inviscid reference."""
     if t_check is None:
         t_check = 0.5 * (scenario.formed_time + scenario.tau)
@@ -269,7 +269,7 @@ def kuznetsov_sweep(scenario: Scenario, eps_list: Sequence[float], *,
                       trip.lambda2 * (t_check - scenario.tau)]
         else:
             shocks = [scenario.shock.speed * (t_check - scenario.tau)]
-    interval = (lo + lipschitz_margin, hi - lipschitz_margin)
+    interval = (lo + 0.5, hi - 0.5)
     return kuznetsov_audit(data, scenario.flux, eps_list, float(t_check),
                            scenario.reference, cfg,
                            lipschitz_interval=interval, shock_positions=shocks)
@@ -339,11 +339,9 @@ def mass_drift_check(initial: GridFunction, flux: FluxModel, cfg: SolverConfig,
 # named audit suites (shared by the CLI and the acceptance checks)
 
 
-def suite_cubic_bounds(nt: int = 100, nx: int = 100,
-                       t_range: Tuple[float, float] = (-10.0, -0.5),
-                       x_range: Tuple[float, float] = (-50.0, 50.0)):
+def suite_cubic_bounds(nt: int = 100, nx: int = 100):
     """Analytic slope/curvature/envelope bounds of the cubic wave on a grid."""
-    report = z_bounds_audit(np.linspace(*t_range, nt), np.linspace(*x_range, nx))
+    report = z_bounds_audit(np.linspace(-10.0, -0.5, nt), np.linspace(-50.0, 50.0, nx))
     rows = [(name, 0.0, margin, margin >= -1e-12)
             for name, margin in sorted(report.worst.items())]
     return report, rows

@@ -8,7 +8,7 @@ differences at construction so a typo in ``df`` or ``d2f`` fails fast.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Tuple
 
 import numpy as np

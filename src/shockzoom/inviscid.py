@@ -14,7 +14,7 @@ round-off level everywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 

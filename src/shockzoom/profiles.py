@@ -12,7 +12,7 @@ Three families:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -142,13 +142,12 @@ class MergingTriple:
 
 
 def merging_initial(triple: MergingTriple, tau: float, grid: GridFunction,
-                    blend: Callable = smoothstep,
                     profiles: Optional[Tuple[TravelingWave, TravelingWave]] = None,
                     ) -> GridFunction:
     """Blend the two traveling waves at their time-tau positions.
 
     The faster wave is centred at lambda1*tau, the slower at lambda2*tau,
-    and the blend weight ramps over one unit starting at lambda_star*tau.
+    and the smoothstep blend weight ramps over one unit from lambda_star*tau.
     tau must be negative enough that the transition regions stay clear of
     the blend; otherwise TauTooLateError.
     """
@@ -164,7 +163,7 @@ def merging_initial(triple: MergingTriple, tau: float, grid: GridFunction,
         raise TauTooLateError(
             f"tau={tau} puts the waves {separation:.3g} apart; need more than {needed:.3g}")
     x = grid.x
-    theta = blend(x - triple.lambda_star * tau)
+    theta = smoothstep(x - triple.lambda_star * tau)
     values = (theta * w2(x - triple.lambda2 * tau)
               + (1.0 - theta) * w1(x - triple.lambda1 * tau))
     return grid.with_values(values)
@@ -191,8 +190,7 @@ class CauchyReport:
 
 def merging_wave(triple: MergingTriple, flux: FluxModel, tau_list: Sequence[float],
                  window: Window, cfg: SolverConfig, *,
-                 dx: float = 0.05, x_pad: Optional[float] = None,
-                 comparison_time: Optional[float] = None,
+                 dx: float = 0.05, comparison_time: Optional[float] = None,
                  snapshot_times: Sequence[float] = (),
                  ) -> Tuple[List[Tuple[float, GridFunction]], CauchyReport]:
     """Realise the interaction wave by evolving blended restarts.
@@ -203,7 +201,7 @@ def merging_wave(triple: MergingTriple, flux: FluxModel, tau_list: Sequence[floa
     surrogate and is returned sampled at the window times plus any extra
     ``snapshot_times``.
 
-    The default padding puts the clamped ends deep enough that the outer
+    The padding puts the clamped ends deep enough that the outer
     profile tails reach their constant states to ~1e-9 there; anything less
     makes each restart clamp at a slightly different edge value, and those
     mismatches advect inward and swamp the settling distances.
@@ -215,12 +213,11 @@ def merging_wave(triple: MergingTriple, flux: FluxModel, tau_list: Sequence[floa
     if taus[-1] >= t_cmp:
         raise ValueError("all restart times must precede the comparison time")
 
-    if x_pad is None:
-        jump = triple.u_minus - triple.u_plus
-        rate_l = abs(float(flux.df(triple.u_minus)) - triple.lambda1)
-        rate_r = abs(float(flux.df(triple.u_plus)) - triple.lambda2)
-        depth = np.log(max(jump, 1.0) / 1e-9)
-        x_pad = 6.0 + depth / min(rate_l, rate_r)
+    jump = triple.u_minus - triple.u_plus
+    rate_l = abs(float(flux.df(triple.u_minus)) - triple.lambda1)
+    rate_r = abs(float(flux.df(triple.u_plus)) - triple.lambda2)
+    depth = np.log(max(jump, 1.0) / 1e-9)
+    x_pad = 6.0 + depth / min(rate_l, rate_r)
     x_lo = triple.lambda1 * taus[0] - x_pad
     x_hi = triple.lambda2 * taus[0] + x_pad
     n = int(round((x_hi - x_lo) / dx)) + 1
@@ -228,7 +225,7 @@ def merging_wave(triple: MergingTriple, flux: FluxModel, tau_list: Sequence[floa
     w1 = traveling_wave(flux, triple.u_minus, triple.u_star, 60.0, 0.02)
     w2 = traveling_wave(flux, triple.u_star, triple.u_plus, 60.0, 0.02)
 
-    extra = [float(s) for s in np.atleast_1d(snapshot_times)] if len(np.atleast_1d(snapshot_times)) else []
+    extra = [float(s) for s in np.atleast_1d(snapshot_times)]
     full_times = sorted(set([t_cmp, window.t_min, window.t_max] + extra))
 
     states_at_cmp = []
@@ -241,8 +238,7 @@ def merging_wave(triple: MergingTriple, flux: FluxModel, tau_list: Sequence[floa
             targets = [s - tau for s in full_times if s > tau]
             snaps = solve(data, flux, run_cfg, targets[-1], targets)
             trajectory = [(s + tau, g) for s, g in snaps]
-            cmp_state = trajectory[[abs(s - t_cmp) for s, _ in trajectory].index(
-                min(abs(s - t_cmp) for s, _ in trajectory))][1]
+            cmp_state = min(trajectory, key=lambda p: abs(p[0] - t_cmp))[1]
         else:
             snaps = solve(data, flux, run_cfg, t_cmp - tau, [t_cmp - tau])
             cmp_state = snaps[-1][1]
@@ -339,22 +335,19 @@ class ZLimitReport:
 
 def eternal_z_limit(n_list: Sequence[float], window: Window, tol: float, *,
                     dx: float = 0.02, x_max: Optional[float] = None,
-                    sample_times: Optional[Sequence[float]] = None,
-                    cfg: Optional[SolverConfig] = None,
                     ) -> Tuple[EternalZ, ZLimitReport]:
     """Run increasing horizons and certify the family is settling.
 
-    The largest horizon is returned as the limit surrogate; no extrapolation
-    is performed.  Raises NotConvergedError when the last consecutive
+    The horizons are compared at nine equally spaced window times.  The
+    largest horizon is returned as the limit surrogate; no extrapolation is
+    performed.  Raises NotConvergedError when the last consecutive
     difference exceeds tol.
     """
     ns = sorted(float(v) for v in n_list)
     if len(ns) < 2:
         raise ValueError("need at least two horizons")
-    if sample_times is None:
-        sample_times = list(np.linspace(window.t_min, window.t_max, 9))
-    sample_times = [float(t) for t in sample_times]
-    runs = [eternal_z(v, window, cfg, dx=dx, x_max=x_max,
+    sample_times = [float(t) for t in np.linspace(window.t_min, window.t_max, 9)]
+    runs = [eternal_z(v, window, dx=dx, x_max=x_max,
                       snapshot_times=sample_times) for v in ns]
 
     mono = np.inf

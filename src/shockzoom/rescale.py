@@ -187,18 +187,19 @@ class FormationFrameFit:
     xi_eps: float
 
 
-def fit_formation_frame(point: FormationPoint, flux: FluxModel,
-                        tol: float = 1e-8) -> FormationFrameFit:
+def fit_formation_frame(point: FormationPoint, flux: FluxModel) -> FormationFrameFit:
     """Match the cubic degeneracy to the normalised formation profile.
 
     Scaling u = c v turns x = x_uuu/6 * u^3 into the canonical x = -v^3
     when c = (-x_uuu / 6)^(-1/3); the observation clock runs at
-    sigma = f''(u) * c and the frame drifts at lam = f'(u).
+    sigma = f''(u) * c and the frame drifts at lam = f'(u).  x_u and x_uu
+    must vanish to a relative 1e-8.
     """
     scale = abs(point.x_uuu)
     if not (point.x_uuu < 0.0) or scale == 0.0:
         raise DegenerateError("need x_uuu < 0 at the formation point")
-    if abs(point.x_u) > tol * max(1.0, scale) or abs(point.x_uu) > tol * max(1.0, scale):
+    tol = 1e-8 * max(1.0, scale)
+    if abs(point.x_u) > tol or abs(point.x_uu) > tol:
         raise DegenerateError(
             f"x_u={point.x_u:.3g}, x_uu={point.x_uu:.3g}: not a clean cubic degeneracy")
     c = (-point.x_uuu / 6.0) ** (-1.0 / 3.0)

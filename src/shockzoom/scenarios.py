@@ -39,7 +39,6 @@ class Scenario:
     flux: FluxModel
     initial: SmoothData
     singular_point: Tuple[float, float]
-    frame_kind: str
     states: Tuple[float, ...]
     domain: Tuple[float, float]
     formed_time: float
@@ -117,8 +116,8 @@ def single_shock_scenario(flux: FluxModel, u_minus: float, u_plus: float, *,
     lo = min(0.0, shock.speed * tau) - 2.0
     hi = max(0.0, shock.speed * tau) + 2.0
     return Scenario("theorem1-single", SINGLE, flux, data,
-                    (tau, shock.speed * tau), "type1",
-                    (u_minus, u_plus), (lo, hi), formed, blow,
+                    (tau, shock.speed * tau), (u_minus, u_plus),
+                    (lo, hi), formed, blow,
                     reference, w, shock=shock)
 
 
@@ -169,7 +168,7 @@ def merging_shocks_scenario(flux: FluxModel, u_minus: float, u_star: float,
     merged = rankine_hugoniot(flux, u_minus, u_plus)
     lo = min(p1, merged.speed * tau) - 2.0
     hi = max(p2, merged.speed * tau) + 2.0
-    return Scenario("theorem1-merging", MERGING, flux, data, (tau, 0.0), "type1",
+    return Scenario("theorem1-merging", MERGING, flux, data, (tau, 0.0),
                     (u_minus, u_star, u_plus), (lo, hi), formed, blow,
                     reference, w, shock=merged, merging=triple)
 
@@ -247,7 +246,7 @@ def shock_formation_scenario(flux: FluxModel, amplitude: float, *,
 
     point = FormationPoint(tau, 0.0, 0.0, 0.0, 0.0, -6.0 * A)
     return Scenario("theorem2-formation", FORMATION, flux, data, (tau, 0.0),
-                    "type2", (), (-R - 1.0, R + 1.0), tau, tau,
+                    (), (-R - 1.0, R + 1.0), tau, tau,
                     reference, 0.0, formation=point)
 
 

@@ -66,6 +66,18 @@ def test_exit_code_2_paths(tmp_path):
     assert main(["run", "--set", "window.t_min=6", "--out", out]) == 2
     assert main(["sweep", "--set", "sweep.n_nodes=1", "--out", out]) == 2
     assert main(["zlimit", "--set", "zlimit.dx=0", "--out", out]) == 2
+    # each of these is caught where the CLI reads it, before any solve
+    formation = ["run", "--scenario", "theorem2-formation"]
+    for args in (["run", "--set", "zoom.ny=1"],
+                 ["run", "--set", "zoom.nt=0"],
+                 ["run", "--set", "grid.base_divisor=0"],
+                 ["run", "--set", "grid.base_divisor=-1"],
+                 formation + ["--set", "zref.dx=0"],
+                 formation + ["--set", "grid.dx_hat=0"],
+                 formation + ["--set", "zref.n=2"],
+                 ["merge", "--set", "merge.dx=0"],
+                 ["sweep", "--set", "sweep.t_check=-1"]):
+        assert main(args + ["--out", out]) == 2, args
 
 
 def test_ztable_rows_and_values(tmp_path):

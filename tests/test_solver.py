@@ -5,6 +5,7 @@ import pytest
 from shockzoom import (CENTRAL, LLF, Clamped, GridFunction, InstabilityError,
                        Periodic, SolverConfig, burgers, l1_distance,
                        oleinik_check, periodic_mass, solve)
+from shockzoom import solver
 
 
 def tanh_wave(eps):
@@ -91,6 +92,31 @@ def test_time_dependent_clamp_tracks_values():
     for t, g in snaps:
         assert g.values[0] == pytest.approx(left(t), abs=1e-9)
         assert g.values[-1] == pytest.approx(right(t), abs=1e-9)
+
+
+def test_clamp_evaluated_once_per_step(monkeypatch):
+    # the pinned end nodes need the boundary values at the new time only
+    seen = []
+
+    def left(t):
+        seen.append(t)
+        return 1.0
+
+    steps = 0
+    stable_dt = solver.stable_dt
+
+    def counted(*args):
+        nonlocal steps
+        steps += 1
+        return stable_dt(*args)
+
+    monkeypatch.setattr(solver, "stable_dt", counted)
+    data = GridFunction.from_callable(lambda x: -np.tanh(x), -8.0, 8.0, 0.05)
+    solve(data, burgers(), SolverConfig(0.5, Clamped(left, -1.0)), 0.3, [0.1, 0.3])
+    assert steps > 0
+    assert len(seen) == steps
+    assert all(b > a for a, b in zip(seen[:-1], seen[1:]))
+    assert 0.0 not in seen
 
 
 def test_oleinik_check_flags_increase():
