@@ -26,12 +26,12 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from . import experiments, io
-from .errors import ConfigError, InstabilityError, NotConvergedError, ShockzoomError
+from .errors import ConfigError, InstabilityError, ShockzoomError
 from .diagnostics import phase_audit
 from .flux import FluxModel, burgers, make_flux
 from .grid import GridFunction, Window
 from .inviscid import z_eval
-from .profiles import eternal_z_limit, traveling_wave
+from .profiles import CauchyReport, eternal_z_limit, traveling_wave
 from .scenarios import SCENARIO_IDS, Scenario, build_scenario
 from .solver import CENTRAL, LLF, Clamped, Periodic, SolverConfig
 
@@ -87,6 +87,13 @@ DEFAULTS: Dict[str, str] = {
     "ztable.n": "2001",
 }
 
+# the subcommand flags that set one config key each; --eps is mapped in main()
+# to the viscosity list of the scenario that runs
+FLAG_KEYS = {"scenario": "run.scenario", "suite": "audit.suite", "taus": "merge.taus",
+             "n_list": "zlimit.n_list", "n": "ztable.n"}
+# profile integration steps on each side of the midpoint
+MAX_PROFILE_STEPS = 1e6
+
 
 class Config:
     """Flat dotted key-value store with typed, validating accessors."""
@@ -104,13 +111,16 @@ class Config:
 
     def float(self, key: str) -> float:
         try:
-            return float(self.values[key])
+            val = float(self.values[key])
         except ValueError:
             raise ConfigError(f"{key}: expected a number, got {self.values[key]!r}")
+        if not math.isfinite(val):
+            raise ConfigError(f"{key}: need a finite number, got {self.values[key]!r}")
+        return val
 
     def positive(self, key: str) -> float:
         val = self.float(key)
-        if not 0.0 < val < math.inf:
+        if not val > 0.0:
             raise ConfigError(f"{key}: need a positive number, got {self.values[key]!r}")
         return val
 
@@ -134,6 +144,8 @@ class Config:
             raise ConfigError(f"{key}: expected comma-separated numbers, got {raw!r}")
         if not vals:
             raise ConfigError(f"{key}: expected at least one number")
+        if not all(math.isfinite(v) for v in vals):
+            raise ConfigError(f"{key}: need finite numbers, got {raw!r}")
         return vals
 
     def eps_list(self, key: str, minimum: int = 1) -> List[float]:
@@ -194,25 +206,25 @@ def make_scenario(cfg: Config, scenario_id: str) -> Scenario:
         raise ConfigError(f"run.scenario: unknown scenario {scenario_id!r}")
     kw = dict(tau=cfg.float("scenario.tau"))
     try:
-        if scenario_id == "theorem1-single":
-            kw.update(u_minus=cfg.float("scenario.u_minus"),
-                      u_plus=cfg.float("scenario.u_plus"))
-            rw = cfg.opt_float("scenario.ramp_width")
-            if rw is not None:
-                kw["ramp_width"] = rw
-        elif scenario_id == "theorem1-merging":
-            kw.update(u_minus=cfg.float("scenario.u_minus"),
-                      u_star=cfg.float("scenario.u_star"),
-                      u_plus=cfg.float("scenario.u_plus"))
-            rw = cfg.opt_float("scenario.ramp_width")
-            if rw is not None:
-                kw["ramp_width"] = rw
-        else:
+        if scenario_id == "theorem2-formation":
             kw.update(amplitude=cfg.float("scenario.amplitude"),
                       clamp_radius=cfg.float("scenario.clamp_radius"))
+        else:
+            kw.update(u_minus=cfg.float("scenario.u_minus"),
+                      u_plus=cfg.float("scenario.u_plus"))
+            if scenario_id == "theorem1-merging":
+                kw["u_star"] = cfg.float("scenario.u_star")
+            rw = cfg.opt_float("scenario.ramp_width")
+            if rw is not None:
+                kw["ramp_width"] = rw
         return build_scenario(scenario_id, flux, **kw)
     except ValueError as e:
         raise ConfigError(f"scenario parameters: {e}")
+
+
+def _eps_key(scenario_id: str) -> str:
+    """The config key of the viscosity list that ``run`` reads for a scenario."""
+    return "run.eps2" if scenario_id == "theorem2-formation" else "run.eps"
 
 
 def _window(prefix: str, t_min: float, t_max: float, x_min: float,
@@ -234,8 +246,34 @@ def _out_dir(cfg: Config, override: Optional[str]) -> Path:
     return out
 
 
-def _strictly_decreasing(values: Sequence[float]) -> bool:
-    return all(b < a for a, b in zip(values[:-1], values[1:]))
+def _decreasing(name: str, t: float, values: Sequence[float]) -> tuple:
+    """Check row: values strictly decreasing; the margin is the smallest drop."""
+    pairs = list(zip(values[:-1], values[1:]))
+    return (name, t, min((a - b for a, b in pairs), default=0.0),
+            all(b < a for a, b in pairs))
+
+
+def _cauchy_row(cauchy: CauchyReport) -> tuple:
+    """Check row: restart distances shrink as the restart time recedes."""
+    return ("cauchy-decreasing", cauchy.comparison_time, -cauchy.log_slope,
+            cauchy.decreasing)
+
+
+def _report(out: Path, cfg: Config, command: str, rows: Sequence[tuple],
+            **fields) -> int:
+    """Write the check rows (name, t, margin, pass) to audit.csv and summary.json.
+
+    Returns the exit code: 0 when every row passes, 1 otherwise.
+    """
+    io.write_audit(out / "audit.csv", rows)
+    passed = all(bool(r[3]) for r in rows)
+    io.write_summary(out / "summary.json", {
+        "command": command, "config": cfg.values,
+        "checks": [{"name": name, "t": t, "margin": margin, "pass": bool(ok)}
+                   for name, t, margin, ok in rows],
+        "passed": passed, **fields,
+    })
+    return 0 if passed else 1
 
 
 def _health_rows(scenario: Scenario, eps: float, seed: int) -> list:
@@ -274,17 +312,16 @@ def _zoom_settings(cfg: Config, scheme: str) -> dict:
                 base_divisor=cfg.positive("grid.base_divisor"), scheme=scheme)
 
 
-def cmd_run(cfg: Config, out_override: Optional[str]) -> int:
+def cmd_run(cfg: Config, args: argparse.Namespace) -> int:
     scenario_id = cfg.str("run.scenario")
     scenario = make_scenario(cfg, scenario_id)
-    out = _out_dir(cfg, out_override)
+    out = _out_dir(cfg, args.out)
     scheme = cfg.scheme()
     seed = cfg.int("run.seed")
-    checks: list = []
+    eps = cfg.eps_list(_eps_key(scenario_id), minimum=2)
 
     # every setting is read, and so checked, before the first solve
     if scenario.kind == "shock_formation":
-        eps = cfg.eps_list("run.eps2", minimum=2)
         window = _config_window(cfg, "window2")
         nt = cfg.int("zoom2.nt", minimum=1)
         ny = cfg.int("zoom2.ny", minimum=2)
@@ -299,12 +336,9 @@ def cmd_run(cfg: Config, out_override: Optional[str]) -> int:
         outcomes = experiments.formation_zoom(
             scenario, eps, z_wave, window=window, nt=nt, ny=ny, dx_hat=dx_hat,
             scheme=scheme)
-        sups = [o.sup_error for o in outcomes]
-        checks.append(("sup-decreasing", eps[-1],
-                       min(a - b for a, b in zip(sups[:-1], sups[1:])),
-                       _strictly_decreasing(sups)))
+        checks = [_decreasing("sup-decreasing", eps[-1],
+                              [o.sup_error for o in outcomes])]
     elif scenario.kind == "merging_shocks":
-        eps = cfg.eps_list("run.eps", minimum=2)
         zoom = _zoom_settings(cfg, scheme)
         window = zoom["window"]
         # the surrogate must cover the zoom window plus the shift search range
@@ -316,45 +350,27 @@ def cmd_run(cfg: Config, out_override: Optional[str]) -> int:
             comparison_time=cfg.float("merge.comparison_time"),
             dx=cfg.positive("merge.dx"))
         outcomes = experiments.merging_zoom(scenario, eps, wave, **zoom)
-        l1s = [o.l1_error for o in outcomes]
-        checks.append(("l1-decreasing", eps[-1],
-                       min(a - b for a, b in zip(l1s[:-1], l1s[1:])),
-                       _strictly_decreasing(l1s)))
-        checks.append(("cauchy-decreasing", cauchy.comparison_time,
-                       -cauchy.log_slope, cauchy.decreasing))
+        checks = [_decreasing("l1-decreasing", eps[-1],
+                              [o.l1_error for o in outcomes]),
+                  _cauchy_row(cauchy)]
     else:
-        eps = cfg.eps_list("run.eps", minimum=2)
         outcomes = experiments.single_shock_zoom(scenario, eps,
                                                  **_zoom_settings(cfg, scheme))
         sups = [o.sup_error for o in outcomes]
         jump = scenario.states[0] - scenario.states[-1]
-        checks.append(("sup-decreasing", eps[-1],
-                       min(a - b for a, b in zip(sups[:-1], sups[1:])),
-                       _strictly_decreasing(sups)))
-        checks.append(("final-sup", eps[-1], 0.1 * jump - sups[-1],
-                       sups[-1] <= 0.1 * jump))
+        checks = [_decreasing("sup-decreasing", eps[-1], sups),
+                  ("final-sup", eps[-1], 0.1 * jump - sups[-1],
+                   sups[-1] <= 0.1 * jump)]
 
     checks.extend(_health_rows(scenario, eps[0], seed))
     io.write_sweep(out / "sweep.csv", outcomes)
-    io.write_audit(out / "audit.csv", checks)
-    passed = all(c[3] for c in checks)
-    payload = {
-        "command": "run",
-        "config": cfg.values,
-        "scenario": scenario_id,
-        "eps": eps,
-        "outcomes": [{"eps": o.eps, "sup_error": o.sup_error,
-                      "l1_error": o.l1_error, "shift": o.shift,
-                      "shift_t": o.shift_t} for o in outcomes],
-        "checks": [{"name": c[0], "t": c[1], "margin": c[2], "pass": bool(c[3])}
-                   for c in checks],
-        "passed": passed,
-    }
-    io.write_summary(out / "summary.json", payload)
-    return 0 if passed else 1
+    return _report(out, cfg, "run", checks, scenario=scenario_id, eps=eps,
+                   outcomes=[{"eps": o.eps, "sup_error": o.sup_error,
+                              "l1_error": o.l1_error, "shift": o.shift,
+                              "shift_t": o.shift_t} for o in outcomes])
 
 
-def cmd_sweep(cfg: Config, out_override: Optional[str]) -> int:
+def cmd_sweep(cfg: Config, args: argparse.Namespace) -> int:
     scenario_id = cfg.str("run.scenario")
     scenario = make_scenario(cfg, scenario_id)
     if scenario.kind == "shock_formation":
@@ -363,65 +379,47 @@ def cmd_sweep(cfg: Config, out_override: Optional[str]) -> int:
     t_check = cfg.opt_float("sweep.t_check")
     if t_check is not None and not t_check > 0.0:
         raise ConfigError("sweep.t_check: need a positive time")
-    out = _out_dir(cfg, out_override)
+    out = _out_dir(cfg, args.out)
     eps = cfg.eps_list("run.eps", minimum=3)
     report = experiments.kuznetsov_sweep(
         scenario, eps, t_check=t_check, n_nodes=n_nodes, scheme=cfg.scheme())
     min_slope = cfg.float("sweep.min_slope")
     pw = {e: err for e, err, _ in report.pointwise}
-    rows = [experiments.ZoomOutcome(e, pw.get(e, 0.0), l1, 0.0)
-            for e, l1 in zip(report.eps_list, report.l1_errors)]
-    io.write_sweep(out / "sweep.csv", rows)
+    io.write_sweep(out / "sweep.csv",
+                   [experiments.ZoomOutcome(e, pw.get(e, 0.0), l1, 0.0)
+                    for e, l1 in zip(report.eps_list, report.l1_errors)])
     checks = [
-        {"name": "l1-slope", "t": 0.0, "margin": report.rate.slope - min_slope,
-         "pass": bool(report.rate.slope >= min_slope)},
-        {"name": "pointwise-band", "t": 0.0,
-         "margin": min((allow - err for _, err, allow in report.pointwise),
-                       default=0.0),
-         "pass": bool(report.pointwise_ok)},
+        ("l1-slope", 0.0, report.rate.slope - min_slope,
+         report.rate.slope >= min_slope),
+        ("pointwise-band", 0.0,
+         min((allow - err for _, err, allow in report.pointwise), default=0.0),
+         report.pointwise_ok),
     ]
-    passed = all(c["pass"] for c in checks)
-    io.write_summary(out / "summary.json", {
-        "command": "sweep", "config": cfg.values, "scenario": scenario_id,
-        "eps": list(report.eps_list), "l1_errors": list(report.l1_errors),
-        "slope": report.rate.slope, "intercept": report.rate.intercept,
-        "residual": report.rate.residual, "checks": checks, "passed": passed,
-    })
-    io.write_audit(out / "audit.csv",
-                   [(c["name"], c["t"], c["margin"], c["pass"]) for c in checks])
-    return 0 if passed else 1
+    return _report(out, cfg, "sweep", checks, scenario=scenario_id,
+                   eps=list(report.eps_list), l1_errors=list(report.l1_errors),
+                   slope=report.rate.slope, intercept=report.rate.intercept,
+                   residual=report.rate.residual)
 
 
-def cmd_audit(cfg: Config, out_override: Optional[str]) -> int:
+def cmd_audit(cfg: Config, args: argparse.Namespace) -> int:
     suite = cfg.str("audit.suite")
-    out = _out_dir(cfg, out_override)
+    out = _out_dir(cfg, args.out)
     if suite == "lemma81":
         report, rows = experiments.suite_cubic_bounds()
         extra = {"n_points": report.n_points, "violations": report.violations,
                  "residual_max": report.residual_max}
-        passed = report.passed
     elif suite == "zbo":
         _, rows = experiments.suite_sandwich()
         extra = {}
-        passed = all(r[3] for r in rows)
     elif suite == "oleinik":
         report, rows = experiments.suite_oleinik()
         extra = {"violations": report.violations,
                  "worst_margin": report.worst_margin}
-        passed = report.passed
     elif suite == "phase":
         rows, extra = _phase_suite()
-        passed = all(r[3] for r in rows)
     else:
         raise ConfigError(f"audit.suite: unknown suite {suite!r}")
-    io.write_audit(out / "audit.csv", rows)
-    io.write_summary(out / "summary.json", {
-        "command": "audit", "config": cfg.values, "suite": suite,
-        "checks": [{"name": r[0], "t": r[1], "margin": r[2], "pass": bool(r[3])}
-                   for r in rows],
-        "passed": bool(passed), **extra,
-    })
-    return 0 if passed else 1
+    return _report(out, cfg, "audit", rows, suite=suite, **extra)
 
 
 def _phase_suite():
@@ -432,22 +430,24 @@ def _phase_suite():
     data = GridFunction(-half * dx, dx, np.clip(-2.0 * x, -1.0, 1.0))
     report = phase_audit(data, burgers(), 0.25, 0.5,
                          SolverConfig(1.0), interval=(-0.5, 0.5))
-    rows = [(name, t, margin, ok) for name, t, margin, ok in report.rows]
-    return rows, {"t1": report.t1, "t2": report.t2}
+    return list(report.rows), {"t1": report.t1, "t2": report.t2}
 
 
-def cmd_ztable(cfg: Config, out_override: Optional[str],
-               t_values: Sequence[float], x_range: Sequence[float]) -> int:
+def cmd_ztable(cfg: Config, args: argparse.Namespace) -> int:
     n = cfg.int("ztable.n", minimum=2)
-    if len(x_range) != 2 or x_range[0] >= x_range[1]:
+    t_values, x_range = args.t, args.x
+    if not x_range[0] < x_range[1]:
         raise ConfigError("--x: need x_min < x_max")
-    if not t_values:
-        raise ConfigError("--t: need at least one time")
     if any(t > 0.0 for t in t_values):
         raise ConfigError("--t: the cubic wave is defined for t <= 0")
-    out = _out_dir(cfg, out_override)
     xs = np.linspace(x_range[0], x_range[1], n)
     points = [z_eval(float(t), float(xv)) for t in t_values for xv in xs]
+    # z itself is finite wherever the wave is defined, even at the blow-up point
+    bad = next((p for p in points if not math.isfinite(p.z)), None)
+    if bad is not None:
+        raise ConfigError(f"--t/--x: the cubic wave cannot be evaluated at "
+                          f"t={bad.t!r}, x={bad.x!r}")
+    out = _out_dir(cfg, args.out)
     io.write_z_table(out / "ztable.csv", points)
     io.write_summary(out / "summary.json", {
         "command": "z-table", "config": cfg.values, "t": list(t_values),
@@ -456,14 +456,21 @@ def cmd_ztable(cfg: Config, out_override: Optional[str],
     return 0
 
 
-def cmd_profile(cfg: Config, out_override: Optional[str], u_minus: float,
-                u_plus: float, half_width: float, dx: float) -> int:
-    if u_minus <= u_plus:
+def cmd_profile(cfg: Config, args: argparse.Namespace) -> int:
+    u_minus, u_plus, half_width, dx = args.u_minus, args.u_plus, args.half_width, args.dx
+    if not u_minus > u_plus:
         raise ConfigError("--u-minus/--u-plus: need a downward jump")
-    if half_width <= 0.0 or dx <= 0.0 or half_width < dx:
-        raise ConfigError("--half-width/--dx: need 0 < dx <= half_width")
-    out = _out_dir(cfg, out_override)
-    wave = traveling_wave(_flux(cfg), u_minus, u_plus, half_width, dx)
+    # the residual's five-point stencil needs two steps on each side
+    if not (dx > 0.0 and 2.0 <= half_width / dx <= MAX_PROFILE_STEPS):
+        raise ConfigError(f"--half-width/--dx: need dx > 0 and "
+                          f"2 <= half_width/dx <= {MAX_PROFILE_STEPS:g}")
+    flux = _flux(cfg)
+    try:
+        wave = traveling_wave(flux, u_minus, u_plus, half_width, dx)
+    except (ValueError, RuntimeError) as e:
+        # states that overflow the flux, or steps too coarse for the jump
+        raise ConfigError(f"--u-minus/--u-plus/--dx: no profile at these settings: {e}")
+    out = _out_dir(cfg, args.out)
     io.write_profile(out / "profile.csv", wave.profile.x, wave.profile.values)
     io.write_summary(out / "summary.json", {
         "command": "profile", "config": cfg.values,
@@ -474,61 +481,52 @@ def cmd_profile(cfg: Config, out_override: Optional[str], u_minus: float,
     return 0
 
 
-def cmd_merge(cfg: Config, out_override: Optional[str]) -> int:
+def cmd_merge(cfg: Config, args: argparse.Namespace) -> int:
     scenario = make_scenario(cfg, "theorem1-merging")
-    out = _out_dir(cfg, out_override)
     window = _config_window(cfg, "window")
+    nt = cfg.int("merge.nt", minimum=1)
+    out = _out_dir(cfg, args.out)
     wave, cauchy = experiments.merging_surrogate(
         scenario, taus=cfg.floats("merge.taus"), window=window,
         comparison_time=cfg.float("merge.comparison_time"),
         dx=cfg.positive("merge.dx"))
-    times = window.t_samples(cfg.int("merge.nt"))
     ys = window.x_samples(201)
     snaps = [(float(t), GridFunction(float(ys[0]), float(ys[1] - ys[0]),
-                                     wave(float(t), ys))) for t in times]
+                                     wave(float(t), ys))) for t in window.t_samples(nt)]
     io.write_snapshots(out / "wave.csv", snaps)
+    checks = [_cauchy_row(cauchy)]
     # a single restart pair has no slope to test
-    passed = cauchy.decreasing and \
-        (len(cauchy.distances) < 2 or cauchy.log_slope < 0.0)
-    io.write_summary(out / "summary.json", {
-        "command": "merge", "config": cfg.values,
-        "taus": list(cauchy.taus), "comparison_time": cauchy.comparison_time,
-        "distances": list(cauchy.distances), "log_slope": cauchy.log_slope,
-        "passed": bool(passed),
-    })
-    return 0 if passed else 1
+    if len(cauchy.distances) >= 2:
+        checks.append(("cauchy-slope", cauchy.comparison_time, -cauchy.log_slope,
+                       cauchy.log_slope < 0.0))
+    return _report(out, cfg, "merge", checks, taus=list(cauchy.taus),
+                   comparison_time=cauchy.comparison_time,
+                   distances=list(cauchy.distances), log_slope=cauchy.log_slope)
 
 
-def cmd_zlimit(cfg: Config, out_override: Optional[str]) -> int:
+def cmd_zlimit(cfg: Config, args: argparse.Namespace) -> int:
     x_max = cfg.float("zlimit.x_max")
     window = _window("zlimit", cfg.float("zlimit.t_min"), cfg.float("zlimit.t_max"),
                      -x_max, x_max)
     dx = cfg.positive("zlimit.dx")
-    out = _out_dir(cfg, out_override)
+    tol = cfg.float("zlimit.tol")
     n_list = cfg.floats("zlimit.n_list")
     if len(n_list) < 2 or any(b <= a for a, b in zip(n_list[:-1], n_list[1:])):
         raise ConfigError("zlimit.n_list: need at least two increasing horizons")
     if -n_list[0] > window.t_min:
         raise ConfigError("zlimit.t_min: window starts before the smallest horizon")
-    try:
-        wave, report = eternal_z_limit(n_list, window, cfg.float("zlimit.tol"),
-                                       dx=dx)
-    except NotConvergedError as e:
-        io.write_summary(out / "summary.json", {
-            "command": "zlimit", "config": cfg.values, "passed": False,
-            "error": str(e),
-        })
-        return 1
+    out = _out_dir(cfg, args.out)
+    # the settled row below applies zlimit.tol, so the library's gate is off
+    wave, report = eternal_z_limit(n_list, window, math.inf, dx=dx)
     io.write_snapshots(out / "zwave.csv", list(wave.trajectory))
-    passed = report.decreasing and report.monotone_margin >= -1e-4
-    io.write_summary(out / "summary.json", {
-        "command": "zlimit", "config": cfg.values,
-        "n_list": list(report.n_list), "sample_times": list(report.sample_times),
-        "monotone_margin": report.monotone_margin,
-        "sup_diffs": list(report.sup_diffs), "final_diff": report.final_diff,
-        "passed": bool(passed),
-    })
-    return 0 if passed else 1
+    checks = [_decreasing("decreasing", 0.0, report.sup_diffs),
+              ("monotone", 0.0, report.monotone_margin + 1e-4,
+               report.monotone_margin >= -1e-4),
+              ("settled", 0.0, tol - report.final_diff, report.final_diff <= tol)]
+    return _report(out, cfg, "zlimit", checks, n_list=list(report.n_list),
+                   sample_times=list(report.sample_times),
+                   monotone_margin=report.monotone_margin,
+                   sup_diffs=list(report.sup_diffs), final_diff=report.final_diff)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -540,48 +538,40 @@ def build_parser() -> argparse.ArgumentParser:
                         help="print every config key with its default and exit")
     sub = parser.add_subparsers(dest="command")
 
-    def common(p):
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override one config key")
         p.add_argument("--out", help="output directory (default from run.out)")
+        p.set_defaults(func=func)
+        return p
 
-    p_run = sub.add_parser("run", help="scenario pipeline with pass/fail checks")
-    common(p_run)
-    p_run.add_argument("--scenario", choices=list(SCENARIO_IDS))
-    p_run.add_argument("--eps", help="comma-separated decreasing viscosities")
+    for p in (command("run", cmd_run, "scenario pipeline with pass/fail checks"),
+              command("sweep", cmd_sweep, "viscosity rate sweep")):
+        p.add_argument("--scenario", choices=list(SCENARIO_IDS))
+        p.add_argument("--eps", help="comma-separated decreasing viscosities")
 
-    p_sweep = sub.add_parser("sweep", help="viscosity rate sweep")
-    common(p_sweep)
-    p_sweep.add_argument("--scenario", choices=list(SCENARIO_IDS))
-    p_sweep.add_argument("--eps", help="comma-separated decreasing viscosities")
+    command("audit", cmd_audit, "named audit suite").add_argument(
+        "--suite", help="lemma81 | zbo | oleinik | phase")
 
-    p_audit = sub.add_parser("audit", help="named audit suite")
-    common(p_audit)
-    p_audit.add_argument("--suite", help="lemma81 | zbo | oleinik | phase")
-
-    p_zt = sub.add_parser("z-table", help="cubic-wave table")
-    common(p_zt)
+    p_zt = command("z-table", cmd_ztable, "cubic-wave table")
     p_zt.add_argument("--t", type=float, nargs="+", required=True,
                       help="sample times (each must be <= 0)")
     p_zt.add_argument("--x", type=float, nargs=2, required=True,
                       metavar=("X_MIN", "X_MAX"))
     p_zt.add_argument("--n", type=int, help="x samples per time")
 
-    p_prof = sub.add_parser("profile", help="traveling-wave dump")
-    common(p_prof)
+    p_prof = command("profile", cmd_profile, "traveling-wave dump")
     p_prof.add_argument("--u-minus", type=float, default=1.0)
     p_prof.add_argument("--u-plus", type=float, default=-1.0)
     p_prof.add_argument("--half-width", type=float, default=20.0)
     p_prof.add_argument("--dx", type=float, default=0.01)
 
-    p_merge = sub.add_parser("merge", help="interaction-wave construction")
-    common(p_merge)
-    p_merge.add_argument("--taus", help="comma-separated restart times")
-
-    p_zl = sub.add_parser("zlimit", help="eternal-wave horizon family")
-    common(p_zl)
-    p_zl.add_argument("--n-list", help="comma-separated increasing horizons")
+    command("merge", cmd_merge, "interaction-wave construction").add_argument(
+        "--taus", help="comma-separated restart times")
+    command("zlimit", cmd_zlimit, "eternal-wave horizon family").add_argument(
+        "--n-list", help="comma-separated increasing horizons")
     return parser
 
 
@@ -596,39 +586,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.print_help()
         return 2
     try:
-        sets = list(args.set)
-        if getattr(args, "scenario", None):
-            sets.append(f"run.scenario={args.scenario}")
-        if getattr(args, "eps", None):
-            key = "run.eps"
-            if "formation" in (getattr(args, "scenario", "") or ""):
-                key = "run.eps2"
-            sets.append(f"{key}={args.eps}")
-        if getattr(args, "suite", None):
-            sets.append(f"audit.suite={args.suite}")
-        if getattr(args, "taus", None):
-            sets.append(f"merge.taus={args.taus}")
-        if getattr(args, "n_list", None):
-            sets.append(f"zlimit.n_list={args.n_list}")
-        if getattr(args, "n", None):
-            sets.append(f"ztable.n={args.n}")
+        # flags override --set; a flag left out is None, an empty one is still set
+        sets = list(args.set) + [f"{key}={getattr(args, dest)}"
+                                 for dest, key in FLAG_KEYS.items()
+                                 if getattr(args, dest, None) is not None]
         cfg = load_config(args.config, sets)
-        if args.command == "run":
-            return cmd_run(cfg, args.out)
-        if args.command == "sweep":
-            return cmd_sweep(cfg, args.out)
-        if args.command == "audit":
-            return cmd_audit(cfg, args.out)
-        if args.command == "z-table":
-            return cmd_ztable(cfg, args.out, args.t, args.x)
-        if args.command == "profile":
-            return cmd_profile(cfg, args.out, args.u_minus, args.u_plus,
-                               args.half_width, args.dx)
-        if args.command == "merge":
-            return cmd_merge(cfg, args.out)
-        if args.command == "zlimit":
-            return cmd_zlimit(cfg, args.out)
-        raise ConfigError(f"unknown command {args.command!r}")
+        if getattr(args, "eps", None) is not None:
+            cfg.values[_eps_key(cfg.str("run.scenario"))] = args.eps
+        return args.func(cfg, args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

@@ -93,15 +93,13 @@ def _mismatch(slices: List[Tuple[float, GridFunction]],
 
 
 def single_shock_zoom(scenario: Scenario, eps_list: Sequence[float], *,
-                      window: Optional[Window] = None, nt: int = 21, ny: int = 401,
+                      window: Window, nt: int = 21, ny: int = 401,
                       base_divisor: float = 8.0, scheme: str = CENTRAL) -> List[ZoomOutcome]:
     """Compare type-1 zooms of the single-shock scenario with a fitted wave.
 
     The shift is fitted once per viscosity, on the central time slice; the
     same shifted wave is then held against every slice of the window.
     """
-    if window is None:
-        window = Window(-5.0, 5.0, -5.0, 5.0)
     lam = scenario.shock.speed
     u_minus, u_plus = scenario.states
     s_grid = window.t_samples(nt)
@@ -127,7 +125,7 @@ def single_shock_zoom(scenario: Scenario, eps_list: Sequence[float], *,
 
 def merging_surrogate(scenario: Scenario, *,
                       taus: Sequence[float] = (-20.0, -30.0, -40.0),
-                      window: Optional[Window] = None,
+                      window: Window,
                       comparison_time: float = -10.0, dx: float = 0.05,
                       ) -> Tuple[SnapshotInterpolant, CauchyReport]:
     """Build the two-shock interaction wave surrogate for zoom comparisons.
@@ -138,8 +136,6 @@ def merging_surrogate(scenario: Scenario, *,
     """
     if scenario.merging is None:
         raise ValueError("scenario has no merging data")
-    if window is None:
-        window = Window(-5.5, 5.5, -6.0, 6.0)
     n_lat = int(round((window.t_max - window.t_min) / SHIFT_LATTICE))
     lattice = window.t_min + SHIFT_LATTICE * np.arange(n_lat + 1)
     traj, report = merging_wave(scenario.merging, scenario.flux, taus, window,
@@ -152,15 +148,13 @@ def merging_surrogate(scenario: Scenario, *,
 
 def merging_zoom(scenario: Scenario, eps_list: Sequence[float],
                  wave_interp: SnapshotInterpolant, *,
-                 window: Optional[Window] = None, nt: int = 21, ny: int = 401,
+                 window: Window, nt: int = 21, ny: int = 401,
                  base_divisor: float = 8.0, scheme: str = CENTRAL) -> List[ZoomOutcome]:
     """L1-compare type-1 zooms with the interaction wave, shift-fitted in (t, x).
 
     The shift is found by lattice search (see SHIFT_RANGE) followed by a
     parabolic refinement of the space shift.
     """
-    if window is None:
-        window = Window(-5.0, 5.0, -5.0, 5.0)
     s_grid = window.t_samples(nt)
     y_grid = window.x_samples(ny)
     eps_max = max(eps_list)
@@ -214,7 +208,7 @@ def merging_zoom(scenario: Scenario, eps_list: Sequence[float],
 
 
 def formation_zoom(scenario: Scenario, eps_list: Sequence[float],
-                   z_wave: EternalZ, *, window: Optional[Window] = None,
+                   z_wave: EternalZ, *, window: Window,
                    nt: int = 17, ny: int = 321, dx_hat: float = 0.04,
                    scheme: str = CENTRAL) -> List[ZoomOutcome]:
     """Compare type-2 zooms of a formation scenario with the eternal wave.
@@ -229,8 +223,6 @@ def formation_zoom(scenario: Scenario, eps_list: Sequence[float],
     """
     if scenario.formation is None:
         raise ValueError("scenario has no formation point")
-    if window is None:
-        window = Window(-3.0, 1.0, -4.0, 4.0)
     fit = fit_formation_frame(scenario.formation, scenario.flux)
     u_c = scenario.formation.u_value
     f2 = float(scenario.flux.d2f(np.float64(u_c)))

@@ -48,12 +48,13 @@ class FluxModel:
         fd_df = (self.df(u + h) - self.df(u - h)) / (2.0 * h)
         df_u = self.df(u)
         d2f_u = self.d2f(u)
-        if np.max(np.abs(fd_f - df_u) / (1.0 + np.abs(df_u))) > _FD_RTOL:
+        # written as not (err <= tol) so that a NaN error fails the check
+        if not np.max(np.abs(fd_f - df_u) / (1.0 + np.abs(df_u))) <= _FD_RTOL:
             raise ValueError(f"flux {self.name!r}: df disagrees with finite differences of f")
-        if np.max(np.abs(fd_df - d2f_u) / (1.0 + np.abs(d2f_u))) > _FD_RTOL:
+        if not np.max(np.abs(fd_df - d2f_u) / (1.0 + np.abs(d2f_u))) <= _FD_RTOL:
             raise ValueError(f"flux {self.name!r}: d2f disagrees with finite differences of df")
         slack = 1e-9 * max(1.0, self.c2)
-        if np.min(d2f_u) < self.c1 - slack or np.max(d2f_u) > self.c2 + slack:
+        if not self.c1 - slack <= np.min(d2f_u) <= np.max(d2f_u) <= self.c2 + slack:
             raise ValueError(
                 f"flux {self.name!r}: f'' leaves [{self.c1}, {self.c2}] on the declared range")
 

@@ -46,7 +46,8 @@ class SmoothData:
         h = 1e-5
         fd = (self.u0(pts + h) - self.u0(pts - h)) / (2.0 * h)
         du = self.du0(pts)
-        if np.max(np.abs(fd - du) / (1.0 + np.abs(du))) > _FD_RTOL:
+        # a NaN error must fail too, hence not (err <= tol)
+        if not np.max(np.abs(fd - du) / (1.0 + np.abs(du))) <= _FD_RTOL:
             raise ValueError("du0 disagrees with finite differences of u0")
 
 

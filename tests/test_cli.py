@@ -3,7 +3,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from shockzoom.cli import DEFAULTS, Config, load_config, main
@@ -76,8 +76,119 @@ def test_exit_code_2_paths(tmp_path):
                  formation + ["--set", "grid.dx_hat=0"],
                  formation + ["--set", "zref.n=2"],
                  ["merge", "--set", "merge.dx=0"],
-                 ["sweep", "--set", "sweep.t_check=-1"]):
+                 ["sweep", "--set", "sweep.t_check=-1"],
+                 # a falsy flag value still reaches its config key
+                 ["z-table", "--t", "-1", "--x", "-1", "1", "--n", "0"],
+                 # --eps sets the list of the scenario that runs, however it is chosen
+                 ["run", "--set", "run.scenario=theorem2-formation",
+                  "--eps", "0.004,0.01"],
+                 # non-finite numbers, in config keys and in flags
+                 ["zlimit", "--set", "zlimit.tol=nan"],
+                 ["run", "--set", "run.eps=0.04,nan"],
+                 ["profile", "--dx", "nan"],
+                 ["profile", "--half-width", "inf"],
+                 ["profile", "--half-width", "1e308"],
+                 ["profile", "--u-minus", "nan"],
+                 ["z-table", "--t", "nan", "--x", "-1", "1"],
+                 ["z-table", "--t", "-1", "--x", "-1", "nan"],
+                 ["z-table", "--t", "-1", "--x", "-1", "1e308"],
+                 ["merge", "--set", "merge.nt=-1"],
+                 ["profile", "--set", "flux.name=burgers-linear",
+                  "--set", "flux.b=nan"]):
         assert main(args + ["--out", out]) == 2, args
+
+
+def test_config_rejects_non_finite():
+    for raw in ("nan", "inf", "-inf"):
+        with pytest.raises(ConfigError, match="finite"):
+            Config({"scenario.tau": raw}).float("scenario.tau")
+        with pytest.raises(ConfigError, match="finite"):
+            Config({"merge.taus": f"-20,{raw}"}).floats("merge.taus")
+
+
+def _checks(out):
+    header, rows = read_csv(out / "audit.csv")
+    summary = json.loads((out / "summary.json").read_text())
+    assert header == ["check", "t", "margin", "pass"]
+    assert [r[0] for r in rows] == [c["name"] for c in summary["checks"]]
+    assert summary["passed"] == all(r[3] for r in rows)
+    return {r[0]: r[3] for r in rows}, summary
+
+
+def test_zlimit_reports_its_checks(tmp_path):
+    small = ["zlimit", "--n-list", "4,8", "--set", "zlimit.dx=0.1",
+             "--set", "zlimit.x_max=10"]
+    assert main(small + ["--set", "zlimit.tol=0.1", "--out", str(tmp_path / "a")]) == 0
+    flags, summary = _checks(tmp_path / "a")
+    assert flags == {"decreasing": True, "monotone": True, "settled": True}
+    assert "error" not in summary and summary["final_diff"] < 0.1
+    # an unsettled family is a failed row, with the report's numbers kept
+    assert main(small + ["--set", "zlimit.tol=1e-6", "--out", str(tmp_path / "b")]) == 1
+    flags, summary = _checks(tmp_path / "b")
+    assert flags == {"decreasing": True, "monotone": True, "settled": False}
+    assert summary["final_diff"] > 1e-6
+
+
+def test_merge_reports_its_checks(tmp_path):
+    out = tmp_path / "m"
+    assert main(["merge", "--taus=-14,-16", "--set", "merge.dx=0.1",
+                 "--set", "merge.comparison_time=-3", "--set", "merge.nt=3",
+                 "--set", "window.t_min=-2", "--set", "window.t_max=2",
+                 "--out", str(out)]) == 0
+    flags, summary = _checks(out)
+    # one restart pair: a distance but no slope to test
+    assert flags == {"cauchy-decreasing": True}
+    assert len(summary["distances"]) == 1
+
+
+HOSTILE = ["nan", "inf", "-inf", "0", "-1", "1e308", "", "x"]
+
+
+def _values(*valid):
+    return st.sampled_from(HOSTILE + list(valid))
+
+
+# the --set keys the fuzzed subcommands read, each with small valid values
+FUZZ_KEYS = {"ztable.n": _values("2", "5"),
+             "flux.name": _values("burgers", "burgers-linear", "quartic"),
+             "flux.b": _values("0.5", "-1"),
+             "flux.kappa": _values("0.05", "0.1"),
+             "audit.suite": _values("lemma81"),
+             "bogus.key": _values("1")}
+
+
+@st.composite
+def fuzz_argv(draw):
+    command = draw(st.sampled_from(["z-table", "profile", "audit"]))
+    argv = [command]
+    if command == "z-table":
+        argv += ["--t"] + draw(st.lists(_values("-1", "-0.5", "0"), min_size=1,
+                                        max_size=2))
+        argv += ["--x"] + draw(st.lists(_values("-2", "2"), min_size=2, max_size=2))
+        if draw(st.booleans()):
+            argv.append(f"--n={draw(_values('3', '5'))}")
+    elif command == "profile":
+        for flag in ("--u-minus", "--u-plus", "--half-width", "--dx"):
+            if draw(st.booleans()):
+                argv.append(f"{flag}={draw(_values('1', '-1', '0.5', '2', '8'))}")
+    else:
+        argv += ["--suite", draw(_values("lemma81"))]
+    for key in draw(st.lists(st.sampled_from(sorted(FUZZ_KEYS)), max_size=3)):
+        argv += ["--set", f"{key}={draw(FUZZ_KEYS[key])}"]
+    return argv
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=fuzz_argv())
+def test_cli_fuzz_exit_codes(tmp_path, argv):
+    try:
+        code = main(argv + ["--out", str(tmp_path / "fuzz")])
+    except SystemExit as e:
+        # argparse rejects a value it cannot parse as the flag's type
+        assert e.code == 2, argv
+        return
+    assert code in (0, 1, 2, 3), argv
 
 
 def test_ztable_rows_and_values(tmp_path):

@@ -63,6 +63,16 @@ def test_chord_above_f_for_convex(a, b):
     assert np.all(flux.f(u) <= line(u) + 1e-12)
 
 
+def test_self_check_rejects_nan():
+    # a NaN discrepancy fails the check instead of slipping past err > tol
+    with pytest.raises(ValueError, match="disagrees"):
+        burgers_plus_linear(float("nan"))
+    with pytest.raises(ValueError, match="d2f disagrees"):
+        FluxModel(f=lambda u: 0.5 * u * u, df=lambda u: np.asarray(u, dtype=float),
+                  d2f=lambda u: np.full_like(np.asarray(u, dtype=float), np.nan),
+                  c1=1.0, c2=1.0, name="nan-curvature")
+
+
 def test_derivative_self_check_catches_typo():
     with pytest.raises(ValueError, match="disagrees"):
         FluxModel(f=lambda u: 0.5 * u * u, df=lambda u: 2.0 * u,

@@ -43,6 +43,12 @@ def test_smooth_data_rejects_wrong_derivative():
         SmoothData(lambda x: np.sin(x), lambda x: np.sin(x))
 
 
+def test_smooth_data_rejects_nan():
+    with pytest.raises(ValueError, match="disagrees"):
+        SmoothData(lambda x: np.full_like(np.asarray(x, dtype=float), np.nan),
+                   lambda x: np.zeros_like(np.asarray(x, dtype=float)))
+
+
 def test_single_shock_pattern():
     shock = ShockData(1.0, -1.0, 0.0, 0.5)
     assert single_shock(shock, 3.0, -0.1) == 1.0
