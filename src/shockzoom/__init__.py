@@ -21,7 +21,7 @@ from .solver import (CENTRAL, LLF, Clamped, OleinikReport, Periodic,
 from .inviscid import (SmoothData, ZBoundsReport, ZPoint, blowup_time,
                        characteristic_value, two_shock, single_shock,
                        z_bounds_audit, z_eval, z_root)
-from .profiles import (CauchyReport, EternalZ, MergingTriple, TravelingWave,
+from .profiles import (CauchyReport, MergingTriple, TravelingWave,
                        ZLimitReport, eternal_z, eternal_z_limit,
                        merging_initial, merging_wave, smoothstep,
                        transition_width, traveling_wave)

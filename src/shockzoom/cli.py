@@ -91,8 +91,9 @@ DEFAULTS: Dict[str, str] = {
 # to the viscosity list of the scenario that runs
 FLAG_KEYS = {"scenario": "run.scenario", "suite": "audit.suite", "taus": "merge.taus",
              "n_list": "zlimit.n_list", "n": "ztable.n"}
-# profile integration steps on each side of the midpoint
-MAX_PROFILE_STEPS = 1e6
+# the largest count a key or flag accepts: grid nodes, samples, snapshot
+# times, profile steps on each side of the midpoint
+MAX_COUNT = 10**6
 
 
 class Config:
@@ -127,13 +128,16 @@ class Config:
     def opt_float(self, key: str) -> Optional[float]:
         return None if self.values[key] == "" else self.float(key)
 
-    def int(self, key: str, minimum: Optional[int] = None) -> int:
+    def int(self, key: str, minimum: Optional[int] = None,
+            maximum: Optional[int] = None) -> int:
         try:
             val = int(self.values[key])
         except ValueError:
             raise ConfigError(f"{key}: expected an integer, got {self.values[key]!r}")
         if minimum is not None and val < minimum:
             raise ConfigError(f"{key}: need at least {minimum}, got {val}")
+        if maximum is not None and val > maximum:
+            raise ConfigError(f"{key}: need at most {maximum}, got {val}")
         return val
 
     def floats(self, key: str) -> List[float]:
@@ -254,9 +258,13 @@ def _decreasing(name: str, t: float, values: Sequence[float]) -> tuple:
 
 
 def _cauchy_row(cauchy: CauchyReport) -> tuple:
-    """Check row: restart distances shrink as the restart time recedes."""
-    return ("cauchy-decreasing", cauchy.comparison_time, -cauchy.log_slope,
-            cauchy.decreasing)
+    """Check row: restart distances shrink as the restart time recedes.
+
+    The margin is minus the fitted log-slope; a single distance has no
+    slope, and its margin is 0 as in ``_decreasing``.
+    """
+    margin = -cauchy.log_slope if len(cauchy.distances) >= 2 else 0.0
+    return ("cauchy-decreasing", cauchy.comparison_time, margin, cauchy.decreasing)
 
 
 def _report(out: Path, cfg: Config, command: str, rows: Sequence[tuple],
@@ -285,7 +293,7 @@ def _health_rows(scenario: Scenario, eps: float, seed: int) -> list:
     center = rng.uniform(lo + 0.3 * (hi - lo), lo - 0.7 * (lo - hi))
     bump = 0.05 * np.exp(-((data.x - center) / (0.05 * (hi - lo))) ** 2)
     other = data.with_values(data.values + bump)
-    cfg = SolverConfig(eps, Clamped(float(data.values[0]), float(data.values[-1])))
+    cfg = SolverConfig(eps, Clamped())
     horizon = min(0.5, 0.5 * scenario.tau)
     contraction = experiments.contraction_check(
         data, other, scenario.flux, cfg, list(np.linspace(0.0, horizon, 6)))
@@ -308,7 +316,8 @@ def _health_rows(scenario: Scenario, eps: float, seed: int) -> list:
 def _zoom_settings(cfg: Config, scheme: str) -> dict:
     """Keyword arguments of the type-1 zooms."""
     return dict(window=_config_window(cfg, "window"),
-                nt=cfg.int("zoom.nt", minimum=1), ny=cfg.int("zoom.ny", minimum=2),
+                nt=cfg.int("zoom.nt", 1, MAX_COUNT),
+                ny=cfg.int("zoom.ny", 2, MAX_COUNT),
                 base_divisor=cfg.positive("grid.base_divisor"), scheme=scheme)
 
 
@@ -323,16 +332,15 @@ def cmd_run(cfg: Config, args: argparse.Namespace) -> int:
     # every setting is read, and so checked, before the first solve
     if scenario.kind == "shock_formation":
         window = _config_window(cfg, "window2")
-        nt = cfg.int("zoom2.nt", minimum=1)
-        ny = cfg.int("zoom2.ny", minimum=2)
+        nt = cfg.int("zoom2.nt", 1, MAX_COUNT)
+        ny = cfg.int("zoom2.ny", 2, MAX_COUNT)
         dx_hat = cfg.positive("grid.dx_hat")
         n = cfg.positive("zref.n")
         if window.t_min < -n:
             raise ConfigError("zref.n: window2.t_min lies before the launch time -zref.n")
         z_wave = experiments.eternal_z(
-            n, window, SolverConfig(1.0, flux_scheme=scheme),
-            dx=cfg.positive("zref.dx"), x_max=cfg.positive("zref.x_max"),
-            snapshot_times=list(window.t_samples(nt)))
+            n, window, scheme, dx=cfg.positive("zref.dx"),
+            x_max=cfg.positive("zref.x_max"), snapshot_times=list(window.t_samples(nt)))
         outcomes = experiments.formation_zoom(
             scenario, eps, z_wave, window=window, nt=nt, ny=ny, dx_hat=dx_hat,
             scheme=scheme)
@@ -375,7 +383,7 @@ def cmd_sweep(cfg: Config, args: argparse.Namespace) -> int:
     scenario = make_scenario(cfg, scenario_id)
     if scenario.kind == "shock_formation":
         raise ConfigError("run.scenario: rate sweeps need an exact shocked reference")
-    n_nodes = cfg.int("sweep.n_nodes", minimum=2)
+    n_nodes = cfg.int("sweep.n_nodes", 2, MAX_COUNT)
     t_check = cfg.opt_float("sweep.t_check")
     if t_check is not None and not t_check > 0.0:
         raise ConfigError("sweep.t_check: need a positive time")
@@ -434,7 +442,7 @@ def _phase_suite():
 
 
 def cmd_ztable(cfg: Config, args: argparse.Namespace) -> int:
-    n = cfg.int("ztable.n", minimum=2)
+    n = cfg.int("ztable.n", 2, MAX_COUNT)
     t_values, x_range = args.t, args.x
     if not x_range[0] < x_range[1]:
         raise ConfigError("--x: need x_min < x_max")
@@ -461,9 +469,9 @@ def cmd_profile(cfg: Config, args: argparse.Namespace) -> int:
     if not u_minus > u_plus:
         raise ConfigError("--u-minus/--u-plus: need a downward jump")
     # the residual's five-point stencil needs two steps on each side
-    if not (dx > 0.0 and 2.0 <= half_width / dx <= MAX_PROFILE_STEPS):
+    if not (dx > 0.0 and 2.0 <= half_width / dx <= MAX_COUNT):
         raise ConfigError(f"--half-width/--dx: need dx > 0 and "
-                          f"2 <= half_width/dx <= {MAX_PROFILE_STEPS:g}")
+                          f"2 <= half_width/dx <= {MAX_COUNT}")
     flux = _flux(cfg)
     try:
         wave = traveling_wave(flux, u_minus, u_plus, half_width, dx)
@@ -484,7 +492,7 @@ def cmd_profile(cfg: Config, args: argparse.Namespace) -> int:
 def cmd_merge(cfg: Config, args: argparse.Namespace) -> int:
     scenario = make_scenario(cfg, "theorem1-merging")
     window = _config_window(cfg, "window")
-    nt = cfg.int("merge.nt", minimum=1)
+    nt = cfg.int("merge.nt", 1, MAX_COUNT)
     out = _out_dir(cfg, args.out)
     wave, cauchy = experiments.merging_surrogate(
         scenario, taus=cfg.floats("merge.taus"), window=window,
@@ -518,7 +526,7 @@ def cmd_zlimit(cfg: Config, args: argparse.Namespace) -> int:
     out = _out_dir(cfg, args.out)
     # the settled row below applies zlimit.tol, so the library's gate is off
     wave, report = eternal_z_limit(n_list, window, math.inf, dx=dx)
-    io.write_snapshots(out / "zwave.csv", list(wave.trajectory))
+    io.write_snapshots(out / "zwave.csv", wave)
     checks = [_decreasing("decreasing", 0.0, report.sup_diffs),
               ("monotone", 0.0, report.monotone_margin + 1e-4,
                report.monotone_margin >= -1e-4),

@@ -177,7 +177,7 @@ def phase_audit(initial: GridFunction, flux: FluxModel, delta0: float,
     t1, t2 = phase_times(M, m, a, b, flux.c1, delta1, u_minus, u_plus)
     tol = 0.1 * delta1 if tolerance is None else float(tolerance)
 
-    run_cfg = replace(cfg, boundary=Clamped(u_minus, u_plus))
+    run_cfg = replace(cfg, boundary=Clamped())
     check_times = [t1, 0.5 * (t1 + t2), t2, 1.2 * t2]
     snaps = solve(initial, flux, run_cfg, check_times[-1], check_times)
 

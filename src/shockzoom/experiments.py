@@ -19,10 +19,10 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .diagnostics import KuznetsovReport, kuznetsov_audit
-from .flux import FluxModel
+from .flux import FluxModel, burgers
 from .grid import GridFunction, Window, l1_distance, periodic_mass, trapezoid
 from .inviscid import z_bounds_audit, z_root
-from .profiles import CauchyReport, EternalZ, eternal_z, merging_wave, traveling_wave
+from .profiles import CauchyReport, eternal_z, merging_wave, traveling_wave
 from .rescale import (RescaleFrame, SnapshotInterpolant, fit_formation_frame, fit_shift,
                       zoom_sample)
 from .scenarios import Scenario
@@ -63,8 +63,7 @@ def solve_scenario(scenario: Scenario, eps: float, dx: float,
                    scheme: str = CENTRAL) -> List[Tuple[float, GridFunction]]:
     """Clamped viscous solve of the scenario data up to the last snapshot."""
     data = scenario_grid(scenario, dx)
-    bc = Clamped(float(data.values[0]), float(data.values[-1]))
-    cfg = SolverConfig(eps, bc, flux_scheme=scheme)
+    cfg = SolverConfig(eps, Clamped(), flux_scheme=scheme)
     times = sorted(float(t) for t in snapshot_times)
     return solve(data, scenario.flux, cfg, times[-1], times)
 
@@ -138,8 +137,7 @@ def merging_surrogate(scenario: Scenario, *,
         raise ValueError("scenario has no merging data")
     n_lat = int(round((window.t_max - window.t_min) / SHIFT_LATTICE))
     lattice = window.t_min + SHIFT_LATTICE * np.arange(n_lat + 1)
-    traj, report = merging_wave(scenario.merging, scenario.flux, taus, window,
-                                SolverConfig(viscosity=1.0), dx=dx,
+    traj, report = merging_wave(scenario.merging, taus, window, dx=dx,
                                 comparison_time=comparison_time,
                                 snapshot_times=list(lattice))
     keep = [(t, g) for t, g in traj if t >= window.t_min - 1e-9]
@@ -208,7 +206,7 @@ def merging_zoom(scenario: Scenario, eps_list: Sequence[float],
 
 
 def formation_zoom(scenario: Scenario, eps_list: Sequence[float],
-                   z_wave: EternalZ, *, window: Window,
+                   z_wave: List[Tuple[float, GridFunction]], *, window: Window,
                    nt: int = 17, ny: int = 321, dx_hat: float = 0.04,
                    scheme: str = CENTRAL) -> List[ZoomOutcome]:
     """Compare type-2 zooms of a formation scenario with the eternal wave.
@@ -228,7 +226,7 @@ def formation_zoom(scenario: Scenario, eps_list: Sequence[float],
     f2 = float(scenario.flux.d2f(np.float64(u_c)))
     s_grid = window.t_samples(nt)
     y_grid = window.x_samples(ny)
-    z_interp = SnapshotInterpolant(list(z_wave.trajectory))
+    z_interp = SnapshotInterpolant(z_wave)
     out = []
     for eps in eps_list:
         frame = RescaleFrame.type2(fit.tau_eps, fit.xi_eps, float(eps), u_c,
@@ -249,8 +247,7 @@ def kuznetsov_sweep(scenario: Scenario, eps_list: Sequence[float], *,
     lo, hi = scenario.domain
     dx = (hi - lo) / (n_nodes - 1)
     data = scenario_grid(scenario, dx)
-    bc = Clamped(float(data.values[0]), float(data.values[-1]))
-    cfg = SolverConfig(0.0, bc, flux_scheme=scheme)
+    cfg = SolverConfig(0.0, Clamped(), flux_scheme=scheme)
     shocks = []
     if scenario.shock is not None and t_check >= scenario.formed_time:
         shocks.append(scenario.shock.speed * t_check)
@@ -351,8 +348,7 @@ def suite_sandwich(n: float = 16.0, dx: float = 0.02, x_solve: float = 60.0,
     window = Window(times[0], times[-1], -x_check, x_check)
     wave = eternal_z(n, window, dx=dx, x_max=x_solve, snapshot_times=times)
     rows = []
-    for t in times:
-        g = wave.at(t)
+    for t, g in wave:
         sel = np.abs(g.x) <= x_check + 1e-9
         x = g.x[sel]
         zv = z_root(t, x)
@@ -368,16 +364,14 @@ def suite_sandwich(n: float = 16.0, dx: float = 0.02, x_solve: float = 60.0,
 
 def suite_oleinik(eps: float = 1.0, n_nodes: int = 1024, length: float = 2 * math.pi,
                   times: Sequence[float] = (0.5, 1.0, 2.0), c1: float = 1.0,
-                  flux: Optional[FluxModel] = None) -> Tuple[OleinikReport, list]:
-    """One-sided slope decay for periodic sine data."""
-    from .flux import burgers
-    flux = flux or burgers()
+                  ) -> Tuple[OleinikReport, list]:
+    """One-sided slope decay for periodic sine data under Burgers' flux."""
     dx = length / n_nodes
     x = dx * np.arange(n_nodes)
     data = GridFunction(0.0, dx, np.sin(2.0 * math.pi * x / length))
     cfg = SolverConfig(eps, Periodic())
     ts = sorted(float(t) for t in times)
-    snaps = solve(data, flux, cfg, ts[-1], ts)
+    snaps = solve(data, burgers(), cfg, ts[-1], ts)
     report = oleinik_check(snaps, c1, tolerance=2.0 * dx)
     rows = [("slope", t, margin, margin >= 0.0)
             for (t, slope, bound, margin) in report.rows]

@@ -7,6 +7,7 @@ run-dependent noise ever enters an output file.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Iterable, List, Sequence, Tuple, Union
 
@@ -94,14 +95,15 @@ def _jsonable(obj):
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     if isinstance(obj, (np.floating, float)):
-        return float(obj)
+        # strict JSON has no NaN or Infinity; a number that is not finite is null
+        return float(obj) if math.isfinite(obj) else None
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
     return obj
 
 
 def write_summary(path, payload: dict) -> None:
-    """Canonical JSON: sorted keys, two-space indent, trailing newline."""
+    """Canonical JSON: sorted keys, two-space indent, trailing newline, no NaN."""
     Path(path).write_text(
         json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n")
 

@@ -11,7 +11,7 @@ Three families:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -20,7 +20,7 @@ from .errors import NotConvergedError, NotLaxError, NotOrderedError, TauTooLateE
 from .flux import FluxModel, ShockData, burgers, rankine_hugoniot
 from .grid import GridFunction, Window, l1_distance
 from .inviscid import _outer_root, z_root
-from .solver import Clamped, SolverConfig, solve
+from .solver import LLF, Clamped, SolverConfig, solve
 
 
 @dataclass(frozen=True)
@@ -188,14 +188,14 @@ class CauchyReport:
         return all(d[i] > d[i + 1] for i in range(len(d) - 1))
 
 
-def merging_wave(triple: MergingTriple, flux: FluxModel, tau_list: Sequence[float],
-                 window: Window, cfg: SolverConfig, *,
+def merging_wave(triple: MergingTriple, tau_list: Sequence[float], window: Window, *,
                  dx: float = 0.05, comparison_time: Optional[float] = None,
                  snapshot_times: Sequence[float] = (),
                  ) -> Tuple[List[Tuple[float, GridFunction]], CauchyReport]:
     """Realise the interaction wave by evolving blended restarts.
 
-    Each tau in tau_list launches the blended data at that time; all runs
+    Each tau in tau_list launches the blended data at that time and evolves
+    it at unit viscosity with the default scheme, its ends held; all runs
     are measured against each other at ``comparison_time`` (default: the
     window start).  The run from the most negative tau doubles as the limit
     surrogate and is returned sampled at the window times plus any extra
@@ -213,6 +213,7 @@ def merging_wave(triple: MergingTriple, flux: FluxModel, tau_list: Sequence[floa
     if taus[-1] >= t_cmp:
         raise ValueError("all restart times must precede the comparison time")
 
+    flux = triple.flux
     jump = triple.u_minus - triple.u_plus
     rate_l = abs(float(flux.df(triple.u_minus)) - triple.lambda1)
     rate_r = abs(float(flux.df(triple.u_plus)) - triple.lambda2)
@@ -228,19 +229,18 @@ def merging_wave(triple: MergingTriple, flux: FluxModel, tau_list: Sequence[floa
     extra = [float(s) for s in np.atleast_1d(snapshot_times)]
     full_times = sorted(set([t_cmp, window.t_min, window.t_max] + extra))
 
+    cfg = SolverConfig(viscosity=1.0, boundary=Clamped())
     states_at_cmp = []
     trajectory: List[Tuple[float, GridFunction]] = []
     for i, tau in enumerate(taus):
         data = merging_initial(triple, tau, template, profiles=(w1, w2))
-        bc = Clamped(float(data.values[0]), float(data.values[-1]))
-        run_cfg = replace(cfg, boundary=bc)
         if i == 0:
             targets = [s - tau for s in full_times if s > tau]
-            snaps = solve(data, flux, run_cfg, targets[-1], targets)
+            snaps = solve(data, flux, cfg, targets[-1], targets)
             trajectory = [(s + tau, g) for s, g in snaps]
             cmp_state = min(trajectory, key=lambda p: abs(p[0] - t_cmp))[1]
         else:
-            snaps = solve(data, flux, run_cfg, t_cmp - tau, [t_cmp - tau])
+            snaps = solve(data, flux, cfg, t_cmp - tau, [t_cmp - tau])
             cmp_state = snaps[-1][1]
         states_at_cmp.append(cmp_state)
 
@@ -256,43 +256,24 @@ def merging_wave(triple: MergingTriple, flux: FluxModel, tau_list: Sequence[floa
 # the eternal wave
 
 
-@dataclass(frozen=True)
-class EternalZ:
-    """Viscous evolution from the cubic wave's past at horizon n."""
-
-    n: float
-    window: Window
-    trajectory: Tuple[Tuple[float, GridFunction], ...]
-
-    def at(self, t: float) -> GridFunction:
-        for s, g in self.trajectory:
-            if abs(s - t) <= 1e-9 * max(1.0, abs(t)):
-                return g
-        raise KeyError(f"no snapshot stored at t={t}")
-
-    def times(self) -> Tuple[float, ...]:
-        return tuple(t for t, _ in self.trajectory)
-
-
-def eternal_z(n: float, window: Window, cfg: Optional[SolverConfig] = None, *,
+def eternal_z(n: float, window: Window, scheme: str = LLF, *,
               dx: float = 0.02, x_max: Optional[float] = None,
-              snapshot_times: Sequence[float] = ()) -> EternalZ:
+              snapshot_times: Sequence[float] = ()) -> List[Tuple[float, GridFunction]]:
     """Evolve unit-viscosity data z(-n, .) up to the window times.
 
-    The computational domain is symmetric and wider than the observation
-    window; the ends are clamped to the exact outer cubic root at the
-    running time, the correct far-field continuation up to a small viscous
-    correction.  Snapshots past t = 0 are allowed as long as the ends stay
-    outside the fold region, which holds for any reasonable x_max.
+    Returns (t, state) pairs at the snapshot times (default: the window's
+    ends), in physical time.  The computational domain is symmetric and
+    wider than the observation window; the ends are clamped to the exact
+    outer cubic root at the running time, the correct far-field
+    continuation up to a small viscous correction.  The root is odd in x,
+    so one evaluation per step gives both ends.  Snapshots past t = 0 are
+    allowed as long as the ends stay outside the fold region, which holds
+    for any reasonable x_max.
     """
     if n <= 0.0:
         raise ValueError("n must be positive")
     if window.t_min < -n:
         raise ValueError("window starts before the launch time -n")
-    if cfg is None:
-        cfg = SolverConfig(viscosity=1.0)
-    if cfg.viscosity != 1.0:
-        raise ValueError("the eternal wave is normalised to unit viscosity")
     if x_max is None:
         x_max = max(abs(window.x_min), abs(window.x_max)) + 20.0
     half = int(round(x_max / dx))
@@ -300,21 +281,18 @@ def eternal_z(n: float, window: Window, cfg: Optional[SolverConfig] = None, *,
     x = dx * np.arange(-half, half + 1)
     data = GridFunction(-xr, dx, z_root(-n, x))
 
-    def clamp(sign: float):
-        def value(t: float) -> float:
-            return float(_outer_root(t - n, sign * xr))
-        return value
+    def ends(t: float) -> Tuple[float, float]:
+        r = float(_outer_root(t - n, xr))
+        return -r, r
 
     times = sorted(set(float(t) for t in np.atleast_1d(snapshot_times))) or \
         [window.t_min, window.t_max]
     if times[0] < -n:
         raise ValueError("snapshot before the launch time")
-    bc = Clamped(clamp(-1.0), clamp(+1.0))
-    run_cfg = replace(cfg, boundary=bc)
+    cfg = SolverConfig(viscosity=1.0, boundary=Clamped(ends), flux_scheme=scheme)
     shifted = [t + n for t in times]
-    snaps = solve(data, burgers(), run_cfg, shifted[-1], shifted)
-    traj = tuple((t - n, g) for t, g in snaps)
-    return EternalZ(float(n), window, traj)
+    snaps = solve(data, burgers(), cfg, shifted[-1], shifted)
+    return [(t - n, g) for t, g in snaps]
 
 
 @dataclass(frozen=True)
@@ -335,7 +313,7 @@ class ZLimitReport:
 
 def eternal_z_limit(n_list: Sequence[float], window: Window, tol: float, *,
                     dx: float = 0.02, x_max: Optional[float] = None,
-                    ) -> Tuple[EternalZ, ZLimitReport]:
+                    ) -> Tuple[List[Tuple[float, GridFunction]], ZLimitReport]:
     """Run increasing horizons and certify the family is settling.
 
     The horizons are compared at nine equally spaced window times.  The
@@ -355,9 +333,8 @@ def eternal_z_limit(n_list: Sequence[float], window: Window, tol: float, *,
     for prev, nxt in zip(runs[:-1], runs[1:]):
         worst_gap = np.inf
         sup = 0.0
-        for t in sample_times:
-            a = prev.at(t)
-            b = nxt.at(t)
+        # every run holds the sample times, in order
+        for (_, a), (_, b) in zip(prev, nxt):
             sel = a.x >= 0.0
             gap = b.values[sel] - a.values[sel]
             worst_gap = min(worst_gap, float(np.min(gap)))

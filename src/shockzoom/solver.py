@@ -4,15 +4,16 @@ Space: second-order conservative differencing with either a central
 numerical flux or a local Lax-Friedrichs flux (default; the interface
 dissipation coefficient is the larger neighbouring wave speed).  Time:
 Heun's two-stage second-order method with a step obeying both an advective
-CFL bound and an explicit diffusion bound.  Clamped end nodes are pinned:
-they are set once per step, from the boundary values at the new time, and
-only the interior is marched.  Snapshots are hit exactly by shortening the
-final step; nothing is ever interpolated in time.
+CFL bound and an explicit diffusion bound.  Clamped end nodes are pinned
+and only the interior is marched: they hold the data's end values, or,
+when the boundary carries ``ends(t)``, are set once per step to its values
+at the new time.  Snapshots are hit exactly by shortening the final step;
+nothing is ever interpolated in time.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar, List, Sequence, Tuple, Union
+from typing import Callable, ClassVar, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -23,8 +24,6 @@ from .grid import GridFunction, max_forward_slope
 CENTRAL = "central"
 LLF = "local-lax-friedrichs"
 
-BoundaryValue = Union[float, Callable[[float], float]]
-
 
 @dataclass(frozen=True)
 class Periodic:
@@ -33,15 +32,13 @@ class Periodic:
 
 @dataclass(frozen=True)
 class Clamped:
-    """Dirichlet values at both ends; either constants or callables of t."""
+    """Dirichlet ends: the data's end values, held, or ``ends(t) -> (left, right)``."""
 
-    left: BoundaryValue
-    right: BoundaryValue
+    ends: Optional[Callable[[float], Tuple[float, float]]] = None
 
     def at(self, t: float) -> Tuple[float, float]:
-        lv = self.left(t) if callable(self.left) else self.left
-        rv = self.right(t) if callable(self.right) else self.right
-        return float(lv), float(rv)
+        left, right = self.ends(t)
+        return float(left), float(right)
 
 
 @dataclass(frozen=True)
@@ -105,9 +102,10 @@ def _heun(u: np.ndarray, dx: float, flux: FluxModel, cfg: SolverConfig,
         mid = u + dt * k1
         k2 = _rhs(_wrap(mid), dx, flux, cfg)
         return u + (0.5 * dt) * (k1 + k2)
-    # clamped: the end nodes are pinned to the values at t + dt, and only the
-    # interior is marched, with the current end values as its neighbours
-    left, right = cfg.boundary.at(t + dt)
+    # clamped: only the interior is marched, with the current end values as
+    # its neighbours; the end nodes keep their values, or move to ends(t + dt)
+    bc = cfg.boundary
+    left, right = (u[0], u[-1]) if bc.ends is None else bc.at(t + dt)
     k1 = _rhs(u, dx, flux, cfg)
     mid = np.empty_like(u)
     mid[1:-1] = u[1:-1] + dt * k1

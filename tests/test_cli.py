@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from shockzoom.cli import DEFAULTS, Config, load_config, main
+from shockzoom.cli import DEFAULTS, MAX_COUNT, Config, load_config, main
 from shockzoom.errors import ConfigError
 from shockzoom.io import format_cell, parse_cell, read_csv
 
@@ -68,6 +68,7 @@ def test_exit_code_2_paths(tmp_path):
     assert main(["zlimit", "--set", "zlimit.dx=0", "--out", out]) == 2
     # each of these is caught where the CLI reads it, before any solve
     formation = ["run", "--scenario", "theorem2-formation"]
+    too_many = str(MAX_COUNT + 1)
     for args in (["run", "--set", "zoom.ny=1"],
                  ["run", "--set", "zoom.nt=0"],
                  ["run", "--set", "grid.base_divisor=0"],
@@ -94,7 +95,16 @@ def test_exit_code_2_paths(tmp_path):
                  ["z-table", "--t", "-1", "--x", "-1", "1e308"],
                  ["merge", "--set", "merge.nt=-1"],
                  ["profile", "--set", "flux.name=burgers-linear",
-                  "--set", "flux.b=nan"]):
+                  "--set", "flux.b=nan"],
+                 # counts above MAX_COUNT, rejected before anything is allocated
+                 ["z-table", "--t", "-1", "--x", "-1", "1", "--n", too_many],
+                 ["sweep", "--set", f"sweep.n_nodes={too_many}"],
+                 ["run", "--set", f"zoom.nt={too_many}"],
+                 ["run", "--set", f"zoom.ny={too_many}"],
+                 ["run", "--scenario", "theorem1-merging", "--set", f"zoom.ny={too_many}"],
+                 formation + ["--set", f"zoom2.nt={too_many}"],
+                 formation + ["--set", f"zoom2.ny={too_many}"],
+                 ["merge", "--set", f"merge.nt={too_many}"]):
         assert main(args + ["--out", out]) == 2, args
 
 
@@ -104,6 +114,10 @@ def test_config_rejects_non_finite():
             Config({"scenario.tau": raw}).float("scenario.tau")
         with pytest.raises(ConfigError, match="finite"):
             Config({"merge.taus": f"-20,{raw}"}).floats("merge.taus")
+
+
+def _reject_constant(token):
+    raise ValueError(f"{token} is not strict JSON")
 
 
 def _checks(out):
@@ -139,6 +153,10 @@ def test_merge_reports_its_checks(tmp_path):
     # one restart pair: a distance but no slope to test
     assert flags == {"cauchy-decreasing": True}
     assert len(summary["distances"]) == 1
+    assert summary["checks"][0]["margin"] == 0.0
+    # strict JSON: the missing slope is null, not NaN
+    assert json.loads((out / "summary.json").read_text(),
+                      parse_constant=_reject_constant)["log_slope"] is None
 
 
 HOSTILE = ["nan", "inf", "-inf", "0", "-1", "1e308", "", "x"]

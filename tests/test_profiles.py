@@ -3,10 +3,12 @@ import numpy as np
 import pytest
 
 from shockzoom import (GridFunction, MergingTriple, NotConvergedError,
-                       NotLaxError, SolverConfig, TauTooLateError, Window,
-                       burgers, eternal_z, eternal_z_limit, merging_initial,
-                       smoothstep, transition_width, traveling_wave, z_root)
+                       NotLaxError, TauTooLateError, Window, burgers,
+                       eternal_z, eternal_z_limit, merging_initial, profiles,
+                       smoothstep, solver, transition_width, traveling_wave,
+                       z_root)
 from shockzoom.errors import NotOrderedError
+from shockzoom.inviscid import _outer_root
 
 
 def test_wave_matches_tanh_oracle():
@@ -98,24 +100,23 @@ def test_merging_initial_rejects_late_tau():
 def test_eternal_wave_is_odd():
     win = Window(-1.5, -0.5, -6.0, 6.0)
     zw = eternal_z(2.0, win, dx=0.05, x_max=12.0)
-    for t in zw.times():
-        v = zw.at(t).values
+    for t, g in zw:
+        v = g.values
         assert np.max(np.abs(v + v[::-1])) < 1e-10
 
 
 def test_eternal_wave_sits_above_cubic():
     win = Window(-1.5, -0.5, -6.0, 6.0)
     zw = eternal_z(2.0, win, dx=0.05, x_max=12.0)
-    g = zw.at(-0.5)
-    z = z_root(-0.5, g.x)
+    t, g = zw[-1]
+    assert t == -0.5
+    z = z_root(t, g.x)
     sel = g.x >= 0.0
     assert float(np.min(g.values[sel] - z[sel])) > -1e-3
 
 
-def test_eternal_wave_needs_unit_viscosity():
+def test_eternal_wave_needs_launch_before_window():
     win = Window(-1.0, -0.5, -4.0, 4.0)
-    with pytest.raises(ValueError, match="unit viscosity"):
-        eternal_z(2.0, win, SolverConfig(0.5), dx=0.05, x_max=8.0)
     with pytest.raises(ValueError, match="launch"):
         eternal_z(0.5, win, dx=0.05, x_max=8.0)
 
@@ -124,3 +125,38 @@ def test_horizon_family_reports_not_converged():
     win = Window(-1.5, -0.5, -4.0, 4.0)
     with pytest.raises(NotConvergedError):
         eternal_z_limit([1.5, 2.0], win, 1e-6, dx=0.05, x_max=10.0)
+
+
+# clamp radii half*dx of the eternal waves run by the gate, the CLI and the tests
+CLAMP_RADII = [round(x_max / dx) * dx for x_max, dx in
+               ((60.0, 0.02), (40.0, 0.02), (60.0, 0.04), (40.0, 0.1),
+                (12.0, 0.05), (15.0, 0.1), (10.0, 0.05), (8.0, 0.05))]
+
+
+def test_outer_root_is_odd_bitwise():
+    # the eternal wave clamps its left end to minus the right end's root
+    for xr in CLAMP_RADII:
+        for t in np.linspace(-64.0, 1.0, 1301):
+            right = _outer_root(float(t), xr)
+            assert -_outer_root(float(t), -xr) == right, (t, xr)
+
+
+def test_eternal_wave_evaluates_one_root_per_step(monkeypatch):
+    roots = steps = 0
+    outer_root, stable_dt = profiles._outer_root, solver.stable_dt
+
+    def counted_root(*args):
+        nonlocal roots
+        roots += 1
+        return outer_root(*args)
+
+    def counted_dt(*args):
+        nonlocal steps
+        steps += 1
+        return stable_dt(*args)
+
+    monkeypatch.setattr(profiles, "_outer_root", counted_root)
+    monkeypatch.setattr(solver, "stable_dt", counted_dt)
+    eternal_z(2.0, Window(-1.5, -1.0, -4.0, 4.0), dx=0.1, x_max=8.0)
+    assert steps > 0
+    assert roots == steps

@@ -16,7 +16,7 @@ def tanh_wave(eps):
 def test_stationary_profile_stays_put():
     eps = 0.5
     data = GridFunction.from_callable(tanh_wave(eps), -10.0, 10.0, 0.02)
-    cfg = SolverConfig(eps, Clamped(1.0, -1.0), flux_scheme=CENTRAL)
+    cfg = SolverConfig(eps, Clamped(lambda t: (1.0, -1.0)), flux_scheme=CENTRAL)
     final = solve(data, burgers(), cfg, 1.0, [1.0])[-1][1]
     # pure discretisation error; the exact solution does not move
     assert float(np.max(np.abs(final.values - data.values))) < 2e-4
@@ -25,7 +25,7 @@ def test_stationary_profile_stays_put():
 def test_llf_also_keeps_profile():
     eps = 0.5
     data = GridFunction.from_callable(tanh_wave(eps), -10.0, 10.0, 0.02)
-    cfg = SolverConfig(eps, Clamped(1.0, -1.0), flux_scheme=LLF)
+    cfg = SolverConfig(eps, Clamped(lambda t: (1.0, -1.0)), flux_scheme=LLF)
     final = solve(data, burgers(), cfg, 1.0, [1.0])[-1][1]
     # the a*dx/2 numerical viscosity thickens the layer a little
     assert float(np.max(np.abs(final.values - data.values))) < 2e-2
@@ -84,23 +84,36 @@ def test_instability_raises():
 
 
 def test_time_dependent_clamp_tracks_values():
-    left = lambda t: 1.0 + 0.1 * t
-    right = lambda t: -1.0
+    ends = lambda t: (1.0 + 0.1 * t, -1.0)
     data = GridFunction.from_callable(lambda x: -np.tanh(x), -8.0, 8.0, 0.05)
-    cfg = SolverConfig(0.5, Clamped(left, right))
+    cfg = SolverConfig(0.5, Clamped(ends))
     snaps = solve(data, burgers(), cfg, 0.8, [0.4, 0.8])
     for t, g in snaps:
-        assert g.values[0] == pytest.approx(left(t), abs=1e-9)
-        assert g.values[-1] == pytest.approx(right(t), abs=1e-9)
+        assert g.values[0] == pytest.approx(ends(t)[0], abs=1e-9)
+        assert g.values[-1] == pytest.approx(ends(t)[1], abs=1e-9)
+
+
+def test_held_ends_keep_initial_values(monkeypatch):
+    # no ends(t): the data's own end values stay, exactly, and nothing is called
+    def no_call(self, t):
+        raise AssertionError("held ends evaluated a boundary")
+
+    monkeypatch.setattr(Clamped, "at", no_call)
+    data = GridFunction.from_callable(lambda x: -np.tanh(x + 0.3), -6.0, 6.0, 0.05)
+    snaps = solve(data, burgers(), SolverConfig(0.5, Clamped()), 0.3, [0.1, 0.3])
+    for _, g in snaps:
+        assert g.values[0] == data.values[0]
+        assert g.values[-1] == data.values[-1]
+        assert not np.array_equal(g.values, data.values)
 
 
 def test_clamp_evaluated_once_per_step(monkeypatch):
     # the pinned end nodes need the boundary values at the new time only
     seen = []
 
-    def left(t):
+    def ends(t):
         seen.append(t)
-        return 1.0
+        return 1.0, -1.0
 
     steps = 0
     stable_dt = solver.stable_dt
@@ -112,7 +125,7 @@ def test_clamp_evaluated_once_per_step(monkeypatch):
 
     monkeypatch.setattr(solver, "stable_dt", counted)
     data = GridFunction.from_callable(lambda x: -np.tanh(x), -8.0, 8.0, 0.05)
-    solve(data, burgers(), SolverConfig(0.5, Clamped(left, -1.0)), 0.3, [0.1, 0.3])
+    solve(data, burgers(), SolverConfig(0.5, Clamped(ends)), 0.3, [0.1, 0.3])
     assert steps > 0
     assert len(seen) == steps
     assert all(b > a for a, b in zip(seen[:-1], seen[1:]))
