@@ -27,13 +27,13 @@ import numpy as np
 
 from . import experiments, io
 from .errors import ConfigError, InstabilityError, ShockzoomError
-from .diagnostics import phase_audit
+from .diagnostics import phase_audit, strip_profile_fit
 from .flux import FluxModel, burgers, make_flux
 from .grid import GridFunction, Window
 from .inviscid import z_eval
 from .profiles import CauchyReport, eternal_z_limit, traveling_wave
 from .scenarios import SCENARIO_IDS, Scenario, build_scenario
-from .solver import CENTRAL, LLF, Clamped, Periodic, SolverConfig
+from .solver import CENTRAL, Clamped, Periodic, SolverConfig
 
 DEFAULTS: Dict[str, str] = {
     "flux.name": "burgers",
@@ -66,7 +66,6 @@ DEFAULTS: Dict[str, str] = {
     "zoom2.ny": "321",
     "grid.base_divisor": "8.0",
     "grid.dx_hat": "0.04",
-    "solver.scheme": "central",
     "sweep.t_check": "",
     "sweep.n_nodes": "4096",
     "sweep.min_slope": "0.45",
@@ -162,14 +161,6 @@ class Config:
             raise ConfigError(f"{key}: viscosities must be strictly decreasing")
         return vals
 
-    def scheme(self) -> str:
-        name = self.values["solver.scheme"]
-        if name == "central":
-            return CENTRAL
-        if name in (LLF, "llf"):
-            return LLF
-        raise ConfigError(f"solver.scheme: unknown scheme {name!r}")
-
 
 def load_config(path: Optional[str], sets: Sequence[str]) -> Config:
     values: Dict[str, str] = {}
@@ -196,8 +187,10 @@ def load_config(path: Optional[str], sets: Sequence[str]) -> Config:
 def _flux(cfg: Config) -> FluxModel:
     name = cfg.str("flux.name")
     try:
-        # each flux parses only the parameters it uses
-        return make_flux(name, b=cfg.str("flux.b"), kappa=cfg.str("flux.kappa"))
+        # each flux parses only the parameters it uses; a parameter that
+        # overflows the flux fails its self-check with a ValueError
+        with np.errstate(all="ignore"):
+            return make_flux(name, b=cfg.str("flux.b"), kappa=cfg.str("flux.kappa"))
     except KeyError:
         raise ConfigError(f"flux.name: unknown flux {name!r}")
     except ValueError as e:
@@ -267,6 +260,17 @@ def _cauchy_row(cauchy: CauchyReport) -> tuple:
     return ("cauchy-decreasing", cauchy.comparison_time, margin, cauchy.decreasing)
 
 
+def _interior_shift_row(t: float, outcomes: Sequence[experiments.ZoomOutcome]) -> tuple:
+    """Check row: every fitted (t, x) shift lies inside the search range.
+
+    An optimum on the edge of +-SHIFT_RANGE may be a boundary minimum
+    rather than a fitted one; the margin is the room left to that edge.
+    """
+    widest = max(max(abs(o.shift_t), abs(o.shift)) for o in outcomes)
+    margin = experiments.SHIFT_RANGE - widest
+    return ("interior-shift", t, margin, margin > 0.0)
+
+
 def _report(out: Path, cfg: Config, command: str, rows: Sequence[tuple],
             **fields) -> int:
     """Write the check rows (name, t, margin, pass) to audit.csv and summary.json.
@@ -313,24 +317,23 @@ def _health_rows(scenario: Scenario, eps: float, seed: int) -> list:
     return rows
 
 
-def _zoom_settings(cfg: Config, scheme: str) -> dict:
+def _zoom_settings(cfg: Config) -> dict:
     """Keyword arguments of the type-1 zooms."""
     return dict(window=_config_window(cfg, "window"),
                 nt=cfg.int("zoom.nt", 1, MAX_COUNT),
                 ny=cfg.int("zoom.ny", 2, MAX_COUNT),
-                base_divisor=cfg.positive("grid.base_divisor"), scheme=scheme)
+                base_divisor=cfg.positive("grid.base_divisor"))
 
 
 def cmd_run(cfg: Config, args: argparse.Namespace) -> int:
     scenario_id = cfg.str("run.scenario")
     scenario = make_scenario(cfg, scenario_id)
     out = _out_dir(cfg, args.out)
-    scheme = cfg.scheme()
     seed = cfg.int("run.seed")
     eps = cfg.eps_list(_eps_key(scenario_id), minimum=2)
 
     # every setting is read, and so checked, before the first solve
-    if scenario.kind == "shock_formation":
+    if scenario_id == "theorem2-formation":
         window = _config_window(cfg, "window2")
         nt = cfg.int("zoom2.nt", 1, MAX_COUNT)
         ny = cfg.int("zoom2.ny", 2, MAX_COUNT)
@@ -339,15 +342,14 @@ def cmd_run(cfg: Config, args: argparse.Namespace) -> int:
         if window.t_min < -n:
             raise ConfigError("zref.n: window2.t_min lies before the launch time -zref.n")
         z_wave = experiments.eternal_z(
-            n, window, scheme, dx=cfg.positive("zref.dx"),
+            n, window, CENTRAL, dx=cfg.positive("zref.dx"),
             x_max=cfg.positive("zref.x_max"), snapshot_times=list(window.t_samples(nt)))
         outcomes = experiments.formation_zoom(
-            scenario, eps, z_wave, window=window, nt=nt, ny=ny, dx_hat=dx_hat,
-            scheme=scheme)
+            scenario, eps, z_wave, window=window, nt=nt, ny=ny, dx_hat=dx_hat)
         checks = [_decreasing("sup-decreasing", eps[-1],
                               [o.sup_error for o in outcomes])]
-    elif scenario.kind == "merging_shocks":
-        zoom = _zoom_settings(cfg, scheme)
+    elif scenario_id == "theorem1-merging":
+        zoom = _zoom_settings(cfg)
         window = zoom["window"]
         # the surrogate must cover the zoom window plus the shift search range
         pad = experiments.SHIFT_RANGE + 0.25
@@ -360,10 +362,10 @@ def cmd_run(cfg: Config, args: argparse.Namespace) -> int:
         outcomes = experiments.merging_zoom(scenario, eps, wave, **zoom)
         checks = [_decreasing("l1-decreasing", eps[-1],
                               [o.l1_error for o in outcomes]),
-                  _cauchy_row(cauchy)]
+                  _cauchy_row(cauchy),
+                  _interior_shift_row(eps[-1], outcomes)]
     else:
-        outcomes = experiments.single_shock_zoom(scenario, eps,
-                                                 **_zoom_settings(cfg, scheme))
+        outcomes = experiments.single_shock_zoom(scenario, eps, **_zoom_settings(cfg))
         sups = [o.sup_error for o in outcomes]
         jump = scenario.states[0] - scenario.states[-1]
         checks = [_decreasing("sup-decreasing", eps[-1], sups),
@@ -381,7 +383,7 @@ def cmd_run(cfg: Config, args: argparse.Namespace) -> int:
 def cmd_sweep(cfg: Config, args: argparse.Namespace) -> int:
     scenario_id = cfg.str("run.scenario")
     scenario = make_scenario(cfg, scenario_id)
-    if scenario.kind == "shock_formation":
+    if scenario_id == "theorem2-formation":
         raise ConfigError("run.scenario: rate sweeps need an exact shocked reference")
     n_nodes = cfg.int("sweep.n_nodes", 2, MAX_COUNT)
     t_check = cfg.opt_float("sweep.t_check")
@@ -390,7 +392,7 @@ def cmd_sweep(cfg: Config, args: argparse.Namespace) -> int:
     out = _out_dir(cfg, args.out)
     eps = cfg.eps_list("run.eps", minimum=3)
     report = experiments.kuznetsov_sweep(
-        scenario, eps, t_check=t_check, n_nodes=n_nodes, scheme=cfg.scheme())
+        scenario, eps, t_check=t_check, n_nodes=n_nodes)
     min_slope = cfg.float("sweep.min_slope")
     pw = {e: err for e, err, _ in report.pointwise}
     io.write_sweep(out / "sweep.csv",
@@ -448,13 +450,17 @@ def cmd_ztable(cfg: Config, args: argparse.Namespace) -> int:
         raise ConfigError("--x: need x_min < x_max")
     if any(t > 0.0 for t in t_values):
         raise ConfigError("--t: the cubic wave is defined for t <= 0")
-    xs = np.linspace(x_range[0], x_range[1], n)
-    points = [z_eval(float(t), float(xv)) for t in t_values for xv in xs]
-    # z itself is finite wherever the wave is defined, even at the blow-up point
-    bad = next((p for p in points if not math.isfinite(p.z)), None)
+    # an infinite range or an argument too large for the cubic gives a
+    # non-finite value, reported below
+    with np.errstate(all="ignore"):
+        xs = np.linspace(x_range[0], x_range[1], n)
+        points = [z_eval(float(t), float(xv)) for t in t_values for xv in xs]
+    # the derivatives blow up at the singular point t = 0, x = 0
+    bad = next((p for p in points
+                if not all(map(math.isfinite, (p.z, p.zx, p.zxx, p.zxxx)))), None)
     if bad is not None:
-        raise ConfigError(f"--t/--x: the cubic wave cannot be evaluated at "
-                          f"t={bad.t!r}, x={bad.x!r}")
+        raise ConfigError(f"--t/--x: the cubic wave or its x-derivatives are not "
+                          f"finite at t={bad.t!r}, x={bad.x!r}")
     out = _out_dir(cfg, args.out)
     io.write_z_table(out / "ztable.csv", points)
     io.write_summary(out / "summary.json", {
@@ -474,9 +480,11 @@ def cmd_profile(cfg: Config, args: argparse.Namespace) -> int:
                           f"2 <= half_width/dx <= {MAX_COUNT}")
     flux = _flux(cfg)
     try:
-        wave = traveling_wave(flux, u_minus, u_plus, half_width, dx)
-    except (ValueError, RuntimeError) as e:
-        # states that overflow the flux, or steps too coarse for the jump
+        # states that overflow the flux (an error here, not a warning), or
+        # steps too coarse for the jump
+        with np.errstate(all="ignore"):
+            wave = traveling_wave(flux, u_minus, u_plus, half_width, dx)
+    except (ValueError, RuntimeError, OverflowError) as e:
         raise ConfigError(f"--u-minus/--u-plus/--dx: no profile at these settings: {e}")
     out = _out_dir(cfg, args.out)
     io.write_profile(out / "profile.csv", wave.profile.x, wave.profile.values)
@@ -499,14 +507,23 @@ def cmd_merge(cfg: Config, args: argparse.Namespace) -> int:
         comparison_time=cfg.float("merge.comparison_time"),
         dx=cfg.positive("merge.dx"))
     ys = window.x_samples(201)
-    snaps = [(float(t), GridFunction(float(ys[0]), float(ys[1] - ys[0]),
-                                     wave(float(t), ys))) for t in window.t_samples(nt)]
-    io.write_snapshots(out / "wave.csv", snaps)
+
+    def sample(t: float) -> GridFunction:
+        return GridFunction(float(ys[0]), float(ys[1] - ys[0]), wave(t, ys))
+
+    io.write_snapshots(out / "wave.csv",
+                       [(float(t), sample(float(t))) for t in window.t_samples(nt)])
     checks = [_cauchy_row(cauchy)]
     # a single restart pair has no slope to test
     if len(cauchy.distances) >= 2:
         checks.append(("cauchy-slope", cauchy.comparison_time, -cauchy.log_slope,
                        cauchy.log_slope < 0.0))
+    # after the merge the wave is one traveling wave of the outer states
+    u_minus, u_plus = scenario.states[0], scenario.states[-1]
+    delta = 0.05 * (u_minus - u_plus)
+    fit = strip_profile_fit(sample(window.t_max), scenario.flux, u_minus, u_plus, delta)
+    checks.append(("post-merge", window.t_max, delta - fit.sup_error,
+                   fit.sup_error <= delta))
     return _report(out, cfg, "merge", checks, taus=list(cauchy.taus),
                    comparison_time=cauchy.comparison_time,
                    distances=list(cauchy.distances), log_slope=cauchy.log_slope)

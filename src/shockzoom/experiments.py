@@ -58,22 +58,13 @@ def scenario_grid(scenario: Scenario, dx: float) -> GridFunction:
     return GridFunction.from_callable(scenario.initial.u0, lo, hi, dx)
 
 
-def solve_scenario(scenario: Scenario, eps: float, dx: float,
-                   snapshot_times: Sequence[float],
-                   scheme: str = CENTRAL) -> List[Tuple[float, GridFunction]]:
-    """Clamped viscous solve of the scenario data up to the last snapshot."""
-    data = scenario_grid(scenario, dx)
-    cfg = SolverConfig(eps, Clamped(), flux_scheme=scheme)
-    times = sorted(float(t) for t in snapshot_times)
-    return solve(data, scenario.flux, cfg, times[-1], times)
-
-
 def _zoom_slices(scenario: Scenario, eps: float, dx: float, frame: RescaleFrame,
-                 s_grid: np.ndarray, y_grid: np.ndarray,
-                 scheme: str) -> List[Tuple[float, GridFunction]]:
-    """Solve the scenario at the frame's times and sample the zoomed field."""
-    t_phys = [float(frame.to_physical(s, 0.0)[0]) for s in s_grid]
-    snaps = solve_scenario(scenario, eps, dx, t_phys, scheme)
+                 s_grid: np.ndarray,
+                 y_grid: np.ndarray) -> List[Tuple[float, GridFunction]]:
+    """Clamped central solve at the frame's times, sampled in the zoomed field."""
+    times = sorted(float(frame.to_physical(s, 0.0)[0]) for s in s_grid)
+    cfg = SolverConfig(eps, Clamped(), flux_scheme=CENTRAL)
+    snaps = solve(scenario_grid(scenario, dx), scenario.flux, cfg, times[-1], times)
     return zoom_sample(SnapshotInterpolant(snaps), frame, s_grid, y_grid)
 
 
@@ -93,7 +84,7 @@ def _mismatch(slices: List[Tuple[float, GridFunction]],
 
 def single_shock_zoom(scenario: Scenario, eps_list: Sequence[float], *,
                       window: Window, nt: int = 21, ny: int = 401,
-                      base_divisor: float = 8.0, scheme: str = CENTRAL) -> List[ZoomOutcome]:
+                      base_divisor: float = 8.0) -> List[ZoomOutcome]:
     """Compare type-1 zooms of the single-shock scenario with a fitted wave.
 
     The shift is fitted once per viscosity, on the central time slice; the
@@ -112,7 +103,7 @@ def single_shock_zoom(scenario: Scenario, eps_list: Sequence[float], *,
     for eps in eps_list:
         frame = RescaleFrame.type1(scenario.tau, scenario.xi, float(eps))
         dx = refined_dx(float(eps), eps_max, base_divisor)
-        slices = _zoom_slices(scenario, float(eps), dx, frame, s_grid, y_grid, scheme)
+        slices = _zoom_slices(scenario, float(eps), dx, frame, s_grid, y_grid)
         # the wave moves at the shock speed through the zoom window
         s0, centered = slices[k0]
         moved = GridFunction(centered.x_left - lam * s0, centered.dx, centered.values)
@@ -147,7 +138,7 @@ def merging_surrogate(scenario: Scenario, *,
 def merging_zoom(scenario: Scenario, eps_list: Sequence[float],
                  wave_interp: SnapshotInterpolant, *,
                  window: Window, nt: int = 21, ny: int = 401,
-                 base_divisor: float = 8.0, scheme: str = CENTRAL) -> List[ZoomOutcome]:
+                 base_divisor: float = 8.0) -> List[ZoomOutcome]:
     """L1-compare type-1 zooms with the interaction wave, shift-fitted in (t, x).
 
     The shift is found by lattice search (see SHIFT_RANGE) followed by a
@@ -168,7 +159,7 @@ def merging_zoom(scenario: Scenario, eps_list: Sequence[float],
     for eps in eps_list:
         frame = RescaleFrame.type1(scenario.tau, scenario.xi, float(eps))
         dx = refined_dx(float(eps), eps_max, base_divisor)
-        slices = _zoom_slices(scenario, float(eps), dx, frame, s_grid, y_grid, scheme)
+        slices = _zoom_slices(scenario, float(eps), dx, frame, s_grid, y_grid)
 
         def l1_against(dt_shift: float, dy_shift: float) -> float:
             return _mismatch(slices, shifted(dt_shift, dy_shift))[1]
@@ -207,8 +198,8 @@ def merging_zoom(scenario: Scenario, eps_list: Sequence[float],
 
 def formation_zoom(scenario: Scenario, eps_list: Sequence[float],
                    z_wave: List[Tuple[float, GridFunction]], *, window: Window,
-                   nt: int = 17, ny: int = 321, dx_hat: float = 0.04,
-                   scheme: str = CENTRAL) -> List[ZoomOutcome]:
+                   nt: int = 17, ny: int = 321,
+                   dx_hat: float = 0.04) -> List[ZoomOutcome]:
     """Compare type-2 zooms of a formation scenario with the eternal wave.
 
     General frames are normalised through the fitted (c, sigma, lam): the
@@ -232,22 +223,22 @@ def formation_zoom(scenario: Scenario, eps_list: Sequence[float],
         frame = RescaleFrame.type2(fit.tau_eps, fit.xi_eps, float(eps), u_c,
                                    time_scale=fit.sigma, drift=fit.lam, value_scale=f2)
         dx = dx_hat * float(eps) ** 0.75
-        slices = _zoom_slices(scenario, float(eps), dx, frame, s_grid, y_grid, scheme)
+        slices = _zoom_slices(scenario, float(eps), dx, frame, s_grid, y_grid)
         sup, l1 = _mismatch(slices, lambda s, g: z_interp(s, y_grid))
         out.append(ZoomOutcome(float(eps), sup, l1, 0.0))
     return out
 
 
 def kuznetsov_sweep(scenario: Scenario, eps_list: Sequence[float], *,
-                    t_check: Optional[float] = None, n_nodes: int = 4096,
-                    scheme: str = CENTRAL) -> KuznetsovReport:
+                    t_check: Optional[float] = None,
+                    n_nodes: int = 4096) -> KuznetsovReport:
     """Viscosity sweep of a scenario against its exact inviscid reference."""
     if t_check is None:
         t_check = 0.5 * (scenario.formed_time + scenario.tau)
     lo, hi = scenario.domain
     dx = (hi - lo) / (n_nodes - 1)
     data = scenario_grid(scenario, dx)
-    cfg = SolverConfig(0.0, Clamped(), flux_scheme=scheme)
+    cfg = SolverConfig(0.0, Clamped(), flux_scheme=CENTRAL)
     shocks = []
     if scenario.shock is not None and t_check >= scenario.formed_time:
         shocks.append(scenario.shock.speed * t_check)

@@ -22,10 +22,6 @@ from .inviscid import SmoothData, blowup_time, characteristic_value, single_shoc
 from .profiles import MergingTriple
 from .rescale import FormationPoint
 
-SINGLE = "single_shock"
-MERGING = "merging_shocks"
-FORMATION = "shock_formation"
-
 # absorption margin: a tanh tail is below machine epsilon past 19 widths
 _ABSORB_WIDTHS = 20.0
 
@@ -35,7 +31,6 @@ class Scenario:
     """A runnable singular-pattern experiment."""
 
     id: str
-    kind: str
     flux: FluxModel
     initial: SmoothData
     singular_point: Tuple[float, float]
@@ -44,7 +39,6 @@ class Scenario:
     formed_time: float
     blowup: float
     reference: Callable = field(repr=False, compare=False, default=None)
-    ramp_width: float = 0.0
     shock: Optional[ShockData] = None
     merging: Optional[MergingTriple] = None
     formation: Optional[FormationPoint] = None
@@ -76,8 +70,8 @@ def _absorb_time(flux: FluxModel, left: float, right: float, speed: float,
     return _ABSORB_WIDTHS * width / rate
 
 
-def single_shock_scenario(flux: FluxModel, u_minus: float, u_plus: float, *,
-                          tau: float = 1.0, ramp_width: float = 0.02) -> Scenario:
+def single_shock_scenario(flux: FluxModel, u_minus: float = 1.0, u_plus: float = -1.0,
+                          *, tau: float = 1.0, ramp_width: float = 0.02) -> Scenario:
     """Smoothed step whose inviscid limit is one shock through (tau, speed*tau)."""
     if u_minus <= u_plus:
         raise NotLaxError(f"need a downward jump, got ({u_minus}, {u_plus})")
@@ -115,14 +109,14 @@ def single_shock_scenario(flux: FluxModel, u_minus: float, u_plus: float, *,
 
     lo = min(0.0, shock.speed * tau) - 2.0
     hi = max(0.0, shock.speed * tau) + 2.0
-    return Scenario("theorem1-single", SINGLE, flux, data,
+    return Scenario("theorem1-single", flux, data,
                     (tau, shock.speed * tau), (u_minus, u_plus),
                     (lo, hi), formed, blow,
-                    reference, w, shock=shock)
+                    reference, shock=shock)
 
 
-def merging_shocks_scenario(flux: FluxModel, u_minus: float, u_star: float,
-                            u_plus: float, *, tau: float = 1.0,
+def merging_shocks_scenario(flux: FluxModel, u_minus: float = 1.0, u_star: float = 0.0,
+                            u_plus: float = -1.0, *, tau: float = 1.0,
                             ramp_width: float = 0.01) -> Scenario:
     """Two smoothed steps whose inviscid shocks meet exactly at (tau, 0)."""
     triple = MergingTriple.from_states(flux, u_minus, u_star, u_plus)
@@ -168,9 +162,9 @@ def merging_shocks_scenario(flux: FluxModel, u_minus: float, u_star: float,
     merged = rankine_hugoniot(flux, u_minus, u_plus)
     lo = min(p1, merged.speed * tau) - 2.0
     hi = max(p2, merged.speed * tau) + 2.0
-    return Scenario("theorem1-merging", MERGING, flux, data, (tau, 0.0),
+    return Scenario("theorem1-merging", flux, data, (tau, 0.0),
                     (u_minus, u_star, u_plus), (lo, hi), formed, blow,
-                    reference, w, shock=merged, merging=triple)
+                    reference, shock=merged, merging=triple)
 
 
 def _cubic_profile_root(amplitude: float, flux: FluxModel, spread: float,
@@ -188,7 +182,7 @@ def _cubic_profile_root(amplitude: float, flux: FluxModel, spread: float,
     return 0.5 * (lo + hi)
 
 
-def shock_formation_scenario(flux: FluxModel, amplitude: float, *,
+def shock_formation_scenario(flux: FluxModel, amplitude: float = 1.0, *,
                              tau: float = 1.0,
                              clamp_radius: float = 2.5) -> Scenario:
     """Data that first focuses at (tau, 0) with a cubic profile there.
@@ -245,9 +239,9 @@ def shock_formation_scenario(flux: FluxModel, amplitude: float, *,
         return out if out.ndim else float(out)
 
     point = FormationPoint(tau, 0.0, 0.0, 0.0, 0.0, -6.0 * A)
-    return Scenario("theorem2-formation", FORMATION, flux, data, (tau, 0.0),
+    return Scenario("theorem2-formation", flux, data, (tau, 0.0),
                     (), (-R - 1.0, R + 1.0), tau, tau,
-                    reference, 0.0, formation=point)
+                    reference, formation=point)
 
 
 def blowup_map_minimum(scenario: Scenario, span: float = 1.0,
@@ -291,22 +285,16 @@ def shock_consistency(scenario: Scenario) -> float:
     return worst
 
 
+# each scenario id with its constructor; the constructors' defaults are the
+# canonical states
+SCENARIOS = {"theorem1-single": single_shock_scenario,
+             "theorem1-merging": merging_shocks_scenario,
+             "theorem2-formation": shock_formation_scenario}
+SCENARIO_IDS = tuple(SCENARIOS)
+
+
 def build_scenario(scenario_id: str, flux: FluxModel, **overrides) -> Scenario:
     """Construct one of the named scenarios with canonical defaults."""
-    if scenario_id == "theorem1-single":
-        kw = dict(u_minus=1.0, u_plus=-1.0)
-        kw.update(overrides)
-        return single_shock_scenario(flux, kw.pop("u_minus"), kw.pop("u_plus"), **kw)
-    if scenario_id == "theorem1-merging":
-        kw = dict(u_minus=1.0, u_star=0.0, u_plus=-1.0)
-        kw.update(overrides)
-        return merging_shocks_scenario(flux, kw.pop("u_minus"), kw.pop("u_star"),
-                                       kw.pop("u_plus"), **kw)
-    if scenario_id == "theorem2-formation":
-        kw = dict(amplitude=1.0)
-        kw.update(overrides)
-        return shock_formation_scenario(flux, kw.pop("amplitude"), **kw)
-    raise ValueError(f"unknown scenario id: {scenario_id!r}")
-
-
-SCENARIO_IDS = ("theorem1-single", "theorem1-merging", "theorem2-formation")
+    if scenario_id not in SCENARIOS:
+        raise ValueError(f"unknown scenario id: {scenario_id!r}")
+    return SCENARIOS[scenario_id](flux, **overrides)

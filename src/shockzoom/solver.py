@@ -17,12 +17,14 @@ from typing import Callable, ClassVar, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import InstabilityError
+from .errors import ConfigError, InstabilityError
 from .flux import FluxModel
 from .grid import GridFunction, max_forward_slope
 
 CENTRAL = "central"
 LLF = "local-lax-friedrichs"
+# the most grid values one solve may hold in snapshots (8 bytes each, 800 MB)
+MAX_SNAPSHOT_VALUES = 10**8
 
 
 @dataclass(frozen=True)
@@ -130,13 +132,17 @@ def solve(initial: GridFunction, flux: FluxModel, cfg: SolverConfig,
 
     Snapshot times must lie in [0, t_final]; when none are given the final
     time itself is reported.  The step before each snapshot is shortened so
-    the landing is exact.
+    the landing is exact.  The snapshots together may hold at most
+    MAX_SNAPSHOT_VALUES grid values; more raise ConfigError before any step.
     """
     if t_final < 0.0:
         raise ValueError("t_final must be nonnegative")
     targets = sorted(set(float(s) for s in snapshot_times)) or [float(t_final)]
     if targets[0] < 0.0 or targets[-1] > t_final + 1e-12 * max(1.0, t_final):
         raise ValueError("snapshot_times must lie within [0, t_final]")
+    if len(targets) * initial.n > MAX_SNAPSHOT_VALUES:
+        raise ConfigError(f"{len(targets)} snapshots of {initial.n} nodes exceed "
+                          f"{MAX_SNAPSHOT_VALUES} stored values")
 
     dx = initial.dx
     u = initial.values.copy()

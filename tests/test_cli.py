@@ -1,13 +1,16 @@
 """Command-line surface: config plumbing, exit codes, output files."""
 import json
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from shockzoom.cli import DEFAULTS, MAX_COUNT, Config, load_config, main
+from shockzoom.cli import (DEFAULTS, MAX_COUNT, Config, _interior_shift_row,
+                           load_config, main)
 from shockzoom.errors import ConfigError
+from shockzoom.experiments import SHIFT_RANGE, ZoomOutcome
 from shockzoom.io import format_cell, parse_cell, read_csv
 
 
@@ -104,7 +107,18 @@ def test_exit_code_2_paths(tmp_path):
                  ["run", "--scenario", "theorem1-merging", "--set", f"zoom.ny={too_many}"],
                  formation + ["--set", f"zoom2.nt={too_many}"],
                  formation + ["--set", f"zoom2.ny={too_many}"],
-                 ["merge", "--set", f"merge.nt={too_many}"]):
+                 ["merge", "--set", f"merge.nt={too_many}"],
+                 # within MAX_COUNT, but 10^6 snapshots of the eternal wave's
+                 # 3,001 nodes exceed the solver's snapshot memory cap
+                 formation + ["--set", f"zoom2.nt={MAX_COUNT}"],
+                 # the derivatives of the cubic wave blow up at t = 0, x = 0
+                 ["z-table", "--t", "-1", "0", "--x", "-2", "2"],
+                 # overflow, reported without a RuntimeWarning or a traceback
+                 ["z-table", "--t", "-1", "--x", "0", "inf"],
+                 ["profile", "--u-minus", "1e308"],
+                 ["profile", "--u-minus", "1e308", "--set", "flux.name=quartic"],
+                 ["profile", "--set", "flux.name=burgers-linear",
+                  "--set", "flux.b=1e308"]):
         assert main(args + ["--out", out]) == 2, args
 
 
@@ -144,19 +158,26 @@ def test_zlimit_reports_its_checks(tmp_path):
 
 
 def test_merge_reports_its_checks(tmp_path):
+    small = ["merge", "--taus=-14,-16", "--set", "merge.dx=0.1",
+             "--set", "merge.comparison_time=-3", "--set", "merge.nt=3",
+             "--set", "window.t_min=-2"]
+    # at t = 2 the merged wave is still too far from one traveling wave
     out = tmp_path / "m"
-    assert main(["merge", "--taus=-14,-16", "--set", "merge.dx=0.1",
-                 "--set", "merge.comparison_time=-3", "--set", "merge.nt=3",
-                 "--set", "window.t_min=-2", "--set", "window.t_max=2",
-                 "--out", str(out)]) == 0
+    assert main(small + ["--set", "window.t_max=2", "--out", str(out)]) == 1
     flags, summary = _checks(out)
     # one restart pair: a distance but no slope to test
-    assert flags == {"cauchy-decreasing": True}
+    assert flags == {"cauchy-decreasing": True, "post-merge": False}
     assert len(summary["distances"]) == 1
     assert summary["checks"][0]["margin"] == 0.0
     # strict JSON: the missing slope is null, not NaN
     assert json.loads((out / "summary.json").read_text(),
                       parse_constant=_reject_constant)["log_slope"] is None
+    # by t = 5 it has settled into the strip around the traveling wave
+    assert main(small + ["--set", "window.t_max=5", "--out", str(tmp_path / "m5")]) == 0
+    flags, summary = _checks(tmp_path / "m5")
+    assert flags == {"cauchy-decreasing": True, "post-merge": True}
+    post = summary["checks"][-1]
+    assert post["t"] == 5.0 and 0.0 < post["margin"] < 0.05
 
 
 HOSTILE = ["nan", "inf", "-inf", "0", "-1", "1e308", "", "x"]
@@ -220,6 +241,35 @@ def test_ztable_rows_and_values(tmp_path):
     # the (t=-1, x=2) row carries the exact decreasing root z = -1
     match = [r for r in rows if r[0] == -1.0 and r[1] == 2.0]
     assert match and match[0][2] == pytest.approx(-1.0, abs=1e-12)
+    # at t = 0 the grid -2, -2/3, 2/3, 2 skips x = 0, where the slope is infinite
+    assert main(["z-table", "--t", "0", "--x", "-2", "2", "--n", "4",
+                 "--out", str(out)]) == 0
+    _, rows = read_csv(out / "ztable.csv")
+    assert len(rows) == 4 and np.isfinite([r[2:] for r in rows]).all()
+
+
+def test_ztable_overflow_is_reported_without_a_warning(tmp_path, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["z-table", "--t", "-1", "--x", "-1", "1e308",
+                     "--out", str(tmp_path / "zt")])
+    assert code == 2
+    assert caught == []
+    assert "not finite at t=-1.0" in capsys.readouterr().err
+
+
+def test_interior_shift_row():
+    inside = [ZoomOutcome(0.04, 0.1, 0.5, 0.01, 0.546875),
+              ZoomOutcome(0.02, 0.1, 0.2, -0.02, 0.125)]
+    name, t, margin, ok = _interior_shift_row(0.02, inside)
+    assert (name, t, ok) == ("interior-shift", 0.02, True)
+    assert margin == SHIFT_RANGE - 0.546875
+    # a time shift on the edge of the search range fails the row
+    edge = inside + [ZoomOutcome(0.01, 0.1, 0.1, 0.0, SHIFT_RANGE)]
+    assert _interior_shift_row(0.01, edge)[2:] == (0.0, False)
+    # and so does a space shift refined past it
+    past = inside + [ZoomOutcome(0.01, 0.1, 0.1, -1.02, 0.0)]
+    assert not _interior_shift_row(0.01, past)[3]
 
 
 def test_profile_summary_and_determinism(tmp_path):

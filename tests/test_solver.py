@@ -2,8 +2,8 @@
 import numpy as np
 import pytest
 
-from shockzoom import (CENTRAL, LLF, Clamped, GridFunction, InstabilityError,
-                       Periodic, SolverConfig, burgers, l1_distance,
+from shockzoom import (CENTRAL, LLF, Clamped, ConfigError, GridFunction,
+                       InstabilityError, Periodic, SolverConfig, burgers, l1_distance,
                        oleinik_check, periodic_mass, solve)
 from shockzoom import solver
 
@@ -29,6 +29,17 @@ def test_llf_also_keeps_profile():
     final = solve(data, burgers(), cfg, 1.0, [1.0])[-1][1]
     # the a*dx/2 numerical viscosity thickens the layer a little
     assert float(np.max(np.abs(final.values - data.values))) < 2e-2
+
+
+def test_snapshot_memory_is_capped(monkeypatch):
+    data = GridFunction.from_callable(np.sin, 0.0, 2.0 * np.pi, 2.0 * np.pi / 10)
+    cfg = SolverConfig(0.1, Periodic())
+    monkeypatch.setattr(solver, "MAX_SNAPSHOT_VALUES", 10 * data.n)
+    times = list(np.linspace(0.01, 0.1, 10))
+    assert len(solve(data, burgers(), cfg, 0.1, times)) == 10
+    # one more snapshot is refused before the first step
+    with pytest.raises(ConfigError, match="snapshots"):
+        solve(data, burgers(), cfg, 0.11, times + [0.11])
 
 
 def test_snapshots_land_exactly():
