@@ -16,8 +16,8 @@ from .flux import (BUILTIN_FLUXES, FluxModel, ShockData, burgers,
                    rankine_hugoniot)
 from .grid import (GridFunction, Window, l1_distance, mass, max_forward_slope,
                    periodic_mass, trapezoid)
-from .solver import (CENTRAL, LLF, Clamped, OleinikReport, Periodic,
-                     SolverConfig, oleinik_check, solve)
+from .solver import (Clamped, OleinikReport, Periodic, SolverConfig,
+                     oleinik_check, solve)
 from .inviscid import (SmoothData, ZBoundsReport, ZPoint, blowup_time,
                        characteristic_value, two_shock, single_shock,
                        z_bounds_audit, z_eval, z_root)

@@ -9,7 +9,7 @@ the later stages of the approach to the wave.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from .flux import FluxModel, chord
 from .grid import GridFunction, l1_distance
 from .profiles import TravelingWave, traveling_wave
 from .rescale import FitResult, RateFit, convergence_rate, fit_shift
-from .solver import Clamped, SolverConfig, solve
+from .solver import Clamped, Periodic, SolverConfig, solve
 
 
 @dataclass(frozen=True)
@@ -213,7 +213,7 @@ class KuznetsovReport:
 
 def kuznetsov_audit(initial: GridFunction, flux: FluxModel,
                     eps_list: Sequence[float], t_check: float,
-                    reference: Callable, cfg: SolverConfig, *,
+                    reference: Callable, boundary: Union[Periodic, Clamped], *,
                     lipschitz_interval: Optional[Tuple[float, float]] = None,
                     shock_positions: Sequence[float] = ()) -> KuznetsovReport:
     """Measure the vanishing-viscosity error and fit its rate.
@@ -234,8 +234,7 @@ def kuznetsov_audit(initial: GridFunction, flux: FluxModel,
     ref_vals = np.asarray(reference(t_check, initial.x), dtype=float)
     ref_state = initial.with_values(ref_vals)
     for eps in eps_arr:
-        run_cfg = replace(cfg, viscosity=eps)
-        final = solve(initial, flux, run_cfg, t_check, [t_check])[-1][1]
+        final = solve(initial, flux, SolverConfig(eps, boundary), t_check, [t_check])[-1][1]
         finals.append(final)
         errors.append(l1_distance(final, ref_state))
     rate = convergence_rate(eps_arr, errors)

@@ -26,7 +26,7 @@ from .profiles import CauchyReport, eternal_z, merging_wave, traveling_wave
 from .rescale import (RescaleFrame, SnapshotInterpolant, fit_formation_frame, fit_shift,
                       zoom_sample)
 from .scenarios import Scenario
-from .solver import (CENTRAL, Clamped, OleinikReport, Periodic, SolverConfig,
+from .solver import (Clamped, OleinikReport, Periodic, SolverConfig,
                      oleinik_check, solve)
 
 # The merging shift search tries time shifts on the surrogate's snapshot
@@ -61,9 +61,9 @@ def scenario_grid(scenario: Scenario, dx: float) -> GridFunction:
 def _zoom_slices(scenario: Scenario, eps: float, dx: float, frame: RescaleFrame,
                  s_grid: np.ndarray,
                  y_grid: np.ndarray) -> List[Tuple[float, GridFunction]]:
-    """Clamped central solve at the frame's times, sampled in the zoomed field."""
+    """Clamped solve at the frame's times, sampled in the zoomed field."""
     times = sorted(float(frame.to_physical(s, 0.0)[0]) for s in s_grid)
-    cfg = SolverConfig(eps, Clamped(), flux_scheme=CENTRAL)
+    cfg = SolverConfig(eps, Clamped())
     snaps = solve(scenario_grid(scenario, dx), scenario.flux, cfg, times[-1], times)
     return zoom_sample(SnapshotInterpolant(snaps), frame, s_grid, y_grid)
 
@@ -238,7 +238,6 @@ def kuznetsov_sweep(scenario: Scenario, eps_list: Sequence[float], *,
     lo, hi = scenario.domain
     dx = (hi - lo) / (n_nodes - 1)
     data = scenario_grid(scenario, dx)
-    cfg = SolverConfig(0.0, Clamped(), flux_scheme=CENTRAL)
     shocks = []
     if scenario.shock is not None and t_check >= scenario.formed_time:
         shocks.append(scenario.shock.speed * t_check)
@@ -251,7 +250,7 @@ def kuznetsov_sweep(scenario: Scenario, eps_list: Sequence[float], *,
             shocks = [scenario.shock.speed * (t_check - scenario.tau)]
     interval = (lo + 0.5, hi - 0.5)
     return kuznetsov_audit(data, scenario.flux, eps_list, float(t_check),
-                           scenario.reference, cfg,
+                           scenario.reference, Clamped(),
                            lipschitz_interval=interval, shock_positions=shocks)
 
 

@@ -20,7 +20,7 @@ from .errors import NotConvergedError, NotLaxError, NotOrderedError, TauTooLateE
 from .flux import FluxModel, ShockData, burgers, rankine_hugoniot
 from .grid import GridFunction, Window, l1_distance
 from .inviscid import _outer_root, z_root
-from .solver import LLF, Clamped, SolverConfig, solve
+from .solver import Clamped, SolverConfig, solve
 
 
 @dataclass(frozen=True)
@@ -195,7 +195,7 @@ def merging_wave(triple: MergingTriple, tau_list: Sequence[float], window: Windo
     """Realise the interaction wave by evolving blended restarts.
 
     Each tau in tau_list launches the blended data at that time and evolves
-    it at unit viscosity with the default scheme, its ends held; all runs
+    it at unit viscosity, its ends held; all runs
     are measured against each other at ``comparison_time`` (default: the
     window start).  The run from the most negative tau doubles as the limit
     surrogate and is returned sampled at the window times plus any extra
@@ -256,8 +256,7 @@ def merging_wave(triple: MergingTriple, tau_list: Sequence[float], window: Windo
 # the eternal wave
 
 
-def eternal_z(n: float, window: Window, scheme: str = LLF, *,
-              dx: float = 0.02, x_max: Optional[float] = None,
+def eternal_z(n: float, window: Window, *, dx: float = 0.02, x_max: Optional[float] = None,
               snapshot_times: Sequence[float] = ()) -> List[Tuple[float, GridFunction]]:
     """Evolve unit-viscosity data z(-n, .) up to the window times.
 
@@ -289,7 +288,7 @@ def eternal_z(n: float, window: Window, scheme: str = LLF, *,
         [window.t_min, window.t_max]
     if times[0] < -n:
         raise ValueError("snapshot before the launch time")
-    cfg = SolverConfig(viscosity=1.0, boundary=Clamped(ends), flux_scheme=scheme)
+    cfg = SolverConfig(viscosity=1.0, boundary=Clamped(ends))
     shifted = [t + n for t in times]
     snaps = solve(data, burgers(), cfg, shifted[-1], shifted)
     return [(t - n, g) for t, g in snaps]

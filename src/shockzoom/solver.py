@@ -1,14 +1,14 @@
 """Explicit conservative solver for u_t + f(u)_x = eps * u_xx.
 
-Space: second-order conservative differencing with either a central
-numerical flux or a local Lax-Friedrichs flux (default; the interface
-dissipation coefficient is the larger neighbouring wave speed).  Time:
-Heun's two-stage second-order method with a step obeying both an advective
-CFL bound and an explicit diffusion bound.  Clamped end nodes are pinned
-and only the interior is marched: they hold the data's end values, or,
-when the boundary carries ``ends(t)``, are set once per step to its values
-at the new time.  Snapshots are hit exactly by shortening the final step;
-nothing is ever interpolated in time.
+Space: second-order central differencing, which adds no viscosity of its
+own; it is free of grid oscillations only while the cell Peclet number
+max|f'(u)| dx / eps stays below 2, so a grid too coarse for its viscosity
+raises ConfigError.  Time: Heun's two-stage second-order method with a
+step obeying both an advective CFL bound and an explicit diffusion bound.
+Clamped end nodes are pinned and only the interior is marched: they hold
+the data's end values, or, when the boundary carries ``ends(t)``, are set
+once per step to its values at the new time.  Snapshots are hit exactly
+by shortening the final step; nothing is ever interpolated in time.
 """
 from __future__ import annotations
 
@@ -21,8 +21,6 @@ from .errors import ConfigError, InstabilityError
 from .flux import FluxModel
 from .grid import GridFunction, max_forward_slope
 
-CENTRAL = "central"
-LLF = "local-lax-friedrichs"
 # the most grid values one solve may hold in snapshots (8 bytes each, 800 MB)
 MAX_SNAPSHOT_VALUES = 10**8
 
@@ -45,47 +43,33 @@ class Clamped:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    viscosity: float = 0.0
+    viscosity: float
     boundary: Union[Periodic, Clamped] = field(default_factory=Periodic)
-    flux_scheme: str = LLF
     cfl_advection: ClassVar[float] = 0.9
     diffusion_number: ClassVar[float] = 0.4
 
     def __post_init__(self):
-        if self.viscosity < 0.0:
-            raise ValueError("viscosity must be nonnegative")
-        if self.flux_scheme not in (CENTRAL, LLF):
-            raise ValueError(f"unknown flux_scheme {self.flux_scheme!r}")
+        if not 0.0 < self.viscosity < np.inf:
+            raise ValueError("viscosity must be positive and finite")
 
 
 def stable_dt(values: np.ndarray, dx: float, flux: FluxModel, cfg: SolverConfig) -> float:
-    """Largest admissible step for the current state."""
+    """Largest admissible step for the current state; ConfigError at cell Peclet >= 2."""
     speed = flux.max_speed(values)
+    # checked every step: clamped ends that move can raise max|f'(u)|
+    if speed * dx >= 2.0 * cfg.viscosity:
+        raise ConfigError(f"cell Peclet number {speed * dx / cfg.viscosity:.3g} >= 2 at "
+                          f"dx={dx:.3g}, viscosity={cfg.viscosity:.3g}: grid too coarse")
     dt = cfg.cfl_advection * dx / speed if speed > 0.0 else np.inf
-    # the LLF interface dissipation acts like extra viscosity speed*dx/2, and
-    # the two diffusive terms share one stability budget
-    diffusion = cfg.viscosity
-    if cfg.flux_scheme == LLF:
-        diffusion += 0.5 * speed * dx
-    if diffusion > 0.0:
-        dt = min(dt, cfg.diffusion_number * dx * dx / diffusion)
-    if not np.isfinite(dt):
-        # neither advection nor diffusion active; any step is formally stable
-        dt = dx
-    return float(dt)
+    return float(min(dt, cfg.diffusion_number * dx * dx / cfg.viscosity))
 
 
 def _rhs(ue: np.ndarray, dx: float, flux: FluxModel, cfg: SolverConfig) -> np.ndarray:
     """Semi-discrete update of ue[1:-1]; ue[0] and ue[-1] only enter as neighbours."""
     fu = flux.f(ue)
     interface = 0.5 * (fu[:-1] + fu[1:])
-    if cfg.flux_scheme == LLF:
-        dfe = np.abs(flux.df(ue))
-        a = np.maximum(dfe[:-1], dfe[1:])
-        interface = interface - 0.5 * a * (ue[1:] - ue[:-1])
     rhs = -(interface[1:] - interface[:-1]) / dx
-    if cfg.viscosity > 0.0:
-        rhs += cfg.viscosity * (ue[2:] - 2.0 * ue[1:-1] + ue[:-2]) / (dx * dx)
+    rhs += cfg.viscosity * (ue[2:] - 2.0 * ue[1:-1] + ue[:-2]) / (dx * dx)
     return rhs
 
 
@@ -119,13 +103,6 @@ def _heun(u: np.ndarray, dx: float, flux: FluxModel, cfg: SolverConfig,
     return out
 
 
-def _check_stable(u: np.ndarray, cap: float, t: float) -> None:
-    m = np.max(np.abs(u))
-    if not np.isfinite(m) or m > cap:
-        raise InstabilityError(
-            f"solution blew up at t={t:.6g}: max|u|={m:.3g} exceeds cap {cap:.3g}")
-
-
 def solve(initial: GridFunction, flux: FluxModel, cfg: SolverConfig,
           t_final: float, snapshot_times: Sequence[float] = ()) -> List[Tuple[float, GridFunction]]:
     """March from t=0 and return (t, state) pairs at the requested times.
@@ -149,16 +126,22 @@ def solve(initial: GridFunction, flux: FluxModel, cfg: SolverConfig,
     cap = 10.0 * max(1.0, float(np.max(np.abs(u))))
     out: List[Tuple[float, GridFunction]] = []
     t = 0.0
+    step = 0
     for target in targets:
         while t < target:
             dt = stable_dt(u, dx, flux, cfg)
-            if t + dt >= target:
-                u = _heun(u, dx, flux, cfg, target - t, t)
-                t = target
-            else:
-                u = _heun(u, dx, flux, cfg, dt, t)
-                t += dt
-            _check_stable(u, cap, t)
+            landing = t + dt >= target
+            if landing:
+                dt = target - t
+            u = _heun(u, dx, flux, cfg, dt, t)
+            t = target if landing else t + dt
+            step += 1
+            m = np.max(np.abs(u))
+            if not np.isfinite(m) or m > cap:
+                x = initial.x_left + dx * int(np.argmax(np.abs(u)))
+                raise InstabilityError(
+                    f"solution blew up at step {step}, t={t:.6g}, dt={dt:.3g}: "
+                    f"max|u|={m:.3g} at x={x:.6g} exceeds cap {cap:.3g}")
         out.append((target, initial.with_values(u.copy())))
     return out
 

@@ -69,6 +69,8 @@ def test_exit_code_2_paths(tmp_path):
     assert main(["run", "--set", "window.t_min=6", "--out", out]) == 2
     assert main(["sweep", "--set", "sweep.n_nodes=1", "--out", out]) == 2
     assert main(["zlimit", "--set", "zlimit.dx=0", "--out", out]) == 2
+    # a grid too coarse for its viscosity: cell Peclet number above 2
+    assert main(["zlimit", "--set", "zlimit.dx=2.5", "--out", out]) == 2
     # each of these is caught where the CLI reads it, before any solve
     formation = ["run", "--scenario", "theorem2-formation"]
     too_many = str(MAX_COUNT + 1)
@@ -178,6 +180,21 @@ def test_merge_reports_its_checks(tmp_path):
     assert flags == {"cauchy-decreasing": True, "post-merge": True}
     post = summary["checks"][-1]
     assert post["t"] == 5.0 and 0.0 < post["margin"] < 0.05
+
+
+def test_merge_reports_a_shock_that_left_the_window(tmp_path):
+    # faster states carry the merged shock out of the window by t = 5: no
+    # strip fit exists, which is a failed row, and the report is still written
+    out = tmp_path / "m"
+    assert main(["merge", "--taus=-14,-16", "--set", "merge.dx=0.1",
+                 "--set", "merge.comparison_time=-3", "--set", "window.t_min=-2",
+                 "--set", "window.t_max=5", "--set", "scenario.u_minus=3",
+                 "--set", "scenario.u_star=2", "--set", "scenario.u_plus=1",
+                 "--out", str(out)]) == 1
+    flags, summary = _checks(out)
+    assert flags["post-merge"] is False
+    # margin -delta with delta = 0.05 * (u_minus - u_plus)
+    assert summary["checks"][-1]["margin"] == pytest.approx(-0.1)
 
 
 HOSTILE = ["nan", "inf", "-inf", "0", "-1", "1e308", "", "x"]

@@ -2,9 +2,9 @@
 import numpy as np
 import pytest
 
-from shockzoom import (CENTRAL, LLF, Clamped, ConfigError, GridFunction,
-                       InstabilityError, Periodic, SolverConfig, burgers, l1_distance,
-                       oleinik_check, periodic_mass, solve)
+from shockzoom import (Clamped, ConfigError, GridFunction, InstabilityError, Periodic,
+                       SolverConfig, burgers, l1_distance, oleinik_check, periodic_mass,
+                       solve)
 from shockzoom import solver
 
 
@@ -16,24 +16,46 @@ def tanh_wave(eps):
 def test_stationary_profile_stays_put():
     eps = 0.5
     data = GridFunction.from_callable(tanh_wave(eps), -10.0, 10.0, 0.02)
-    cfg = SolverConfig(eps, Clamped(lambda t: (1.0, -1.0)), flux_scheme=CENTRAL)
+    cfg = SolverConfig(eps, Clamped(lambda t: (1.0, -1.0)))
     final = solve(data, burgers(), cfg, 1.0, [1.0])[-1][1]
     # pure discretisation error; the exact solution does not move
     assert float(np.max(np.abs(final.values - data.values))) < 2e-4
 
 
-def test_llf_also_keeps_profile():
+def test_moving_wave_converges_at_second_order():
+    # the exact traveling wave between 1.5 and -0.5 moves at speed 0.5
     eps = 0.5
-    data = GridFunction.from_callable(tanh_wave(eps), -10.0, 10.0, 0.02)
-    cfg = SolverConfig(eps, Clamped(lambda t: (1.0, -1.0)), flux_scheme=LLF)
-    final = solve(data, burgers(), cfg, 1.0, [1.0])[-1][1]
-    # the a*dx/2 numerical viscosity thickens the layer a little
-    assert float(np.max(np.abs(final.values - data.values))) < 2e-2
+
+    def exact(t, x):
+        return 0.5 - np.tanh((np.asarray(x) - 0.5 * t) / (2.0 * eps))
+
+    ends = lambda t: (float(exact(t, -12.0)), float(exact(t, 12.0)))
+    errors = []
+    for dx in (0.08, 0.04, 0.02):
+        data = GridFunction.from_callable(lambda x: exact(0.0, x), -12.0, 12.0, dx)
+        final = solve(data, burgers(), SolverConfig(eps, Clamped(ends)), 1.0)[-1][1]
+        errors.append(float(np.max(np.abs(final.values - exact(1.0, final.x)))))
+    orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+    assert np.all(orders >= 1.8), (errors, orders)
+
+
+def test_viscosity_must_be_positive():
+    for nu in (0.0, -0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="viscosity"):
+            SolverConfig(nu)
+
+
+def test_coarse_grid_fails_the_peclet_guard():
+    # max|u| = 1 on dx = 0.25 needs viscosity above 0.125
+    data = GridFunction.from_callable(lambda x: -np.tanh(x), -4.0, 4.0, 0.25)
+    solve(data, burgers(), SolverConfig(0.13, Clamped()), 0.1)
+    with pytest.raises(ConfigError, match=r"Peclet number 2.* dx=0.25, viscosity=0.12"):
+        solve(data, burgers(), SolverConfig(0.12, Clamped()), 0.1)
 
 
 def test_snapshot_memory_is_capped(monkeypatch):
     data = GridFunction.from_callable(np.sin, 0.0, 2.0 * np.pi, 2.0 * np.pi / 10)
-    cfg = SolverConfig(0.1, Periodic())
+    cfg = SolverConfig(1.0, Periodic())
     monkeypatch.setattr(solver, "MAX_SNAPSHOT_VALUES", 10 * data.n)
     times = list(np.linspace(0.01, 0.1, 10))
     assert len(solve(data, burgers(), cfg, 0.1, times)) == 10
@@ -68,13 +90,13 @@ def test_periodic_mass_conserved_to_roundoff():
     assert drift < 1e-12
 
 
-def test_llf_l1_contraction():
+def test_l1_contraction():
     n = 200
     dx = 2.0 * np.pi / n
     x = dx * np.arange(n)
     a = GridFunction(0.0, dx, np.sin(x))
     b = GridFunction(0.0, dx, np.sin(x) + 0.2 * np.cos(3.0 * x))
-    cfg = SolverConfig(0.02, Periodic(), flux_scheme=LLF)
+    cfg = SolverConfig(0.02, Periodic())
     d0 = l1_distance(a, b)
     prev = d0
     for t in (0.3, 0.6, 1.0):
@@ -85,13 +107,15 @@ def test_llf_l1_contraction():
         prev = d
 
 
-def test_instability_raises():
-    # central flux with no viscosity is dispersive; once the sine steepens
-    # the oscillations grow past the runaway cap
+def test_instability_raises(monkeypatch):
+    # four times the stable step breaks the explicit diffusion bound; the
+    # oscillations grow past the runaway cap, and the error says where
+    stable_dt = solver.stable_dt
+    monkeypatch.setattr(solver, "stable_dt", lambda *args: 4.0 * stable_dt(*args))
     data = GridFunction.from_callable(np.sin, 0.0, 2.0 * np.pi, 2.0 * np.pi / 128)
-    cfg = SolverConfig(0.0, Periodic(), flux_scheme=CENTRAL)
-    with pytest.raises(InstabilityError):
-        solve(data, burgers(), cfg, 5.0, [5.0])
+    with pytest.raises(InstabilityError,
+                       match=r"at step \d+, t=[\d.]+, dt=[\d.e-]+: max\|u\|=.* at x=[\d.-]+ "):
+        solve(data, burgers(), SolverConfig(0.1, Periodic()), 5.0, [5.0])
 
 
 def test_time_dependent_clamp_tracks_values():
