@@ -28,19 +28,18 @@ from .profiles import (CauchyReport, MergingTriple, TravelingWave,
 from .rescale import (FitResult, FormationFrameFit, FormationPoint, RateFit,
                       RescaleFrame, SnapshotInterpolant, convergence_rate,
                       fit_formation_frame, fit_shift, zoom_sample)
-from .diagnostics import (KuznetsovReport, MembershipReport, PhaseAuditReport,
-                          WCurve, almost_monotone_margin,
-                          chord_region_membership, kuznetsov_audit,
+from .diagnostics import (MembershipReport, PhaseAuditReport, WCurve,
+                          almost_monotone_margin, chord_region_membership,
                           phase_audit, phase_times, strip_deviation,
                           strip_profile_fit, w_curve)
 from .scenarios import (SCENARIO_IDS, Scenario, blowup_map_minimum,
                         build_scenario, merging_shocks_scenario,
                         shock_consistency, shock_formation_scenario,
                         single_shock_scenario)
-from .experiments import (ContractionReport, MassReport, ZoomOutcome,
-                          contraction_check, formation_zoom, kuznetsov_sweep,
-                          mass_drift_check, merging_surrogate, merging_zoom,
-                          refined_dx, single_shock_zoom, suite_cubic_bounds,
-                          suite_oleinik, suite_sandwich)
+from .experiments import (ContractionReport, KuznetsovReport, MassReport,
+                          ZoomOutcome, contraction_check, formation_zoom,
+                          kuznetsov_sweep, mass_drift_check, merging_surrogate,
+                          merging_zoom, refined_dx, single_shock_zoom,
+                          suite_cubic_bounds, suite_oleinik, suite_sandwich)
 
 __version__ = "0.1.0"

@@ -26,7 +26,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import experiments, io
-from .errors import ConfigError, InstabilityError, NoCrossingError, ShockzoomError
+from .errors import (ConfigError, InstabilityError, NoCrossingError, OutOfDomainError,
+                     ShockzoomError, TauTooLateError)
 from .diagnostics import phase_audit, strip_profile_fit
 from .flux import FluxModel, burgers, make_flux
 from .grid import GridFunction, Window
@@ -336,6 +337,19 @@ def _zoom_settings(cfg: Config) -> dict:
                 base_divisor=cfg.positive("grid.base_divisor"))
 
 
+def _merge_settings(cfg: Config) -> dict:
+    """Keyword arguments of the merging surrogate, less its window."""
+    taus = cfg.floats("merge.taus")
+    comparison_time = cfg.float("merge.comparison_time")
+    if len(taus) < 2 or len(set(taus)) < len(taus):
+        raise ConfigError("merge.taus: need at least two distinct restart times")
+    if not max(taus) < comparison_time:
+        raise ConfigError("merge.taus: every restart time must precede "
+                          "merge.comparison_time")
+    return dict(taus=taus, comparison_time=comparison_time,
+                dx=cfg.positive("merge.dx"))
+
+
 def cmd_run(cfg: Config, args: argparse.Namespace) -> int:
     scenario_id = cfg.str("run.scenario")
     scenario = make_scenario(cfg, scenario_id)
@@ -365,11 +379,9 @@ def cmd_run(cfg: Config, args: argparse.Namespace) -> int:
         # the surrogate must cover the zoom window plus the shift search range
         pad = experiments.SHIFT_RANGE + 0.25
         wave, cauchy = experiments.merging_surrogate(
-            scenario, taus=cfg.floats("merge.taus"),
-            window=Window(window.t_min - pad, window.t_max + pad,
-                          window.x_min - pad, window.x_max + pad),
-            comparison_time=cfg.float("merge.comparison_time"),
-            dx=cfg.positive("merge.dx"))
+            scenario, window=Window(window.t_min - pad, window.t_max + pad,
+                                    window.x_min - pad, window.x_max + pad),
+            **_merge_settings(cfg))
         outcomes = experiments.merging_zoom(scenario, eps, wave, **zoom)
         checks = [_decreasing("l1-decreasing", eps[-1],
                               [o.l1_error for o in outcomes]),
@@ -402,18 +414,21 @@ def cmd_sweep(cfg: Config, args: argparse.Namespace) -> int:
         raise ConfigError("sweep.t_check: need a positive time")
     out = _out_dir(cfg, args.out)
     eps = cfg.eps_list("run.eps", minimum=3)
-    report = experiments.kuznetsov_sweep(
-        scenario, eps, t_check=t_check, n_nodes=n_nodes)
+    try:
+        # the sweep evaluates the reference before its first solve
+        report = experiments.kuznetsov_sweep(
+            scenario, eps, t_check=t_check, n_nodes=n_nodes)
+    except OutOfDomainError as e:
+        raise ConfigError(f"sweep.t_check: {e}")
     min_slope = cfg.float("sweep.min_slope")
-    pw = {e: err for e, err, _ in report.pointwise}
     io.write_sweep(out / "sweep.csv",
-                   [experiments.ZoomOutcome(e, pw.get(e, 0.0), l1, 0.0)
-                    for e, l1 in zip(report.eps_list, report.l1_errors)])
+                   [experiments.ZoomOutcome(e, err, l1, 0.0)
+                    for (e, err, _), l1 in zip(report.pointwise, report.l1_errors)])
     checks = [
         ("l1-slope", 0.0, report.rate.slope - min_slope,
          report.rate.slope >= min_slope),
         ("pointwise-band", 0.0,
-         min((allow - err for _, err, allow in report.pointwise), default=0.0),
+         min(allow - err for _, err, allow in report.pointwise),
          report.pointwise_ok),
     ]
     return _report(out, cfg, "sweep", checks, scenario=scenario_id,
@@ -512,11 +527,9 @@ def cmd_merge(cfg: Config, args: argparse.Namespace) -> int:
     scenario = make_scenario(cfg, "theorem1-merging")
     window = _config_window(cfg, "window")
     nt = cfg.int("merge.nt", 1, MAX_COUNT)
+    settings = _merge_settings(cfg)
     out = _out_dir(cfg, args.out)
-    wave, cauchy = experiments.merging_surrogate(
-        scenario, taus=cfg.floats("merge.taus"), window=window,
-        comparison_time=cfg.float("merge.comparison_time"),
-        dx=cfg.positive("merge.dx"))
+    wave, cauchy = experiments.merging_surrogate(scenario, window=window, **settings)
     ys = window.x_samples(201)
 
     def sample(t: float) -> GridFunction:
@@ -634,7 +647,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if getattr(args, "eps", None) is not None:
             cfg.values[_eps_key(cfg.str("run.scenario"))] = args.eps
         return args.func(cfg, args)
-    except ConfigError as e:
+    except (ConfigError, TauTooLateError) as e:
+        # TauTooLateError: merging_wave found, before its first solve, a
+        # merge.taus restart too late for its blend
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except InstabilityError as e:

@@ -9,16 +9,16 @@ the later stages of the approach to the wave.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from .errors import NoCrossingError
 from .flux import FluxModel, chord
-from .grid import GridFunction, l1_distance
+from .grid import GridFunction
 from .profiles import TravelingWave, traveling_wave
-from .rescale import FitResult, RateFit, convergence_rate, fit_shift
-from .solver import Clamped, Periodic, SolverConfig, solve
+from .rescale import FitResult, fit_shift
+from .solver import Clamped, SolverConfig, solve
 
 
 @dataclass(frozen=True)
@@ -195,60 +195,3 @@ def phase_audit(initial: GridFunction, flux: FluxModel, delta0: float,
             margin = rep.worst_margin + tol
             rows.append(("chord-region", t, float(margin), margin >= 0.0))
     return PhaseAuditReport(t1, t2, tuple(rows))
-
-
-@dataclass(frozen=True)
-class KuznetsovReport:
-    """Viscosity sweep against an exact reference."""
-
-    eps_list: Tuple[float, ...]
-    l1_errors: Tuple[float, ...]
-    rate: RateFit
-    pointwise: Tuple[Tuple[float, float, float], ...]  # (eps, max error, allowance)
-
-    @property
-    def pointwise_ok(self) -> bool:
-        return all(e <= allow for _, e, allow in self.pointwise)
-
-
-def kuznetsov_audit(initial: GridFunction, flux: FluxModel,
-                    eps_list: Sequence[float], t_check: float,
-                    reference: Callable, boundary: Union[Periodic, Clamped], *,
-                    lipschitz_interval: Optional[Tuple[float, float]] = None,
-                    shock_positions: Sequence[float] = ()) -> KuznetsovReport:
-    """Measure the vanishing-viscosity error and fit its rate.
-
-    For each eps the solution at t_check is compared with the exact
-    reference in L1 on the whole grid.  When a Lipschitz interval is given,
-    the pointwise error is additionally checked there after standing off
-    eps^(1/3) from each declared shock, against an allowance of
-    2 * C * eps^(1/6) with C read from the fitted intercept.
-    """
-    eps_arr = [float(e) for e in eps_list]
-    if len(eps_arr) < 3:
-        raise ValueError("need at least three viscosities for a rate")
-    if any(e2 >= e1 for e1, e2 in zip(eps_arr[:-1], eps_arr[1:])):
-        raise ValueError("eps_list must be strictly decreasing")
-    errors = []
-    finals = []
-    ref_vals = np.asarray(reference(t_check, initial.x), dtype=float)
-    ref_state = initial.with_values(ref_vals)
-    for eps in eps_arr:
-        final = solve(initial, flux, SolverConfig(eps, boundary), t_check, [t_check])[-1][1]
-        finals.append(final)
-        errors.append(l1_distance(final, ref_state))
-    rate = convergence_rate(eps_arr, errors)
-
-    pointwise = []
-    if lipschitz_interval is not None:
-        c_star = float(np.exp(rate.intercept))
-        for eps, final in zip(eps_arr, finals):
-            lo, hi = lipschitz_interval
-            standoff = eps ** (1.0 / 3.0)
-            sel = (initial.x >= lo) & (initial.x <= hi)
-            for s in shock_positions:
-                sel &= np.abs(initial.x - s) >= standoff
-            err = float(np.max(np.abs(final.values[sel] - ref_vals[sel]))) if np.any(sel) else 0.0
-            pointwise.append((eps, err, 2.0 * c_star * eps ** (1.0 / 6.0)))
-    return KuznetsovReport(tuple(eps_arr), tuple(float(e) for e in errors),
-                           rate, tuple(pointwise))

@@ -106,7 +106,3 @@ def write_summary(path, payload: dict) -> None:
     """Canonical JSON: sorted keys, two-space indent, trailing newline, no NaN."""
     Path(path).write_text(
         json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n")
-
-
-def read_summary(path) -> dict:
-    return json.loads(Path(path).read_text())

@@ -230,10 +230,11 @@ def merging_wave(triple: MergingTriple, tau_list: Sequence[float], window: Windo
     full_times = sorted(set([t_cmp, window.t_min, window.t_max] + extra))
 
     cfg = SolverConfig(viscosity=1.0, boundary=Clamped())
+    # every restart's blend is checked (TauTooLateError) before the first solve
+    restarts = [merging_initial(triple, tau, template, profiles=(w1, w2)) for tau in taus]
     states_at_cmp = []
     trajectory: List[Tuple[float, GridFunction]] = []
-    for i, tau in enumerate(taus):
-        data = merging_initial(triple, tau, template, profiles=(w1, w2))
+    for i, (tau, data) in enumerate(zip(taus, restarts)):
         if i == 0:
             targets = [s - tau for s in full_times if s > tau]
             snaps = solve(data, flux, cfg, targets[-1], targets)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from shockzoom import profiles
 from shockzoom.cli import (DEFAULTS, MAX_COUNT, Config, _interior_shift_row,
                            load_config, main)
 from shockzoom.errors import ConfigError
@@ -83,6 +84,8 @@ def test_exit_code_2_paths(tmp_path):
                  formation + ["--set", "zref.n=2"],
                  ["merge", "--set", "merge.dx=0"],
                  ["sweep", "--set", "sweep.t_check=-1"],
+                 # between blow-up and absorption the scenario has no exact reference
+                 ["sweep", "--set", "sweep.t_check=0.1"],
                  # a falsy flag value still reaches its config key
                  ["z-table", "--t", "-1", "--x", "-1", "1", "--n", "0"],
                  # --eps sets the list of the scenario that runs, however it is chosen
@@ -121,6 +124,22 @@ def test_exit_code_2_paths(tmp_path):
                  ["profile", "--u-minus", "1e308", "--set", "flux.name=quartic"],
                  ["profile", "--set", "flux.name=burgers-linear",
                   "--set", "flux.b=1e308"]):
+        assert main(args + ["--out", out]) == 2, args
+
+
+def test_bad_restart_settings_exit_2_before_any_solve(tmp_path, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve called")
+
+    monkeypatch.setattr(profiles, "solve", no_solve)
+    out = str(tmp_path / "o")
+    for args in (["merge", "--taus=-20"],
+                 # two equal restarts are 0 apart, which no slope can be fitted to
+                 ["merge", "--taus=-20,-20,-30"],
+                 ["merge", "--taus=-20,-30", "--set", "merge.comparison_time=-25"],
+                 # tau = -12 puts the two waves too close for the blend
+                 ["merge", "--taus=-40,-12"],
+                 ["run", "--scenario", "theorem1-merging", "--set", "merge.taus=-20"]):
         assert main(args + ["--out", out]) == 2, args
 
 

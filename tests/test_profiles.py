@@ -115,6 +115,18 @@ def test_eternal_wave_sits_above_cubic():
     assert float(np.min(g.values[sel] - z[sel])) > -1e-3
 
 
+def test_eternal_wave_converges_at_second_order():
+    # self-convergence: halving dx cuts the gap to the next grid by about 4
+    window = Window(-1.0, -1.0, -10.0, 10.0)
+    waves = [eternal_z(2.0, window, dx=dx, x_max=10.0, snapshot_times=[-1.0])[-1][1]
+             for dx in (0.08, 0.04, 0.02)]
+    assert [len(g.values) for g in waves] == [251, 501, 1001]
+    # sup differences on the coarse nodes
+    gaps = [np.max(np.abs(waves[0].values - waves[1].values[::2])),
+            np.max(np.abs(waves[1].values[::2] - waves[2].values[::4]))]
+    assert np.log2(gaps[0] / gaps[1]) >= 1.8, gaps
+
+
 def test_eternal_wave_needs_launch_before_window():
     win = Window(-1.0, -0.5, -4.0, 4.0)
     with pytest.raises(ValueError, match="launch"):
