@@ -337,8 +337,8 @@ def _zoom_settings(cfg: Config) -> dict:
                 base_divisor=cfg.positive("grid.base_divisor"))
 
 
-def _merge_settings(cfg: Config) -> dict:
-    """Keyword arguments of the merging surrogate, less its window."""
+def _merge_settings(cfg: Config, window: Window) -> dict:
+    """Keyword arguments of the merging surrogate over ``window``, less the window."""
     taus = cfg.floats("merge.taus")
     comparison_time = cfg.float("merge.comparison_time")
     if len(taus) < 2 or len(set(taus)) < len(taus):
@@ -346,6 +346,9 @@ def _merge_settings(cfg: Config) -> dict:
     if not max(taus) < comparison_time:
         raise ConfigError("merge.taus: every restart time must precede "
                           "merge.comparison_time")
+    if comparison_time > window.t_max:
+        raise ConfigError("merge.comparison_time: must not lie after the window, "
+                          "where the surrogate's run ends")
     return dict(taus=taus, comparison_time=comparison_time,
                 dx=cfg.positive("merge.dx"))
 
@@ -353,11 +356,11 @@ def _merge_settings(cfg: Config) -> dict:
 def cmd_run(cfg: Config, args: argparse.Namespace) -> int:
     scenario_id = cfg.str("run.scenario")
     scenario = make_scenario(cfg, scenario_id)
-    out = _out_dir(cfg, args.out)
     seed = cfg.int("run.seed")
     eps = cfg.eps_list(_eps_key(scenario_id), minimum=2)
 
-    # every setting is read, and so checked, before the first solve
+    # every setting is read, and so checked, before the output directory is
+    # made and the first solve starts
     if scenario_id == "theorem2-formation":
         window = _config_window(cfg, "window2")
         nt = cfg.int("zoom2.nt", 1, MAX_COUNT)
@@ -366,29 +369,34 @@ def cmd_run(cfg: Config, args: argparse.Namespace) -> int:
         n = cfg.positive("zref.n")
         if window.t_min < -n:
             raise ConfigError("zref.n: window2.t_min lies before the launch time -zref.n")
-        z_wave = experiments.eternal_z(
-            n, window, dx=cfg.positive("zref.dx"),
-            x_max=cfg.positive("zref.x_max"), snapshot_times=list(window.t_samples(nt)))
+        zref = dict(dx=cfg.positive("zref.dx"), x_max=cfg.positive("zref.x_max"))
+    else:
+        zoom = _zoom_settings(cfg)
+        if scenario_id == "theorem1-merging":
+            merge = _merge_settings(cfg, zoom["window"])
+    out = _out_dir(cfg, args.out)
+
+    if scenario_id == "theorem2-formation":
+        z_wave = experiments.eternal_z(n, window, snapshot_times=list(window.t_samples(nt)),
+                                       **zref)
         outcomes = experiments.formation_zoom(
             scenario, eps, z_wave, window=window, nt=nt, ny=ny, dx_hat=dx_hat)
         checks = [_decreasing("sup-decreasing", eps[-1],
                               [o.sup_error for o in outcomes])]
     elif scenario_id == "theorem1-merging":
-        zoom = _zoom_settings(cfg)
         window = zoom["window"]
         # the surrogate must cover the zoom window plus the shift search range
         pad = experiments.SHIFT_RANGE + 0.25
         wave, cauchy = experiments.merging_surrogate(
             scenario, window=Window(window.t_min - pad, window.t_max + pad,
-                                    window.x_min - pad, window.x_max + pad),
-            **_merge_settings(cfg))
+                                    window.x_min - pad, window.x_max + pad), **merge)
         outcomes = experiments.merging_zoom(scenario, eps, wave, **zoom)
         checks = [_decreasing("l1-decreasing", eps[-1],
                               [o.l1_error for o in outcomes]),
                   _cauchy_row(cauchy),
                   _interior_shift_row(eps[-1], outcomes)]
     else:
-        outcomes = experiments.single_shock_zoom(scenario, eps, **_zoom_settings(cfg))
+        outcomes = experiments.single_shock_zoom(scenario, eps, **zoom)
         sups = [o.sup_error for o in outcomes]
         jump = scenario.states[0] - scenario.states[-1]
         checks = [_decreasing("sup-decreasing", eps[-1], sups),
@@ -410,17 +418,18 @@ def cmd_sweep(cfg: Config, args: argparse.Namespace) -> int:
         raise ConfigError("run.scenario: rate sweeps need an exact shocked reference")
     n_nodes = cfg.int("sweep.n_nodes", 2, MAX_COUNT)
     t_check = cfg.opt_float("sweep.t_check")
-    if t_check is not None and not t_check > 0.0:
-        raise ConfigError("sweep.t_check: need a positive time")
-    out = _out_dir(cfg, args.out)
+    if t_check is not None:
+        if not t_check > 0.0:
+            raise ConfigError("sweep.t_check: need a positive time")
+        try:
+            # whether the exact reference exists depends on t alone
+            scenario.reference(t_check, scenario.domain[0])
+        except OutOfDomainError as e:
+            raise ConfigError(f"sweep.t_check: {e}")
     eps = cfg.eps_list("run.eps", minimum=3)
-    try:
-        # the sweep evaluates the reference before its first solve
-        report = experiments.kuznetsov_sweep(
-            scenario, eps, t_check=t_check, n_nodes=n_nodes)
-    except OutOfDomainError as e:
-        raise ConfigError(f"sweep.t_check: {e}")
     min_slope = cfg.float("sweep.min_slope")
+    out = _out_dir(cfg, args.out)
+    report = experiments.kuznetsov_sweep(scenario, eps, t_check=t_check, n_nodes=n_nodes)
     io.write_sweep(out / "sweep.csv",
                    [experiments.ZoomOutcome(e, err, l1, 0.0)
                     for (e, err, _), l1 in zip(report.pointwise, report.l1_errors)])
@@ -437,8 +446,13 @@ def cmd_sweep(cfg: Config, args: argparse.Namespace) -> int:
                    residual=report.rate.residual)
 
 
+AUDIT_SUITES = ("lemma81", "zbo", "oleinik", "phase")
+
+
 def cmd_audit(cfg: Config, args: argparse.Namespace) -> int:
     suite = cfg.str("audit.suite")
+    if suite not in AUDIT_SUITES:
+        raise ConfigError(f"audit.suite: unknown suite {suite!r}")
     out = _out_dir(cfg, args.out)
     if suite == "lemma81":
         report, rows = experiments.suite_cubic_bounds()
@@ -451,10 +465,8 @@ def cmd_audit(cfg: Config, args: argparse.Namespace) -> int:
         report, rows = experiments.suite_oleinik()
         extra = {"violations": report.violations,
                  "worst_margin": report.worst_margin}
-    elif suite == "phase":
-        rows, extra = _phase_suite()
     else:
-        raise ConfigError(f"audit.suite: unknown suite {suite!r}")
+        rows, extra = _phase_suite()
     return _report(out, cfg, "audit", rows, suite=suite, **extra)
 
 
@@ -527,7 +539,7 @@ def cmd_merge(cfg: Config, args: argparse.Namespace) -> int:
     scenario = make_scenario(cfg, "theorem1-merging")
     window = _config_window(cfg, "window")
     nt = cfg.int("merge.nt", 1, MAX_COUNT)
-    settings = _merge_settings(cfg)
+    settings = _merge_settings(cfg, window)
     out = _out_dir(cfg, args.out)
     wave, cauchy = experiments.merging_surrogate(scenario, window=window, **settings)
     ys = window.x_samples(201)
@@ -606,7 +618,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--eps", help="comma-separated decreasing viscosities")
 
     command("audit", cmd_audit, "named audit suite").add_argument(
-        "--suite", help="lemma81 | zbo | oleinik | phase")
+        "--suite", help=" | ".join(AUDIT_SUITES))
 
     p_zt = command("z-table", cmd_ztable, "cubic-wave table")
     p_zt.add_argument("--t", type=float, nargs="+", required=True,

@@ -11,9 +11,23 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import GridMismatchError
+from .errors import ConfigError, GridMismatchError
 
 _GRID_RTOL = 1e-9
+
+
+# the most cells one grid may have: 80 MB per array of its values
+MAX_CELLS = 10**7
+
+
+def cell_count(width: float, dx: float) -> int:
+    """``width / dx`` rounded; ConfigError unless it lies in [1, MAX_CELLS]."""
+    with np.errstate(over="ignore"):
+        cells = width / dx
+    if not (np.isfinite(cells) and 1 <= round(cells) <= MAX_CELLS):
+        raise ConfigError(f"dx={dx:.3g} on a width of {width:.6g} gives {cells:.3g} "
+                          f"cells, outside [1, {MAX_CELLS}]")
+    return int(round(cells))
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,7 +79,7 @@ class GridFunction:
         The node count is rounded so that the spacing is exactly ``dx``;
         ``x_right`` is then the nearest grid node.
         """
-        n = int(round((x_right - x_left) / dx)) + 1
+        n = cell_count(x_right - x_left, dx) + 1
         x = x_left + dx * np.arange(n)
         return cls(x_left, dx, np.asarray(f(x), dtype=float))
 

@@ -16,9 +16,10 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import NotConvergedError, NotLaxError, NotOrderedError, TauTooLateError
+from .errors import (ConfigError, NotConvergedError, NotLaxError, NotOrderedError,
+                     TauTooLateError)
 from .flux import FluxModel, ShockData, burgers, rankine_hugoniot
-from .grid import GridFunction, Window, l1_distance
+from .grid import GridFunction, Window, cell_count, l1_distance
 from .inviscid import _outer_root, z_root
 from .solver import Clamped, SolverConfig, solve
 
@@ -221,8 +222,7 @@ def merging_wave(triple: MergingTriple, tau_list: Sequence[float], window: Windo
     x_pad = 6.0 + depth / min(rate_l, rate_r)
     x_lo = triple.lambda1 * taus[0] - x_pad
     x_hi = triple.lambda2 * taus[0] + x_pad
-    n = int(round((x_hi - x_lo) / dx)) + 1
-    template = GridFunction(x_lo, dx, np.zeros(n))
+    template = GridFunction(x_lo, dx, np.zeros(cell_count(x_hi - x_lo, dx) + 1))
     w1 = traveling_wave(flux, triple.u_minus, triple.u_star, 60.0, 0.02)
     w2 = traveling_wave(flux, triple.u_star, triple.u_plus, 60.0, 0.02)
 
@@ -276,10 +276,14 @@ def eternal_z(n: float, window: Window, *, dx: float = 0.02, x_max: Optional[flo
         raise ValueError("window starts before the launch time -n")
     if x_max is None:
         x_max = max(abs(window.x_min), abs(window.x_max)) + 20.0
-    half = int(round(x_max / dx))
+    half = cell_count(x_max, dx)
     xr = half * dx
     x = dx * np.arange(-half, half + 1)
-    data = GridFunction(-xr, dx, z_root(-n, x))
+    with np.errstate(over="ignore", invalid="ignore"):
+        launch = z_root(-n, x)
+    if not np.all(np.isfinite(launch)):
+        raise ConfigError(f"n={n:.3g}: the launch data z(-n, x) overflow")
+    data = GridFunction(-xr, dx, launch)
 
     def ends(t: float) -> Tuple[float, float]:
         r = float(_outer_root(t - n, xr))

@@ -1,17 +1,25 @@
-"""Explicit conservative solver for u_t + f(u)_x = eps * u_xx.
+"""IMEX conservative solver for u_t + f(u)_x = eps * u_xx.
 
 Space: second-order central differencing, which adds no viscosity of its
 own; it is free of grid oscillations only while the cell Peclet number
 max|f'(u)| dx / eps stays below 2, so a grid too coarse for its viscosity
-raises ConfigError.  Time: Heun's two-stage second-order method with a
-step obeying both an advective CFL bound and an explicit diffusion bound.
+raises ConfigError.  Time: the two-stage second-order ARS(2,2,2) method
+(Ascher, Ruuth and Spiteri, Appl. Numer. Math. 25, 1997): the flux
+difference is explicit and the viscosity implicit, so the step obeys only
+the advective CFL bound.  Each implicit stage solves one constant-
+coefficient tridiagonal system, by FFT on a periodic grid and, on a
+clamped one, by Thomas elimination over the few nodes where its pivots
+still move followed by recursive doubling (Stone, J. ACM 20, 1973).
 Clamped end nodes are pinned and only the interior is marched: they hold
 the data's end values, or, when the boundary carries ``ends(t)``, are set
-once per step to its values at the new time.  Snapshots are hit exactly
-by shortening the final step; nothing is ever interpolated in time.
+once per step to its values at the new time, and the inner stage takes
+the straight line between the old and the new end values.  Snapshots are
+hit exactly by shortening the final step; nothing is ever interpolated in
+time.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, ClassVar, List, Optional, Sequence, Tuple, Union
 
@@ -23,6 +31,13 @@ from .grid import GridFunction, max_forward_slope
 
 # the most grid values one solve may hold in snapshots (8 bytes each, 800 MB)
 MAX_SNAPSHOT_VALUES = 10**8
+
+# ARS(2,2,2): the implicit stage weight and the explicit tableau's last row
+GAMMA = 1.0 - 1.0 / math.sqrt(2.0)
+DELTA = 1.0 - 1.0 / (2.0 * GAMMA)
+
+# a recurrence term damped below this fraction is dropped
+_NEGLIGIBLE = 1e-18
 
 
 @dataclass(frozen=True)
@@ -46,7 +61,6 @@ class SolverConfig:
     viscosity: float
     boundary: Union[Periodic, Clamped] = field(default_factory=Periodic)
     cfl_advection: ClassVar[float] = 0.9
-    diffusion_number: ClassVar[float] = 0.4
 
     def __post_init__(self):
         if not 0.0 < self.viscosity < np.inf:
@@ -54,53 +68,111 @@ class SolverConfig:
 
 
 def stable_dt(values: np.ndarray, dx: float, flux: FluxModel, cfg: SolverConfig) -> float:
-    """Largest admissible step for the current state; ConfigError at cell Peclet >= 2."""
+    """Advective step bound for the current state; ConfigError at cell Peclet >= 2."""
     speed = flux.max_speed(values)
     # checked every step: clamped ends that move can raise max|f'(u)|
     if speed * dx >= 2.0 * cfg.viscosity:
         raise ConfigError(f"cell Peclet number {speed * dx / cfg.viscosity:.3g} >= 2 at "
                           f"dx={dx:.3g}, viscosity={cfg.viscosity:.3g}: grid too coarse")
-    dt = cfg.cfl_advection * dx / speed if speed > 0.0 else np.inf
-    return float(min(dt, cfg.diffusion_number * dx * dx / cfg.viscosity))
+    return float(cfg.cfl_advection * dx / speed) if speed > 0.0 else np.inf
 
 
-def _rhs(ue: np.ndarray, dx: float, flux: FluxModel, cfg: SolverConfig) -> np.ndarray:
-    """Semi-discrete update of ue[1:-1]; ue[0] and ue[-1] only enter as neighbours."""
-    fu = flux.f(ue)
-    interface = 0.5 * (fu[:-1] + fu[1:])
-    rhs = -(interface[1:] - interface[:-1]) / dx
-    rhs += cfg.viscosity * (ue[2:] - 2.0 * ue[1:-1] + ue[:-2]) / (dx * dx)
-    return rhs
-
-
-def _wrap(u: np.ndarray) -> np.ndarray:
-    """One period with its wrapped neighbours as ghost nodes at both ends."""
-    ue = np.empty(u.size + 2)
-    ue[1:-1] = u
-    ue[0], ue[-1] = u[-1], u[0]
+def _pad(v: np.ndarray, ends: Optional[Tuple[float, float]]) -> np.ndarray:
+    """``v`` between ghost nodes: the given end values, or its wrapped neighbours."""
+    ue = np.empty(v.size + 2)
+    ue[1:-1] = v
+    ue[0], ue[-1] = (v[-1], v[0]) if ends is None else ends
     return ue
 
 
-def _heun(u: np.ndarray, dx: float, flux: FluxModel, cfg: SolverConfig,
-          dt: float, t: float) -> np.ndarray:
-    if isinstance(cfg.boundary, Periodic):
-        k1 = _rhs(_wrap(u), dx, flux, cfg)
-        mid = u + dt * k1
-        k2 = _rhs(_wrap(mid), dx, flux, cfg)
-        return u + (0.5 * dt) * (k1 + k2)
-    # clamped: only the interior is marched, with the current end values as
-    # its neighbours; the end nodes keep their values, or move to ends(t + dt)
+def _advection(ue: np.ndarray, dx: float, flux: FluxModel) -> np.ndarray:
+    """-f(u)_x at ue[1:-1] from central interface fluxes; ue[0], ue[-1] are neighbours only."""
+    fu = flux.f(ue)
+    interface = 0.5 * (fu[:-1] + fu[1:])
+    return -(interface[1:] - interface[:-1]) / dx
+
+
+def _recur(g: np.ndarray, ratio: float) -> np.ndarray:
+    """e[i] = g[i] + ratio * e[i-1], e[-1] = 0, by recursive doubling; 0 <= ratio < 1."""
+    e = g.copy()
+    power, shift = ratio, 1
+    while power >= _NEGLIGIBLE and shift < e.size:
+        e[shift:] += power * e[:-shift]
+        power, shift = power * power, 2 * shift
+    return e
+
+
+def solve_tridiagonal(d: np.ndarray, r: float) -> np.ndarray:
+    """Solve (1 + 2r) x[i] - r (x[i-1] + x[i+1]) = d[i] with x[-1] = x[n] = 0, r > 0.
+
+    The Thomas pivots fall from 1 + 2r to their limit beta, the larger root
+    of p^2 - (1 + 2r) p + r^2, by the factor alpha^2 = (r / beta)^2 per
+    node.  Thomas elimination runs over the head where they still move;
+    past it both sweeps are recurrences with the constant ratio alpha.
+    """
+    n = d.size
+    beta = 0.5 * (1.0 + 2.0 * r + math.sqrt(1.0 + 4.0 * r))
+    alpha = r / beta
+    head = min(n, 1 + math.ceil(math.log(_NEGLIGIBLE) / (2.0 * math.log(alpha))))
+    ratios, fwd = [], []
+    p, prev = math.inf, 0.0
+    for di in d[:head].tolist():
+        p = 1.0 + 2.0 * r - r * r / p
+        prev = (di + r * prev) / p
+        ratios.append(r / p)
+        fwd.append(prev)
+    g = d[head:] / beta
+    if g.size:
+        g[0] += alpha * prev
+    x = np.empty(n)
+    # back substitution is the same recurrence, run from the right end
+    x[head:] = _recur(_recur(g, alpha)[::-1], alpha)[::-1]
+    nxt = x[head] if head < n else 0.0
+    for i in range(head - 1, -1, -1):
+        nxt = fwd[i] + ratios[i] * nxt
+        x[i] = nxt
+    return x
+
+
+def solve_circulant(d: np.ndarray, r: float) -> np.ndarray:
+    """Solve (1 + 2r) x[i] - r (x[i-1] + x[i+1]) = d[i] with periodic indices, r > 0."""
+    n = d.size
+    symbol = 1.0 + 4.0 * r * np.sin(np.pi * np.arange(n // 2 + 1) / n) ** 2
+    return np.fft.irfft(np.fft.rfft(d) / symbol, n)
+
+
+def _implicit(d: np.ndarray, r: float, ends: Optional[Tuple[float, float]]) -> np.ndarray:
+    """One implicit viscous stage: periodic when ``ends`` is None, else between them."""
+    if ends is None:
+        return solve_circulant(d, r)
+    d = d.copy()
+    if d.size:
+        d[0] += r * ends[0]
+        d[-1] += r * ends[1]
+    return solve_tridiagonal(d, r)
+
+
+def _ars222(u: np.ndarray, dx: float, flux: FluxModel, cfg: SolverConfig,
+            dt: float, t: float) -> np.ndarray:
+    """One ARS(2,2,2) step from time t to t + dt."""
+    nu = cfg.viscosity
+    r = GAMMA * dt * nu / (dx * dx)
     bc = cfg.boundary
-    left, right = (u[0], u[-1]) if bc.ends is None else bc.at(t + dt)
-    k1 = _rhs(u, dx, flux, cfg)
-    mid = np.empty_like(u)
-    mid[1:-1] = u[1:-1] + dt * k1
-    mid[0], mid[-1] = left, right
-    k2 = _rhs(mid, dx, flux, cfg)
-    out = np.empty_like(u)
-    out[1:-1] = u[1:-1] + (0.5 * dt) * (k1 + k2)
-    out[0], out[-1] = left, right
-    return out
+    if isinstance(bc, Periodic):
+        v, now, mid, new = u, None, None, None
+    else:
+        # only the interior is marched; the inner stage at t + GAMMA*dt takes
+        # its ends on the line from the current to the new end values
+        v, now = u[1:-1], (u[0], u[-1])
+        new = now if bc.ends is None else bc.at(t + dt)
+        mid = tuple(a + GAMMA * (b - a) for a, b in zip(now, new))
+    k1 = _advection(_pad(v, now), dx, flux)
+    inner = _pad(_implicit(v + (GAMMA * dt) * k1, r, mid), mid)
+    k2 = _advection(inner, dx, flux)
+    diffusion = nu * (inner[2:] - 2.0 * inner[1:-1] + inner[:-2]) / (dx * dx)
+    v = _implicit(v + dt * (DELTA * k1 + (1.0 - DELTA) * k2 + (1.0 - GAMMA) * diffusion),
+                  r, new)
+    return v if new is None else _pad(v, new)
 
 
 def solve(initial: GridFunction, flux: FluxModel, cfg: SolverConfig,
@@ -133,7 +205,7 @@ def solve(initial: GridFunction, flux: FluxModel, cfg: SolverConfig,
             landing = t + dt >= target
             if landing:
                 dt = target - t
-            u = _heun(u, dx, flux, cfg, dt, t)
+            u = _ars222(u, dx, flux, cfg, dt, t)
             t = target if landing else t + dt
             step += 1
             m = np.max(np.abs(u))

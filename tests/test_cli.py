@@ -123,8 +123,27 @@ def test_exit_code_2_paths(tmp_path):
                  ["profile", "--u-minus", "1e308"],
                  ["profile", "--u-minus", "1e308", "--set", "flux.name=quartic"],
                  ["profile", "--set", "flux.name=burgers-linear",
-                  "--set", "flux.b=1e308"]):
+                  "--set", "flux.b=1e308"],
+                 # grids of fewer than one or more than MAX_CELLS cells
+                 ["merge", "--set", "merge.dx=1e308"],
+                 ["zlimit", "--set", "zlimit.dx=1e308"],
+                 ["run", "--set", "grid.base_divisor=1e308"],
+                 formation + ["--set", "grid.dx_hat=1e308"],
+                 # a comparison after the window would run the surrogate on to it
+                 ["merge", "--set", "merge.comparison_time=1e308"],
+                 # the launch data of the eternal wave overflow
+                 formation + ["--set", "zref.n=1e308"]):
         assert main(args + ["--out", out]) == 2, args
+
+
+def test_config_error_leaves_no_output_directory(tmp_path):
+    # every setting is read before the output directory is made
+    for args in (["run", "--scenario", "theorem1-merging", "--set", "merge.taus=-20"],
+                 ["sweep", "--set", "sweep.t_check=0.1"],
+                 ["audit", "--suite", "nope"]):
+        out = tmp_path / "never"
+        assert main(args + ["--out", str(out)]) == 2, args
+        assert not out.exists(), args
 
 
 def test_bad_restart_settings_exit_2_before_any_solve(tmp_path, monkeypatch):
@@ -264,6 +283,57 @@ def test_cli_fuzz_exit_codes(tmp_path, argv):
         assert e.code == 2, argv
         return
     assert code in (0, 1, 2, 3), argv
+
+
+# cheap settings of the long subcommands, about a second per study at most
+LONG_BASE = {"run.eps": "0.08,0.04,0.02", "run.eps2": "0.04,0.02", "zoom.nt": "3",
+             "zoom.ny": "41", "grid.base_divisor": "4", "window.t_min": "-1",
+             "window.t_max": "1", "window.x_min": "-2", "window.x_max": "2",
+             "merge.taus": "-14,-16", "merge.comparison_time": "-3", "merge.dx": "0.1",
+             "merge.nt": "3", "zref.n": "4", "zref.dx": "0.1", "zref.x_max": "15",
+             "zoom2.nt": "3", "zoom2.ny": "41", "grid.dx_hat": "0.1",
+             "window2.t_min": "-1", "window2.t_max": "0.5", "window2.x_min": "-2",
+             "window2.x_max": "2", "sweep.n_nodes": "256", "zlimit.n_list": "4,8",
+             "zlimit.dx": "0.1", "zlimit.x_max": "10"}
+# the keys the fuzz perturbs, each with values that keep a study cheap
+LONG_KEYS = {"run.eps": _values("0.08,0.04", "0.04,0.08", "0.08,0.04,0.02"),
+             "run.eps2": _values("0.04,0.02", "0.02,0.04"),
+             "zoom.ny": _values("21", "41"),
+             "grid.base_divisor": _values("2", "4"),
+             "grid.dx_hat": _values("0.1", "0.2"),
+             "zref.n": _values("2", "4"),
+             "zref.dx": _values("0.1", "0.2"),
+             "merge.taus": _values("-14,-16", "-16,-14", "-14,-14"),
+             "merge.dx": _values("0.1", "0.2"),
+             "merge.comparison_time": _values("-3", "-5"),
+             "sweep.n_nodes": _values("128", "512"),
+             "sweep.t_check": _values("0.5", "0.1"),
+             "zlimit.dx": _values("0.1", "0.2"),
+             "zlimit.n_list": _values("4,8", "8,4", "4,6,8"),
+             "zlimit.tol": _values("0.1", "1e-6")}
+LONG_COMMANDS = [["run", "--scenario", "theorem1-single"],
+                 ["run", "--scenario", "theorem1-merging"],
+                 ["run", "--scenario", "theorem2-formation"],
+                 ["sweep"], ["merge"], ["zlimit"]]
+
+
+@st.composite
+def long_argv(draw):
+    argv = list(draw(st.sampled_from(LONG_COMMANDS)))
+    overrides = dict(LONG_BASE)
+    for key in draw(st.lists(st.sampled_from(sorted(LONG_KEYS)), max_size=3)):
+        overrides[key] = draw(LONG_KEYS[key])
+    for key, value in overrides.items():
+        argv += ["--set", f"{key}={value}"]
+    return argv
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=long_argv())
+def test_long_command_fuzz_exit_codes(tmp_path, argv):
+    # an exception escaping main, a RuntimeWarning included, fails the test
+    assert main(argv + ["--out", str(tmp_path / "fuzz")]) in (0, 1, 2, 3), argv
 
 
 def test_ztable_rows_and_values(tmp_path):

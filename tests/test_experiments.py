@@ -79,8 +79,8 @@ def test_single_shock_zoom_regression():
     outcomes = single_shock_zoom(scen, (0.08, 0.04), window=Window(-2.0, 2.0, -4.0, 4.0),
                                  nt=5, ny=81, base_divisor=4.0)
     _pinned(outcomes, [
-        (0.08, 0.00568476296849707, 0.057860722875788854, 3.552713678800501e-15, 0.0),
-        (0.04, 0.0010683082229202001, 0.011831051031390486, -4.153708276666279e-05, 0.0),
+        (0.08, 0.005718838328325204, 0.05835846013927168, 1.2434497875801753e-14, 0.0),
+        (0.04, 0.0010681196397595016, 0.011824924813745039, -4.153711774890212e-05, 0.0),
     ])
 
 
@@ -89,12 +89,12 @@ def test_merging_zoom_regression():
     wave, cauchy = merging_surrogate(scen, taus=(-14.0, -16.0),
                                      window=Window(-2.25, 2.25, -3.25, 3.25),
                                      comparison_time=-3.0, dx=0.1)
-    assert cauchy.distances == pytest.approx((0.012904067981211048,), rel=1e-12)
+    assert cauchy.distances == pytest.approx((0.012906645532659756,), rel=1e-12)
     outcomes = merging_zoom(scen, (0.08, 0.04), wave, window=Window(-1.0, 1.0, -2.0, 2.0),
                             nt=3, ny=41, base_divisor=4.0)
     _pinned(outcomes, [
-        (0.08, 0.021260234590274263, 0.09164853630839978, 0.009399737442736417, 1.0),
-        (0.04, 0.0027992399836532234, 0.009990867250906005, 0.006315746897121967, 0.453125),
+        (0.08, 0.02136055432387607, 0.09237822081974667, 0.009407370104389716, 1.0),
+        (0.04, 0.0027719494502924658, 0.009968464934597843, 0.006315686116781183, 0.453125),
     ])
 
 
@@ -107,17 +107,17 @@ def test_formation_zoom_regression():
     outcomes = formation_zoom(scen, (0.04, 0.02), z_wave, window=window,
                               nt=3, ny=41, dx_hat=0.1)
     _pinned(outcomes, [
-        (0.04, 0.01273479232868091, 0.04961528651479527, 0.0, 0.0),
-        (0.02, 0.02088875749880259, 0.08234047070460118, 0.0, 0.0),
+        (0.04, 0.012763740356388054, 0.049827252942477224, 0.0, 0.0),
+        (0.02, 0.020856988581765767, 0.08213025794828224, 0.0, 0.0),
     ])
 
 
 def test_oleinik_suite_regression():
     report, _ = suite_oleinik(n_nodes=128)
     assert report.violations == 0
-    assert report.worst_margin == pytest.approx(0.47482545268733767, rel=1e-12)
-    expected = [(0.5, 0.5024060209952741, 2.098174770424681, 1.595768749429407),
-                (1.0, 0.31000316191224303, 1.0981747704246811, 0.7881716085124382),
-                (2.0, 0.1233493177373434, 0.598174770424681, 0.47482545268733767)]
+    assert report.worst_margin == pytest.approx(0.4747617768396703, rel=1e-12)
+    expected = [(0.5, 0.502535223264058, 2.098174770424681, 1.5956395471606233),
+                (1.0, 0.31012390512967536, 1.0981747704246811, 0.7880508652950058),
+                (2.0, 0.12341299358501073, 0.598174770424681, 0.4747617768396703)]
     for row, want in zip(report.rows, expected):
         assert row == pytest.approx(want, rel=1e-12)

@@ -108,10 +108,11 @@ def test_l1_contraction():
 
 
 def test_instability_raises(monkeypatch):
-    # four times the stable step breaks the explicit diffusion bound; the
-    # oscillations grow past the runaway cap, and the error says where
+    # fifty times the advective step breaks the explicit flux difference
+    # (the implicit viscosity damps a smaller excess); the oscillations grow
+    # past the runaway cap, and the error says where
     stable_dt = solver.stable_dt
-    monkeypatch.setattr(solver, "stable_dt", lambda *args: 4.0 * stable_dt(*args))
+    monkeypatch.setattr(solver, "stable_dt", lambda *args: 50.0 * stable_dt(*args))
     data = GridFunction.from_callable(np.sin, 0.0, 2.0 * np.pi, 2.0 * np.pi / 128)
     with pytest.raises(InstabilityError,
                        match=r"at step \d+, t=[\d.]+, dt=[\d.e-]+: max\|u\|=.* at x=[\d.-]+ "):
@@ -165,6 +166,59 @@ def test_clamp_evaluated_once_per_step(monkeypatch):
     assert len(seen) == steps
     assert all(b > a for a, b in zip(seen[:-1], seen[1:]))
     assert 0.0 not in seen
+
+
+def test_steps_are_advective(monkeypatch):
+    # implicit viscosity: at unit viscosity on dx = 0.02 every step but a
+    # landing is the advective bound, far above the explicit diffusion
+    # bound 0.4 dx^2 = 1.6e-4
+    seen, bounds = [], []
+
+    def ends(t):
+        seen.append(t)
+        return 1.0 + t, -1.0
+
+    stable_dt = solver.stable_dt
+
+    def recorded(values, dx, flux, cfg):
+        bounds.append(0.9 * dx / np.max(np.abs(values)))
+        return stable_dt(values, dx, flux, cfg)
+
+    monkeypatch.setattr(solver, "stable_dt", recorded)
+    data = GridFunction.from_callable(lambda x: -np.tanh(x / 2.0), -8.0, 8.0, 0.02)
+    targets = [0.25, 0.5]
+    solve(data, burgers(), SolverConfig(1.0, Clamped(ends)), 0.5, targets)
+    assert len(seen) == len(bounds)
+    steps = np.diff([0.0] + seen)
+    for t, dt, bound in zip(seen, steps, bounds):
+        if t in targets:
+            assert 0.0 < dt <= bound
+        else:
+            assert dt == pytest.approx(bound, rel=1e-12)
+
+
+@pytest.mark.parametrize("periodic", [False, True])
+def test_implicit_solves_match_dense(periodic):
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 3, 7, 40, 300, 2000):
+        i = np.arange(n)
+        for r in (1e-3, 0.1, 1.0, 10.0, 200.0, 1e3):
+            # the Thomas head is 295 nodes at r = 200 and 657 at r = 1e3
+            matrix = np.zeros((n, n))
+            np.add.at(matrix, (i, i), 1.0 + 2.0 * r)
+            if periodic:
+                np.add.at(matrix, (i, (i - 1) % n), -r)
+                np.add.at(matrix, (i, (i + 1) % n), -r)
+            else:
+                matrix[i[1:], i[:-1]] = matrix[i[:-1], i[1:]] = -r
+            d = rng.standard_normal(n)
+            x = (solver.solve_circulant if periodic else solver.solve_tridiagonal)(d, r)
+            want = np.linalg.solve(matrix, d)
+            # the forward error of a stable solve, LAPACK's included, grows
+            # with the condition number 1 + 4r: 1e-13 up to r = 200, in
+            # proportion beyond
+            tol = 1e-13 * max(1.0, r / 200.0)
+            assert np.max(np.abs(x - want)) <= tol * np.max(np.abs(want)), (n, r)
 
 
 def test_oleinik_check_flags_increase():
