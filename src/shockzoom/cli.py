@@ -238,8 +238,12 @@ def _config_window(cfg: Config, prefix: str) -> Window:
                    cfg.float(f"{prefix}.x_min"), cfg.float(f"{prefix}.x_max"))
 
 
+def _out_path(cfg: Config, override: Optional[str]) -> Path:
+    return Path(override if override is not None else cfg.str("run.out"))
+
+
 def _out_dir(cfg: Config, override: Optional[str]) -> Path:
-    out = Path(override if override is not None else cfg.str("run.out"))
+    out = _out_path(cfg, override)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -650,6 +654,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command is None:
         parser.print_help()
         return 2
+    fresh: List[Path] = []
     try:
         # flags override --set; a flag left out is None, an empty one is still set
         sets = list(args.set) + [f"{key}={getattr(args, dest)}"
@@ -658,18 +663,28 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         cfg = load_config(args.config, sets)
         if getattr(args, "eps", None) is not None:
             cfg.values[_eps_key(cfg.str("run.scenario"))] = args.eps
+        # the directories _out_dir would make, deepest first: a failed
+        # command removes those it made that are still empty
+        out = _out_path(cfg, args.out)
+        fresh = [d for d in (out, *out.parents) if not d.exists()]
         return args.func(cfg, args)
     except (ConfigError, TauTooLateError) as e:
         # TauTooLateError: merging_wave found, before its first solve, a
         # merge.taus restart too late for its blend
         print(f"config error: {e}", file=sys.stderr)
-        return 2
+        code = 2
     except InstabilityError as e:
         print(f"solver instability: {e}", file=sys.stderr)
-        return 3
+        code = 3
     except ShockzoomError as e:
         print(f"check failed: {e}", file=sys.stderr)
-        return 1
+        code = 1
+    for d in fresh:
+        try:
+            d.rmdir()
+        except OSError:  # never made, or holds output
+            break
+    return code
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -67,18 +67,18 @@ def _zoom_slices(scenario: Scenario, eps: float, dx: float, frame: RescaleFrame,
     return zoom_sample(SnapshotInterpolant(snaps), frame, s_grid, y_grid)
 
 
-def _mismatch(slices: List[Tuple[float, GridFunction]],
-              model: Callable) -> Tuple[float, float]:
-    """Sup and space-time L1 norm of |u - model(s, g)| over the zoom slices."""
-    sup = 0.0
-    per_slice = np.empty(len(slices))
-    for i, (s, g) in enumerate(slices):
-        diff = np.abs(g.values - model(s, g))
-        sup = max(sup, float(np.max(diff)))
-        per_slice[i] = trapezoid(diff, g.dx)
-    if len(slices) == 1:
-        return sup, float(per_slice[0])
-    return sup, trapezoid(per_slice, slices[1][0] - slices[0][0])
+def _mismatch(slices: List[Tuple[float, GridFunction]], model: np.ndarray):
+    """Sup and space-time L1 norm of |u - model| over the zoom slices.
+
+    ``model`` stacks model values as (..., nt, ny), one row per slice; both
+    norms reduce the last two axes, so leading axes index candidates.
+    """
+    diff = np.array([g.values for _, g in slices]) - model
+    np.abs(diff, out=diff)
+    per_slice = trapezoid(diff, slices[0][1].dx)
+    l1 = (per_slice[..., 0] if len(slices) == 1
+          else trapezoid(per_slice, slices[1][0] - slices[0][0]))
+    return diff.max(axis=(-2, -1)), l1
 
 
 def single_shock_zoom(scenario: Scenario, eps_list: Sequence[float], *,
@@ -107,8 +107,8 @@ def single_shock_zoom(scenario: Scenario, eps_list: Sequence[float], *,
         s0, centered = slices[k0]
         moved = GridFunction(centered.x_left - lam * s0, centered.dx, centered.values)
         fit = fit_shift(moved, template, template.midpoint)
-        sup, l1 = _mismatch(slices, lambda s, g: template(g.x - lam * s - fit.shift))
-        out.append(ZoomOutcome(float(eps), sup, l1, fit.shift))
+        sup, l1 = _mismatch(slices, template(centered.x - lam * s_grid[:, None] - fit.shift))
+        out.append(ZoomOutcome(float(eps), float(sup), float(l1), fit.shift))
     return out
 
 
@@ -151,37 +151,38 @@ def merging_zoom(scenario: Scenario, eps_list: Sequence[float],
     n_dy = int(round(SHIFT_RANGE / SHIFT_DY))
     dy_cands = SHIFT_DY * np.arange(-n_dy, n_dy + 1)
 
-    def shifted(dt_shift: float, dy_shift: float) -> Callable:
-        return lambda s, g: wave_interp(s + dt_shift, y_grid + dy_shift)
-
     out = []
     for eps in eps_list:
         frame = RescaleFrame.type1(scenario.tau, scenario.xi, float(eps))
         dx = refined_dx(float(eps), eps_max, base_divisor)
         slices = _zoom_slices(scenario, float(eps), dx, frame, s_grid, y_grid)
 
-        def l1_against(dt_shift: float, dy_shift: float) -> float:
-            return _mismatch(slices, shifted(dt_shift, dy_shift))[1]
+        def mismatch(dt, dy: float):
+            """Sup and L1 against the wave shifted by (dt, dy), per dt if an array."""
+            return _mismatch(slices, wave_interp(np.add.outer(dt, s_grid), y_grid + dy))
 
-        def best(cands: List[Tuple[float, float]]) -> Tuple[float, float]:
-            """The first candidate (dt, dy) with the least L1 mismatch."""
-            return cands[int(np.argmin([l1_against(dt, dy) for dt, dy in cands]))]
-
-        bt, by = best([(float(dt), float(dy)) for dt in dt_cands for dy in dy_cands])
+        # the lattice one dy column at a time; the flat argmin runs over dt,
+        # then dy, and picks the first candidate with the least L1
+        l1 = np.stack([mismatch(dt_cands, dy)[1] for dy in dy_cands], axis=1)
+        i, k = np.unravel_index(int(np.argmin(l1)), l1.shape)
+        bt, by = float(dt_cands[i]), float(dy_cands[k])
         # fine local scan of the time shift: the optimum drifts off the
         # coarse lattice as eps shrinks, and the leftover dt error would
         # otherwise floor the sweep
-        bt, by = best([(float(dt), by)
-                       for dt in bt + (SHIFT_LATTICE / 8.0) * np.arange(-8, 9)
-                       if abs(dt) <= SHIFT_RANGE])
-        # parabolic refinement of the space shift at the winning point
-        lo, mid, hi = (l1_against(bt, by - SHIFT_DY), l1_against(bt, by),
-                       l1_against(bt, by + SHIFT_DY))
+        fine = [float(dt) for dt in bt + (SHIFT_LATTICE / 8.0) * np.arange(-8, 9)
+                if abs(dt) <= SHIFT_RANGE]
+        bt = fine[int(np.argmin([mismatch(dt, by)[1] for dt in fine]))]
+        # parabolic refinement of the space shift at the winning point; the
+        # vertex replaces it only with a strictly smaller L1
+        lo, mid, hi = (float(mismatch(bt, dy)[1])
+                       for dy in (by - SHIFT_DY, by, by + SHIFT_DY))
         denom = lo - 2.0 * mid + hi
         if denom > 0.0:
-            bt, by = best([(bt, by), (bt, by + 0.5 * SHIFT_DY * (lo - hi) / denom)])
-        sup, l1 = _mismatch(slices, shifted(bt, by))
-        out.append(ZoomOutcome(float(eps), sup, l1, float(by), float(bt)))
+            vertex = by + 0.5 * SHIFT_DY * (lo - hi) / denom
+            if mismatch(bt, vertex)[1] < mid:
+                by = vertex
+        sup, l1 = mismatch(bt, by)
+        out.append(ZoomOutcome(float(eps), float(sup), float(l1), float(by), float(bt)))
     return out
 
 
@@ -213,8 +214,8 @@ def formation_zoom(scenario: Scenario, eps_list: Sequence[float],
                                    time_scale=fit.sigma, drift=fit.lam, value_scale=f2)
         dx = dx_hat * float(eps) ** 0.75
         slices = _zoom_slices(scenario, float(eps), dx, frame, s_grid, y_grid)
-        sup, l1 = _mismatch(slices, lambda s, g: z_interp(s, y_grid))
-        out.append(ZoomOutcome(float(eps), sup, l1, 0.0))
+        sup, l1 = _mismatch(slices, z_interp(s_grid, y_grid))
+        out.append(ZoomOutcome(float(eps), float(sup), float(l1), 0.0))
     return out
 
 

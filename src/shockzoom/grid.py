@@ -112,9 +112,11 @@ def _check_same_grid(a: GridFunction, b: GridFunction) -> None:
             f"grids differ: ({a.x_left}, {a.dx}, {a.n}) vs ({b.x_left}, {b.dx}, {b.n})")
 
 
-def trapezoid(values: np.ndarray, dx: float) -> float:
+def trapezoid(values: np.ndarray, dx: float):
+    """Trapezoid rule along the last axis: a float for 1-d values."""
     v = np.asarray(values, dtype=float)
-    return float(dx * (v.sum() - 0.5 * (v[0] + v[-1])))
+    out = dx * (v.sum(axis=-1) - 0.5 * (v[..., 0] + v[..., -1]))
+    return float(out) if v.ndim == 1 else out
 
 
 def mass(state: GridFunction) -> float:

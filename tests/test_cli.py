@@ -137,13 +137,20 @@ def test_exit_code_2_paths(tmp_path):
 
 
 def test_config_error_leaves_no_output_directory(tmp_path):
-    # every setting is read before the output directory is made
+    # the first three fail before the output directory is made; the last
+    # one during its first solve, on the cell-Peclet guard (100 at dx=4)
+    existing = tmp_path / "existing"
+    existing.mkdir()
     for args in (["run", "--scenario", "theorem1-merging", "--set", "merge.taus=-20"],
                  ["sweep", "--set", "sweep.t_check=0.1"],
-                 ["audit", "--suite", "nope"]):
-        out = tmp_path / "never"
+                 ["audit", "--suite", "nope"],
+                 ["sweep", "--set", "sweep.n_nodes=2"]):
+        out = tmp_path / "never" / "nested"
         assert main(args + ["--out", str(out)]) == 2, args
-        assert not out.exists(), args
+        assert not (tmp_path / "never").exists(), args
+        # a directory that was there before the command stays, if empty
+        assert main(args + ["--out", str(existing)]) == 2, args
+        assert existing.is_dir(), args
 
 
 def test_bad_restart_settings_exit_2_before_any_solve(tmp_path, monkeypatch):

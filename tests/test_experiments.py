@@ -2,9 +2,11 @@
 import numpy as np
 import pytest
 
-from shockzoom import (GridFunction, Periodic, SolverConfig, Window, burgers,
-                       burgers_plus_linear, build_scenario, eternal_z)
-from shockzoom.experiments import (contraction_check, formation_zoom,
+from shockzoom import (GridFunction, Periodic, RescaleFrame, SnapshotInterpolant,
+                       SolverConfig, Window, burgers, burgers_plus_linear,
+                       build_scenario, eternal_z, trapezoid)
+from shockzoom.experiments import (SHIFT_DY, SHIFT_LATTICE, SHIFT_RANGE,
+                                   _zoom_slices, contraction_check, formation_zoom,
                                    mass_drift_check, merging_surrogate,
                                    merging_zoom, refined_dx, scenario_grid,
                                    single_shock_zoom, suite_cubic_bounds,
@@ -96,6 +98,87 @@ def test_merging_zoom_regression():
         (0.08, 0.02136055432387607, 0.09237822081974667, 0.009407370104389716, 1.0),
         (0.04, 0.0027719494502924658, 0.009968464934597843, 0.006315686116781183, 0.453125),
     ])
+
+
+
+class _RecordingWave:
+    """Forwards to an interpolant and keeps the (t, x) of every call."""
+
+    def __init__(self, interp):
+        self.interp = interp
+        self.calls = []
+
+    def __call__(self, t, x):
+        self.calls.append((np.asarray(t), np.asarray(x)))
+        return self.interp(t, x)
+
+
+def _scalar_search(slices, wave, y_grid):
+    """The merging shift search, one scalar interpolant call per slice.
+
+    Returns the coarse winner, the fine time scan, the final (dt, dy) and
+    its space-time L1 mismatch.
+    """
+    def l1(dt, dy):
+        per_slice = [trapezoid(np.abs(g.values - wave(s + dt, y_grid + dy)), g.dx)
+                     for s, g in slices]
+        return trapezoid(np.array(per_slice), slices[1][0] - slices[0][0])
+
+    def first_least(cands):
+        return cands[int(np.argmin([l1(dt, dy) for dt, dy in cands]))]
+
+    n_dt, n_dy = round(SHIFT_RANGE / SHIFT_LATTICE), round(SHIFT_RANGE / SHIFT_DY)
+    coarse = first_least([(float(dt), float(dy))
+                          for dt in SHIFT_LATTICE * np.arange(-n_dt, n_dt + 1)
+                          for dy in SHIFT_DY * np.arange(-n_dy, n_dy + 1)])
+    fine = [float(dt) for dt in coarse[0] + (SHIFT_LATTICE / 8.0) * np.arange(-8, 9)
+            if abs(dt) <= SHIFT_RANGE]
+    bt, by = first_least([(dt, coarse[1]) for dt in fine])
+    lo, mid, hi = l1(bt, by - SHIFT_DY), l1(bt, by), l1(bt, by + SHIFT_DY)
+    denom = lo - 2.0 * mid + hi
+    if denom > 0.0:
+        bt, by = first_least([(bt, by), (bt, by + 0.5 * SHIFT_DY * (lo - hi) / denom)])
+    return coarse, fine, (bt, by), l1(bt, by)
+
+
+def test_merging_search_matches_scalar_search():
+    # the test_merging_zoom_regression setup, against an exhaustive search
+    # that loops over candidates and slices
+    scen = build_scenario("theorem1-merging", burgers())
+    wave, _ = merging_surrogate(scen, taus=(-14.0, -16.0),
+                                window=Window(-2.25, 2.25, -3.25, 3.25),
+                                comparison_time=-3.0, dx=0.1)
+    window = Window(-1.0, 1.0, -2.0, 2.0)
+    s_grid, y_grid = window.t_samples(3), window.x_samples(41)
+    recording = _RecordingWave(wave)
+    outcomes = merging_zoom(scen, (0.08, 0.04), recording, window=window,
+                            nt=3, ny=41, base_divisor=4.0)
+    # each viscosity's search opens with one call per dy column of the lattice
+    starts = [i for i, (t, _) in enumerate(recording.calls)
+              if t.ndim == 2 and (i == 0 or recording.calls[i - 1][0].ndim == 1)]
+    assert len(starts) == 2
+    for o, start in zip(outcomes, starts):
+        frame = RescaleFrame.type1(scen.tau, scen.xi, o.eps)
+        slices = _zoom_slices(scen, o.eps, refined_dx(o.eps, 0.08, 4.0), frame,
+                              s_grid, y_grid)
+        coarse, fine, (bt, by), l1 = _scalar_search(slices, wave, y_grid)
+        # the fine scan is laid around the coarse winner, so its calls pin it
+        scan = recording.calls[start + 41:start + 41 + len(fine)]
+        for dt, (t, x) in zip(fine, scan):
+            assert np.array_equal(t, dt + s_grid)
+            assert np.array_equal(x, y_grid + coarse[1])
+        assert (o.shift_t, o.shift, o.l1_error) == (bt, by, l1)
+
+
+def test_merging_search_takes_the_first_least_candidate():
+    # against a zero wave every candidate has the same L1, bit for bit, so
+    # each stage keeps its first candidate: the lattice corner (-1, -1)
+    scen = build_scenario("theorem1-merging", burgers())
+    zero = GridFunction(-3.25, 0.1, np.zeros(66))
+    wave = SnapshotInterpolant([(-2.25, zero), (2.25, zero)])
+    (o,) = merging_zoom(scen, (0.08,), wave, window=Window(-1.0, 1.0, -2.0, 2.0),
+                        nt=3, ny=41, base_divisor=4.0)
+    assert (o.shift_t, o.shift) == (-SHIFT_RANGE, -SHIFT_RANGE)
 
 
 def test_formation_zoom_regression():

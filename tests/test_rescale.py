@@ -149,3 +149,43 @@ def test_interpolant_needs_matching_grids():
     g1 = GridFunction(0.0, 0.5, np.array([2.0, 3.0, 4.0]))
     with pytest.raises(ValueError):
         SnapshotInterpolant([(0.0, g0), (1.0, g1)])
+
+
+def test_interpolant_time_arrays_match_scalar_calls():
+    # snapshots every 1/8 on [-1, 1]; each scalar call is checked against
+    # the bilinear formula, and a time array against the stacked calls
+    times = -1.0 + 0.125 * np.arange(17)
+    x_nodes = np.linspace(-3.0, 3.0, 61)
+    snaps = [(t, GridFunction(-3.0, 0.1, np.tanh(x_nodes - t) + 0.3 * t * np.sin(x_nodes)))
+             for t in times]
+    interp = SnapshotInterpolant(snaps)
+    x = np.linspace(-2.95, 2.95, 37)
+    slack = interp.slack
+
+    def bilinear(t):
+        j = min(max(int(np.searchsorted(times, t, side="right")) - 1, 0), len(times) - 1)
+        if j == len(times) - 1 or times[j] == t:
+            return snaps[j][1](x)
+        w = (t - times[j]) / (times[j + 1] - times[j])
+        return (1.0 - w) * snaps[j][1](x) + w * snaps[j + 1][1](x)
+
+    kinds = {
+        "lattice": times[3:12],
+        # steps of 1/64, so every eighth time is a lattice time
+        "off-lattice": -1.0 + np.arange(129) / 64.0,
+        "ends": np.array([times[0], times[-1], times[-1], times[0]]),
+        "slack": np.array([times[0] - 0.5 * slack, times[0] + 0.5 * slack,
+                           times[-1] - 0.5 * slack, times[-1] + 0.5 * slack]),
+    }
+    for kind, ts in kinds.items():
+        rows = np.array([interp(float(t), x) for t in ts])
+        assert rows.shape == (ts.size, x.size), kind
+        assert np.array_equal(interp(ts, x), rows), kind
+        assert np.array_equal(rows, np.array([bilinear(float(t)) for t in ts])), kind
+    # the result takes the shape of t, then of x
+    assert interp(kinds["lattice"][:8].reshape(2, 4), x).shape == (2, 4, x.size)
+    for bad in (times[0] - 2.0 * slack, times[-1] + 2.0 * slack):
+        with pytest.raises(OutOfDomainError):
+            interp(np.array([0.0, bad, 0.5]), x)
+    with pytest.raises(OutOfDomainError):
+        interp(kinds["lattice"], np.array([0.0, 3.0 + 2.0 * slack]))
