@@ -21,7 +21,7 @@ import argparse
 import math
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,162 +36,173 @@ from .profiles import CauchyReport, eternal_z_limit, traveling_wave
 from .scenarios import SCENARIO_IDS, Scenario, build_scenario
 from .solver import Clamped, Periodic, SolverConfig
 
-DEFAULTS: Dict[str, str] = {
-    "flux.name": "burgers",
-    "flux.b": "0.0",
-    "flux.kappa": "0.0",
-    "run.scenario": "theorem1-single",
-    "run.eps": "0.04,0.02,0.01",
-    "run.eps2": "0.01,0.004",
-    "run.out": "out",
-    "run.seed": "0",
-    "run.threads": "0",  # still accepted in configs; studies run in one thread
-    "scenario.tau": "1.0",
-    "scenario.u_minus": "1.0",
-    "scenario.u_star": "0.0",
-    "scenario.u_plus": "-1.0",
-    "scenario.ramp_width": "",
-    "scenario.amplitude": "1.0",
-    "scenario.clamp_radius": "2.5",
-    "window.t_min": "-5.0",
-    "window.t_max": "5.0",
-    "window.x_min": "-5.0",
-    "window.x_max": "5.0",
-    "window2.t_min": "-3.0",
-    "window2.t_max": "1.0",
-    "window2.x_min": "-4.0",
-    "window2.x_max": "4.0",
-    "zoom.nt": "21",
-    "zoom.ny": "401",
-    "zoom2.nt": "17",
-    "zoom2.ny": "321",
-    "grid.base_divisor": "8.0",
-    "grid.dx_hat": "0.04",
-    "sweep.t_check": "",
-    "sweep.n_nodes": "4096",
-    "sweep.min_slope": "0.45",
-    "merge.taus": "-20.0,-30.0,-40.0",
-    "merge.comparison_time": "-10.0",
-    "merge.dx": "0.05",
-    "merge.nt": "23",
-    "zref.n": "32.0",
-    "zref.dx": "0.04",
-    "zref.x_max": "60.0",
-    "zlimit.n_list": "4.0,8.0,16.0",
-    "zlimit.tol": "0.05",
-    "zlimit.dx": "0.02",
-    "zlimit.t_min": "-3.5",
-    "zlimit.t_max": "-1.0",
-    "zlimit.x_max": "20.0",
-    "audit.suite": "lemma81",
-    "ztable.n": "2001",
-}
-
-# the subcommand flags that set one config key each; --eps is mapped in main()
-# to the viscosity list of the scenario that runs
-FLAG_KEYS = {"scenario": "run.scenario", "suite": "audit.suite", "taus": "merge.taus",
-             "n_list": "zlimit.n_list", "n": "ztable.n"}
+AUDIT_SUITES = ("lemma81", "zbo", "oleinik", "phase")
 # the largest count a key or flag accepts: grid nodes, samples, snapshot
 # times, profile steps on each side of the midpoint
 MAX_COUNT = 10**6
 
 
+# The parsers of the config table: each takes the raw string and returns
+# the typed value, or raises ValueError saying what the key needs.
+
+def _kind(convert: Callable[[str], Any], test: Callable[[Any], bool],
+          need: str) -> Callable[[str], Any]:
+    """The parser that ``convert``s the raw string and checks ``test`` on it."""
+    def parse(raw: str) -> Any:
+        try:
+            val = convert(raw)
+        except ValueError:
+            pass
+        else:
+            if test(val):
+                return val
+        raise ValueError(f"need {need}, got {raw!r}")
+    return parse
+
+
+def _optional(parse: Callable[[str], Any]) -> Callable[[str], Any]:
+    """``parse``, with the empty string read as None."""
+    return lambda raw: None if raw == "" else parse(raw)
+
+
+def _floats(raw: str) -> List[float]:
+    """One or more comma-separated finite numbers; empty items are skipped."""
+    vals = [float(tok) for tok in raw.split(",") if tok]
+    if not (vals and all(map(math.isfinite, vals))):
+        raise ValueError(raw)
+    return vals
+
+
+def _increasing(vals: List[float]) -> bool:
+    return all(a < b for a, b in zip(vals[:-1], vals[1:]))
+
+
+def _count(lo: int) -> Callable[[str], int]:
+    return _kind(int, lambda n: lo <= n <= MAX_COUNT, f"an integer in [{lo}, {MAX_COUNT}]")
+
+
+def _choice(options: Sequence[str]) -> Callable[[str], str]:
+    return _kind(str, lambda v: v in options, "one of " + " | ".join(options))
+
+
+_number = _kind(float, math.isfinite, "a finite number")
+_positive = _kind(float, lambda v: 0.0 < v < math.inf, "a finite positive number")
+# the count of viscosities a command needs is checked where it reads them
+_viscosities = _kind(_floats, lambda e: min(e) > 0.0 and _increasing(e[::-1]),
+                     "finite positive viscosities, strictly decreasing")
+
+
+# every config key with its default string and the parser of its kind
+KEYS: Dict[str, Tuple[str, Callable[[str], Any]]] = {
+    # each flux parses only the parameters it uses, see _flux
+    "flux.name": ("burgers", str),
+    "flux.b": ("0.0", str),
+    "flux.kappa": ("0.0", str),
+    "run.scenario": ("theorem1-single", _choice(SCENARIO_IDS)),
+    "run.eps": ("0.04,0.02,0.01", _viscosities),
+    "run.eps2": ("0.01,0.004", _viscosities),
+    "run.out": ("out", str),
+    "run.seed": ("0", _kind(int, lambda n: n >= 0, "an integer >= 0")),
+    "run.threads": ("0", str),  # still accepted in configs; studies run in one thread
+    "scenario.tau": ("1.0", _number),
+    "scenario.u_minus": ("1.0", _number),
+    "scenario.u_star": ("0.0", _number),
+    "scenario.u_plus": ("-1.0", _number),
+    "scenario.ramp_width": ("", _optional(_number)),
+    "scenario.amplitude": ("1.0", _number),
+    "scenario.clamp_radius": ("2.5", _number),
+    "window.t_min": ("-5.0", _number),
+    "window.t_max": ("5.0", _number),
+    "window.x_min": ("-5.0", _number),
+    "window.x_max": ("5.0", _number),
+    "window2.t_min": ("-3.0", _number),
+    "window2.t_max": ("1.0", _number),
+    "window2.x_min": ("-4.0", _number),
+    "window2.x_max": ("4.0", _number),
+    "zoom.nt": ("21", _count(1)),
+    "zoom.ny": ("401", _count(2)),
+    "zoom2.nt": ("17", _count(1)),
+    "zoom2.ny": ("321", _count(2)),
+    "grid.base_divisor": ("8.0", _positive),
+    "grid.dx_hat": ("0.04", _positive),
+    "sweep.t_check": ("", _optional(_positive)),
+    "sweep.n_nodes": ("4096", _count(2)),
+    "sweep.min_slope": ("0.45", _number),
+    # two equal restarts are 0 apart, which no settling slope can be fitted to
+    "merge.taus": ("-20.0,-30.0,-40.0",
+                   _kind(_floats, lambda taus: 2 <= len(taus) == len(set(taus)),
+                         "two or more distinct finite restart times")),
+    "merge.comparison_time": ("-10.0", _number),
+    "merge.dx": ("0.05", _positive),
+    "merge.nt": ("23", _count(1)),
+    "zref.n": ("32.0", _positive),
+    "zref.dx": ("0.04", _positive),
+    "zref.x_max": ("60.0", _positive),
+    "zlimit.n_list": ("4.0,8.0,16.0",
+                      _kind(_floats, lambda ns: len(ns) >= 2 and _increasing(ns),
+                            "two or more finite horizons, increasing")),
+    "zlimit.tol": ("0.05", _number),
+    "zlimit.dx": ("0.02", _positive),
+    "zlimit.t_min": ("-3.5", _number),
+    "zlimit.t_max": ("-1.0", _number),
+    "zlimit.x_max": ("20.0", _number),
+    "audit.suite": ("lemma81", _choice(AUDIT_SUITES)),
+    "ztable.n": ("2001", _count(2)),
+}
+DEFAULTS: Dict[str, str] = {key: default for key, (default, _) in KEYS.items()}
+
+# the subcommand flags that set one config key each; --eps is mapped in main()
+# to the viscosity list of the scenario that runs
+FLAG_KEYS = {"scenario": "run.scenario", "suite": "audit.suite", "taus": "merge.taus",
+             "n_list": "zlimit.n_list", "n": "ztable.n"}
+
+
 class Config:
-    """Flat dotted key-value store with typed, validating accessors."""
+    """Flat dotted key-value store of raw strings; ``cfg[key]`` parses one.
+
+    A value is parsed, and so checked, when it is read: ``cfg[key]`` returns
+    it typed by the key's parser in KEYS, or raises ConfigError naming the
+    key and the reason.
+    """
 
     def __init__(self, values: Dict[str, str]):
         for key in values:
-            if key not in DEFAULTS:
+            if key not in KEYS:
                 raise ConfigError(f"unknown config key: {key}")
-        merged = dict(DEFAULTS)
-        merged.update(values)
-        self.values = merged
+        self.values = {**DEFAULTS, **values}
 
-    def str(self, key: str) -> str:
-        return self.values[key]
-
-    def float(self, key: str) -> float:
+    def __getitem__(self, key: str) -> Any:
         try:
-            val = float(self.values[key])
-        except ValueError:
-            raise ConfigError(f"{key}: expected a number, got {self.values[key]!r}")
-        if not math.isfinite(val):
-            raise ConfigError(f"{key}: need a finite number, got {self.values[key]!r}")
-        return val
-
-    def positive(self, key: str) -> float:
-        val = self.float(key)
-        if not val > 0.0:
-            raise ConfigError(f"{key}: need a positive number, got {self.values[key]!r}")
-        return val
-
-    def opt_float(self, key: str) -> Optional[float]:
-        return None if self.values[key] == "" else self.float(key)
-
-    def int(self, key: str, minimum: Optional[int] = None,
-            maximum: Optional[int] = None) -> int:
-        try:
-            val = int(self.values[key])
-        except ValueError:
-            raise ConfigError(f"{key}: expected an integer, got {self.values[key]!r}")
-        if minimum is not None and val < minimum:
-            raise ConfigError(f"{key}: need at least {minimum}, got {val}")
-        if maximum is not None and val > maximum:
-            raise ConfigError(f"{key}: need at most {maximum}, got {val}")
-        return val
-
-    def floats(self, key: str) -> List[float]:
-        raw = self.values[key]
-        try:
-            vals = [float(tok) for tok in raw.split(",") if tok != ""]
-        except ValueError:
-            raise ConfigError(f"{key}: expected comma-separated numbers, got {raw!r}")
-        if not vals:
-            raise ConfigError(f"{key}: expected at least one number")
-        if not all(math.isfinite(v) for v in vals):
-            raise ConfigError(f"{key}: need finite numbers, got {raw!r}")
-        return vals
-
-    def eps_list(self, key: str, minimum: int = 1) -> List[float]:
-        vals = self.floats(key)
-        if len(vals) < minimum:
-            raise ConfigError(f"{key}: need at least {minimum} values")
-        if any(v <= 0.0 for v in vals):
-            raise ConfigError(f"{key}: viscosities must be positive")
-        if any(b >= a for a, b in zip(vals[:-1], vals[1:])):
-            raise ConfigError(f"{key}: viscosities must be strictly decreasing")
-        return vals
+            return KEYS[key][1](self.values[key])
+        except ValueError as e:
+            raise ConfigError(f"{key}: {e}") from None
 
 
 def load_config(path: Optional[str], sets: Sequence[str]) -> Config:
-    values: Dict[str, str] = {}
+    """A file's ``key = value`` lines, then the ``--set`` items over them."""
+    items = list(sets)
     if path is not None:
         p = Path(path)
         if not p.exists():
             raise ConfigError(f"config file not found: {path}")
-        for ln in p.read_text().split("\n"):
-            stripped = ln.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise ConfigError(f"bad config line (need key = value): {ln!r}")
-            key, _, val = stripped.partition("=")
-            values[key.strip()] = val.strip()
-    for item in sets:
+        items[:0] = [ln for ln in map(str.strip, p.read_text().split("\n"))
+                     if ln and not ln.startswith("#")]
+    values: Dict[str, str] = {}
+    for item in items:
         if "=" not in item:
-            raise ConfigError(f"--set needs key=value, got {item!r}")
+            raise ConfigError(f"bad config item (need key = value): {item!r}")
         key, _, val = item.partition("=")
         values[key.strip()] = val.strip()
     return Config(values)
 
 
 def _flux(cfg: Config) -> FluxModel:
-    name = cfg.str("flux.name")
+    name = cfg["flux.name"]
     try:
         # each flux parses only the parameters it uses; a parameter that
         # overflows the flux fails its self-check with a ValueError
         with np.errstate(all="ignore"):
-            return make_flux(name, b=cfg.str("flux.b"), kappa=cfg.str("flux.kappa"))
+            return make_flux(name, b=cfg["flux.b"], kappa=cfg["flux.kappa"])
     except KeyError:
         raise ConfigError(f"flux.name: unknown flux {name!r}")
     except ValueError as e:
@@ -200,23 +211,18 @@ def _flux(cfg: Config) -> FluxModel:
 
 def make_scenario(cfg: Config, scenario_id: str) -> Scenario:
     flux = _flux(cfg)
-    if scenario_id not in SCENARIO_IDS:
-        raise ConfigError(f"run.scenario: unknown scenario {scenario_id!r}")
-    kw = dict(tau=cfg.float("scenario.tau"))
+    names = {"theorem2-formation": ("amplitude", "clamp_radius"),
+             "theorem1-merging": ("u_minus", "u_star", "u_plus", "ramp_width"),
+             }.get(scenario_id, ("u_minus", "u_plus", "ramp_width"))
+    # an empty scenario.ramp_width leaves the scenario's own default
+    kw = {name: cfg[f"scenario.{name}"] for name in ("tau", *names)}
+    kw = {name: val for name, val in kw.items() if val is not None}
     try:
-        if scenario_id == "theorem2-formation":
-            kw.update(amplitude=cfg.float("scenario.amplitude"),
-                      clamp_radius=cfg.float("scenario.clamp_radius"))
-        else:
-            kw.update(u_minus=cfg.float("scenario.u_minus"),
-                      u_plus=cfg.float("scenario.u_plus"))
-            if scenario_id == "theorem1-merging":
-                kw["u_star"] = cfg.float("scenario.u_star")
-            rw = cfg.opt_float("scenario.ramp_width")
-            if rw is not None:
-                kw["ramp_width"] = rw
-        return build_scenario(scenario_id, flux, **kw)
-    except ValueError as e:
+        # parameters that overflow the scenario's own arithmetic fail here,
+        # not with a RuntimeWarning in a later solve
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return build_scenario(scenario_id, flux, **kw)
+    except (ValueError, ArithmeticError) as e:
         raise ConfigError(f"scenario parameters: {e}")
 
 
@@ -234,12 +240,12 @@ def _window(prefix: str, t_min: float, t_max: float, x_min: float,
 
 
 def _config_window(cfg: Config, prefix: str) -> Window:
-    return _window(prefix, cfg.float(f"{prefix}.t_min"), cfg.float(f"{prefix}.t_max"),
-                   cfg.float(f"{prefix}.x_min"), cfg.float(f"{prefix}.x_max"))
+    return _window(prefix, *(cfg[f"{prefix}.{end}"]
+                             for end in ("t_min", "t_max", "x_min", "x_max")))
 
 
 def _out_path(cfg: Config, override: Optional[str]) -> Path:
-    return Path(override if override is not None else cfg.str("run.out"))
+    return Path(override if override is not None else cfg["run.out"])
 
 
 def _out_dir(cfg: Config, override: Optional[str]) -> Path:
@@ -333,20 +339,10 @@ def _health_rows(scenario: Scenario, eps: float, seed: int) -> list:
     return rows
 
 
-def _zoom_settings(cfg: Config) -> dict:
-    """Keyword arguments of the type-1 zooms."""
-    return dict(window=_config_window(cfg, "window"),
-                nt=cfg.int("zoom.nt", 1, MAX_COUNT),
-                ny=cfg.int("zoom.ny", 2, MAX_COUNT),
-                base_divisor=cfg.positive("grid.base_divisor"))
-
-
 def _merge_settings(cfg: Config, window: Window) -> dict:
     """Keyword arguments of the merging surrogate over ``window``, less the window."""
-    taus = cfg.floats("merge.taus")
-    comparison_time = cfg.float("merge.comparison_time")
-    if len(taus) < 2 or len(set(taus)) < len(taus):
-        raise ConfigError("merge.taus: need at least two distinct restart times")
+    taus = cfg["merge.taus"]
+    comparison_time = cfg["merge.comparison_time"]
     if not max(taus) < comparison_time:
         raise ConfigError("merge.taus: every restart time must precede "
                           "merge.comparison_time")
@@ -354,30 +350,39 @@ def _merge_settings(cfg: Config, window: Window) -> dict:
         raise ConfigError("merge.comparison_time: must not lie after the window, "
                           "where the surrogate's run ends")
     return dict(taus=taus, comparison_time=comparison_time,
-                dx=cfg.positive("merge.dx"))
+                dx=cfg["merge.dx"])
 
 
 def cmd_run(cfg: Config, args: argparse.Namespace) -> int:
-    scenario_id = cfg.str("run.scenario")
+    scenario_id = cfg["run.scenario"]
     scenario = make_scenario(cfg, scenario_id)
-    seed = cfg.int("run.seed")
-    eps = cfg.eps_list(_eps_key(scenario_id), minimum=2)
+    seed = cfg["run.seed"]
+    eps_key = _eps_key(scenario_id)
+    eps = cfg[eps_key]
+    if len(eps) < 2:
+        raise ConfigError(f"{eps_key}: need at least 2 viscosities")
 
     # every setting is read, and so checked, before the output directory is
     # made and the first solve starts
+    prefix = "window2" if scenario_id == "theorem2-formation" else "window"
+    window = _config_window(cfg, prefix)
     if scenario_id == "theorem2-formation":
-        window = _config_window(cfg, "window2")
-        nt = cfg.int("zoom2.nt", 1, MAX_COUNT)
-        ny = cfg.int("zoom2.ny", 2, MAX_COUNT)
-        dx_hat = cfg.positive("grid.dx_hat")
-        n = cfg.positive("zref.n")
+        nt, ny, dx_hat, n = cfg["zoom2.nt"], cfg["zoom2.ny"], cfg["grid.dx_hat"], cfg["zref.n"]
         if window.t_min < -n:
             raise ConfigError("zref.n: window2.t_min lies before the launch time -zref.n")
-        zref = dict(dx=cfg.positive("zref.dx"), x_max=cfg.positive("zref.x_max"))
+        zref = dict(dx=cfg["zref.dx"], x_max=cfg["zref.x_max"])
     else:
-        zoom = _zoom_settings(cfg)
+        zoom = dict(window=window, nt=cfg["zoom.nt"], ny=cfg["zoom.ny"],
+                    base_divisor=cfg["grid.base_divisor"])
         if scenario_id == "theorem1-merging":
-            merge = _merge_settings(cfg, zoom["window"])
+            merge = _merge_settings(cfg, window)
+    # each zoom solve starts from the scenario's data at t = 0
+    with np.errstate(all="ignore"):
+        start = min(float(experiments.zoom_frame(scenario, e).to_physical(window.t_min, 0.0)[0])
+                    for e in eps)
+    if not start >= 0.0:
+        raise ConfigError(f"{prefix}.t_min: a zoom window starts at t={start:.3g}, "
+                          f"before the data at t = 0")
     out = _out_dir(cfg, args.out)
 
     if scenario_id == "theorem2-formation":
@@ -388,7 +393,6 @@ def cmd_run(cfg: Config, args: argparse.Namespace) -> int:
         checks = [_decreasing("sup-decreasing", eps[-1],
                               [o.sup_error for o in outcomes])]
     elif scenario_id == "theorem1-merging":
-        window = zoom["window"]
         # the surrogate must cover the zoom window plus the shift search range
         pad = experiments.SHIFT_RANGE + 0.25
         wave, cauchy = experiments.merging_surrogate(
@@ -416,22 +420,22 @@ def cmd_run(cfg: Config, args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(cfg: Config, args: argparse.Namespace) -> int:
-    scenario_id = cfg.str("run.scenario")
+    scenario_id = cfg["run.scenario"]
     scenario = make_scenario(cfg, scenario_id)
     if scenario_id == "theorem2-formation":
         raise ConfigError("run.scenario: rate sweeps need an exact shocked reference")
-    n_nodes = cfg.int("sweep.n_nodes", 2, MAX_COUNT)
-    t_check = cfg.opt_float("sweep.t_check")
+    n_nodes = cfg["sweep.n_nodes"]
+    t_check = cfg["sweep.t_check"]
     if t_check is not None:
-        if not t_check > 0.0:
-            raise ConfigError("sweep.t_check: need a positive time")
         try:
             # whether the exact reference exists depends on t alone
             scenario.reference(t_check, scenario.domain[0])
         except OutOfDomainError as e:
             raise ConfigError(f"sweep.t_check: {e}")
-    eps = cfg.eps_list("run.eps", minimum=3)
-    min_slope = cfg.float("sweep.min_slope")
+    eps = cfg["run.eps"]
+    if len(eps) < 3:
+        raise ConfigError("run.eps: need at least 3 viscosities")
+    min_slope = cfg["sweep.min_slope"]
     out = _out_dir(cfg, args.out)
     report = experiments.kuznetsov_sweep(scenario, eps, t_check=t_check, n_nodes=n_nodes)
     io.write_sweep(out / "sweep.csv",
@@ -450,13 +454,9 @@ def cmd_sweep(cfg: Config, args: argparse.Namespace) -> int:
                    residual=report.rate.residual)
 
 
-AUDIT_SUITES = ("lemma81", "zbo", "oleinik", "phase")
-
 
 def cmd_audit(cfg: Config, args: argparse.Namespace) -> int:
-    suite = cfg.str("audit.suite")
-    if suite not in AUDIT_SUITES:
-        raise ConfigError(f"audit.suite: unknown suite {suite!r}")
+    suite = cfg["audit.suite"]
     out = _out_dir(cfg, args.out)
     if suite == "lemma81":
         report, rows = experiments.suite_cubic_bounds()
@@ -486,7 +486,7 @@ def _phase_suite():
 
 
 def cmd_ztable(cfg: Config, args: argparse.Namespace) -> int:
-    n = cfg.int("ztable.n", 2, MAX_COUNT)
+    n = cfg["ztable.n"]
     t_values, x_range = args.t, args.x
     if not x_range[0] < x_range[1]:
         raise ConfigError("--x: need x_min < x_max")
@@ -542,7 +542,7 @@ def cmd_profile(cfg: Config, args: argparse.Namespace) -> int:
 def cmd_merge(cfg: Config, args: argparse.Namespace) -> int:
     scenario = make_scenario(cfg, "theorem1-merging")
     window = _config_window(cfg, "window")
-    nt = cfg.int("merge.nt", 1, MAX_COUNT)
+    nt = cfg["merge.nt"]
     settings = _merge_settings(cfg, window)
     out = _out_dir(cfg, args.out)
     wave, cauchy = experiments.merging_surrogate(scenario, window=window, **settings)
@@ -574,14 +574,9 @@ def cmd_merge(cfg: Config, args: argparse.Namespace) -> int:
 
 
 def cmd_zlimit(cfg: Config, args: argparse.Namespace) -> int:
-    x_max = cfg.float("zlimit.x_max")
-    window = _window("zlimit", cfg.float("zlimit.t_min"), cfg.float("zlimit.t_max"),
-                     -x_max, x_max)
-    dx = cfg.positive("zlimit.dx")
-    tol = cfg.float("zlimit.tol")
-    n_list = cfg.floats("zlimit.n_list")
-    if len(n_list) < 2 or any(b <= a for a, b in zip(n_list[:-1], n_list[1:])):
-        raise ConfigError("zlimit.n_list: need at least two increasing horizons")
+    x_max = cfg["zlimit.x_max"]
+    window = _window("zlimit", cfg["zlimit.t_min"], cfg["zlimit.t_max"], -x_max, x_max)
+    dx, tol, n_list = cfg["zlimit.dx"], cfg["zlimit.tol"], cfg["zlimit.n_list"]
     if -n_list[0] > window.t_min:
         raise ConfigError("zlimit.t_min: window starts before the smallest horizon")
     out = _out_dir(cfg, args.out)
@@ -662,7 +657,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                                  if getattr(args, dest, None) is not None]
         cfg = load_config(args.config, sets)
         if getattr(args, "eps", None) is not None:
-            cfg.values[_eps_key(cfg.str("run.scenario"))] = args.eps
+            cfg.values[_eps_key(cfg["run.scenario"])] = args.eps
         # the directories _out_dir would make, deepest first: a failed
         # command removes those it made that are still empty
         out = _out_path(cfg, args.out)

@@ -19,7 +19,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .flux import FluxModel, burgers
-from .grid import GridFunction, Window, l1_distance, periodic_mass, trapezoid
+from .errors import ConfigError
+from .grid import MAX_CELLS, GridFunction, Window, l1_distance, periodic_mass, trapezoid
 from .inviscid import z_bounds_audit, z_root
 from .profiles import CauchyReport, eternal_z, merging_wave, traveling_wave
 from .rescale import (RateFit, RescaleFrame, SnapshotInterpolant, convergence_rate,
@@ -55,6 +56,23 @@ def refined_dx(eps: float, eps_max: float, base_divisor: float = 8.0) -> float:
 def scenario_grid(scenario: Scenario, dx: float) -> GridFunction:
     lo, hi = scenario.domain
     return GridFunction.from_callable(scenario.initial.u0, lo, hi, dx)
+
+
+def zoom_frame(scenario: Scenario, eps: float) -> RescaleFrame:
+    """The frame of a zoom at viscosity eps: type 2 at a formation point, else type 1.
+
+    A type-2 frame is normalised through the fitted (c, sigma, lam): the
+    field f''(u_c)(u - u_c)/sigma zoomed at effective viscosity eps/sigma in
+    the drifting frame is the one converging to the eternal wave.  For the
+    canonical scenario all factors are 1.
+    """
+    point = scenario.formation
+    if point is None:
+        return RescaleFrame.type1(scenario.tau, scenario.xi, eps)
+    fit = fit_formation_frame(point, scenario.flux)
+    f2 = float(scenario.flux.d2f(np.float64(point.u_value)))
+    return RescaleFrame.type2(fit.tau_eps, fit.xi_eps, eps, point.u_value,
+                              time_scale=fit.sigma, drift=fit.lam, value_scale=f2)
 
 
 def _zoom_slices(scenario: Scenario, eps: float, dx: float, frame: RescaleFrame,
@@ -100,7 +118,7 @@ def single_shock_zoom(scenario: Scenario, eps_list: Sequence[float], *,
     k0 = int(np.argmin(np.abs(s_grid)))
     out = []
     for eps in eps_list:
-        frame = RescaleFrame.type1(scenario.tau, scenario.xi, float(eps))
+        frame = zoom_frame(scenario, float(eps))
         dx = refined_dx(float(eps), eps_max, base_divisor)
         slices = _zoom_slices(scenario, float(eps), dx, frame, s_grid, y_grid)
         # the wave moves at the shock speed through the zoom window
@@ -125,7 +143,13 @@ def merging_surrogate(scenario: Scenario, *,
     """
     if scenario.merging is None:
         raise ValueError("scenario has no merging data")
-    n_lat = int(round((window.t_max - window.t_min) / SHIFT_LATTICE))
+    with np.errstate(over="ignore"):
+        steps = np.float64(window.t_max - window.t_min) / SHIFT_LATTICE
+    # bounded before the lattice is allocated
+    if not steps <= MAX_CELLS:
+        raise ConfigError(f"the window spans {steps:.3g} lattice steps of "
+                          f"{SHIFT_LATTICE}, more than {MAX_CELLS}")
+    n_lat = int(round(steps))
     lattice = window.t_min + SHIFT_LATTICE * np.arange(n_lat + 1)
     traj, report = merging_wave(scenario.merging, taus, window, dx=dx,
                                 comparison_time=comparison_time,
@@ -153,7 +177,7 @@ def merging_zoom(scenario: Scenario, eps_list: Sequence[float],
 
     out = []
     for eps in eps_list:
-        frame = RescaleFrame.type1(scenario.tau, scenario.xi, float(eps))
+        frame = zoom_frame(scenario, float(eps))
         dx = refined_dx(float(eps), eps_max, base_divisor)
         slices = _zoom_slices(scenario, float(eps), dx, frame, s_grid, y_grid)
 
@@ -190,28 +214,20 @@ def formation_zoom(scenario: Scenario, eps_list: Sequence[float],
                    z_wave: List[Tuple[float, GridFunction]], *, window: Window,
                    nt: int = 17, ny: int = 321,
                    dx_hat: float = 0.04) -> List[ZoomOutcome]:
-    """Compare type-2 zooms of a formation scenario with the eternal wave.
-
-    General frames are normalised through the fitted (c, sigma, lam): the
-    field f''(u_c)(u - u_c)/sigma zoomed at effective viscosity eps/sigma in
-    the drifting frame is the one converging to the eternal wave.  For the
-    canonical scenario all factors are 1.
+    """Compare type-2 zooms (see ``zoom_frame``) of a formation scenario with
+    the eternal wave.
 
     The mesh scales as dx_hat * eps^{3/4}: constant resolution in
     observation coordinates, fine enough that the horizon gap dominates.
     """
     if scenario.formation is None:
         raise ValueError("scenario has no formation point")
-    fit = fit_formation_frame(scenario.formation, scenario.flux)
-    u_c = scenario.formation.u_value
-    f2 = float(scenario.flux.d2f(np.float64(u_c)))
     s_grid = window.t_samples(nt)
     y_grid = window.x_samples(ny)
     z_interp = SnapshotInterpolant(z_wave)
     out = []
     for eps in eps_list:
-        frame = RescaleFrame.type2(fit.tau_eps, fit.xi_eps, float(eps), u_c,
-                                   time_scale=fit.sigma, drift=fit.lam, value_scale=f2)
+        frame = zoom_frame(scenario, float(eps))
         dx = dx_hat * float(eps) ** 0.75
         slices = _zoom_slices(scenario, float(eps), dx, frame, s_grid, y_grid)
         sup, l1 = _mismatch(slices, z_interp(s_grid, y_grid))

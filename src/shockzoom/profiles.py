@@ -70,9 +70,7 @@ def traveling_wave(flux: FluxModel, u_minus: float, u_plus: float,
     def g(s):
         return flux.f(s) - shock.speed * s - shock.offset
 
-    n_half = int(round(half_width / dx))
-    if n_half < 1:
-        raise ValueError("half_width must cover at least one dx")
+    n_half = cell_count(half_width, dx)
     h = 0.5 * dx
 
     def march(sign: float) -> np.ndarray:
@@ -293,6 +291,13 @@ def eternal_z(n: float, window: Window, *, dx: float = 0.02, x_max: Optional[flo
         [window.t_min, window.t_max]
     if times[0] < -n:
         raise ValueError("snapshot before the launch time")
+    # the fold |x| <= 2 (t/3)^(3/2), where the clamps have no single root,
+    # widens with t: the ends must clear it at the last time
+    with np.errstate(over="ignore"):
+        fold = 2.0 * (max(np.float64(times[-1]), 0.0) / 3.0) ** 1.5
+    if not fold < xr:
+        raise ConfigError(f"t={times[-1]:.3g}: the clamped ends x=+-{xr:.3g} lie inside "
+                          f"the fold of the cubic wave")
     cfg = SolverConfig(viscosity=1.0, boundary=Clamped(ends))
     shifted = [t + n for t in times]
     snaps = solve(data, burgers(), cfg, shifted[-1], shifted)

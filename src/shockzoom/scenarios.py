@@ -67,6 +67,8 @@ def _absorb_time(flux: FluxModel, left: float, right: float, speed: float,
                  width: float) -> float:
     """Time for a tanh ramp's tails to be machine-fully eaten by its shock."""
     rate = min(flux.df(left) - speed, speed - flux.df(right))
+    if not rate > 0.0:
+        raise ValueError(f"the shock ({left}, {right}) is too weak to absorb its ramp")
     return _ABSORB_WIDTHS * width / rate
 
 
@@ -191,8 +193,10 @@ def shock_formation_scenario(flux: FluxModel, amplitude: float = 1.0, *,
     x = -amplitude * u^3; flowing it backward along characteristics gives
     the initial data, clamped to constants outside |x| <= clamp_radius.
     """
-    if amplitude <= 0.0:
-        raise DegenerateError("amplitude must be positive for a cubic tangency")
+    # the formation point's x_uuu is -6 amplitude
+    if not 0.0 < 6.0 * amplitude < np.inf:
+        raise DegenerateError(f"a cubic tangency needs 0 < 6 amplitude < inf, "
+                              f"got amplitude={amplitude!r}")
     if tau <= 0.0 or clamp_radius <= 0.0:
         raise ValueError("tau and clamp_radius must be positive")
     A = float(amplitude)

@@ -31,6 +31,9 @@ from .grid import GridFunction, max_forward_slope
 
 # the most grid values one solve may hold in snapshots (8 bytes each, 800 MB)
 MAX_SNAPSHOT_VALUES = 10**8
+# the most steps one solve may take, as the advective bound at t = 0 counts
+# them: a state that speeds up or slows down later changes the true count
+MAX_STEPS = 10**7
 
 # ARS(2,2,2): the implicit stage weight and the explicit tableau's last row
 GAMMA = 1.0 - 1.0 / math.sqrt(2.0)
@@ -182,7 +185,9 @@ def solve(initial: GridFunction, flux: FluxModel, cfg: SolverConfig,
     Snapshot times must lie in [0, t_final]; when none are given the final
     time itself is reported.  The step before each snapshot is shortened so
     the landing is exact.  The snapshots together may hold at most
-    MAX_SNAPSHOT_VALUES grid values; more raise ConfigError before any step.
+    MAX_SNAPSHOT_VALUES grid values, and a run of more than MAX_STEPS steps
+    at the initial step bound is refused; either raises ConfigError before
+    any step.
     """
     if t_final < 0.0:
         raise ValueError("t_final must be nonnegative")
@@ -192,6 +197,12 @@ def solve(initial: GridFunction, flux: FluxModel, cfg: SolverConfig,
     if len(targets) * initial.n > MAX_SNAPSHOT_VALUES:
         raise ConfigError(f"{len(targets)} snapshots of {initial.n} nodes exceed "
                           f"{MAX_SNAPSHOT_VALUES} stored values")
+    with np.errstate(over="ignore"):
+        steps = np.float64(t_final) * flux.max_speed(initial.values) / (
+            cfg.cfl_advection * initial.dx)
+    if not steps <= MAX_STEPS:
+        raise ConfigError(f"t_final={t_final:.3g} takes about {steps:.3g} steps at "
+                          f"dx={initial.dx:.3g}, more than {MAX_STEPS}")
 
     dx = initial.dx
     u = initial.values.copy()

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from shockzoom import profiles
-from shockzoom.cli import (DEFAULTS, MAX_COUNT, Config, _interior_shift_row,
+from shockzoom import experiments, profiles
+from shockzoom.cli import (DEFAULTS, KEYS, MAX_COUNT, Config, _interior_shift_row,
                            load_config, main)
 from shockzoom.errors import ConfigError
 from shockzoom.experiments import SHIFT_RANGE, ZoomOutcome
@@ -23,6 +23,17 @@ def test_dump_defaults_sorted(capsys):
     assert len(keys) == len(DEFAULTS)
 
 
+def test_dump_defaults_load_back_through_config(tmp_path, capsys):
+    assert main(["--dump-defaults"]) == 0
+    dumped = tmp_path / "d.cfg"
+    dumped.write_text(capsys.readouterr().out)
+    assert load_config(str(dumped), []).values == DEFAULTS
+    out = tmp_path / "zt"
+    assert main(["z-table", "--config", str(dumped), "--t", "-1", "--x", "-1", "1",
+                 "--out", str(out)]) == 0
+    assert json.loads((out / "summary.json").read_text())["config"] == DEFAULTS
+
+
 def test_no_command_prints_help(capsys):
     assert main([]) == 2
 
@@ -34,22 +45,32 @@ def test_config_rejects_unknown_key():
 
 def test_config_typed_accessors():
     cfg = Config({"run.eps": "0.1,0.05"})
-    assert cfg.eps_list("run.eps") == [0.1, 0.05]
+    assert cfg["run.eps"] == [0.1, 0.05]
     with pytest.raises(ConfigError, match="strictly decreasing"):
-        Config({"run.eps": "0.05,0.1"}).eps_list("run.eps")
+        Config({"run.eps": "0.05,0.1"})["run.eps"]
     with pytest.raises(ConfigError, match="positive"):
-        Config({"run.eps": "0.1,-0.05"}).eps_list("run.eps")
+        Config({"run.eps": "0.1,-0.05"})["run.eps"]
     with pytest.raises(ConfigError, match="number"):
-        Config({"scenario.tau": "soon"}).float("scenario.tau")
-    assert Config({}).opt_float("sweep.t_check") is None
+        Config({"scenario.tau": "soon"})["scenario.tau"]
+    assert Config({})["sweep.t_check"] is None
+
+
+def test_config_table_defaults_parse_and_errors_name_the_key():
+    for key in KEYS:
+        Config({})[key]
+        for raw in HOSTILE + ["1e-300", "-1e308"]:
+            try:
+                Config({key: raw})[key]
+            except ConfigError as e:
+                assert str(e).startswith(f"{key}: "), (key, raw, str(e))
 
 
 def test_config_file_and_set_precedence(tmp_path):
     cfgfile = tmp_path / "case.cfg"
     cfgfile.write_text("# comment line\nscenario.tau = 2.0\nztable.n = 11\n")
     cfg = load_config(str(cfgfile), ["scenario.tau=3.0"])
-    assert cfg.float("scenario.tau") == 3.0   # --set wins over the file
-    assert cfg.int("ztable.n") == 11
+    assert cfg["scenario.tau"] == 3.0   # --set wins over the file
+    assert cfg["ztable.n"] == 11
     with pytest.raises(ConfigError, match="not found"):
         load_config(str(tmp_path / "missing.cfg"), [])
     cfgfile.write_text("just words\n")
@@ -57,7 +78,7 @@ def test_config_file_and_set_precedence(tmp_path):
         load_config(str(cfgfile), [])
 
 
-def test_exit_code_2_paths(tmp_path):
+def test_exit_code_2_paths(tmp_path, monkeypatch):
     out = str(tmp_path / "o")
     assert main(["audit", "--suite", "nope", "--out", out]) == 2
     assert main(["run", "--set", "run.eps=0.01,0.02", "--out", out]) == 2
@@ -134,15 +155,66 @@ def test_exit_code_2_paths(tmp_path):
                  # the launch data of the eternal wave overflow
                  formation + ["--set", "zref.n=1e308"]):
         assert main(args + ["--out", out]) == 2, args
+    # each of these once escaped as a traceback; now it exits 2 before any
+    # solve and leaves no output directory
+    mended = tmp_path / "mended"
+    with monkeypatch.context() as m:
+        for module in (experiments, profiles):
+            m.setattr(module, "solve", _no_solve)
+        assert main(["run", "--eps", "0.3,0.1", "--out", str(mended)]) == 2
+        for setting, commands in MENDED:
+            for command in commands:
+                assert main(_long(command, setting, mended)) == 2, (command, setting)
+                assert not mended.exists(), (command, setting)
+    # each of these once ran for ever; now the solver's step cap refuses it
+    for setting, commands in (("scenario.tau=1e308", ("single", "sweep", "formation")),
+                              ("window.t_max=1e308", ("single",)),
+                              ("sweep.t_check=1e308", ("sweep",))):
+        for command in commands:
+            assert main(_long(command, setting, mended)) == 2, (command, setting)
+            assert not mended.exists(), (command, setting)
+
+
+def _no_solve(*args, **kwargs):
+    raise AssertionError("solve called")
+
+
+def _long(command, setting, out):
+    """Arguments of one LONG_COMMANDS entry at LONG_BASE, with one more setting."""
+    argv = list(LONG_COMMANDS[command])
+    for key, value in LONG_BASE.items():
+        argv += ["--set", f"{key}={value}"]
+    return argv + ["--set", setting, "--out", str(out)]
+
+
+# each setting with the LONG_COMMANDS it broke: the zoom starting before
+# t = 0, a negative seed, scenario and window values that overflow, and
+# clamped ends inside the fold of the cubic wave
+MENDED = [("window.t_min=-30", ("single", "merging")),
+          ("window.t_min=-1e308", ("single", "merging", "merge")),
+          ("run.seed=-1", ("single", "merging", "formation")),
+          ("scenario.u_minus=1e200", ("single", "merging", "sweep", "merge")),
+          ("scenario.u_plus=-1e308", ("single", "merging", "sweep", "merge")),
+          ("scenario.ramp_width=1e308", ("single", "sweep")),
+          ("scenario.tau=1e308", ("merging", "merge")),
+          ("scenario.u_minus=1e-300", ("merging", "merge")),
+          ("scenario.amplitude=1e100", ("formation",)),
+          ("scenario.amplitude=1e308", ("formation",)),
+          ("window.t_max=1e308", ("merging", "merge")),
+          ("window.x_max=1e308", ("single",)),
+          ("window2.t_max=50", ("formation",)),
+          ("zlimit.t_max=50", ("zlimit",))]
 
 
 def test_config_error_leaves_no_output_directory(tmp_path):
-    # the first three fail before the output directory is made; the last
+    # the first five fail before the output directory is made; the last
     # one during its first solve, on the cell-Peclet guard (100 at dx=4)
     existing = tmp_path / "existing"
     existing.mkdir()
     for args in (["run", "--scenario", "theorem1-merging", "--set", "merge.taus=-20"],
                  ["sweep", "--set", "sweep.t_check=0.1"],
+                 ["run", "--eps", "0.3,0.1"],
+                 ["run", "--set", "run.seed=-1"],
                  ["audit", "--suite", "nope"],
                  ["sweep", "--set", "sweep.n_nodes=2"]):
         out = tmp_path / "never" / "nested"
@@ -154,10 +226,7 @@ def test_config_error_leaves_no_output_directory(tmp_path):
 
 
 def test_bad_restart_settings_exit_2_before_any_solve(tmp_path, monkeypatch):
-    def no_solve(*args, **kwargs):
-        raise AssertionError("solve called")
-
-    monkeypatch.setattr(profiles, "solve", no_solve)
+    monkeypatch.setattr(profiles, "solve", _no_solve)
     out = str(tmp_path / "o")
     for args in (["merge", "--taus=-20"],
                  # two equal restarts are 0 apart, which no slope can be fitted to
@@ -172,9 +241,9 @@ def test_bad_restart_settings_exit_2_before_any_solve(tmp_path, monkeypatch):
 def test_config_rejects_non_finite():
     for raw in ("nan", "inf", "-inf"):
         with pytest.raises(ConfigError, match="finite"):
-            Config({"scenario.tau": raw}).float("scenario.tau")
+            Config({"scenario.tau": raw})["scenario.tau"]
         with pytest.raises(ConfigError, match="finite"):
-            Config({"merge.taus": f"-20,{raw}"}).floats("merge.taus")
+            Config({"merge.taus": f"-20,{raw}"})["merge.taus"]
 
 
 def _reject_constant(token):
@@ -318,15 +387,15 @@ LONG_KEYS = {"run.eps": _values("0.08,0.04", "0.04,0.08", "0.08,0.04,0.02"),
              "zlimit.dx": _values("0.1", "0.2"),
              "zlimit.n_list": _values("4,8", "8,4", "4,6,8"),
              "zlimit.tol": _values("0.1", "1e-6")}
-LONG_COMMANDS = [["run", "--scenario", "theorem1-single"],
-                 ["run", "--scenario", "theorem1-merging"],
-                 ["run", "--scenario", "theorem2-formation"],
-                 ["sweep"], ["merge"], ["zlimit"]]
+LONG_COMMANDS = {"single": ["run", "--scenario", "theorem1-single"],
+                 "merging": ["run", "--scenario", "theorem1-merging"],
+                 "formation": ["run", "--scenario", "theorem2-formation"],
+                 "sweep": ["sweep"], "merge": ["merge"], "zlimit": ["zlimit"]}
 
 
 @st.composite
 def long_argv(draw):
-    argv = list(draw(st.sampled_from(LONG_COMMANDS)))
+    argv = list(draw(st.sampled_from(list(LONG_COMMANDS.values()))))
     overrides = dict(LONG_BASE)
     for key in draw(st.lists(st.sampled_from(sorted(LONG_KEYS)), max_size=3)):
         overrides[key] = draw(LONG_KEYS[key])

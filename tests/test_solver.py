@@ -64,6 +64,21 @@ def test_snapshot_memory_is_capped(monkeypatch):
         solve(data, burgers(), cfg, 0.11, times + [0.11])
 
 
+def test_step_count_is_capped(monkeypatch):
+    data = GridFunction.from_callable(np.sin, 0.0, 2.0 * np.pi, 2.0 * np.pi / 10)
+    cfg = SolverConfig(1.0, Periodic())
+    # max|f'(u0)| = max|sin| at the nodes, 0.9 dx per unit speed
+    per_unit_time = float(np.max(np.abs(data.values))) / (0.9 * data.dx)
+    monkeypatch.setattr(solver, "MAX_STEPS", 10)
+    assert len(solve(data, burgers(), cfg, 9.0 / per_unit_time)) == 1
+    # a longer horizon is refused before the first step, and so is one that
+    # overflows the count
+    with pytest.raises(ConfigError, match="steps"):
+        solve(data, burgers(), cfg, 11.0 / per_unit_time)
+    with pytest.raises(ConfigError, match="steps"):
+        solve(data, burgers(), cfg, 1e308)
+
+
 def test_snapshots_land_exactly():
     data = GridFunction.from_callable(np.sin, 0.0, 2.0 * np.pi, 2.0 * np.pi / 128)
     cfg = SolverConfig(0.1, Periodic())
