@@ -30,9 +30,9 @@ from .errors import (ConfigError, InstabilityError, NoCrossingError, OutOfDomain
                      ShockzoomError, TauTooLateError)
 from .diagnostics import phase_audit, strip_profile_fit
 from .flux import FluxModel, burgers, make_flux
-from .grid import GridFunction, Window
+from .grid import GridFunction, Window, cell_count
 from .inviscid import z_eval
-from .profiles import CauchyReport, eternal_z_limit, traveling_wave
+from .profiles import CauchyReport, eternal_z_limit, merging_grid, traveling_wave
 from .scenarios import SCENARIO_IDS, Scenario, build_scenario
 from .solver import Clamped, Periodic, SolverConfig
 
@@ -339,18 +339,33 @@ def _health_rows(scenario: Scenario, eps: float, seed: int) -> list:
     return rows
 
 
-def _merge_settings(cfg: Config, window: Window) -> dict:
-    """Keyword arguments of the merging surrogate over ``window``, less the window."""
+def _merge_settings(cfg: Config, scenario: Scenario, window: Window,
+                    pad: float = 0.0) -> dict:
+    """Keyword arguments of the merging surrogate over ``window`` padded by ``pad``.
+
+    The padded window must lie after the earliest restart and on the
+    surrogate's grid, where the surrogate can be sampled.
+    """
     taus = cfg["merge.taus"]
     comparison_time = cfg["merge.comparison_time"]
+    dx = cfg["merge.dx"]
     if not max(taus) < comparison_time:
         raise ConfigError("merge.taus: every restart time must precede "
                           "merge.comparison_time")
     if comparison_time > window.t_max:
         raise ConfigError("merge.comparison_time: must not lie after the window, "
                           "where the surrogate's run ends")
-    return dict(taus=taus, comparison_time=comparison_time,
-                dx=cfg["merge.dx"])
+    padded = Window(window.t_min - pad, window.t_max + pad,
+                    window.x_min - pad, window.x_max + pad)
+    if not min(taus) < padded.t_min:
+        raise ConfigError(f"window.t_min: the surrogate starts at the earliest restart "
+                          f"t={min(taus):.6g}, after the window's t={padded.t_min:.6g}")
+    grid = merging_grid(scenario.merging, min(taus), dx)
+    if not grid.x_left <= padded.x_min <= padded.x_max <= grid.x_right:
+        raise ConfigError(f"window.x_min/x_max: [{padded.x_min:.6g}, {padded.x_max:.6g}] "
+                          f"leaves the surrogate's grid [{grid.x_left:.6g}, "
+                          f"{grid.x_right:.6g}]")
+    return dict(window=padded, taus=taus, comparison_time=comparison_time, dx=dx)
 
 
 def cmd_run(cfg: Config, args: argparse.Namespace) -> int:
@@ -371,11 +386,18 @@ def cmd_run(cfg: Config, args: argparse.Namespace) -> int:
         if window.t_min < -n:
             raise ConfigError("zref.n: window2.t_min lies before the launch time -zref.n")
         zref = dict(dx=cfg["zref.dx"], x_max=cfg["zref.x_max"])
+        # the eternal wave's grid ends at the node nearest +-zref.x_max
+        edge = cell_count(zref["x_max"], zref["dx"]) * zref["dx"]
+        if not -edge <= window.x_min <= window.x_max <= edge:
+            raise ConfigError(f"window2.x_min/x_max: [{window.x_min:.6g}, "
+                              f"{window.x_max:.6g}] leaves the eternal wave's grid "
+                              f"[{-edge:.6g}, {edge:.6g}] (zref.x_max)")
     else:
         zoom = dict(window=window, nt=cfg["zoom.nt"], ny=cfg["zoom.ny"],
                     base_divisor=cfg["grid.base_divisor"])
         if scenario_id == "theorem1-merging":
-            merge = _merge_settings(cfg, window)
+            # the surrogate covers the zoom window plus the shift search range
+            merge = _merge_settings(cfg, scenario, window, experiments.SHIFT_RANGE + 0.25)
     # each zoom solve starts from the scenario's data at t = 0
     with np.errstate(all="ignore"):
         start = min(float(experiments.zoom_frame(scenario, e).to_physical(window.t_min, 0.0)[0])
@@ -393,11 +415,7 @@ def cmd_run(cfg: Config, args: argparse.Namespace) -> int:
         checks = [_decreasing("sup-decreasing", eps[-1],
                               [o.sup_error for o in outcomes])]
     elif scenario_id == "theorem1-merging":
-        # the surrogate must cover the zoom window plus the shift search range
-        pad = experiments.SHIFT_RANGE + 0.25
-        wave, cauchy = experiments.merging_surrogate(
-            scenario, window=Window(window.t_min - pad, window.t_max + pad,
-                                    window.x_min - pad, window.x_max + pad), **merge)
+        wave, cauchy = experiments.merging_surrogate(scenario, **merge)
         outcomes = experiments.merging_zoom(scenario, eps, wave, **zoom)
         checks = [_decreasing("l1-decreasing", eps[-1],
                               [o.l1_error for o in outcomes]),
@@ -543,9 +561,9 @@ def cmd_merge(cfg: Config, args: argparse.Namespace) -> int:
     scenario = make_scenario(cfg, "theorem1-merging")
     window = _config_window(cfg, "window")
     nt = cfg["merge.nt"]
-    settings = _merge_settings(cfg, window)
+    settings = _merge_settings(cfg, scenario, window)
     out = _out_dir(cfg, args.out)
-    wave, cauchy = experiments.merging_surrogate(scenario, window=window, **settings)
+    wave, cauchy = experiments.merging_surrogate(scenario, **settings)
     ys = window.x_samples(201)
 
     def sample(t: float) -> GridFunction:

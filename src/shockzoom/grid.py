@@ -139,6 +139,22 @@ def l1_distance(a: GridFunction, b: GridFunction) -> float:
     return trapezoid(np.abs(a.values - b.values), a.dx)
 
 
+def prolong_cubic(values: np.ndarray, m: int) -> np.ndarray:
+    """Cubic Lagrange values on the grid m times finer; needs four or more nodes.
+
+    Each fine node takes the cubic through the four coarse nodes around it,
+    the stencil shifted inward at the ends, so every polynomial of degree
+    <= 3 is reproduced; the coarse nodes keep their values exactly.
+    """
+    j = np.arange((values.size - 1) * m + 1)
+    # the stencil's first coarse node and the fine node's place in it, in [0, 3]
+    k = np.clip(j // m - 1, 0, values.size - 4)
+    s = (j - m * k) / m
+    a, b, c, d = (values[k + i] for i in range(4))
+    return (-(s - 1.0) * (s - 2.0) * (s - 3.0) / 6.0 * a + s * (s - 2.0) * (s - 3.0) / 2.0 * b
+            - s * (s - 1.0) * (s - 3.0) / 2.0 * c + s * (s - 1.0) * (s - 2.0) / 6.0 * d)
+
+
 def max_forward_slope(state: GridFunction) -> float:
     """Largest one-sided slope (v[i+1] - v[i]) / dx over the grid."""
     return float(np.max(np.diff(state.values)) / state.dx)

@@ -187,6 +187,23 @@ class CauchyReport:
         return all(d[i] > d[i + 1] for i in range(len(d) - 1))
 
 
+def merging_grid(triple: MergingTriple, tau: float, dx: float) -> GridFunction:
+    """The zero grid of ``merging_wave`` whose earliest restart is ``tau``.
+
+    It spans both waves at tau, padded so that the outer profile tails
+    reach their constant states to ~1e-9 at its ends.
+    """
+    flux = triple.flux
+    jump = triple.u_minus - triple.u_plus
+    rate_l = abs(float(flux.df(triple.u_minus)) - triple.lambda1)
+    rate_r = abs(float(flux.df(triple.u_plus)) - triple.lambda2)
+    depth = np.log(max(jump, 1.0) / 1e-9)
+    x_pad = 6.0 + depth / min(rate_l, rate_r)
+    x_lo = triple.lambda1 * tau - x_pad
+    x_hi = triple.lambda2 * tau + x_pad
+    return GridFunction(x_lo, dx, np.zeros(cell_count(x_hi - x_lo, dx) + 1))
+
+
 def merging_wave(triple: MergingTriple, tau_list: Sequence[float], window: Window, *,
                  dx: float = 0.05, comparison_time: Optional[float] = None,
                  snapshot_times: Sequence[float] = (),
@@ -213,14 +230,7 @@ def merging_wave(triple: MergingTriple, tau_list: Sequence[float], window: Windo
         raise ValueError("all restart times must precede the comparison time")
 
     flux = triple.flux
-    jump = triple.u_minus - triple.u_plus
-    rate_l = abs(float(flux.df(triple.u_minus)) - triple.lambda1)
-    rate_r = abs(float(flux.df(triple.u_plus)) - triple.lambda2)
-    depth = np.log(max(jump, 1.0) / 1e-9)
-    x_pad = 6.0 + depth / min(rate_l, rate_r)
-    x_lo = triple.lambda1 * taus[0] - x_pad
-    x_hi = triple.lambda2 * taus[0] + x_pad
-    template = GridFunction(x_lo, dx, np.zeros(cell_count(x_hi - x_lo, dx) + 1))
+    template = merging_grid(triple, taus[0], dx)
     w1 = traveling_wave(flux, triple.u_minus, triple.u_star, 60.0, 0.02)
     w2 = traveling_wave(flux, triple.u_star, triple.u_plus, 60.0, 0.02)
 

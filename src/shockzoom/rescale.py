@@ -95,6 +95,8 @@ class SnapshotInterpolant:
                 raise ValueError("snapshots must share one grid")
         self.x_left = g0.x_left
         self.x_right = g0.x_right
+        # the shared nodes, built once rather than by each snapshot's call
+        self.nodes = g0.x
         self.slack = 1e-9 * max(1.0, abs(self.times[-1]), abs(self.x_right))
 
     def __call__(self, t, x):
@@ -122,7 +124,7 @@ class SnapshotInterpolant:
         need[j] = True
         need[j[mid] + 1] = True
         used = np.flatnonzero(need)
-        rows = np.array([self.grids[i](x) for i in used])
+        rows = np.array([np.interp(x, self.nodes, self.grids[i].values) for i in used])
         vals = rows[np.searchsorted(used, j)]
         if np.any(mid):
             t0, t1 = self.times[j[mid]], self.times[j[mid] + 1]

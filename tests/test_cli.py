@@ -166,6 +166,15 @@ def test_exit_code_2_paths(tmp_path, monkeypatch):
             for command in commands:
                 assert main(_long(command, setting, mended)) == 2, (command, setting)
                 assert not mended.exists(), (command, setting)
+        # windows the limit object cannot cover: before the surrogate's
+        # earliest restart, off its grid, off the eternal wave's grid
+        for args in (["merge", "--taus=-14,-16", "--set", "merge.comparison_time=-3",
+                      "--set", "merge.dx=0.1", "--set", "window.t_min=-30",
+                      "--set", "window.t_max=1"],
+                     ["run", "--scenario", "theorem1-merging", "--set", "window.x_max=1e308"],
+                     formation + ["--set", "window2.x_max=1e308"]):
+            assert main(args + ["--out", str(mended)]) == 2, args
+            assert not mended.exists(), args
     # each of these once ran for ever; now the solver's step cap refuses it
     for setting, commands in (("scenario.tau=1e308", ("single", "sweep", "formation")),
                               ("window.t_max=1e308", ("single",)),

@@ -2,15 +2,17 @@
 import numpy as np
 import pytest
 
-from shockzoom import (GridFunction, Periodic, RescaleFrame, SnapshotInterpolant,
-                       SolverConfig, Window, burgers, burgers_plus_linear,
-                       build_scenario, eternal_z, trapezoid)
-from shockzoom.experiments import (SHIFT_DY, SHIFT_LATTICE, SHIFT_RANGE,
+from shockzoom import (Clamped, GridFunction, Periodic, RescaleFrame,
+                       SnapshotInterpolant, SolverConfig, Window, burgers,
+                       burgers_plus_linear, build_scenario, eternal_z, solve,
+                       trapezoid, zoom_sample)
+from shockzoom import experiments
+from shockzoom.experiments import (COARSE_PECLET, SHIFT_DY, SHIFT_LATTICE, SHIFT_RANGE,
                                    _zoom_slices, contraction_check, formation_zoom,
                                    mass_drift_check, merging_surrogate,
                                    merging_zoom, refined_dx, scenario_grid,
                                    single_shock_zoom, suite_cubic_bounds,
-                                   suite_oleinik)
+                                   suite_oleinik, zoom_frame)
 
 
 def test_refined_dx_scaling():
@@ -193,6 +195,67 @@ def test_formation_zoom_regression():
         (0.04, 0.012763740356388054, 0.049827252942477224, 0.0, 0.0),
         (0.02, 0.020856988581765767, 0.08213025794828224, 0.0, 0.0),
     ])
+
+
+def test_zoom_local_solve_matches_full_solve(monkeypatch):
+    # every solve of a zoom, against one full-domain solve at the zoom's dx
+    initials = []
+
+    def recording(initial, *args, **kwargs):
+        initials.append(initial)
+        return solve(initial, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "solve", recording)
+
+    def gap(scen, eps, dx, window, nt, ny):
+        """Sup gap and reference sup of the slices, the solves' strides, and
+        whether the fine solve dropped nodes."""
+        frame = zoom_frame(scen, eps)
+        s_grid, y_grid = window.t_samples(nt), window.x_samples(ny)
+        initials.clear()
+        local = _zoom_slices(scen, eps, dx, frame, s_grid, y_grid)
+        full = scenario_grid(scen, dx)
+        strides = []
+        for g in initials:
+            # a node offset and a stride into the full grid, never past its ends
+            k, m = round((g.x_left - full.x_left) / dx), round(g.dx / dx)
+            assert 0 <= k and k + m * (g.n - 1) <= full.n - 1
+            np.testing.assert_allclose(g.x, full.x[k:k + m * (g.n - 1) + 1:m],
+                                       rtol=0.0, atol=1e-12)
+            strides.append(m)
+        times = sorted(float(frame.to_physical(s, 0.0)[0]) for s in s_grid)
+        snaps = solve(full, scen.flux, SolverConfig(eps, Clamped()), times[-1], times)
+        ref = zoom_sample(SnapshotInterpolant(snaps), frame, s_grid, y_grid)
+        local, ref = (np.array([g.values for _, g in sl]) for sl in (local, ref))
+        cut = initials[-1].n < full.n
+        return float(np.max(np.abs(local - ref))), float(np.max(np.abs(ref))), strides, cut
+
+    # the single-shock and merging regression configurations, and a single
+    # shock at an eps small enough for the cut to drop nodes
+    single = build_scenario("theorem1-single", burgers())
+    merging = build_scenario("theorem1-merging", burgers())
+    type1 = [(single, eps, Window(-2.0, 2.0, -4.0, 4.0), 5, 81) for eps in (0.08, 0.04, 0.01)]
+    type1 += [(merging, eps, Window(-1.0, 1.0, -2.0, 2.0), 3, 41) for eps in (0.08, 0.04)]
+    for scen, eps, window, nt, ny in type1:
+        sup_gap, sup_ref, strides, cut = gap(scen, eps, refined_dx(eps, 0.08, 4.0),
+                                             window, nt, ny)
+        assert sup_gap <= 1e-9 * sup_ref, (scen.id, eps, sup_gap)
+        assert strides == [1] and cut == (eps == 0.01), (scen.id, eps)
+
+    # the formation regression scenario at eps = 0.01, dx_hat = 0.04, where
+    # the cut drops nodes and the coarse start engages
+    scen = build_scenario("theorem2-formation", burgers_plus_linear(0.5), amplitude=2.0)
+    window = Window(-1.0, 0.5, -2.0, 2.0)
+    z_wave = eternal_z(4.0, window, dx=0.1, x_max=15.0,
+                       snapshot_times=list(window.t_samples(3)))
+    eps, dx = 0.01, 0.04 * 0.01 ** 0.75
+    (outcome,) = formation_zoom(scen, (eps,), z_wave, window=window, nt=3, ny=41,
+                                dx_hat=0.04)
+    sup_gap, _, strides, cut = gap(scen, eps, dx, window, 3, 41)
+    speed = scen.flux.max_speed(scenario_grid(scen, dx).values)
+    m = int(COARSE_PECLET * eps / (speed * dx))
+    assert m >= 2 and strides == [m, 1] and cut, (m, strides)
+    assert sup_gap < 0.1 * outcome.sup_error, (sup_gap, outcome.sup_error)
 
 
 def test_oleinik_suite_regression():

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from shockzoom import (GridFunction, GridMismatchError, Window, l1_distance,
                        mass, max_forward_slope, periodic_mass, trapezoid)
+from shockzoom.grid import prolong_cubic
 
 
 def test_trapezoid_matches_numpy():
@@ -67,3 +68,20 @@ def test_window_validation_and_samples():
     assert w.x_samples(3)[1] == 0.0
     with pytest.raises(ValueError):
         Window(1.0, -1.0, 0.0, 0.0)
+
+
+def test_cubic_prolongation_reproduces_cubics():
+    # seven coarse nodes, so the end stencils are shifted and the middle
+    # ones centred
+    coarse_x = 0.3 * np.arange(7) - 0.5
+    for m in (2, 3, 5):
+        fine_x = coarse_x[0] + 0.3 / m * np.arange(6 * m + 1)
+        for poly in ([1.0], [2.0, -1.0], [0.5, -1.0, 2.0], [1.0, -2.0, 0.5, 3.0]):
+            coarse = np.polyval(poly, coarse_x)
+            fine = prolong_cubic(coarse, m)
+            np.testing.assert_allclose(fine, np.polyval(poly, fine_x), rtol=0.0, atol=1e-12)
+            # the coarse nodes keep their values bit for bit
+            assert np.array_equal(fine[::m], coarse)
+    # a quartic is not reproduced: the test above is not vacuous
+    quartic = prolong_cubic(coarse_x ** 4, 2)
+    assert np.max(np.abs(quartic - (coarse_x[0] + 0.15 * np.arange(13)) ** 4)) > 1e-4
