@@ -398,13 +398,20 @@ def cmd_run(cfg: Config, args: argparse.Namespace) -> int:
         if scenario_id == "theorem1-merging":
             # the surrogate covers the zoom window plus the shift search range
             merge = _merge_settings(cfg, scenario, window, experiments.SHIFT_RANGE + 0.25)
-    # each zoom solve starts from the scenario's data at t = 0
-    with np.errstate(all="ignore"):
-        start = min(float(experiments.zoom_frame(scenario, e).to_physical(window.t_min, 0.0)[0])
-                    for e in eps)
-    if not start >= 0.0:
-        raise ConfigError(f"{prefix}.t_min: a zoom window starts at t={start:.3g}, "
-                          f"before the data at t = 0")
+    # each zoom solve starts from the scenario's data at t = 0 and runs on
+    # the scenario's domain
+    lo, hi = scenario.domain
+    for e in eps:
+        with np.errstate(all="ignore"):
+            t, x = experiments.zoom_frame(scenario, e).to_physical(
+                [[window.t_min], [window.t_max]], [window.x_min, window.x_max])
+        if not np.min(t) >= 0.0:
+            raise ConfigError(f"{prefix}.t_min: the zoom at eps={e:.3g} starts at "
+                              f"t={np.min(t):.3g}, before the data at t = 0")
+        if not lo <= np.min(x) <= np.max(x) <= hi:
+            raise ConfigError(f"{prefix}.x_min/x_max: the zoom at eps={e:.3g} sees "
+                              f"x in [{np.min(x):.6g}, {np.max(x):.6g}], outside the "
+                              f"scenario's domain [{lo:.6g}, {hi:.6g}]")
     out = _out_dir(cfg, args.out)
 
     if scenario_id == "theorem2-formation":

@@ -14,8 +14,7 @@ plus eight diffusion lengths sqrt(eps t_end) past the x-range the window
 sees, with the cut's ends held.  Where the data are still smooth before the
 window (t0, a quarter of the window's duration before it opens, lies before
 the blow-up time) and the grid is at least twice as fine as a cell Peclet
-number of 0.5 needs, the solve runs to t0 on that coarser subgrid and is
-prolonged by cubic interpolation before the fine solve takes over.
+number of 0.5 needs, the solve starts coarse (``solver.solve_coarse_start``).
 """
 from __future__ import annotations
 
@@ -28,14 +27,14 @@ import numpy as np
 from .flux import FluxModel, burgers
 from .errors import ConfigError
 from .grid import (MAX_CELLS, GridFunction, Window, l1_distance, periodic_mass,
-                   prolong_cubic, trapezoid)
+                   trapezoid)
 from .inviscid import z_bounds_audit, z_root
 from .profiles import CauchyReport, eternal_z, merging_wave, traveling_wave
 from .rescale import (RateFit, RescaleFrame, SnapshotInterpolant, convergence_rate,
                       fit_formation_frame, fit_shift, zoom_sample)
 from .scenarios import Scenario
-from .solver import (Clamped, OleinikReport, Periodic, SolverConfig,
-                     oleinik_check, solve)
+from .solver import (COARSE_PECLET, Clamped, OleinikReport, Periodic, SolverConfig,
+                     oleinik_check, solve, solve_coarse_start)
 
 # The merging shift search tries time shifts on the surrogate's snapshot
 # lattice, so no time interpolation error enters, and space shifts on a
@@ -48,10 +47,6 @@ SHIFT_DY = 0.05
 # diffusion lengths sqrt(eps t): the heat kernel holds erfc(4)/2 < 1e-8 of
 # its mass past eight of them.
 REACH_DIFFUSION_LENGTHS = 8.0
-# The coarse start's cell Peclet number, a quarter of the solver's limit of
-# 2: on the acceptance gate's formation study (eps = 0.01, 0.004, 0.0016)
-# it moves the zoom errors by at most 0.15%, against 0.72% at 1.
-COARSE_PECLET = 0.5
 # The fine solve takes over this fraction of the window's duration before
 # the window opens, so the prolongation's error is smoothed before it is seen.
 COARSE_LEAD = 0.25
@@ -108,11 +103,11 @@ def _zoom_slices(scenario: Scenario, eps: float, dx: float, frame: RescaleFrame,
     end nodes are held at the data's values.
 
     Where the solution is still smooth before the window, the solve starts
-    coarse: with m = floor(COARSE_PECLET eps / (max|f'(u0)| dx)) >= 2 and
+    coarse (``solve_coarse_start``, which sets when that is safe): with
+    m = floor(COARSE_PECLET eps / (max|f'(u0)| dx)) >= 2 and
     t0 = t_first - COARSE_LEAD (t_last - t_first) in (0, blow-up time), the
     cut, widened to whole coarse cells, is solved to t0 on its every m-th
-    node, prolonged to its nodes by cubic Lagrange interpolation, and
-    solved on from there.
+    node, and the fine solve leads the window by t_first - t0.
     """
     times = sorted(set(float(frame.to_physical(s, 0.0)[0]) for s in s_grid))
     full = scenario_grid(scenario, dx)
@@ -127,28 +122,19 @@ def _zoom_slices(scenario: Scenario, eps: float, dx: float, frame: RescaleFrame,
     i, j = int(i), int(j)
     t0 = times[0] - COARSE_LEAD * (times[-1] - times[0])
     m = math.floor(COARSE_PECLET * eps / (speed * dx))
-    coarse_start = m >= 2 and 0.0 < t0 < scenario.blowup
-    if coarse_start:
+    if m >= 2 and 0.0 < t0 < scenario.blowup:
         # whole coarse cells, widened to the right first, then to the left;
-        # a grid too short for that, or a cut of under four coarse nodes,
-        # starts fine
+        # a grid too short for that starts fine
         pad = -(j - i) % m
         j_wide = min(full.n - 1, j + pad)
         i_wide = i - pad + (j_wide - j)
-        coarse_start = i_wide >= 0 and j_wide - i_wide >= 3 * m
-        if coarse_start:
+        if i_wide >= 0:
             i, j = i_wide, j_wide
-    cut = GridFunction(full.x_left + dx * i, dx, full.values[i:j + 1])
-    cfg = SolverConfig(eps, Clamped())
-    if coarse_start:
-        coarse = GridFunction(cut.x_left, m * dx, cut.values[::m])
-        start = solve(coarse, scenario.flux, cfg, t0)[-1][1]
-        cut = cut.with_values(prolong_cubic(start.values, m))
     else:
-        t0 = 0.0
-    snaps = solve(cut, scenario.flux, cfg, times[-1] - t0, [t - t0 for t in times])
-    # the snapshots keep the frame's own times, bit for bit
-    snaps = [(t, g) for t, (_, g) in zip(times, snaps)]
+        m = 1
+    cut = GridFunction(full.x_left + dx * i, dx, full.values[i:j + 1])
+    snaps = solve_coarse_start(cut, scenario.flux, SolverConfig(eps, Clamped()),
+                               times[-1], times, m, t0)
     return zoom_sample(SnapshotInterpolant(snaps), frame, s_grid, y_grid)
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from shockzoom import experiments, profiles
+from shockzoom import experiments, profiles, solver
 from shockzoom.cli import (DEFAULTS, KEYS, MAX_COUNT, Config, _interior_shift_row,
                            load_config, main)
 from shockzoom.errors import ConfigError
@@ -135,7 +135,7 @@ def test_exit_code_2_paths(tmp_path, monkeypatch):
                  formation + ["--set", f"zoom2.ny={too_many}"],
                  ["merge", "--set", f"merge.nt={too_many}"],
                  # within MAX_COUNT, but 10^6 snapshots of the eternal wave's
-                 # 3,001 nodes exceed the solver's snapshot memory cap
+                 # 1,501 half-line nodes exceed the solver's snapshot memory cap
                  formation + ["--set", f"zoom2.nt={MAX_COUNT}"],
                  # the derivatives of the cubic wave blow up at t = 0, x = 0
                  ["z-table", "--t", "-1", "0", "--x", "-2", "2"],
@@ -159,7 +159,7 @@ def test_exit_code_2_paths(tmp_path, monkeypatch):
     # solve and leaves no output directory
     mended = tmp_path / "mended"
     with monkeypatch.context() as m:
-        for module in (experiments, profiles):
+        for module in (experiments, profiles, solver):
             m.setattr(module, "solve", _no_solve)
         assert main(["run", "--eps", "0.3,0.1", "--out", str(mended)]) == 2
         for setting, commands in MENDED:
@@ -167,12 +167,19 @@ def test_exit_code_2_paths(tmp_path, monkeypatch):
                 assert main(_long(command, setting, mended)) == 2, (command, setting)
                 assert not mended.exists(), (command, setting)
         # windows the limit object cannot cover: before the surrogate's
-        # earliest restart, off its grid, off the eternal wave's grid
+        # earliest restart, off its grid, off the eternal wave's grid; and
+        # windows whose zoom at the largest eps leaves the scenario's domain
+        # (x up to 2.4 on +-2, 2.64 on +-2.5 yet on the surrogate's grid,
+        # and 5.4 on +-3.5)
         for args in (["merge", "--taus=-14,-16", "--set", "merge.comparison_time=-3",
                       "--set", "merge.dx=0.1", "--set", "window.t_min=-30",
                       "--set", "window.t_max=1"],
                      ["run", "--scenario", "theorem1-merging", "--set", "window.x_max=1e308"],
-                     formation + ["--set", "window2.x_max=1e308"]):
+                     formation + ["--set", "window2.x_max=1e308"],
+                     ["run", "--scenario", "theorem1-single", "--set", "window.x_max=60"],
+                     ["run", "--scenario", "theorem1-merging", "--set", "window.x_max=66"],
+                     formation + ["--eps", "0.04,0.01", "--set", "window2.x_min=-60",
+                                  "--set", "window2.x_max=60"]):
             assert main(args + ["--out", str(mended)]) == 2, args
             assert not mended.exists(), args
     # each of these once ran for ever; now the solver's step cap refuses it

@@ -2,10 +2,10 @@
 import numpy as np
 import pytest
 
-from shockzoom import (GridFunction, MergingTriple, NotConvergedError,
-                       NotLaxError, TauTooLateError, Window, burgers,
+from shockzoom import (Clamped, GridFunction, MergingTriple, NotConvergedError,
+                       NotLaxError, SolverConfig, TauTooLateError, Window, burgers,
                        eternal_z, eternal_z_limit, merging_initial, profiles,
-                       smoothstep, solver, transition_width, traveling_wave,
+                       smoothstep, solve, solver, transition_width, traveling_wave,
                        z_root)
 from shockzoom.errors import NotOrderedError
 from shockzoom.inviscid import _outer_root
@@ -102,7 +102,82 @@ def test_eternal_wave_is_odd():
     zw = eternal_z(2.0, win, dx=0.05, x_max=12.0)
     for t, g in zw:
         v = g.values
-        assert np.max(np.abs(v + v[::-1])) < 1e-10
+        # the half-line solve, mirrored
+        assert np.array_equal(v, -v[::-1])
+
+
+def _symmetric_eternal_z(n, dx, x_max, times):
+    """The eternal wave solved on all of [-xr, xr], both ends clamped."""
+    half = round(x_max / dx)
+    xr = half * dx
+    data = GridFunction(-xr, dx, z_root(-n, dx * np.arange(-half, half + 1)))
+
+    def ends(t):
+        r = float(_outer_root(t - n, xr))
+        return -r, r
+
+    shifted = [t + n for t in times]
+    snaps = solve(data, burgers(), SolverConfig(1.0, Clamped(ends)), shifted[-1], shifted)
+    return [(t - n, g) for t, g in snaps]
+
+
+def _sup_gap(a, b, stride=1):
+    """Sup distance of two runs on a's nodes, b's every stride-th."""
+    return max(float(np.max(np.abs(ga.values - gb.values[::stride])))
+               for (_, ga), (_, gb) in zip(a, b))
+
+
+def test_half_line_wave_matches_symmetric_solve():
+    # t0 = t_first - (t_last - t_first) falls before the launch, so both
+    # march fine from t = -n; one run reaches past t = 0
+    for n, dx, x_max, times in ((4.0, 0.1, 15.0, [-3.0, -1.0, 1.0]),
+                                (2.0, 0.05, 12.0, [-1.5, -0.5])):
+        window = Window(times[0], times[-1], -4.0, 4.0)
+        half_line = eternal_z(n, window, dx=dx, x_max=x_max, snapshot_times=times)
+        full = _symmetric_eternal_z(n, dx, x_max, times)
+        assert [t for t, _ in half_line] == [t for t, _ in full]
+        assert all(g.x_left == h.x_left and g.n == h.n
+                   for (_, g), (_, h) in zip(half_line, full))
+        assert _sup_gap(half_line, full) <= 1e-13
+
+
+def test_coarse_start_moves_z_less_than_halving_dx(monkeypatch):
+    # the default zref over the default window2 samples, and the regression
+    # configuration of test_formation_zoom_regression
+    for n, dx, x_max, window, nt in ((32.0, 0.04, 60.0, Window(-3.0, 1.0, -4.0, 4.0), 17),
+                                     (4.0, 0.1, 15.0, Window(-1.0, 0.5, -2.0, 2.0), 3)):
+        times = list(window.t_samples(nt))
+        strides = []
+
+        def recording(initial, *args, **kwargs):
+            strides.append(round(initial.dx / dx, 6))
+            return solve(initial, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "solve", recording)
+        coarse = eternal_z(n, window, dx=dx, x_max=x_max, snapshot_times=times)
+        assert strides == [profiles.ETERNAL_STRIDE, 1]
+        monkeypatch.setattr(profiles, "ETERNAL_STRIDE", 1)
+        fine = eternal_z(n, window, dx=dx, x_max=x_max, snapshot_times=times)
+        finer = eternal_z(n, window, dx=dx / 2, x_max=x_max, snapshot_times=times)
+        monkeypatch.undo()
+        assert _sup_gap(coarse, fine) < 0.5 * _sup_gap(fine, finer, 2)
+
+
+def test_eternal_wave_starts_fine_where_coarse_peclet_is_high(monkeypatch):
+    strides = []
+
+    def recording(initial, *args, **kwargs):
+        strides.append(initial.dx)
+        return solve(initial, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "solve", recording)
+    window = Window(-3.0, 1.0, -4.0, 4.0)
+    times = list(window.t_samples(17))
+    # zref.dx = 0.32: at t0 = -7 the clamp |z| = 3.32 would put the coarse
+    # cell Peclet number at 2.1, past the solver's limit of 2, where the
+    # fine grid's 1.06 is safe
+    eternal_z(32.0, window, dx=0.32, x_max=60.0, snapshot_times=times)
+    assert strides == [0.32]
 
 
 def test_eternal_wave_sits_above_cubic():
