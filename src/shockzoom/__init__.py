@@ -8,13 +8,12 @@ its rescaling limit on a fixed observation window.
 from .errors import (ConfigError, DegenerateError, EqualStatesError,
                      GridMismatchError, InstabilityError, MultipleRootsError,
                      NoBracketError, NoCrossingError, NonPositiveError,
-                     NotConvergedError, NotLaxError, NotLaxWarning,
-                     NotOrderedError, OutOfDomainError, ShockzoomError,
-                     TauTooLateError)
+                     NotLaxError, NotLaxWarning, NotOrderedError,
+                     OutOfDomainError, ShockzoomError, TauTooLateError)
 from .flux import (BUILTIN_FLUXES, FluxModel, ShockData, burgers,
                    burgers_plus_linear, chord, make_flux, quartic_perturbed,
                    rankine_hugoniot)
-from .grid import (GridFunction, Window, l1_distance, mass, max_forward_slope,
+from .grid import (GridFunction, Window, l1_distance, max_forward_slope,
                    periodic_mass, trapezoid)
 from .solver import (Clamped, OleinikReport, Periodic, SolverConfig,
                      oleinik_check, solve)
@@ -30,11 +29,10 @@ from .rescale import (FitResult, FormationFrameFit, FormationPoint, RateFit,
                       fit_formation_frame, fit_shift, zoom_sample)
 from .diagnostics import (MembershipReport, PhaseAuditReport, WCurve,
                           almost_monotone_margin, chord_region_membership,
-                          phase_audit, phase_times, strip_deviation,
-                          strip_profile_fit, w_curve)
-from .scenarios import (SCENARIO_IDS, Scenario, blowup_map_minimum,
-                        build_scenario, merging_shocks_scenario,
-                        shock_consistency, shock_formation_scenario,
+                          phase_audit, phase_times, strip_profile_fit,
+                          w_curve)
+from .scenarios import (SCENARIO_IDS, Scenario, build_scenario,
+                        merging_shocks_scenario, shock_formation_scenario,
                         single_shock_scenario)
 from .experiments import (ContractionReport, KuznetsovReport, MassReport,
                           ZoomOutcome, contraction_check, formation_zoom,

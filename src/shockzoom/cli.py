@@ -32,7 +32,7 @@ from .diagnostics import phase_audit, strip_profile_fit
 from .flux import FluxModel, burgers, make_flux
 from .grid import GridFunction, Window, cell_count
 from .inviscid import z_eval
-from .profiles import CauchyReport, eternal_z_limit, merging_grid, traveling_wave
+from .profiles import eternal_z_limit, merging_grid, traveling_wave
 from .scenarios import SCENARIO_IDS, Scenario, build_scenario
 from .solver import Clamped, Periodic, SolverConfig
 
@@ -240,8 +240,12 @@ def _window(prefix: str, t_min: float, t_max: float, x_min: float,
 
 
 def _config_window(cfg: Config, prefix: str) -> Window:
-    return _window(prefix, *(cfg[f"{prefix}.{end}"]
-                             for end in ("t_min", "t_max", "x_min", "x_max")))
+    """The zoom window under ``prefix``; its x-range is sampled, so it needs width."""
+    window = _window(prefix, *(cfg[f"{prefix}.{end}"]
+                               for end in ("t_min", "t_max", "x_min", "x_max")))
+    if not window.x_min < window.x_max:
+        raise ConfigError(f"{prefix}.x_min/x_max: need x_min < x_max")
+    return window
 
 
 def _out_path(cfg: Config, override: Optional[str]) -> Path:
@@ -259,16 +263,6 @@ def _decreasing(name: str, t: float, values: Sequence[float]) -> tuple:
     pairs = list(zip(values[:-1], values[1:]))
     return (name, t, min((a - b for a, b in pairs), default=0.0),
             all(b < a for a, b in pairs))
-
-
-def _cauchy_row(cauchy: CauchyReport) -> tuple:
-    """Check row: restart distances shrink as the restart time recedes.
-
-    The margin is minus the fitted log-slope; a single distance has no
-    slope, and its margin is 0 as in ``_decreasing``.
-    """
-    margin = -cauchy.log_slope if len(cauchy.distances) >= 2 else 0.0
-    return ("cauchy-decreasing", cauchy.comparison_time, margin, cauchy.decreasing)
 
 
 def _interior_shift_row(t: float, outcomes: Sequence[experiments.ZoomOutcome]) -> tuple:
@@ -385,6 +379,7 @@ def cmd_run(cfg: Config, args: argparse.Namespace) -> int:
         nt, ny, dx_hat, n = cfg["zoom2.nt"], cfg["zoom2.ny"], cfg["grid.dx_hat"], cfg["zref.n"]
         if window.t_min < -n:
             raise ConfigError("zref.n: window2.t_min lies before the launch time -zref.n")
+        mesh = dict(dx_hat=dx_hat)
         zref = dict(dx=cfg["zref.dx"], x_max=cfg["zref.x_max"])
         # the eternal wave's grid ends at the node nearest +-zref.x_max
         edge = cell_count(zref["x_max"], zref["dx"]) * zref["dx"]
@@ -393,25 +388,28 @@ def cmd_run(cfg: Config, args: argparse.Namespace) -> int:
                               f"{window.x_max:.6g}] leaves the eternal wave's grid "
                               f"[{-edge:.6g}, {edge:.6g}] (zref.x_max)")
     else:
-        zoom = dict(window=window, nt=cfg["zoom.nt"], ny=cfg["zoom.ny"],
-                    base_divisor=cfg["grid.base_divisor"])
+        mesh = dict(base_divisor=cfg["grid.base_divisor"])
+        zoom = dict(window=window, nt=cfg["zoom.nt"], ny=cfg["zoom.ny"], **mesh)
         if scenario_id == "theorem1-merging":
             # the surrogate covers the zoom window plus the shift search range
             merge = _merge_settings(cfg, scenario, window, experiments.SHIFT_RANGE + 0.25)
     # each zoom solve starts from the scenario's data at t = 0 and runs on
-    # the scenario's domain
+    # the scenario's grid at its mesh, whose last node is the one nearest
+    # the domain's right end
     lo, hi = scenario.domain
     for e in eps:
+        dx = experiments.zoom_dx(scenario, e, max(eps), **mesh)
+        end = lo + cell_count(hi - lo, dx) * dx
         with np.errstate(all="ignore"):
             t, x = experiments.zoom_frame(scenario, e).to_physical(
                 [[window.t_min], [window.t_max]], [window.x_min, window.x_max])
         if not np.min(t) >= 0.0:
             raise ConfigError(f"{prefix}.t_min: the zoom at eps={e:.3g} starts at "
                               f"t={np.min(t):.3g}, before the data at t = 0")
-        if not lo <= np.min(x) <= np.max(x) <= hi:
+        if not lo <= np.min(x) <= np.max(x) <= end:
             raise ConfigError(f"{prefix}.x_min/x_max: the zoom at eps={e:.3g} sees "
                               f"x in [{np.min(x):.6g}, {np.max(x):.6g}], outside the "
-                              f"scenario's domain [{lo:.6g}, {hi:.6g}]")
+                              f"scenario's grid [{lo:.6g}, {end:.6g}] at dx={dx:.3g}")
     out = _out_dir(cfg, args.out)
 
     if scenario_id == "theorem2-formation":
@@ -426,7 +424,8 @@ def cmd_run(cfg: Config, args: argparse.Namespace) -> int:
         outcomes = experiments.merging_zoom(scenario, eps, wave, **zoom)
         checks = [_decreasing("l1-decreasing", eps[-1],
                               [o.l1_error for o in outcomes]),
-                  _cauchy_row(cauchy),
+                  _decreasing("cauchy-decreasing", cauchy.comparison_time,
+                              cauchy.distances),
                   _interior_shift_row(eps[-1], outcomes)]
     else:
         outcomes = experiments.single_shock_zoom(scenario, eps, **zoom)
@@ -578,7 +577,7 @@ def cmd_merge(cfg: Config, args: argparse.Namespace) -> int:
 
     io.write_snapshots(out / "wave.csv",
                        [(float(t), sample(float(t))) for t in window.t_samples(nt)])
-    checks = [_cauchy_row(cauchy)]
+    checks = [_decreasing("cauchy-decreasing", cauchy.comparison_time, cauchy.distances)]
     # a single restart pair has no slope to test
     if len(cauchy.distances) >= 2:
         checks.append(("cauchy-slope", cauchy.comparison_time, -cauchy.log_slope,
@@ -605,8 +604,7 @@ def cmd_zlimit(cfg: Config, args: argparse.Namespace) -> int:
     if -n_list[0] > window.t_min:
         raise ConfigError("zlimit.t_min: window starts before the smallest horizon")
     out = _out_dir(cfg, args.out)
-    # the settled row below applies zlimit.tol, so the library's gate is off
-    wave, report = eternal_z_limit(n_list, window, math.inf, dx=dx)
+    wave, report = eternal_z_limit(n_list, window, dx=dx)
     io.write_snapshots(out / "zwave.csv", wave)
     checks = [_decreasing("decreasing", 0.0, report.sup_diffs),
               ("monotone", 0.0, report.monotone_margin + 1e-4,

@@ -9,7 +9,7 @@ the later stages of the approach to the wave.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -33,16 +33,6 @@ def w_curve(state: GridFunction, flux: FluxModel) -> WCurve:
     """Build the transformed curve; u_x by centred differences, one-sided ends."""
     ux = np.gradient(state.values, state.dx, edge_order=1)
     return WCurve(state.values.copy(), np.asarray(flux.f(state.values), dtype=float) - ux)
-
-
-def strip_deviation(curve: WCurve, chord_fn: Callable,
-                    u_range: Tuple[float, float]) -> float:
-    """Sup of |w - chord(u)| over samples whose u lies in the given range."""
-    lo, hi = min(u_range), max(u_range)
-    sel = (curve.u >= lo) & (curve.u <= hi)
-    if not np.any(sel):
-        return 0.0
-    return float(np.max(np.abs(curve.w[sel] - np.asarray(chord_fn(curve.u[sel]), dtype=float))))
 
 
 @dataclass(frozen=True)
@@ -127,10 +117,6 @@ class PhaseAuditReport:
     t1: float
     t2: float
     rows: Tuple[Tuple[str, float, float, bool], ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(r[3] for r in self.rows)
 
 
 def phase_audit(initial: GridFunction, flux: FluxModel, delta0: float,

@@ -41,10 +41,6 @@ class TauTooLateError(ShockzoomError, ValueError):
     """Blend time is too close to the interaction; profiles would overlap."""
 
 
-class NotConvergedError(ShockzoomError, RuntimeError):
-    """A limit construction did not settle below its tolerance."""
-
-
 class OutOfDomainError(ShockzoomError, ValueError):
     """Requested sample point lies outside the stored data."""
 

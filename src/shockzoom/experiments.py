@@ -68,6 +68,19 @@ def refined_dx(eps: float, eps_max: float, base_divisor: float = 8.0) -> float:
     return eps / base_divisor * math.sqrt(eps / eps_max)
 
 
+def zoom_dx(scenario: Scenario, eps: float, eps_max: float, *,
+            base_divisor: float = 8.0, dx_hat: float = 0.04) -> float:
+    """The mesh of a zoom solve at viscosity eps, eps_max the sweep's largest.
+
+    A type-2 zoom keeps dx_hat eps^{3/4}: constant resolution in observation
+    coordinates, fine enough that the horizon gap dominates.  A type-1 zoom
+    takes ``refined_dx``.
+    """
+    if scenario.formation is not None:
+        return dx_hat * eps ** 0.75
+    return refined_dx(eps, eps_max, base_divisor)
+
+
 def scenario_grid(scenario: Scenario, dx: float) -> GridFunction:
     lo, hi = scenario.domain
     return GridFunction.from_callable(scenario.initial.u0, lo, hi, dx)
@@ -172,7 +185,7 @@ def single_shock_zoom(scenario: Scenario, eps_list: Sequence[float], *,
     out = []
     for eps in eps_list:
         frame = zoom_frame(scenario, float(eps))
-        dx = refined_dx(float(eps), eps_max, base_divisor)
+        dx = zoom_dx(scenario, float(eps), eps_max, base_divisor=base_divisor)
         slices = _zoom_slices(scenario, float(eps), dx, frame, s_grid, y_grid)
         # the wave moves at the shock speed through the zoom window
         s0, centered = slices[k0]
@@ -231,7 +244,7 @@ def merging_zoom(scenario: Scenario, eps_list: Sequence[float],
     out = []
     for eps in eps_list:
         frame = zoom_frame(scenario, float(eps))
-        dx = refined_dx(float(eps), eps_max, base_divisor)
+        dx = zoom_dx(scenario, float(eps), eps_max, base_divisor=base_divisor)
         slices = _zoom_slices(scenario, float(eps), dx, frame, s_grid, y_grid)
 
         def mismatch(dt, dy: float):
@@ -268,11 +281,7 @@ def formation_zoom(scenario: Scenario, eps_list: Sequence[float],
                    nt: int = 17, ny: int = 321,
                    dx_hat: float = 0.04) -> List[ZoomOutcome]:
     """Compare type-2 zooms (see ``zoom_frame``) of a formation scenario with
-    the eternal wave.
-
-    The mesh scales as dx_hat * eps^{3/4}: constant resolution in
-    observation coordinates, fine enough that the horizon gap dominates.
-    """
+    the eternal wave, on the mesh of ``zoom_dx``."""
     if scenario.formation is None:
         raise ValueError("scenario has no formation point")
     s_grid = window.t_samples(nt)
@@ -281,7 +290,7 @@ def formation_zoom(scenario: Scenario, eps_list: Sequence[float],
     out = []
     for eps in eps_list:
         frame = zoom_frame(scenario, float(eps))
-        dx = dx_hat * float(eps) ** 0.75
+        dx = zoom_dx(scenario, float(eps), max(eps_list), dx_hat=dx_hat)
         slices = _zoom_slices(scenario, float(eps), dx, frame, s_grid, y_grid)
         sup, l1 = _mismatch(slices, z_interp(s_grid, y_grid))
         out.append(ZoomOutcome(float(eps), float(sup), float(l1), 0.0))

@@ -119,11 +119,6 @@ def trapezoid(values: np.ndarray, dx: float):
     return float(out) if v.ndim == 1 else out
 
 
-def mass(state: GridFunction) -> float:
-    """Trapezoid-rule integral of the profile over its grid."""
-    return trapezoid(state.values, state.dx)
-
-
 def periodic_mass(state: GridFunction) -> float:
     """Integral over one period for grids that omit the duplicate endpoint.
 

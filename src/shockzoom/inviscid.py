@@ -242,10 +242,6 @@ class ZBoundsReport:
     worst: dict
     residual_max: float
 
-    @property
-    def passed(self) -> bool:
-        return self.violations == 0
-
 
 def z_bounds_audit(t_grid: Sequence[float], x_grid: Sequence[float],
                    slack: float = 1e-12) -> ZBoundsReport:

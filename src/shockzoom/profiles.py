@@ -16,8 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import (ConfigError, NotConvergedError, NotLaxError, NotOrderedError,
-                     TauTooLateError)
+from .errors import ConfigError, NotLaxError, NotOrderedError, TauTooLateError
 from .flux import FluxModel, ShockData, burgers, rankine_hugoniot
 from .grid import GridFunction, Window, cell_count, l1_distance
 from .inviscid import _outer_root, z_root
@@ -346,15 +345,14 @@ class ZLimitReport:
         return all(d[i] > d[i + 1] for i in range(len(d) - 1))
 
 
-def eternal_z_limit(n_list: Sequence[float], window: Window, tol: float, *,
+def eternal_z_limit(n_list: Sequence[float], window: Window, *,
                     dx: float = 0.02, x_max: Optional[float] = None,
                     ) -> Tuple[List[Tuple[float, GridFunction]], ZLimitReport]:
-    """Run increasing horizons and certify the family is settling.
+    """Run increasing horizons and measure how the family settles.
 
     The horizons are compared at nine equally spaced window times.  The
     largest horizon is returned as the limit surrogate; no extrapolation is
-    performed.  Raises NotConvergedError when the last consecutive
-    difference exceeds tol.
+    performed.
     """
     ns = sorted(float(v) for v in n_list)
     if len(ns) < 2:
@@ -376,9 +374,5 @@ def eternal_z_limit(n_list: Sequence[float], window: Window, tol: float, *,
             sup = max(sup, float(np.max(np.abs(b.values - a.values))))
         mono = min(mono, worst_gap)
         sups.append(sup)
-    report = ZLimitReport(tuple(ns), tuple(sample_times), float(mono),
-                          tuple(sups), float(sups[-1]))
-    if report.final_diff > tol:
-        raise NotConvergedError(
-            f"horizon differences ended at {report.final_diff:.3g} > tol {tol:.3g}")
-    return runs[-1], report
+    return runs[-1], ZLimitReport(tuple(ns), tuple(sample_times), float(mono),
+                                  tuple(sups), float(sups[-1]))

@@ -248,47 +248,6 @@ def shock_formation_scenario(flux: FluxModel, amplitude: float = 1.0, *,
                     reference, formation=point)
 
 
-def blowup_map_minimum(scenario: Scenario, span: float = 1.0,
-                       n: int = 201) -> Tuple[float, float, float]:
-    """Scan the blow-up map near the singular foot point.
-
-    Returns (best_xi, best_time, second_difference); a structurally stable
-    formation point shows a strict interior minimum with positive curvature.
-    """
-    xs = np.linspace(-span, span, n)
-    times = np.array([blowup_time(scenario.initial, scenario.flux, xi) for xi in xs])
-    k = int(np.argmin(times))
-    if k in (0, n - 1):
-        raise DegenerateError("blow-up map minimum sits on the scan boundary")
-    second = times[k - 1] - 2.0 * times[k] + times[k + 1]
-    return float(xs[k]), float(times[k]), float(second)
-
-
-def shock_consistency(scenario: Scenario) -> float:
-    """Worst inconsistency of declared jumps against the flux chords.
-
-    Recomputes each declared shock's speed from its states and checks the
-    strict speed ordering that admissibility requires; returns the largest
-    absolute defect (0 for exactly consistent scenarios).
-    """
-    worst = 0.0
-    checks = []
-    if scenario.shock is not None:
-        checks.append(scenario.shock)
-    if scenario.merging is not None:
-        trip = scenario.merging
-        checks.append(rankine_hugoniot(scenario.flux, trip.u_minus, trip.u_star))
-        checks.append(rankine_hugoniot(scenario.flux, trip.u_star, trip.u_plus))
-    for sh in checks:
-        again = rankine_hugoniot(scenario.flux, sh.u_minus, sh.u_plus)
-        worst = max(worst, abs(again.speed - sh.speed))
-        lax = min(float(scenario.flux.df(sh.u_minus)) - sh.speed,
-                  sh.speed - float(scenario.flux.df(sh.u_plus)))
-        if lax <= 0.0:
-            raise NotLaxError(f"declared shock {sh} is not admissible")
-    return worst
-
-
 # each scenario id with its constructor; the constructors' defaults are the
 # canonical states
 SCENARIOS = {"theorem1-single": single_shock_scenario,

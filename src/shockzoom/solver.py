@@ -285,10 +285,6 @@ class OleinikReport:
     violations: int
     worst_margin: float
 
-    @property
-    def passed(self) -> bool:
-        return self.violations == 0
-
 
 def oleinik_check(snapshots: Sequence[Tuple[float, GridFunction]], c1: float,
                   tolerance: float) -> OleinikReport:

@@ -93,7 +93,7 @@ def test_criterion_04_eternal_wave_sandwich():
 
 def test_criterion_05_horizon_monotonicity():
     window = Window(-3.5, -1.0, -20.0, 20.0)
-    _, report = eternal_z_limit((4.0, 8.0, 16.0), window, tol=np.inf, dx=0.02)
+    _, report = eternal_z_limit((4.0, 8.0, 16.0), window, dx=0.02)
     n_sampled = len(report.sample_times) * 1001
     _say(5, f"monotone margin {report.monotone_margin:.3e} over ~{n_sampled} "
             f"points, sup diffs {[f'{d:.3e}' for d in report.sup_diffs]}")

@@ -170,8 +170,18 @@ def test_exit_code_2_paths(tmp_path, monkeypatch):
         # earliest restart, off its grid, off the eternal wave's grid; and
         # windows whose zoom at the largest eps leaves the scenario's domain
         # (x up to 2.4 on +-2, 2.64 on +-2.5 yet on the surrogate's grid,
-        # and 5.4 on +-3.5)
-        for args in (["merge", "--taus=-14,-16", "--set", "merge.comparison_time=-3",
+        # and 5.4 on +-3.5), or its grid: at dx = 0.0048 the last node is
+        # 1.99856, short of x = 2 on +-2; and windows of zero width, whose
+        # x-samples would be 0 apart
+        for args in (["run", "--scenario", "theorem1-single", "--set",
+                      "grid.base_divisor=8.333", "--set", "window.x_max=50"],
+                     ["run", "--scenario", "theorem1-single", "--set", "window.x_min=1",
+                      "--set", "window.x_max=1"],
+                     ["run", "--scenario", "theorem1-merging", "--set", "window.x_min=1",
+                      "--set", "window.x_max=1"],
+                     formation + ["--set", "window2.x_min=1", "--set", "window2.x_max=1"],
+                     ["merge", "--set", "window.x_min=1", "--set", "window.x_max=1"],
+                     ["merge", "--taus=-14,-16", "--set", "merge.comparison_time=-3",
                       "--set", "merge.dx=0.1", "--set", "window.t_min=-30",
                       "--set", "window.t_max=1"],
                      ["run", "--scenario", "theorem1-merging", "--set", "window.x_max=1e308"],
@@ -312,6 +322,21 @@ def test_merge_reports_its_checks(tmp_path):
     assert post["t"] == 5.0 and 0.0 < post["margin"] < 0.05
 
 
+def test_cauchy_row_fails_on_any_rise(tmp_path, monkeypatch):
+    # the distances rise at the last restart although their fitted
+    # log-slope is negative: the row fails, and its margin is that rise
+    cauchy = profiles.CauchyReport((-20.0, -30.0, -40.0), -10.0, (0.01, 0.001, 0.002), -1.0)
+    monkeypatch.setattr(experiments, "merging_surrogate",
+                        lambda scenario, **kw: (lambda t, y: -np.tanh(y / 2.0), cauchy))
+    out = tmp_path / "m"
+    assert main(["merge", "--set", "merge.nt=3", "--out", str(out)]) == 1
+    flags, summary = _checks(out)
+    assert flags == {"cauchy-decreasing": False, "cauchy-slope": True, "post-merge": True}
+    row = summary["checks"][0]
+    assert row["name"] == "cauchy-decreasing"
+    assert row["margin"] == pytest.approx(-0.001) and row["margin"] <= 0.0
+
+
 def test_merge_reports_a_shock_that_left_the_window(tmp_path):
     # faster states carry the merged shock out of the window by t = 5: no
     # strip fit exists, which is a failed row, and the report is still written
@@ -402,7 +427,16 @@ LONG_KEYS = {"run.eps": _values("0.08,0.04", "0.04,0.08", "0.08,0.04,0.02"),
              "sweep.t_check": _values("0.5", "0.1"),
              "zlimit.dx": _values("0.1", "0.2"),
              "zlimit.n_list": _values("4,8", "8,4", "4,6,8"),
-             "zlimit.tol": _values("0.1", "1e-6")}
+             "zlimit.tol": _values("0.1", "1e-6"),
+             # the windows of LONG_BASE, narrowed, and collapsed to zero width
+             "window.t_min": _values("-0.5", "1"),
+             "window.t_max": _values("0.5", "-1"),
+             "window.x_min": _values("-1", "2"),
+             "window.x_max": _values("1", "-2"),
+             "window2.t_min": _values("-0.5", "0.5"),
+             "window2.t_max": _values("-0.5", "-1"),
+             "window2.x_min": _values("-1", "2"),
+             "window2.x_max": _values("1", "-2")}
 LONG_COMMANDS = {"single": ["run", "--scenario", "theorem1-single"],
                  "merging": ["run", "--scenario", "theorem1-merging"],
                  "formation": ["run", "--scenario", "theorem2-formation"],

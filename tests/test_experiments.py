@@ -56,13 +56,13 @@ def test_mass_drift_check_periodic():
 
 def test_cubic_bounds_suite_clean():
     report, rows = suite_cubic_bounds(nt=20, nx=40)
-    assert report.passed
+    assert report.violations == 0
     assert all(r[3] for r in rows)
 
 
 def test_oleinik_suite_positive_slope_decay():
     report, rows = suite_oleinik(n_nodes=256)
-    assert report.passed
+    assert report.violations == 0
     assert all(r[3] for r in rows)
 
 

@@ -113,7 +113,7 @@ def test_z_bounds_audit_clean():
     t = -np.geomspace(0.5, 9.0, 25)
     x = np.linspace(-40.0, 40.0, 161)
     report = z_bounds_audit(t, x)
-    assert report.passed
+    assert report.violations == 0
     assert report.residual_max < 1e-10 * 41.0
 
 

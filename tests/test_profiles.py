@@ -2,11 +2,10 @@
 import numpy as np
 import pytest
 
-from shockzoom import (Clamped, GridFunction, MergingTriple, NotConvergedError,
-                       NotLaxError, SolverConfig, TauTooLateError, Window, burgers,
-                       eternal_z, eternal_z_limit, merging_initial, profiles,
-                       smoothstep, solve, solver, transition_width, traveling_wave,
-                       z_root)
+from shockzoom import (Clamped, GridFunction, MergingTriple, NotLaxError,
+                       SolverConfig, TauTooLateError, Window, burgers, eternal_z,
+                       merging_initial, profiles, smoothstep, solve, solver,
+                       transition_width, traveling_wave, z_root)
 from shockzoom.errors import NotOrderedError
 from shockzoom.inviscid import _outer_root
 
@@ -206,12 +205,6 @@ def test_eternal_wave_needs_launch_before_window():
     win = Window(-1.0, -0.5, -4.0, 4.0)
     with pytest.raises(ValueError, match="launch"):
         eternal_z(0.5, win, dx=0.05, x_max=8.0)
-
-
-def test_horizon_family_reports_not_converged():
-    win = Window(-1.5, -0.5, -4.0, 4.0)
-    with pytest.raises(NotConvergedError):
-        eternal_z_limit([1.5, 2.0], win, 1e-6, dx=0.05, x_max=10.0)
 
 
 # clamp radii half*dx of the eternal waves run by the gate, the CLI and the tests
