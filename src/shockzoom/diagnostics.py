@@ -120,20 +120,17 @@ class PhaseAuditReport:
 
 
 def phase_audit(initial: GridFunction, flux: FluxModel, delta0: float,
-                delta1: float, cfg: SolverConfig,
-                tolerance: Optional[float] = None,
-                interval: Optional[Tuple[float, float]] = None) -> PhaseAuditReport:
+                delta1: float, cfg: SolverConfig, *,
+                interval: Tuple[float, float]) -> PhaseAuditReport:
     """Evolve box-shaped data and check the staged approach to a single wave.
 
-    The data must be delta0-close to its edge values outside some interval
-    [a, b] with a downward jump overall, and delta1 must lie in
-    [2 delta0, 1].  The interval may be declared (any valid bracketing
-    works; the settling times only grow with it) or is otherwise read off
-    from the samples as the tightest one.  After the settling times: the
-    range is contained in the delta1-widened state interval, upward
-    excursions stay below 2 delta1, and past T2 the transformed curve sits
-    inside the widened chord region.  All checks carry the audit tolerance
-    (default 0.1 delta1).
+    The data must be delta0-close to its edge values outside the declared
+    interval [a, b] (any valid bracketing works; the settling times only
+    grow with it) with a downward jump overall, and delta1 must lie in
+    [2 delta0, 1].  After the settling times: the range is contained in the
+    delta1-widened state interval, upward excursions stay below 2 delta1,
+    and past T2 the transformed curve sits inside the widened chord region.
+    All checks carry the audit tolerance 0.1 delta1.
     """
     v = initial.values
     x = initial.x
@@ -149,19 +146,14 @@ def phase_audit(initial: GridFunction, flux: FluxModel, delta0: float,
         raise ValueError("data is constant to delta0; no transition interval")
     if dev_l[0] or dev_r[-1]:
         raise ValueError("data must be delta0-close to its edge values at the ends")
-    if interval is None:
-        a = float(x[int(np.argmax(dev_l)) - 1])
-        b = float(x[len(v) - 1 - int(np.argmax(dev_r[::-1])) + 1])
-    else:
-        a, b = float(interval[0]), float(interval[1])
-        if np.any(dev_l & (x <= a)) or np.any(dev_r & (x >= b)):
-            raise ValueError("declared interval does not bracket the transition")
-    if not b > a:
-        raise ValueError("could not locate a transition interval [a, b]")
+    a, b = float(interval[0]), float(interval[1])
+    if np.any(dev_l & (x <= a)) or np.any(dev_r & (x >= b)):
+        raise ValueError("declared interval does not bracket the transition")
     m = float(np.min(v))
     M = float(np.max(v))
+    # phase_times needs b > a
     t1, t2 = phase_times(M, m, a, b, flux.c1, delta1, u_minus, u_plus)
-    tol = 0.1 * delta1 if tolerance is None else float(tolerance)
+    tol = 0.1 * delta1
 
     run_cfg = replace(cfg, boundary=Clamped())
     check_times = [t1, 0.5 * (t1 + t2), t2, 1.2 * t2]

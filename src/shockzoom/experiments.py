@@ -24,10 +24,11 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .diagnostics import phase_audit
 from .flux import FluxModel, burgers
-from .errors import ConfigError
-from .grid import (MAX_CELLS, GridFunction, Window, l1_distance, periodic_mass,
-                   trapezoid)
+from .errors import ConfigError, OutOfDomainError
+from .grid import (MAX_CELLS, GridFunction, Window, cell_count, l1_distance,
+                   periodic_mass, trapezoid)
 from .inviscid import z_bounds_audit, z_root
 from .profiles import CauchyReport, eternal_z, merging_wave, traveling_wave
 from .rescale import (RateFit, RescaleFrame, SnapshotInterpolant, convergence_rate,
@@ -68,19 +69,6 @@ def refined_dx(eps: float, eps_max: float, base_divisor: float = 8.0) -> float:
     return eps / base_divisor * math.sqrt(eps / eps_max)
 
 
-def zoom_dx(scenario: Scenario, eps: float, eps_max: float, *,
-            base_divisor: float = 8.0, dx_hat: float = 0.04) -> float:
-    """The mesh of a zoom solve at viscosity eps, eps_max the sweep's largest.
-
-    A type-2 zoom keeps dx_hat eps^{3/4}: constant resolution in observation
-    coordinates, fine enough that the horizon gap dominates.  A type-1 zoom
-    takes ``refined_dx``.
-    """
-    if scenario.formation is not None:
-        return dx_hat * eps ** 0.75
-    return refined_dx(eps, eps_max, base_divisor)
-
-
 def scenario_grid(scenario: Scenario, dx: float) -> GridFunction:
     lo, hi = scenario.domain
     return GridFunction.from_callable(scenario.initial.u0, lo, hi, dx)
@@ -101,6 +89,36 @@ def zoom_frame(scenario: Scenario, eps: float) -> RescaleFrame:
     f2 = float(scenario.flux.d2f(np.float64(point.u_value)))
     return RescaleFrame.type2(fit.tau_eps, fit.xi_eps, eps, point.u_value,
                               time_scale=fit.sigma, drift=fit.lam, value_scale=f2)
+
+
+def zoom_plan(scenario: Scenario, eps: float, eps_max: float, window: Window, *,
+              base_divisor: float = 8.0,
+              dx_hat: float = 0.04) -> Tuple[RescaleFrame, float]:
+    """The frame (``zoom_frame``) and mesh of a zoom over ``window`` at
+    viscosity eps, eps_max the sweep's largest.
+
+    A type-2 zoom keeps dx_hat eps^{3/4}: constant resolution in observation
+    coordinates, fine enough that the horizon gap dominates.  A type-1 zoom
+    takes ``refined_dx``.  ConfigError unless the window starts at t >= 0,
+    where the solve starts from the data, and sees x on ``scenario_grid`` at
+    that mesh, whose last node is the one nearest the domain's right end.
+    """
+    dx = (dx_hat * eps ** 0.75 if scenario.formation is not None
+          else refined_dx(eps, eps_max, base_divisor))
+    frame = zoom_frame(scenario, eps)
+    lo, hi = scenario.domain
+    end = lo + cell_count(hi - lo, dx) * dx
+    with np.errstate(all="ignore"):
+        t, x = frame.to_physical([[window.t_min], [window.t_max]],
+                                 [window.x_min, window.x_max])
+    if not np.min(t) >= 0.0:
+        raise ConfigError(f"the window at eps={eps:.3g} starts at t={np.min(t):.3g}, "
+                          f"before the data at t = 0")
+    if not lo <= np.min(x) <= np.max(x) <= end:
+        raise ConfigError(f"the window at eps={eps:.3g} sees x in [{np.min(x):.6g}, "
+                          f"{np.max(x):.6g}], outside the scenario's grid "
+                          f"[{lo:.6g}, {end:.6g}] at dx={dx:.3g}")
+    return frame, dx
 
 
 def _zoom_slices(scenario: Scenario, eps: float, dx: float, frame: RescaleFrame,
@@ -177,15 +195,14 @@ def single_shock_zoom(scenario: Scenario, eps_list: Sequence[float], *,
     u_minus, u_plus = scenario.states
     s_grid = window.t_samples(nt)
     y_grid = window.x_samples(ny)
+    plans = [zoom_plan(scenario, float(eps), max(eps_list), window,
+                       base_divisor=base_divisor) for eps in eps_list]
     half = max(abs(window.x_min), abs(window.x_max)) + \
         abs(lam) * max(abs(window.t_min), abs(window.t_max)) + 6.0
     template = traveling_wave(scenario.flux, u_minus, u_plus, half, 0.005)
-    eps_max = max(eps_list)
     k0 = int(np.argmin(np.abs(s_grid)))
     out = []
-    for eps in eps_list:
-        frame = zoom_frame(scenario, float(eps))
-        dx = zoom_dx(scenario, float(eps), eps_max, base_divisor=base_divisor)
+    for eps, (frame, dx) in zip(eps_list, plans):
         slices = _zoom_slices(scenario, float(eps), dx, frame, s_grid, y_grid)
         # the wave moves at the shock speed through the zoom window
         s0, centered = slices[k0]
@@ -233,18 +250,17 @@ def merging_zoom(scenario: Scenario, eps_list: Sequence[float],
     The shift is found by lattice search (see SHIFT_RANGE) followed by a
     parabolic refinement of the space shift.
     """
+    plans = [zoom_plan(scenario, float(eps), max(eps_list), window,
+                       base_divisor=base_divisor) for eps in eps_list]
     s_grid = window.t_samples(nt)
     y_grid = window.x_samples(ny)
-    eps_max = max(eps_list)
     n_shift = int(round(SHIFT_RANGE / SHIFT_LATTICE))
     dt_cands = SHIFT_LATTICE * np.arange(-n_shift, n_shift + 1)
     n_dy = int(round(SHIFT_RANGE / SHIFT_DY))
     dy_cands = SHIFT_DY * np.arange(-n_dy, n_dy + 1)
 
     out = []
-    for eps in eps_list:
-        frame = zoom_frame(scenario, float(eps))
-        dx = zoom_dx(scenario, float(eps), eps_max, base_divisor=base_divisor)
+    for eps, (frame, dx) in zip(eps_list, plans):
         slices = _zoom_slices(scenario, float(eps), dx, frame, s_grid, y_grid)
 
         def mismatch(dt, dy: float):
@@ -281,16 +297,16 @@ def formation_zoom(scenario: Scenario, eps_list: Sequence[float],
                    nt: int = 17, ny: int = 321,
                    dx_hat: float = 0.04) -> List[ZoomOutcome]:
     """Compare type-2 zooms (see ``zoom_frame``) of a formation scenario with
-    the eternal wave, on the mesh of ``zoom_dx``."""
+    the eternal wave, on the mesh of ``zoom_plan``."""
     if scenario.formation is None:
         raise ValueError("scenario has no formation point")
+    plans = [zoom_plan(scenario, float(eps), max(eps_list), window, dx_hat=dx_hat)
+             for eps in eps_list]
     s_grid = window.t_samples(nt)
     y_grid = window.x_samples(ny)
     z_interp = SnapshotInterpolant(z_wave)
     out = []
-    for eps in eps_list:
-        frame = zoom_frame(scenario, float(eps))
-        dx = zoom_dx(scenario, float(eps), max(eps_list), dx_hat=dx_hat)
+    for eps, (frame, dx) in zip(eps_list, plans):
         slices = _zoom_slices(scenario, float(eps), dx, frame, s_grid, y_grid)
         sup, l1 = _mismatch(slices, z_interp(s_grid, y_grid))
         out.append(ZoomOutcome(float(eps), float(sup), float(l1), 0.0))
@@ -320,11 +336,12 @@ def kuznetsov_sweep(scenario: Scenario, eps_list: Sequence[float], *,
     and tau) is compared with the reference: in L1 on the whole grid, for
     the fitted rate, and pointwise on the domain less 0.5 at each end,
     eps^(1/3) clear of each shock, against 2 * C * eps^(1/6) with C from
-    the fitted intercept.  The reference is evaluated before any solve.
+    the fitted intercept.  The reference is evaluated before any solve:
+    ConfigError where it does not exist, or for fewer than three viscosities.
     """
     eps_arr = [float(e) for e in eps_list]
     if len(eps_arr) < 3:
-        raise ValueError("need at least three viscosities for a rate")
+        raise ConfigError(f"need at least three viscosities for a rate, got {eps_arr}")
     if any(e2 >= e1 for e1, e2 in zip(eps_arr[:-1], eps_arr[1:])):
         raise ValueError("eps_list must be strictly decreasing")
     if t_check is None:
@@ -332,7 +349,10 @@ def kuznetsov_sweep(scenario: Scenario, eps_list: Sequence[float], *,
     t_check = float(t_check)
     lo, hi = scenario.domain
     data = scenario_grid(scenario, (hi - lo) / (n_nodes - 1))
-    ref_vals = np.asarray(scenario.reference(t_check, data.x), dtype=float)
+    try:
+        ref_vals = np.asarray(scenario.reference(t_check, data.x), dtype=float)
+    except OutOfDomainError as e:
+        raise ConfigError(f"t_check={t_check:.6g}: {e}") from None
     ref_state = data.with_values(ref_vals)
     shocks = []
     if t_check >= scenario.formed_time:
@@ -422,6 +442,45 @@ def mass_drift_check(initial: GridFunction, flux: FluxModel, cfg: SolverConfig,
     return MassReport(tuple(ts), tuple(periodic_mass(g) for _, g in snaps))
 
 
+def health_rows(scenario: Scenario, eps: float, seed: int) -> list:
+    """Cheap conservation/contraction audit on coarsened scenario data."""
+    lo, hi = scenario.domain
+    rng = np.random.default_rng(seed)
+    center = rng.uniform(lo + 0.3 * (hi - lo), lo - 0.7 * (lo - hi))
+
+    def nodes(n: int, *states: GridFunction) -> int:
+        # refine a coarse grid only where the data's cell Peclet number exceeds 1
+        speed = max(scenario.flux.max_speed(g.values) for g in states)
+        return max(n, math.ceil((hi - lo) * speed / eps))
+
+    def bumped(n: int) -> Tuple[GridFunction, GridFunction]:
+        data = scenario_grid(scenario, (hi - lo) / n)
+        bump = 0.05 * np.exp(-((data.x - center) / (0.05 * (hi - lo))) ** 2)
+        return data, data.with_values(data.values + bump)
+
+    data, other = bumped(nodes(800, *bumped(800)))
+    cfg = SolverConfig(eps, Clamped())
+    horizon = min(0.5, 0.5 * scenario.tau)
+    contraction = contraction_check(data, other, scenario.flux, cfg,
+                                    list(np.linspace(0.0, horizon, 6)))
+    rows = [("contraction", contraction.times[-1], 1e-3 - contraction.relative_slack,
+             contraction.relative_slack <= 1e-3)]
+    mid = float(np.mean(data.values))
+    amp = 0.5 * (float(np.max(data.values)) - float(np.min(data.values))) or 1.0
+
+    def periodic(n: int) -> GridFunction:
+        xp = lo + (hi - lo) / n * np.arange(n)
+        return GridFunction(lo, (hi - lo) / n,
+                            mid + 0.3 * amp * np.sin(2.0 * np.pi * (xp - lo) / (hi - lo)))
+
+    per = periodic(nodes(512, periodic(512)))
+    mass = mass_drift_check(per, scenario.flux, SolverConfig(eps, Periodic()),
+                            list(np.linspace(0.0, horizon, 6)))
+    rows.append(("mass-drift", mass.times[-1], 1e-10 - mass.drift_rate,
+                 mass.drift_rate <= 1e-10))
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # named audit suites (shared by the CLI and the acceptance checks)
 
@@ -474,3 +533,13 @@ def suite_oleinik(eps: float = 1.0, n_nodes: int = 1024, length: float = 2 * mat
     rows = [("slope", t, margin, margin >= 0.0)
             for (t, slope, bound, margin) in report.rows]
     return report, rows
+
+
+def suite_phase():
+    """Staged-settling audit of the step-to-wave relaxation at unit viscosity."""
+    dx = 0.05
+    half = int(round(30.0 / dx))
+    x = dx * np.arange(-half, half + 1)
+    data = GridFunction(-half * dx, dx, np.clip(-2.0 * x, -1.0, 1.0))
+    report = phase_audit(data, burgers(), 0.25, 0.5, SolverConfig(1.0), interval=(-0.5, 0.5))
+    return report, list(report.rows)

@@ -62,7 +62,7 @@ def traveling_wave(flux: FluxModel, u_minus: float, u_plus: float,
     Classical fourth-order Runge-Kutta with step dx/2, storing every other
     node, over [-half_width, half_width].  Requires a downward jump.
     """
-    if u_minus <= u_plus:
+    if not u_minus > u_plus:
         raise NotLaxError(f"traveling wave needs u_minus > u_plus, got ({u_minus}, {u_plus})")
     shock = rankine_hugoniot(flux, u_minus, u_plus)
 
@@ -220,16 +220,32 @@ def merging_wave(triple: MergingTriple, tau_list: Sequence[float], window: Windo
     profile tails reach their constant states to ~1e-9 there; anything less
     makes each restart clamp at a slightly different edge value, and those
     mismatches advect inward and swamp the settling distances.
+
+    ConfigError, before any solve, unless every restart precedes the
+    comparison time, the comparison time does not lie after the window
+    (where the run ends), and the window lies after the earliest restart
+    and on its grid (``merging_grid``), where the run can be sampled.
     """
     taus = sorted(float(s) for s in tau_list)
     if len(taus) < 2:
         raise ValueError("need at least two restart times")
     t_cmp = window.t_min if comparison_time is None else float(comparison_time)
     if taus[-1] >= t_cmp:
-        raise ValueError("all restart times must precede the comparison time")
+        raise ConfigError(f"the restart at tau={taus[-1]:.6g} does not precede the "
+                          f"comparison time {t_cmp:.6g}")
+    if t_cmp > window.t_max:
+        raise ConfigError(f"the comparison time {t_cmp:.6g} lies after the window's "
+                          f"end t={window.t_max:.6g}, where the run ends")
+    if not taus[0] < window.t_min:
+        raise ConfigError(f"the window starts at t={window.t_min:.6g}, not after the "
+                          f"earliest restart tau={taus[0]:.6g}")
 
     flux = triple.flux
     template = merging_grid(triple, taus[0], dx)
+    if not template.x_left <= window.x_min <= window.x_max <= template.x_right:
+        raise ConfigError(f"the window's x in [{window.x_min:.6g}, {window.x_max:.6g}] "
+                          f"leaves the restarts' grid [{template.x_left:.6g}, "
+                          f"{template.x_right:.6g}]")
     w1 = traveling_wave(flux, triple.u_minus, triple.u_star, 60.0, 0.02)
     w2 = traveling_wave(flux, triple.u_star, triple.u_plus, 60.0, 0.02)
 
@@ -291,15 +307,22 @@ def eternal_z(n: float, window: Window, *, dx: float = 0.02, x_max: Optional[flo
     symmetric solve up to rounding.  The solve starts coarse
     (``solve_coarse_start``) on every ETERNAL_STRIDE-th node up to
     t0 = t_first - (t_last - t_first), where that is safe.
+
+    ConfigError, before any solve, unless the window starts at or after
+    the launch time -n and its x-range lies on the grid [-xr, xr].
     """
     if n <= 0.0:
         raise ValueError("n must be positive")
     if window.t_min < -n:
-        raise ValueError("window starts before the launch time -n")
+        raise ConfigError(f"the window starts at t={window.t_min:.6g}, before the "
+                          f"launch time -n={-n:.6g}")
     if x_max is None:
         x_max = max(abs(window.x_min), abs(window.x_max)) + 20.0
     half = cell_count(x_max, dx)
     xr = half * dx
+    if not -xr <= window.x_min <= window.x_max <= xr:
+        raise ConfigError(f"the window's x in [{window.x_min:.6g}, {window.x_max:.6g}] "
+                          f"leaves the eternal wave's grid [{-xr:.6g}, {xr:.6g}]")
     with np.errstate(over="ignore", invalid="ignore"):
         launch = z_root(-n, dx * np.arange(half + 1))
     if not np.all(np.isfinite(launch)):

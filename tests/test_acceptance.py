@@ -14,9 +14,9 @@ import pytest
 from shockzoom import (Clamped, GridFunction, Periodic, SolverConfig, Window,
                        burgers, build_scenario, eternal_z, eternal_z_limit,
                        strip_profile_fit, traveling_wave)
-from shockzoom.cli import _health_rows, main
+from shockzoom.cli import main
 from shockzoom.diagnostics import phase_audit
-from shockzoom.experiments import (formation_zoom, kuznetsov_sweep,
+from shockzoom.experiments import (formation_zoom, health_rows, kuznetsov_sweep,
                                    merging_surrogate, merging_zoom,
                                    single_shock_zoom, suite_cubic_bounds,
                                    suite_oleinik, suite_sandwich)
@@ -123,7 +123,7 @@ def test_criterion_07_contraction_and_mass():
     worst = []
     for sid in ("theorem1-single", "theorem1-merging", "theorem2-formation"):
         scenario = build_scenario(sid, burgers())
-        for name, t, margin, ok in _health_rows(scenario, 0.04, seed=0):
+        for name, t, margin, ok in health_rows(scenario, 0.04, seed=0):
             worst.append((sid, name, margin, ok))
     txt = ", ".join(f"{s}/{n} {m:.2e}" for s, n, m, _ in worst)
     _say(7, txt)

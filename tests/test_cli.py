@@ -7,7 +7,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from shockzoom import experiments, profiles, solver
+from shockzoom import (GridFunction, Window, build_scenario, burgers, experiments,
+                       profiles, solver)
 from shockzoom.cli import (DEFAULTS, KEYS, MAX_COUNT, Config, _interior_shift_row,
                            load_config, main)
 from shockzoom.errors import ConfigError
@@ -93,7 +94,8 @@ def test_exit_code_2_paths(tmp_path, monkeypatch):
     assert main(["zlimit", "--set", "zlimit.dx=0", "--out", out]) == 2
     # a grid too coarse for its viscosity: cell Peclet number above 2
     assert main(["zlimit", "--set", "zlimit.dx=2.5", "--out", out]) == 2
-    # each of these is caught where the CLI reads it, before any solve
+    # each of these is caught before the first solve step, where the CLI
+    # reads it or in the library function that it calls
     formation = ["run", "--scenario", "theorem2-formation"]
     too_many = str(MAX_COUNT + 1)
     for args in (["run", "--set", "zoom.ny=1"],
@@ -233,8 +235,10 @@ MENDED = [("window.t_min=-30", ("single", "merging")),
 
 
 def test_config_error_leaves_no_output_directory(tmp_path):
-    # the first five fail before the output directory is made; the last
-    # one during its first solve, on the cell-Peclet guard (100 at dx=4)
+    # four fail before the output directory is made; sweep.t_check=0.1 in
+    # kuznetsov_sweep before its first solve, and the last one during its
+    # first solve, on the cell-Peclet guard (100 at dx=4), each after the
+    # directory is made, which main then removes
     existing = tmp_path / "existing"
     existing.mkdir()
     for args in (["run", "--scenario", "theorem1-merging", "--set", "merge.taus=-20"],
@@ -262,6 +266,63 @@ def test_bad_restart_settings_exit_2_before_any_solve(tmp_path, monkeypatch):
                  ["merge", "--taus=-40,-12"],
                  ["run", "--scenario", "theorem1-merging", "--set", "merge.taus=-20"]):
         assert main(args + ["--out", out]) == 2, args
+
+
+def test_library_rejects_bad_study_inputs_before_any_solve(monkeypatch):
+    # each rule on a study's inputs lives in the library function that runs
+    # the study, and fires before that function's first solve
+    for module in (experiments, profiles, solver):
+        monkeypatch.setattr(module, "solve", _no_solve)
+    single, merging, formation = (build_scenario(sid, burgers()) for sid in (
+        "theorem1-single", "theorem1-merging", "theorem2-formation"))
+    surrogate = dict(taus=(-14.0, -16.0), comparison_time=-3.0, dx=0.1,
+                     window=Window(-2.0, 2.0, -2.0, 2.0))
+    ahead = Window(-30.0, 1.0, -2.0, 2.0)   # its zooms start before t = 0
+    # a stand-in for the eternal wave, which these zooms never reach
+    flat = [(t, GridFunction(-100.0, 1.0, np.zeros(201))) for t in (-1e3, 1.0)]
+    for call, match in (
+            # the eternal wave: a window before the launch time, or off its grid
+            (lambda: profiles.eternal_z(2.0, Window(-3.0, -1.0, -4.0, 4.0), dx=0.1,
+                                        x_max=10.0), "launch time -n=-2"),
+            (lambda: profiles.eternal_z(4.0, Window(-3.0, -1.0, -4.0, 12.0), dx=0.1,
+                                        x_max=10.0), r"x in \[-4, 12\] leaves"),
+            # the surrogate: a restart at the comparison time, a comparison
+            # after the window, a window before the earliest restart, and one
+            # off the restarts' grid (about +-57 here)
+            (lambda: experiments.merging_surrogate(
+                merging, **{**surrogate, "comparison_time": -14.0}), "tau=-14"),
+            (lambda: experiments.merging_surrogate(
+                merging, **{**surrogate, "comparison_time": 3.0}), "comparison time 3"),
+            (lambda: experiments.merging_surrogate(
+                merging, **{**surrogate, "window": Window(-20.0, 2.0, -2.0, 2.0)}),
+             "t=-20"),
+            (lambda: experiments.merging_surrogate(
+                merging, **{**surrogate, "window": Window(-2.0, 2.0, -2.0, 100.0)}),
+             r"x in \[-2, 100\] leaves"),
+            # the rate sweep: too few viscosities, a time with no exact reference
+            (lambda: experiments.kuznetsov_sweep(single, (0.04, 0.02), n_nodes=256),
+             "three viscosities"),
+            (lambda: experiments.kuznetsov_sweep(single, (0.04, 0.02, 0.01), t_check=0.1,
+                                                 n_nodes=256), "t_check=0.1"),
+            # the zooms: a window before t = 0, and one whose zoom at the second
+            # viscosity sees x off the scenario's grid, checked before the first
+            # viscosity's solve
+            (lambda: experiments.single_shock_zoom(single, (0.04,), window=ahead),
+             "starts at t="),
+            (lambda: experiments.single_shock_zoom(
+                single, (0.01, 0.04), window=Window(-1.0, 1.0, -2.0, 60.0)), "eps=0.04 sees x"),
+            (lambda: experiments.merging_zoom(merging, (0.04,), None, window=ahead),
+             "starts at t="),
+            (lambda: experiments.merging_zoom(
+                merging, (0.01, 0.04), None, window=Window(-1.0, 1.0, -2.0, 66.0)),
+             "eps=0.04 sees x"),
+            (lambda: experiments.formation_zoom(
+                formation, (0.01,), flat, window=Window(-1e3, 0.0, -1.0, 1.0)), "starts at t="),
+            (lambda: experiments.formation_zoom(
+                formation, (0.01, 0.04), flat, window=Window(-1.0, 0.5, -2.0, 60.0)),
+             "eps=0.04 sees x")):
+        with pytest.raises(ConfigError, match=match):
+            call()
 
 
 def test_config_rejects_non_finite():
@@ -350,6 +411,21 @@ def test_merge_reports_a_shock_that_left_the_window(tmp_path):
     assert flags["post-merge"] is False
     # margin -delta with delta = 0.05 * (u_minus - u_plus)
     assert summary["checks"][-1]["margin"] == pytest.approx(-0.1)
+
+
+def test_run_reports_a_window_without_the_shock(tmp_path):
+    # the window's central slice sees only x >= 0, right of the shock: no
+    # wave fits there, which is a failed row, and the report is still written
+    out = tmp_path / "r"
+    assert main(["run", "--scenario", "theorem1-single", "--set", "window.x_min=0",
+                 "--eps", "0.04,0.02", "--out", str(out)]) == 1
+    flags, summary = _checks(out)
+    assert flags == {"shock-fit": False, "contraction": True, "mass-drift": True}
+    # at the smallest eps, margin -0.1 * jump, the final-sup budget
+    fit = summary["checks"][0]
+    assert fit["t"] == 0.02 and fit["margin"] == pytest.approx(-0.2)
+    assert summary["outcomes"] == []
+    assert read_csv(out / "sweep.csv") == (["eps", "sup_error", "l1_error", "shift"], [])
 
 
 HOSTILE = ["nan", "inf", "-inf", "0", "-1", "1e308", "", "x"]
