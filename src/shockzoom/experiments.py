@@ -26,7 +26,7 @@ import numpy as np
 
 from .diagnostics import phase_audit
 from .flux import FluxModel, burgers
-from .errors import ConfigError, OutOfDomainError
+from .errors import ConfigError, NoCrossingError, OutOfDomainError
 from .grid import (MAX_CELLS, GridFunction, Window, cell_count, l1_distance,
                    periodic_mass, trapezoid)
 from .inviscid import z_bounds_audit, z_root
@@ -129,7 +129,8 @@ def _zoom_slices(scenario: Scenario, eps: float, dx: float, frame: RescaleFrame,
     The solve covers only the window's domain of dependence: the nodes of
     ``scenario_grid(scenario, dx)`` within ``reach`` of the x-range the
     window sees at any of its times, where ``reach`` is max|f'(u0)| t_end
-    (the maximum principle bounds every speed by the data's) plus
+    (the maximum principle bounds every speed by the data's), read at the
+    grid's end nodes, plus
     REACH_DIFFUSION_LENGTHS diffusion lengths sqrt(eps t_end).  The cut's
     end nodes are held at the data's values.
 
@@ -141,15 +142,19 @@ def _zoom_slices(scenario: Scenario, eps: float, dx: float, frame: RescaleFrame,
     node, and the fine solve leads the window by t_first - t0.
     """
     times = sorted(set(float(frame.to_physical(s, 0.0)[0]) for s in s_grid))
-    full = scenario_grid(scenario, dx)
-    speed = scenario.flux.max_speed(full.values)
+    lo, hi = scenario.domain
+    last = cell_count(hi - lo, dx)
+    u0 = scenario.initial.u0
+    # every scenario's data are monotone, so their largest speed is at the
+    # grid's end nodes
+    speed = scenario.flux.max_speed(u0(lo + dx * np.array([0.0, last])))
     reach = speed * times[-1] + REACH_DIFFUSION_LENGTHS * math.sqrt(eps * times[-1])
     with np.errstate(over="ignore"):
         _, seen = frame.to_physical(np.asarray(s_grid)[:, None], [y_grid[0], y_grid[-1]])
         # clipped as floats, so that a window far off the grid cannot
         # overflow int(); the cut keeps at least two nodes
-        i = np.clip(np.floor((np.min(seen) - reach - full.x_left) / dx), 0, full.n - 2)
-        j = np.clip(np.ceil((np.max(seen) + reach - full.x_left) / dx), i + 1, full.n - 1)
+        i = np.clip(np.floor((np.min(seen) - reach - lo) / dx), 0, last - 1)
+        j = np.clip(np.ceil((np.max(seen) + reach - lo) / dx), i + 1, last)
     i, j = int(i), int(j)
     t0 = times[0] - COARSE_LEAD * (times[-1] - times[0])
     m = math.floor(COARSE_PECLET * eps / (speed * dx))
@@ -157,13 +162,14 @@ def _zoom_slices(scenario: Scenario, eps: float, dx: float, frame: RescaleFrame,
         # whole coarse cells, widened to the right first, then to the left;
         # a grid too short for that starts fine
         pad = -(j - i) % m
-        j_wide = min(full.n - 1, j + pad)
+        j_wide = min(last, j + pad)
         i_wide = i - pad + (j_wide - j)
         if i_wide >= 0:
             i, j = i_wide, j_wide
     else:
         m = 1
-    cut = GridFunction(full.x_left + dx * i, dx, full.values[i:j + 1])
+    # sampled on the cut's nodes only, each as scenario_grid places it
+    cut = GridFunction(lo + dx * i, dx, u0(lo + dx * np.arange(i, j + 1)))
     snaps = solve_coarse_start(cut, scenario.flux, SolverConfig(eps, Clamped()),
                                times[-1], times, m, t0)
     return zoom_sample(SnapshotInterpolant(snaps), frame, s_grid, y_grid)
@@ -190,6 +196,8 @@ def single_shock_zoom(scenario: Scenario, eps_list: Sequence[float], *,
 
     The shift is fitted once per viscosity, on the central time slice; the
     same shifted wave is then held against every slice of the window.
+    NoCrossingError unless that slice reaches more than 1e-9 of the jump
+    past the midpoint on both sides.
     """
     lam = scenario.shock.speed
     u_minus, u_plus = scenario.states
@@ -206,8 +214,16 @@ def single_shock_zoom(scenario: Scenario, eps_list: Sequence[float], *,
         slices = _zoom_slices(scenario, float(eps), dx, frame, s_grid, y_grid)
         # the wave moves at the shock speed through the zoom window
         s0, centered = slices[k0]
+        # a slice within rounding of the midpoint at one end has the shock on
+        # the window's edge, where the sign of that rounding decides a crossing;
+        # 1e-9 of the jump is far above rounding and far below any zoom error
+        gap = 1e-9 * (u_minus - u_plus)
+        mid = template.midpoint
+        if not np.min(centered.values) < mid - gap < mid + gap < np.max(centered.values):
+            raise NoCrossingError(f"the central slice at eps={eps:.3g} does not straddle "
+                                  f"the midpoint: the shock is not inside the window")
         moved = GridFunction(centered.x_left - lam * s0, centered.dx, centered.values)
-        fit = fit_shift(moved, template, template.midpoint)
+        fit = fit_shift(moved, template, mid)
         sup, l1 = _mismatch(slices, template(centered.x - lam * s_grid[:, None] - fit.shift))
         out.append(ZoomOutcome(float(eps), float(sup), float(l1), fit.shift))
     return out

@@ -174,7 +174,26 @@ def _outer_root(t, x):
 
     For t <= 0 this is always the case; for t > 0 it holds outside the
     fold region |x| <= 2 (t/3)^(3/2), which is where boundary clamps use it.
+    A float pair, a moving clamp's one call per step, takes the same
+    arithmetic on float64 scalars: np.power and np.cbrt run the array
+    path's own loops, so the two agree bit for bit.
     """
+    if isinstance(t, float) and isinstance(x, float):
+        t, x = np.float64(t), np.float64(x)
+        disc = 0.25 * x * x - np.power(t, 3.0) / 27.0
+        if disc < 0.0:
+            raise ValueError("no single real root inside the fold region")
+        s = np.sqrt(disc)
+        h1 = -0.5 * x + s
+        h2 = -0.5 * x - s
+        a = np.cbrt(h1 if abs(h1) >= abs(h2) else h2)
+        z = a + t / (3.0 * a) if a != 0.0 else 0.0
+        for _ in range(2):
+            r = (z * z - t) * z + x
+            d = 3.0 * z * z - t
+            if d != 0.0:
+                z = z - r / d
+        return float(z)
     t = np.asarray(t, dtype=float)
     x = np.asarray(x, dtype=float)
     t, x = np.broadcast_arrays(t, x)

@@ -8,8 +8,8 @@ raises ConfigError.  Time: the two-stage second-order ARS(2,2,2) method
 difference is explicit and the viscosity implicit, so the step obeys only
 the advective CFL bound.  Each implicit stage solves one constant-
 coefficient tridiagonal system, by FFT on a periodic grid and, on a
-clamped one, by Thomas elimination over the few nodes where its pivots
-still move followed by recursive doubling (Stone, J. ACM 20, 1973).
+clamped one, through its exact inverse (``solve_tridiagonal``); the inner
+stage's diffusion is read off its own solve.
 Clamped end nodes are pinned and only the interior is marched: they hold
 the data's end values, or, when the boundary carries ``ends(t)``, are set
 once per step to its values at the new time, and the inner stage takes
@@ -86,60 +86,54 @@ def stable_dt(values: np.ndarray, dx: float, flux: FluxModel, cfg: SolverConfig)
     return float(cfg.cfl_advection * dx / speed) if speed > 0.0 else np.inf
 
 
-def _pad(v: np.ndarray, ends: Optional[Tuple[float, float]]) -> np.ndarray:
-    """``v`` between ghost nodes: the given end values, or its wrapped neighbours."""
-    ue = np.empty(v.size + 2)
-    ue[1:-1] = v
-    ue[0], ue[-1] = (v[-1], v[0]) if ends is None else ends
-    return ue
+def _advection(u: np.ndarray, dx: float, flux: FluxModel, periodic: bool) -> np.ndarray:
+    """-f(u)_x by central differences at u[1:-1], or at every node of a periodic u."""
+    fu = flux.f(u)
+    if periodic:
+        fu = np.concatenate((fu[-1:], fu, fu[:1]))
+    return (fu[:-2] - fu[2:]) * (0.5 / dx)
 
 
-def _advection(ue: np.ndarray, dx: float, flux: FluxModel) -> np.ndarray:
-    """-f(u)_x at ue[1:-1] from central interface fluxes; ue[0], ue[-1] are neighbours only."""
-    fu = flux.f(ue)
-    interface = 0.5 * (fu[:-1] + fu[1:])
-    return -(interface[1:] - interface[:-1]) / dx
+def solve_tridiagonal(d: np.ndarray, r: float,
+                      ends: Tuple[float, float] = (0.0, 0.0)) -> np.ndarray:
+    """Solve (1 + 2r) x[i] - r (x[i-1] + x[i+1]) = d[i] with x[-1], x[n] = ends, r > 0.
 
-
-def _recur(g: np.ndarray, ratio: float) -> np.ndarray:
-    """e[i] = g[i] + ratio * e[i-1], e[-1] = 0, by recursive doubling; 0 <= ratio < 1."""
-    e = g.copy()
-    power, shift = ratio, 1
+    On the whole line the inverse is c alpha^|i-k|, with c = 1/sqrt(1 + 4r)
+    and alpha = r/beta < 1, beta the larger root of p^2 - (1 + 2r) p + r^2.
+    Its two one-sided sums F[i] = sum_{k<=i} alpha^(i-k) d[k] and B, the same
+    from the right, are one recurrence with ratio alpha, run by recursive
+    doubling (Stone, J. ACM 20, 1973) over d joined to its reverse; past the
+    join the reversed run also carries alpha^(n-i) F[n-1].  That sum,
+    y = c (F + B - d), solves every row; the two homogeneous solutions
+    alpha^(i+1) and alpha^(n-i), fitted to y's misses at i = -1 and n, take it
+    onto the ends, exactly for every n.  Terms below _NEGLIGIBLE are dropped;
+    rounding grows like sqrt(r) / n once r exceeds n^2.
+    """
+    n = d.size
+    if n == 0:
+        return np.empty(0)
+    root = math.sqrt(1.0 + 4.0 * r)
+    alpha = 2.0 * r / (1.0 + 2.0 * r + root)
+    c = 1.0 / root
+    # e[i] += alpha e[i-1] by recursive doubling: e[:n] is F, e[n:] B reversed
+    e = np.concatenate((d, d[::-1]))
+    power, shift = alpha, 1
     while power >= _NEGLIGIBLE and shift < e.size:
         e[shift:] += power * e[:-shift]
         power, shift = power * power, 2 * shift
-    return e
-
-
-def solve_tridiagonal(d: np.ndarray, r: float) -> np.ndarray:
-    """Solve (1 + 2r) x[i] - r (x[i-1] + x[i+1]) = d[i] with x[-1] = x[n] = 0, r > 0.
-
-    The Thomas pivots fall from 1 + 2r to their limit beta, the larger root
-    of p^2 - (1 + 2r) p + r^2, by the factor alpha^2 = (r / beta)^2 per
-    node.  Thomas elimination runs over the head where they still move;
-    past it both sweeps are recurrences with the constant ratio alpha.
-    """
-    n = d.size
-    beta = 0.5 * (1.0 + 2.0 * r + math.sqrt(1.0 + 4.0 * r))
-    alpha = r / beta
-    head = min(n, 1 + math.ceil(math.log(_NEGLIGIBLE) / (2.0 * math.log(alpha))))
-    ratios, fwd = [], []
-    p, prev = math.inf, 0.0
-    for di in d[:head].tolist():
-        p = 1.0 + 2.0 * r - r * r / p
-        prev = (di + r * prev) / p
-        ratios.append(r / p)
-        fwd.append(prev)
-    g = d[head:] / beta
-    if g.size:
-        g[0] += alpha * prev
-    x = np.empty(n)
-    # back substitution is the same recurrence, run from the right end
-    x[head:] = _recur(_recur(g, alpha)[::-1], alpha)[::-1]
-    nxt = x[head] if head < n else 0.0
-    for i in range(head - 1, -1, -1):
-        nxt = fwd[i] + ratios[i] * nxt
-        x[i] = nxt
+    # y's misses at -1 and n, past the end values, and the fit that clears them
+    a, b = c * alpha * e[-1] - ends[0], c * (1.0 + alpha) * e[n - 1] - ends[1]
+    far = alpha ** (n + 1)
+    left, right = (a - far * b) / (1.0 - far * far), (b - far * a) / (1.0 - far * far)
+    x = e[:n]
+    x += e[:n - 1:-1]
+    x -= d
+    x *= c
+    # alpha^j past the last k nodes is negligible
+    k = min(n, math.ceil(math.log(_NEGLIGIBLE) / math.log(alpha)))
+    decay = alpha ** np.arange(1.0, k + 1.0)
+    x[:k] -= left * decay
+    x[n - k:] -= right * decay[::-1]
     return x
 
 
@@ -151,37 +145,39 @@ def solve_circulant(d: np.ndarray, r: float) -> np.ndarray:
 
 
 def _implicit(d: np.ndarray, r: float, ends: Optional[Tuple[float, float]]) -> np.ndarray:
-    """One implicit viscous stage: periodic when ``ends`` is None, else between them."""
+    """One implicit viscous stage: periodic when ``ends`` is None, else clamped to them."""
     if ends is None:
         return solve_circulant(d, r)
-    d = d.copy()
-    if d.size:
-        d[0] += r * ends[0]
-        d[-1] += r * ends[1]
-    return solve_tridiagonal(d, r)
+    return np.concatenate(((ends[0],), solve_tridiagonal(d, r, ends), (ends[1],)))
 
 
 def _ars222(u: np.ndarray, dx: float, flux: FluxModel, cfg: SolverConfig,
             dt: float, t: float) -> np.ndarray:
     """One ARS(2,2,2) step from time t to t + dt."""
-    nu = cfg.viscosity
-    r = GAMMA * dt * nu / (dx * dx)
+    r = GAMMA * dt * cfg.viscosity / (dx * dx)
     bc = cfg.boundary
-    if isinstance(bc, Periodic):
-        v, now, mid, new = u, None, None, None
+    periodic = isinstance(bc, Periodic)
+    if periodic:
+        v, mid, new = u, None, None
     else:
         # only the interior is marched; the inner stage at t + GAMMA*dt takes
         # its ends on the line from the current to the new end values
         v, now = u[1:-1], (u[0], u[-1])
         new = now if bc.ends is None else bc.at(t + dt)
         mid = tuple(a + GAMMA * (b - a) for a, b in zip(now, new))
-    k1 = _advection(_pad(v, now), dx, flux)
-    inner = _pad(_implicit(v + (GAMMA * dt) * k1, r, mid), mid)
-    k2 = _advection(inner, dx, flux)
-    diffusion = nu * (inner[2:] - 2.0 * inner[1:-1] + inner[:-2]) / (dx * dx)
-    v = _implicit(v + dt * (DELTA * k1 + (1.0 - DELTA) * k2 + (1.0 - GAMMA) * diffusion),
-                  r, new)
-    return v if new is None else _pad(v, new)
+    k1 = _advection(u, dx, flux, periodic)
+    d = v + (GAMMA * dt) * k1
+    inner = _implicit(d, r, mid)
+    k2 = _advection(inner, dx, flux, periodic)
+    # the inner stage's diffusion, from its own solve: nu u_xx = (inner - d) / (GAMMA dt);
+    # inner is spent once k2 is taken, so the right-hand side is built in it
+    rhs = inner if periodic else inner[1:-1]
+    rhs -= d
+    rhs *= (1.0 - GAMMA) / GAMMA
+    rhs += v
+    rhs += (DELTA * dt) * k1
+    rhs += ((1.0 - DELTA) * dt) * k2
+    return _implicit(rhs, r, new)
 
 
 def solve(initial: GridFunction, flux: FluxModel, cfg: SolverConfig,
@@ -231,7 +227,8 @@ def solve(initial: GridFunction, flux: FluxModel, cfg: SolverConfig,
                 raise InstabilityError(
                     f"solution blew up at step {step}, t={t:.6g}, dt={dt:.3g}: "
                     f"max|u|={m:.3g} at x={x:.6g} exceeds cap {cap:.3g}")
-        out.append((target, initial.with_values(u.copy())))
+        # no step writes into its input, so each snapshot keeps its step's output
+        out.append((target, initial.with_values(u)))
     return out
 
 

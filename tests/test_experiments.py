@@ -13,6 +13,7 @@ from shockzoom.experiments import (COARSE_PECLET, SHIFT_DY, SHIFT_LATTICE, SHIFT
                                    merging_zoom, refined_dx, scenario_grid,
                                    single_shock_zoom, suite_cubic_bounds,
                                    suite_oleinik, zoom_frame)
+from shockzoom.scenarios import SCENARIOS
 
 
 def test_refined_dx_scaling():
@@ -30,6 +31,19 @@ def test_scenario_grid_covers_domain():
     assert g.x_right == pytest.approx(hi, abs=0.05)
     assert float(g.values[0]) == pytest.approx(1.0, abs=1e-10)
     assert float(g.values[-1]) == pytest.approx(-1.0, abs=1e-10)
+
+
+def test_data_speed_peaks_at_the_grid_ends():
+    # _zoom_slices reads max|f'(u0)| at the two end nodes of scenario_grid,
+    # which is exact only for monotone data; data that peak inside fail here
+    cases = [build_scenario(sid, burgers()) for sid in SCENARIOS]
+    cases.append(build_scenario("theorem2-formation", burgers_plus_linear(0.5),
+                                amplitude=2.0))
+    for scen in cases:
+        for dx in (0.05, 0.0123, 0.004, 0.04 * 0.004 ** 0.75):
+            g = scenario_grid(scen, dx)
+            ends = g.values[[0, -1]]
+            assert scen.flux.max_speed(ends) == scen.flux.max_speed(g.values), (scen.id, dx)
 
 
 def test_contraction_check_on_periodic_pair():

@@ -8,6 +8,7 @@ from shockzoom import (MultipleRootsError, ShockData, SmoothData, blowup_time,
                        burgers, characteristic_value, single_shock, two_shock,
                        z_bounds_audit, z_eval, z_root)
 from shockzoom.errors import NotOrderedError
+from shockzoom.inviscid import _outer_root
 
 
 def linear_data():
@@ -122,3 +123,23 @@ def test_z_root_rejects_positive_time():
         z_root(0.5, 1.0)
     with pytest.raises(ValueError):
         z_eval(0.5, 1.0)
+
+
+def test_scalar_outer_root_matches_array_path_bitwise():
+    # a float pair takes _outer_root's scalar path; every other input the
+    # array path.  Edges: x = 0, t = 0 (the root 0 itself), |x| >= 100, and
+    # t > 0 just outside the fold |x| <= 2 (t/3)^(3/2)
+    rng = np.random.default_rng(11)
+    t_edge = np.array([0.0, -0.0, -1e-12, -1.0, -64.0, -1e4])
+    x_edge = np.array([0.0, -0.0, 1e-12, -1.0, 100.0, -250.0, 1e4, -1e6])
+    tt, xx = (a.ravel() for a in np.meshgrid(t_edge, x_edge))
+    t_fold = rng.uniform(0.0, 20.0, 2000)
+    x_fold = np.sign(rng.uniform(-1.0, 1.0, 2000)) * (
+        2.0 * (t_fold / 3.0) ** 1.5 + rng.uniform(1e-3, 200.0, 2000))
+    t = np.concatenate([tt, rng.uniform(-100.0, 0.0, 20000), t_fold])
+    x = np.concatenate([xx, rng.uniform(-300.0, 300.0, 20000), x_fold])
+    want = _outer_root(t, x)
+    got = np.array([_outer_root(float(a), float(b)) for a, b in zip(t, x)])
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    with pytest.raises(ValueError, match="fold"):
+        _outer_root(3.0, 0.5)

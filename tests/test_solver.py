@@ -236,6 +236,67 @@ def test_implicit_solves_match_dense(periodic):
             assert np.max(np.abs(x - want)) <= tol * np.max(np.abs(want)), (n, r)
 
 
+def _dense_ars222(u, dx, flux, nu, dt, periodic, now, new):
+    """One ARS(2,2,2) step by dense solves and an explicit Laplacian.
+
+    ``u`` is the marched state: every node when periodic, else the interior
+    between ``now`` (its ends at t) and ``new`` (at t + dt)."""
+    n = u.size
+    i = np.arange(n)
+    lap = np.zeros((n, n))
+    np.add.at(lap, (i, i), -2.0 / dx ** 2)
+    if periodic:
+        np.add.at(lap, (i, (i - 1) % n), 1.0 / dx ** 2)
+        np.add.at(lap, (i, (i + 1) % n), 1.0 / dx ** 2)
+    else:
+        lap[i[1:], i[:-1]] = lap[i[:-1], i[1:]] = 1.0 / dx ** 2
+    g, d = solver.GAMMA, solver.DELTA
+    implicit = np.eye(n) - g * dt * nu * lap
+
+    def ghosts(v, ends):
+        # the Laplacian's boundary terms, and v between its neighbours
+        b = np.zeros(n)
+        if periodic:
+            return b, np.concatenate([v[-1:], v, v[:1]])
+        b[0], b[-1] = ends[0] / dx ** 2, ends[1] / dx ** 2
+        return b, np.concatenate([[ends[0]], v, [ends[1]]])
+
+    def rate(v, ends):
+        b, w = ghosts(v, ends)
+        return -(flux.f(w[2:]) - flux.f(w[:-2])) / (2.0 * dx), nu * (lap @ v + b)
+
+    mid = None if periodic else [a + g * (c - a) for a, c in zip(now, new)]
+    k1, _ = rate(u, now)
+    inner = np.linalg.solve(implicit, u + g * dt * k1 + g * dt * nu * ghosts(u, mid)[0])
+    k2, diffusion = rate(inner, mid)
+    rhs = u + dt * (d * k1 + (1.0 - d) * k2 + (1.0 - g) * diffusion)
+    return np.linalg.solve(implicit, rhs + g * dt * nu * ghosts(u, new)[0])
+
+
+@pytest.mark.parametrize("case", ["periodic", "held", "moving"])
+def test_step_matches_dense_reference(case):
+    # one step at an advective dt, against dense ARS(2,2,2) with the
+    # Laplacian written out; r = GAMMA dt nu / dx^2 is about 0.7 here
+    nu, dx, t = 0.2, 0.05, 0.3
+    x = -4.0 + dx * np.arange(161)
+    u = 0.4 - np.tanh(2.0 * x) + 0.1 * np.sin(3.0 * x)
+    if case == "periodic":
+        u, boundary = u[:-1], Periodic()
+    else:
+        boundary = Clamped() if case == "held" else Clamped(lambda s: (1.4 + s, -0.6 - s))
+    cfg = SolverConfig(nu, boundary)
+    dt = solver.stable_dt(u, dx, burgers(), cfg)
+    got = solver._ars222(u, dx, burgers(), cfg, dt, t)
+    if case == "periodic":
+        want = _dense_ars222(u, dx, burgers(), nu, dt, True, None, None)
+    else:
+        now = (u[0], u[-1])
+        new = now if case == "held" else boundary.at(t + dt)
+        want = np.concatenate([[new[0]], _dense_ars222(u[1:-1], dx, burgers(), nu, dt,
+                                                       False, now, new), [new[1]]])
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), case
+
+
 def test_oleinik_check_flags_increase():
     g_bad = GridFunction(0.0, 0.1, np.array([0.0, 5.0, 0.0]))
     report = oleinik_check([(1.0, g_bad)], 1.0, tolerance=0.0)
