@@ -26,7 +26,7 @@ from .profiles import (CauchyReport, MergingTriple, TravelingWave,
                        transition_width, traveling_wave)
 from .rescale import (FitResult, FormationFrameFit, FormationPoint, RateFit,
                       RescaleFrame, SnapshotInterpolant, convergence_rate,
-                      fit_formation_frame, fit_shift, zoom_sample)
+                      fit_formation_frame, fit_shift)
 from .diagnostics import (MembershipReport, PhaseAuditReport, WCurve,
                           almost_monotone_margin, chord_region_membership,
                           phase_audit, phase_times, strip_profile_fit,

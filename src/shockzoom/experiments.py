@@ -5,6 +5,12 @@ checks (and the CLI) need: viscosity sweeps against zoomed limit patterns,
 merging-wave comparisons, formation-profile comparisons, and the cheap
 health audits (contraction, mass, one-sided slope bounds).
 
+One pipeline serves the three zooms (``zooms``): every viscosity's zoom is
+planned and checked before the first solve; then each is solved, landing
+on the frame's times, and read into one (nt, ny) array of the rescaled
+field, each row interpolated in x off the snapshot at its time; only the
+comparison with the pattern differs between the zooms.
+
 Grid policy for the zoom sweeps: the shock-resolving runs refine the mesh
 faster than the viscous width (dx ~ eps^{3/2}), so the discretisation error
 measured in observation coordinates shrinks along the sweep instead of
@@ -32,10 +38,10 @@ from .grid import (MAX_CELLS, GridFunction, Window, cell_count, l1_distance,
 from .inviscid import z_bounds_audit, z_root
 from .profiles import CauchyReport, eternal_z, merging_wave, traveling_wave
 from .rescale import (RateFit, RescaleFrame, SnapshotInterpolant, convergence_rate,
-                      fit_formation_frame, fit_shift, zoom_sample)
+                      fit_formation_frame, fit_shift)
 from .scenarios import Scenario
-from .solver import (COARSE_PECLET, Clamped, OleinikReport, Periodic, SolverConfig,
-                     oleinik_check, solve, solve_coarse_start)
+from .solver import (COARSE_PECLET, MAX_SNAPSHOT_VALUES, Clamped, OleinikReport, Periodic,
+                     SolverConfig, oleinik_check, solve, solve_coarse_start)
 
 # The merging shift search tries time shifts on the surrogate's snapshot
 # lattice, so no time interpolation error enters, and space shifts on a
@@ -43,6 +49,9 @@ from .solver import (COARSE_PECLET, Clamped, OleinikReport, Periodic, SolverConf
 SHIFT_RANGE = 1.0
 SHIFT_LATTICE = 0.125
 SHIFT_DY = 0.05
+# the lattice's time shifts, which the search compares at once
+SHIFT_TIMES = SHIFT_LATTICE * np.arange(-round(SHIFT_RANGE / SHIFT_LATTICE),
+                                        round(SHIFT_RANGE / SHIFT_LATTICE) + 1)
 
 # A zoom solve's margin past the window, beyond the advective reach, in
 # diffusion lengths sqrt(eps t): the heat kernel holds erfc(4)/2 < 1e-8 of
@@ -91,42 +100,54 @@ def zoom_frame(scenario: Scenario, eps: float) -> RescaleFrame:
                               time_scale=fit.sigma, drift=fit.lam, value_scale=f2)
 
 
-def zoom_plan(scenario: Scenario, eps: float, eps_max: float, window: Window, *,
-              base_divisor: float = 8.0,
-              dx_hat: float = 0.04) -> Tuple[RescaleFrame, float]:
-    """The frame (``zoom_frame``) and mesh of a zoom over ``window`` at
-    viscosity eps, eps_max the sweep's largest.
+def zooms(scenario: Scenario, eps_list: Sequence[float], window: Window, nt: int,
+          ny: int, *, shifts: int = 1, base_divisor: float = 8.0, dx_hat: float = 0.04):
+    """The zooms of a sweep over ``window`` at nt x ny samples: s_grid, y_grid
+    and an iterator of (eps, ``_zoom_field``) in the frame of ``zoom_frame``.
 
-    A type-2 zoom keeps dx_hat eps^{3/4}: constant resolution in observation
-    coordinates, fine enough that the horizon gap dominates.  A type-1 zoom
-    takes ``refined_dx``.  ConfigError unless the window starts at t >= 0,
-    where the solve starts from the data, and sees x on ``scenario_grid`` at
-    that mesh, whose last node is the one nearest the domain's right end.
+    This call plans, and so checks, every zoom; the iterator solves each one
+    when it reaches it.  The mesh is dx_hat eps^{3/4} for a type-2 zoom,
+    constant resolution in observation coordinates fine enough that the
+    horizon gap dominates, and ``refined_dx`` against the sweep's largest eps
+    for a type-1 zoom.  ConfigError unless the samples, held ``shifts`` times
+    at once by a shift search, fit in MAX_SNAPSHOT_VALUES values, and unless
+    each zoom's window starts at t >= 0, where the solve starts from the
+    data, and sees x on ``scenario_grid`` at its mesh, whose last node is the
+    one nearest the domain's right end.
     """
-    dx = (dx_hat * eps ** 0.75 if scenario.formation is not None
-          else refined_dx(eps, eps_max, base_divisor))
-    frame = zoom_frame(scenario, eps)
+    if nt * ny * shifts > MAX_SNAPSHOT_VALUES:
+        raise ConfigError(f"{shifts} x {nt} x {ny} zoom samples exceed "
+                          f"{MAX_SNAPSHOT_VALUES} values")
     lo, hi = scenario.domain
-    end = lo + cell_count(hi - lo, dx) * dx
-    with np.errstate(all="ignore"):
-        t, x = frame.to_physical([[window.t_min], [window.t_max]],
-                                 [window.x_min, window.x_max])
-    if not np.min(t) >= 0.0:
-        raise ConfigError(f"the window at eps={eps:.3g} starts at t={np.min(t):.3g}, "
-                          f"before the data at t = 0")
-    if not lo <= np.min(x) <= np.max(x) <= end:
-        raise ConfigError(f"the window at eps={eps:.3g} sees x in [{np.min(x):.6g}, "
-                          f"{np.max(x):.6g}], outside the scenario's grid "
-                          f"[{lo:.6g}, {end:.6g}] at dx={dx:.3g}")
-    return frame, dx
+    plans = []
+    for eps in map(float, eps_list):
+        dx = (dx_hat * eps ** 0.75 if scenario.formation is not None
+              else refined_dx(eps, max(eps_list), base_divisor))
+        frame = zoom_frame(scenario, eps)
+        end = lo + cell_count(hi - lo, dx) * dx
+        with np.errstate(all="ignore"):
+            t, x = frame.to_physical([[window.t_min], [window.t_max]],
+                                     [window.x_min, window.x_max])
+        if not np.min(t) >= 0.0:
+            raise ConfigError(f"the window at eps={eps:.3g} starts at t={np.min(t):.3g}, "
+                              f"before the data at t = 0")
+        if not lo <= np.min(x) <= np.max(x) <= end:
+            raise ConfigError(f"the window at eps={eps:.3g} sees x in [{np.min(x):.6g}, "
+                              f"{np.max(x):.6g}], outside the scenario's grid "
+                              f"[{lo:.6g}, {end:.6g}] at dx={dx:.3g}")
+        plans.append((eps, frame, dx))
+    s_grid, y_grid = window.t_samples(nt), window.x_samples(ny)
+    return s_grid, y_grid, ((eps, _zoom_field(scenario, eps, dx, frame, s_grid, y_grid))
+                            for eps, frame, dx in plans)
 
 
-def _zoom_slices(scenario: Scenario, eps: float, dx: float, frame: RescaleFrame,
-                 s_grid: np.ndarray,
-                 y_grid: np.ndarray) -> List[Tuple[float, GridFunction]]:
-    """Clamped solve at the frame's times, sampled in the zoomed field.
+def _zoom_field(scenario: Scenario, eps: float, dx: float, frame: RescaleFrame,
+                s_grid: np.ndarray, y_grid: np.ndarray) -> np.ndarray:
+    """The rescaled field at the frame's points (s_grid x y_grid), one row per time.
 
-    The solve covers only the window's domain of dependence: the nodes of
+    The clamped solve lands on the frame's times, and each row is
+    interpolated linearly in x off the snapshot at its time.  The solve
+    covers only the window's domain of dependence: the nodes of
     ``scenario_grid(scenario, dx)`` within ``reach`` of the x-range the
     window sees at any of its times, where ``reach`` is max|f'(u0)| t_end
     (the maximum principle bounds every speed by the data's), read at the
@@ -141,7 +162,9 @@ def _zoom_slices(scenario: Scenario, eps: float, dx: float, frame: RescaleFrame,
     cut, widened to whole coarse cells, is solved to t0 on its every m-th
     node, and the fine solve leads the window by t_first - t0.
     """
-    times = sorted(set(float(frame.to_physical(s, 0.0)[0]) for s in s_grid))
+    # each row's time, once: the solve lands on it and the row is read there
+    t_rows = frame.to_physical(s_grid, 0.0)[0].tolist()
+    times = sorted(set(t_rows))
     lo, hi = scenario.domain
     last = cell_count(hi - lo, dx)
     u0 = scenario.initial.u0
@@ -150,11 +173,11 @@ def _zoom_slices(scenario: Scenario, eps: float, dx: float, frame: RescaleFrame,
     speed = scenario.flux.max_speed(u0(lo + dx * np.array([0.0, last])))
     reach = speed * times[-1] + REACH_DIFFUSION_LENGTHS * math.sqrt(eps * times[-1])
     with np.errstate(over="ignore"):
-        _, seen = frame.to_physical(np.asarray(s_grid)[:, None], [y_grid[0], y_grid[-1]])
+        _, x_rows = frame.to_physical(s_grid[:, None], y_grid)
         # clipped as floats, so that a window far off the grid cannot
         # overflow int(); the cut keeps at least two nodes
-        i = np.clip(np.floor((np.min(seen) - reach - lo) / dx), 0, last - 1)
-        j = np.clip(np.ceil((np.max(seen) + reach - lo) / dx), i + 1, last)
+        i = np.clip(np.floor((np.min(x_rows) - reach - lo) / dx), 0, last - 1)
+        j = np.clip(np.ceil((np.max(x_rows) + reach - lo) / dx), i + 1, last)
     i, j = int(i), int(j)
     t0 = times[0] - COARSE_LEAD * (times[-1] - times[0])
     m = math.floor(COARSE_PECLET * eps / (speed * dx))
@@ -170,22 +193,24 @@ def _zoom_slices(scenario: Scenario, eps: float, dx: float, frame: RescaleFrame,
         m = 1
     # sampled on the cut's nodes only, each as scenario_grid places it
     cut = GridFunction(lo + dx * i, dx, u0(lo + dx * np.arange(i, j + 1)))
-    snaps = solve_coarse_start(cut, scenario.flux, SolverConfig(eps, Clamped()),
-                               times[-1], times, m, t0)
-    return zoom_sample(SnapshotInterpolant(snaps), frame, s_grid, y_grid)
+    snaps = dict(solve_coarse_start(cut, scenario.flux, SolverConfig(eps, Clamped()),
+                                    times[-1], times, m, t0))
+    return frame.rescale_values([np.interp(x, cut.x, snaps[t].values)
+                                 for t, x in zip(t_rows, x_rows)])
 
 
-def _mismatch(slices: List[Tuple[float, GridFunction]], model: np.ndarray):
-    """Sup and space-time L1 norm of |u - model| over the zoom slices.
+def _mismatch(field: np.ndarray, model: np.ndarray, s_grid: np.ndarray, y_grid: np.ndarray):
+    """Sup and space-time L1 norm of |field - model| on s_grid x y_grid.
 
-    ``model`` stacks model values as (..., nt, ny), one row per slice; both
-    norms reduce the last two axes, so leading axes index candidates.
+    ``model`` holds model values as (..., nt, ny); both norms reduce the
+    last two axes, so leading axes index candidates.  With one time the L1
+    norm is the integral over y alone.
     """
-    diff = np.array([g.values for _, g in slices]) - model
+    diff = field - model
     np.abs(diff, out=diff)
-    per_slice = trapezoid(diff, slices[0][1].dx)
-    l1 = (per_slice[..., 0] if len(slices) == 1
-          else trapezoid(per_slice, slices[1][0] - slices[0][0]))
+    per_row = trapezoid(diff, y_grid[1] - y_grid[0])
+    l1 = (per_row[..., 0] if len(s_grid) == 1
+          else trapezoid(per_row, s_grid[1] - s_grid[0]))
     return diff.max(axis=(-2, -1)), l1
 
 
@@ -199,21 +224,18 @@ def single_shock_zoom(scenario: Scenario, eps_list: Sequence[float], *,
     NoCrossingError unless that slice reaches more than 1e-9 of the jump
     past the midpoint on both sides.
     """
+    s_grid, y_grid, fields = zooms(scenario, eps_list, window, nt, ny,
+                                    base_divisor=base_divisor)
     lam = scenario.shock.speed
     u_minus, u_plus = scenario.states
-    s_grid = window.t_samples(nt)
-    y_grid = window.x_samples(ny)
-    plans = [zoom_plan(scenario, float(eps), max(eps_list), window,
-                       base_divisor=base_divisor) for eps in eps_list]
     half = max(abs(window.x_min), abs(window.x_max)) + \
         abs(lam) * max(abs(window.t_min), abs(window.t_max)) + 6.0
     template = traveling_wave(scenario.flux, u_minus, u_plus, half, 0.005)
     k0 = int(np.argmin(np.abs(s_grid)))
     out = []
-    for eps, (frame, dx) in zip(eps_list, plans):
-        slices = _zoom_slices(scenario, float(eps), dx, frame, s_grid, y_grid)
+    for eps, field in fields:
         # the wave moves at the shock speed through the zoom window
-        s0, centered = slices[k0]
+        centered = GridFunction(float(y_grid[0]), float(y_grid[1] - y_grid[0]), field[k0])
         # a slice within rounding of the midpoint at one end has the shock on
         # the window's edge, where the sign of that rounding decides a crossing;
         # 1e-9 of the jump is far above rounding and far below any zoom error
@@ -222,10 +244,11 @@ def single_shock_zoom(scenario: Scenario, eps_list: Sequence[float], *,
         if not np.min(centered.values) < mid - gap < mid + gap < np.max(centered.values):
             raise NoCrossingError(f"the central slice at eps={eps:.3g} does not straddle "
                                   f"the midpoint: the shock is not inside the window")
-        moved = GridFunction(centered.x_left - lam * s0, centered.dx, centered.values)
+        moved = GridFunction(centered.x_left - lam * s_grid[k0], centered.dx, centered.values)
         fit = fit_shift(moved, template, mid)
-        sup, l1 = _mismatch(slices, template(centered.x - lam * s_grid[:, None] - fit.shift))
-        out.append(ZoomOutcome(float(eps), float(sup), float(l1), fit.shift))
+        sup, l1 = _mismatch(field, template(centered.x - lam * s_grid[:, None] - fit.shift),
+                            s_grid, y_grid)
+        out.append(ZoomOutcome(eps, float(sup), float(l1), fit.shift))
     return out
 
 
@@ -266,28 +289,24 @@ def merging_zoom(scenario: Scenario, eps_list: Sequence[float],
     The shift is found by lattice search (see SHIFT_RANGE) followed by a
     parabolic refinement of the space shift.
     """
-    plans = [zoom_plan(scenario, float(eps), max(eps_list), window,
-                       base_divisor=base_divisor) for eps in eps_list]
-    s_grid = window.t_samples(nt)
-    y_grid = window.x_samples(ny)
-    n_shift = int(round(SHIFT_RANGE / SHIFT_LATTICE))
-    dt_cands = SHIFT_LATTICE * np.arange(-n_shift, n_shift + 1)
+    s_grid, y_grid, fields = zooms(scenario, eps_list, window, nt, ny,
+                                    shifts=len(SHIFT_TIMES), base_divisor=base_divisor)
     n_dy = int(round(SHIFT_RANGE / SHIFT_DY))
     dy_cands = SHIFT_DY * np.arange(-n_dy, n_dy + 1)
 
     out = []
-    for eps, (frame, dx) in zip(eps_list, plans):
-        slices = _zoom_slices(scenario, float(eps), dx, frame, s_grid, y_grid)
+    for eps, field in fields:
 
         def mismatch(dt, dy: float):
             """Sup and L1 against the wave shifted by (dt, dy), per dt if an array."""
-            return _mismatch(slices, wave_interp(np.add.outer(dt, s_grid), y_grid + dy))
+            return _mismatch(field, wave_interp(np.add.outer(dt, s_grid), y_grid + dy),
+                             s_grid, y_grid)
 
         # the lattice one dy column at a time; the flat argmin runs over dt,
         # then dy, and picks the first candidate with the least L1
-        l1 = np.stack([mismatch(dt_cands, dy)[1] for dy in dy_cands], axis=1)
+        l1 = np.stack([mismatch(SHIFT_TIMES, dy)[1] for dy in dy_cands], axis=1)
         i, k = np.unravel_index(int(np.argmin(l1)), l1.shape)
-        bt, by = float(dt_cands[i]), float(dy_cands[k])
+        bt, by = float(SHIFT_TIMES[i]), float(dy_cands[k])
         # fine local scan of the time shift: the optimum drifts off the
         # coarse lattice as eps shrinks, and the leftover dt error would
         # otherwise floor the sweep
@@ -304,7 +323,7 @@ def merging_zoom(scenario: Scenario, eps_list: Sequence[float],
             if mismatch(bt, vertex)[1] < mid:
                 by = vertex
         sup, l1 = mismatch(bt, by)
-        out.append(ZoomOutcome(float(eps), float(sup), float(l1), float(by), float(bt)))
+        out.append(ZoomOutcome(eps, float(sup), float(l1), float(by), float(bt)))
     return out
 
 
@@ -313,19 +332,15 @@ def formation_zoom(scenario: Scenario, eps_list: Sequence[float],
                    nt: int = 17, ny: int = 321,
                    dx_hat: float = 0.04) -> List[ZoomOutcome]:
     """Compare type-2 zooms (see ``zoom_frame``) of a formation scenario with
-    the eternal wave, on the mesh of ``zoom_plan``."""
+    the eternal wave, on the mesh of ``zooms``."""
     if scenario.formation is None:
         raise ValueError("scenario has no formation point")
-    plans = [zoom_plan(scenario, float(eps), max(eps_list), window, dx_hat=dx_hat)
-             for eps in eps_list]
-    s_grid = window.t_samples(nt)
-    y_grid = window.x_samples(ny)
-    z_interp = SnapshotInterpolant(z_wave)
+    s_grid, y_grid, fields = zooms(scenario, eps_list, window, nt, ny, dx_hat=dx_hat)
+    pattern = SnapshotInterpolant(z_wave)(s_grid, y_grid)
     out = []
-    for eps, (frame, dx) in zip(eps_list, plans):
-        slices = _zoom_slices(scenario, float(eps), dx, frame, s_grid, y_grid)
-        sup, l1 = _mismatch(slices, z_interp(s_grid, y_grid))
-        out.append(ZoomOutcome(float(eps), float(sup), float(l1), 0.0))
+    for eps, field in fields:
+        sup, l1 = _mismatch(field, pattern, s_grid, y_grid)
+        out.append(ZoomOutcome(eps, float(sup), float(l1), 0.0))
     return out
 
 
@@ -353,8 +368,11 @@ def kuznetsov_sweep(scenario: Scenario, eps_list: Sequence[float], *,
     the fitted rate, and pointwise on the domain less 0.5 at each end,
     eps^(1/3) clear of each shock, against 2 * C * eps^(1/6) with C from
     the fitted intercept.  The reference is evaluated before any solve:
-    ConfigError where it does not exist, or for fewer than three viscosities.
+    ConfigError where it does not exist, for a scenario whose limit holds no
+    shock, or for fewer than three viscosities.
     """
+    if scenario.shock is None:
+        raise ConfigError(f"{scenario.id}: rate sweeps need an exact shocked reference")
     eps_arr = [float(e) for e in eps_list]
     if len(eps_arr) < 3:
         raise ConfigError(f"need at least three viscosities for a rate, got {eps_arr}")

@@ -17,7 +17,7 @@ remains.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
@@ -131,25 +131,6 @@ class SnapshotInterpolant:
             w = ((ts[mid] - t0) / (t1 - t0)).reshape((-1,) + (1,) * x.ndim)
             vals[mid] = (1.0 - w) * vals[mid] + w * rows[np.searchsorted(used, j[mid] + 1)]
         return vals.reshape(t.shape + x.shape)
-
-
-def zoom_sample(evaluator: Callable, frame: RescaleFrame, t_samples: Sequence[float],
-                x_samples: np.ndarray) -> List[Tuple[float, GridFunction]]:
-    """Sample the rescaled field on observation coordinates.
-
-    ``evaluator(t_phys, x_phys_array)`` must return physical values; the
-    result is a snapshot list in observation coordinates, each on the
-    uniform grid starting at ``x_samples[0]`` with its first spacing.  The
-    field is evaluated at ``x_samples`` themselves.
-    """
-    x_obs = np.asarray(x_samples, dtype=float)
-    x_left, dx = float(x_obs[0]), float(x_obs[1] - x_obs[0])
-    out = []
-    for t in t_samples:
-        t_phys, x_phys = frame.to_physical(t, x_obs)
-        u = evaluator(float(t_phys), x_phys)
-        out.append((float(t), GridFunction(x_left, dx, frame.rescale_values(u))))
-    return out
 
 
 @dataclass(frozen=True)

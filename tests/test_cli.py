@@ -138,7 +138,7 @@ def test_exit_code_2_paths(tmp_path, monkeypatch):
                  ["merge", "--set", f"merge.nt={too_many}"],
                  # within MAX_COUNT, but 10^6 snapshots of the eternal wave's
                  # 1,501 half-line nodes exceed the solver's snapshot memory cap
-                 formation + ["--set", f"zoom2.nt={MAX_COUNT}"],
+                 formation + ["--set", f"zoom2.nt={MAX_COUNT}", "--set", "zoom2.ny=2"],
                  # the derivatives of the cubic wave blow up at t = 0, x = 0
                  ["z-table", "--t", "-1", "0", "--x", "-2", "2"],
                  # overflow, reported without a RuntimeWarning or a traceback
@@ -190,6 +190,9 @@ def test_exit_code_2_paths(tmp_path, monkeypatch):
                      formation + ["--set", "window2.x_max=1e308"],
                      ["run", "--scenario", "theorem1-single", "--set", "window.x_max=60"],
                      ["run", "--scenario", "theorem1-merging", "--set", "window.x_max=66"],
+                     # 17 time shifts of 21 x 10^6 samples in the merging search
+                     ["run", "--scenario", "theorem1-merging",
+                      "--set", f"zoom.ny={MAX_COUNT}"],
                      formation + ["--eps", "0.04,0.01", "--set", "window2.x_min=-60",
                                   "--set", "window2.x_max=60"]):
             assert main(args + ["--out", str(mended)]) == 2, args
@@ -299,11 +302,15 @@ def test_library_rejects_bad_study_inputs_before_any_solve(monkeypatch):
             (lambda: experiments.merging_surrogate(
                 merging, **{**surrogate, "window": Window(-2.0, 2.0, -2.0, 100.0)}),
              r"x in \[-2, 100\] leaves"),
-            # the rate sweep: too few viscosities, a time with no exact reference
+            # the rate sweep: too few viscosities, a time with no exact reference,
+            # a scenario whose limit holds no shock
             (lambda: experiments.kuznetsov_sweep(single, (0.04, 0.02), n_nodes=256),
              "three viscosities"),
             (lambda: experiments.kuznetsov_sweep(single, (0.04, 0.02, 0.01), t_check=0.1,
                                                  n_nodes=256), "t_check=0.1"),
+            (lambda: experiments.kuznetsov_sweep(formation, (0.04, 0.02, 0.01),
+                                                 n_nodes=256),
+             "theorem2-formation: rate sweeps need an exact shocked reference"),
             # the zooms: a window before t = 0, and one whose zoom at the second
             # viscosity sees x off the scenario's grid, checked before the first
             # viscosity's solve
@@ -320,7 +327,18 @@ def test_library_rejects_bad_study_inputs_before_any_solve(monkeypatch):
                 formation, (0.01,), flat, window=Window(-1e3, 0.0, -1.0, 1.0)), "starts at t="),
             (lambda: experiments.formation_zoom(
                 formation, (0.01, 0.04), flat, window=Window(-1.0, 0.5, -2.0, 60.0)),
-             "eps=0.04 sees x")):
+             "eps=0.04 sees x"),
+            # samples beyond the solver's snapshot memory: nt x ny values, held
+            # once per time shift by the merging search (17 x 21 x 10^6 there)
+            (lambda: experiments.single_shock_zoom(
+                single, (0.04,), window=Window(-2.0, 2.0, -4.0, 4.0), nt=10**6, ny=101),
+             "1 x 1000000 x 101"),
+            (lambda: experiments.formation_zoom(
+                formation, (0.01,), flat, window=Window(-1.0, 0.5, -1.0, 1.0), nt=10**6),
+             "1 x 1000000 x 321"),
+            (lambda: experiments.merging_zoom(
+                merging, (0.04,), None, window=Window(-1.0, 1.0, -2.0, 2.0), ny=10**6),
+             "17 x 21 x 1000000 zoom samples exceed")):
         with pytest.raises(ConfigError, match=match):
             call()
 

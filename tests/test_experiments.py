@@ -5,11 +5,11 @@ import pytest
 from shockzoom import (Clamped, GridFunction, Periodic, RescaleFrame,
                        SnapshotInterpolant, SolverConfig, Window, burgers,
                        burgers_plus_linear, build_scenario, eternal_z, solve,
-                       trapezoid, zoom_sample)
+                       trapezoid)
 from shockzoom import experiments, solver
 from shockzoom.experiments import (COARSE_PECLET, SHIFT_DY, SHIFT_LATTICE, SHIFT_RANGE,
-                                   _zoom_slices, contraction_check, formation_zoom,
-                                   mass_drift_check, merging_surrogate,
+                                   SHIFT_TIMES, _zoom_field, contraction_check,
+                                   formation_zoom, mass_drift_check, merging_surrogate,
                                    merging_zoom, refined_dx, scenario_grid,
                                    single_shock_zoom, suite_cubic_bounds,
                                    suite_oleinik, zoom_frame)
@@ -34,7 +34,7 @@ def test_scenario_grid_covers_domain():
 
 
 def test_data_speed_peaks_at_the_grid_ends():
-    # _zoom_slices reads max|f'(u0)| at the two end nodes of scenario_grid,
+    # _zoom_field reads max|f'(u0)| at the two end nodes of scenario_grid,
     # which is exact only for monotone data; data that peak inside fail here
     cases = [build_scenario(sid, burgers()) for sid in SCENARIOS]
     cases.append(build_scenario("theorem2-formation", burgers_plus_linear(0.5),
@@ -129,16 +129,16 @@ class _RecordingWave:
         return self.interp(t, x)
 
 
-def _scalar_search(slices, wave, y_grid):
-    """The merging shift search, one scalar interpolant call per slice.
+def _scalar_search(field, s_grid, wave, y_grid):
+    """The merging shift search, one scalar interpolant call per row.
 
     Returns the coarse winner, the fine time scan, the final (dt, dy) and
     its space-time L1 mismatch.
     """
     def l1(dt, dy):
-        per_slice = [trapezoid(np.abs(g.values - wave(s + dt, y_grid + dy)), g.dx)
-                     for s, g in slices]
-        return trapezoid(np.array(per_slice), slices[1][0] - slices[0][0])
+        per_row = [trapezoid(np.abs(row - wave(s + dt, y_grid + dy)), y_grid[1] - y_grid[0])
+                   for s, row in zip(s_grid, field)]
+        return trapezoid(np.array(per_row), s_grid[1] - s_grid[0])
 
     def first_least(cands):
         return cands[int(np.argmin([l1(dt, dy) for dt, dy in cands]))]
@@ -175,9 +175,8 @@ def test_merging_search_matches_scalar_search():
     assert len(starts) == 2
     for o, start in zip(outcomes, starts):
         frame = RescaleFrame.type1(scen.tau, scen.xi, o.eps)
-        slices = _zoom_slices(scen, o.eps, refined_dx(o.eps, 0.08, 4.0), frame,
-                              s_grid, y_grid)
-        coarse, fine, (bt, by), l1 = _scalar_search(slices, wave, y_grid)
+        field = _zoom_field(scen, o.eps, refined_dx(o.eps, 0.08, 4.0), frame, s_grid, y_grid)
+        coarse, fine, (bt, by), l1 = _scalar_search(field, s_grid, wave, y_grid)
         # the fine scan is laid around the coarse winner, so its calls pin it
         scan = recording.calls[start + 41:start + 41 + len(fine)]
         for dt, (t, x) in zip(fine, scan):
@@ -211,6 +210,52 @@ def test_formation_zoom_regression():
     ])
 
 
+def test_one_time_zooms_integrate_over_y(monkeypatch):
+    # a window of one time, through each zoom: L1 is the trapezoid integral
+    # over y of |row - model| and sup its max, for every candidate the
+    # merging search holds at once, one per time shift
+    calls = []
+    mismatch = experiments._mismatch
+
+    def recording(field, model, s_grid, y_grid):
+        sup, l1 = mismatch(field, model, s_grid, y_grid)
+        calls.append((field, model, sup, l1))
+        return sup, l1
+
+    monkeypatch.setattr(experiments, "_mismatch", recording)
+    single = build_scenario("theorem1-single", burgers())
+    merging = build_scenario("theorem1-merging", burgers())
+    formation = build_scenario("theorem2-formation", burgers_plus_linear(0.5), amplitude=2.0)
+    wave, _ = merging_surrogate(merging, taus=(-14.0, -16.0),
+                                window=Window(-2.25, 2.25, -3.25, 3.25),
+                                comparison_time=-3.0, dx=0.1)
+    z_window = Window(-1.0, 0.5, -2.0, 2.0)
+    z_wave = eternal_z(4.0, z_window, dx=0.1, x_max=15.0,
+                       snapshot_times=list(z_window.t_samples(1)))
+    # (window, ny, zoom, the candidate axes of its models)
+    cases = [
+        (Window(-2.0, 2.0, -4.0, 4.0), 81, lambda w: single_shock_zoom(
+            single, (0.08,), window=w, nt=1, ny=81, base_divisor=4.0), {()}),
+        (Window(-1.0, 1.0, -2.0, 2.0), 41, lambda w: merging_zoom(
+            merging, (0.08,), wave, window=w, nt=1, ny=41, base_divisor=4.0),
+         {(), (len(SHIFT_TIMES),)}),
+        (z_window, 41, lambda w: formation_zoom(
+            formation, (0.04,), z_wave, window=w, nt=1, ny=41, dx_hat=0.1), {()}),
+    ]
+    for window, ny, zoom, axes in cases:
+        calls.clear()
+        (outcome,) = zoom(window)
+        y_grid = window.x_samples(ny)
+        for field, model, sup, l1 in calls:
+            assert field.shape == (1, ny)
+            rows = np.abs(field[0] - model[..., 0, :])
+            np.testing.assert_allclose(l1, np.trapezoid(rows, y_grid, axis=-1),
+                                       rtol=1e-12, atol=0.0)
+            assert np.array_equal(sup, rows.max(axis=-1))
+        assert (outcome.sup_error, outcome.l1_error) == tuple(map(float, calls[-1][2:]))
+        assert {model.shape[:-2] for _, model, _, _ in calls} == axes
+
+
 def test_zoom_local_solve_matches_full_solve(monkeypatch):
     # every solve of a zoom, against one full-domain solve at the zoom's dx
     initials = []
@@ -223,12 +268,12 @@ def test_zoom_local_solve_matches_full_solve(monkeypatch):
     monkeypatch.setattr(solver, "solve", recording)
 
     def gap(scen, eps, dx, window, nt, ny):
-        """Sup gap and reference sup of the slices, the solves' strides, and
+        """Sup gap and reference sup of the rows, the solves' strides, and
         whether the fine solve dropped nodes."""
         frame = zoom_frame(scen, eps)
         s_grid, y_grid = window.t_samples(nt), window.x_samples(ny)
         initials.clear()
-        local = _zoom_slices(scen, eps, dx, frame, s_grid, y_grid)
+        local = _zoom_field(scen, eps, dx, frame, s_grid, y_grid)
         full = scenario_grid(scen, dx)
         strides = []
         for g in initials:
@@ -239,9 +284,14 @@ def test_zoom_local_solve_matches_full_solve(monkeypatch):
                                        rtol=0.0, atol=1e-12)
             strides.append(m)
         times = sorted(float(frame.to_physical(s, 0.0)[0]) for s in s_grid)
-        snaps = solve(full, scen.flux, SolverConfig(eps, Clamped()), times[-1], times)
-        ref = zoom_sample(SnapshotInterpolant(snaps), frame, s_grid, y_grid)
-        local, ref = (np.array([g.values for _, g in sl]) for sl in (local, ref))
+        snaps = dict(solve(full, scen.flux, SolverConfig(eps, Clamped()), times[-1], times))
+        # each row read off the full solve's snapshot at its time, at the
+        # frame's physical points
+        ref = []
+        for s in s_grid:
+            t, x = frame.to_physical(s, y_grid)
+            ref.append(frame.rescale_values(np.interp(x, full.x, snaps[float(t)].values)))
+        ref = np.array(ref)
         cut = initials[-1].n < full.n
         return float(np.max(np.abs(local - ref))), float(np.max(np.abs(ref))), strides, cut
 

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from shockzoom import (DegenerateError, FormationPoint, GridFunction,
                        NoCrossingError, OutOfDomainError, RescaleFrame,
                        SnapshotInterpolant, burgers, burgers_plus_linear,
-                       convergence_rate, fit_formation_frame, fit_shift,
-                       zoom_sample)
+                       convergence_rate, fit_formation_frame, fit_shift)
 from shockzoom.errors import NonPositiveError
 
 
@@ -32,14 +31,18 @@ def test_frame_maps_and_rescales():
     assert f.rescale_values(0.5 + 0.0016 ** 0.25) == pytest.approx(1.0, rel=1e-12)
 
 
-def test_zoom_sample_roundtrip():
-    # evaluator returns the physical coordinate itself; the rescaled field
-    # must be the observation coordinate plus the frame offset scaling
+def test_frame_sampling_roundtrip():
+    # the physical coordinate itself, read at the (times x points) of a zoom
+    # and rescaled, must be the observation coordinate plus the frame offset
+    # scaling, on every row
     f = RescaleFrame.type1(0.0, 1.0, 0.25)
-    template = GridFunction.from_callable(lambda x: 0.0 * x, -2.0, 2.0, 0.5)
-    snaps = zoom_sample(lambda t, x: x, f, [0.0, 1.0], template.x)
-    for t, g in snaps:
-        assert np.allclose(g.values, 1.0 + 0.25 * g.x, atol=1e-14)
+    y = GridFunction.from_callable(lambda x: 0.0 * x, -2.0, 2.0, 0.5).x
+    t_phys, x_phys = f.to_physical(np.array([0.0, 1.0])[:, None], y)
+    assert np.array_equal(t_phys[:, 0], [0.0, 0.25])
+    rows = f.rescale_values(x_phys)
+    assert rows.shape == (2, y.size)
+    for row in rows:
+        assert np.allclose(row, 1.0 + 0.25 * y, atol=1e-14)
 
 
 def test_type2_frame_carries_formation_normalisation():
@@ -61,13 +64,16 @@ def test_type2_frame_carries_formation_normalisation():
     def field(t, x):
         return 0.3 - 0.2 * np.tanh(x - 0.5 * t)
 
-    for s, g in zoom_sample(field, frame, [-2.0, 0.0, 0.75], y):
+    # the zoom's rows: one per time, read at that time's physical points
+    s_grid = np.array([-2.0, 0.0, 0.75])
+    t_rows, x_rows = frame.to_physical(s_grid[:, None], y)
+    rows = frame.rescale_values(field(t_rows, x_rows))
+    for s, t_frame, x_frame, row in zip(s_grid, t_rows[:, 0], x_rows, rows):
         tp = fit.tau_eps + math.sqrt(eps_eff) * s / fit.sigma
         xp = fit.xi_eps + fit.lam * (tp - fit.tau_eps) + eps_eff ** 0.75 * y
-        t_frame, x_frame = frame.to_physical(s, y)
         assert float(t_frame) == pytest.approx(tp, rel=1e-15)
         assert np.allclose(x_frame, xp, rtol=1e-15, atol=0.0)
-        assert np.allclose(g.values, amp * (field(tp, xp) - point.u_value),
+        assert np.allclose(row, amp * (field(tp, xp) - point.u_value),
                            rtol=1e-12, atol=0.0)
 
 
