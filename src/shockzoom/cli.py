@@ -325,8 +325,7 @@ def cmd_run(cfg: Config, args: argparse.Namespace) -> int:
             merge = _merge_settings(cfg, window, experiments.SHIFT_RANGE + 0.25)
     zoom = dict(window=window, nt=nt, ny=ny, **mesh)
     # this call solves nothing: its zooms are solved only when iterated
-    experiments.zooms(scenario, eps, **zoom, shifts=len(experiments.SHIFT_TIMES)
-                      if scenario_id == "theorem1-merging" else 1)
+    experiments.zooms(scenario, eps, **zoom)
     out = _out_dir(cfg, args.out)
 
     if scenario_id == "theorem2-formation":

@@ -101,7 +101,7 @@ def zoom_frame(scenario: Scenario, eps: float) -> RescaleFrame:
 
 
 def zooms(scenario: Scenario, eps_list: Sequence[float], window: Window, nt: int,
-          ny: int, *, shifts: int = 1, base_divisor: float = 8.0, dx_hat: float = 0.04):
+          ny: int, *, base_divisor: float = 8.0, dx_hat: float = 0.04):
     """The zooms of a sweep over ``window`` at nt x ny samples: s_grid, y_grid
     and an iterator of (eps, ``_zoom_field``) in the frame of ``zoom_frame``.
 
@@ -109,12 +109,17 @@ def zooms(scenario: Scenario, eps_list: Sequence[float], window: Window, nt: int
     when it reaches it.  The mesh is dx_hat eps^{3/4} for a type-2 zoom,
     constant resolution in observation coordinates fine enough that the
     horizon gap dominates, and ``refined_dx`` against the sweep's largest eps
-    for a type-1 zoom.  ConfigError unless the samples, held ``shifts`` times
-    at once by a shift search, fit in MAX_SNAPSHOT_VALUES values, and unless
-    each zoom's window starts at t >= 0, where the solve starts from the
-    data, and sees x on ``scenario_grid`` at its mesh, whose last node is the
-    one nearest the domain's right end.
+    for a type-1 zoom.  ConfigError unless a window of two or more times
+    has nonzero duration, unless the samples, held once per SHIFT_TIMES
+    entry by the merging search, fit in MAX_SNAPSHOT_VALUES values, and
+    unless each zoom's window starts at t >= 0, where the solve starts from
+    the data, and sees x on ``scenario_grid`` at its mesh, whose last node
+    is the one nearest the domain's right end.
     """
+    if nt >= 2 and window.t_min == window.t_max:
+        raise ConfigError(f"the window's t in [{window.t_min:.6g}, {window.t_max:.6g}] "
+                          f"has zero duration, so its {nt} time samples are 0 apart")
+    shifts = 1 if scenario.merging is None else len(SHIFT_TIMES)
     if nt * ny * shifts > MAX_SNAPSHOT_VALUES:
         raise ConfigError(f"{shifts} x {nt} x {ny} zoom samples exceed "
                           f"{MAX_SNAPSHOT_VALUES} values")
@@ -290,7 +295,7 @@ def merging_zoom(scenario: Scenario, eps_list: Sequence[float],
     parabolic refinement of the space shift.
     """
     s_grid, y_grid, fields = zooms(scenario, eps_list, window, nt, ny,
-                                    shifts=len(SHIFT_TIMES), base_divisor=base_divisor)
+                                    base_divisor=base_divisor)
     n_dy = int(round(SHIFT_RANGE / SHIFT_DY))
     dy_cands = SHIFT_DY * np.arange(-n_dy, n_dy + 1)
 
@@ -441,8 +446,6 @@ def contraction_check(initial_a: GridFunction, initial_b: GridFunction,
                       times: Sequence[float]) -> ContractionReport:
     """Evolve two data sets side by side and track their L1 distance."""
     ts = sorted(float(t) for t in times)
-    if ts[0] > 0.0:
-        ts = [0.0] + ts
     snaps_a = solve(initial_a, flux, cfg, ts[-1], ts)
     snaps_b = solve(initial_b, flux, cfg, ts[-1], ts)
     dists = [l1_distance(a, b) for (_, a), (_, b) in zip(snaps_a, snaps_b)]
@@ -470,8 +473,6 @@ def mass_drift_check(initial: GridFunction, flux: FluxModel, cfg: SolverConfig,
     if not isinstance(cfg.boundary, Periodic):
         raise ValueError("mass drift is audited on periodic runs")
     ts = sorted(float(t) for t in times)
-    if ts[0] > 0.0:
-        ts = [0.0] + ts
     snaps = solve(initial, flux, cfg, ts[-1], ts)
     return MassReport(tuple(ts), tuple(periodic_mass(g) for _, g in snaps))
 

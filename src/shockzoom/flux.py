@@ -101,35 +101,34 @@ def chord(flux: FluxModel, u_minus: float, u_plus: float) -> Callable:
     return lambda u: data.speed * np.asarray(u, dtype=float) + data.offset
 
 
-def burgers(u_range: Tuple[float, float] = (-3.0, 3.0)) -> FluxModel:
+def burgers() -> FluxModel:
     """f(u) = u^2 / 2, the canonical quadratic flux."""
     return FluxModel(
         f=lambda u: 0.5 * u * u,
         df=lambda u: u,
         d2f=lambda u: np.ones_like(np.asarray(u, dtype=float)),
-        c1=1.0, c2=1.0, name="burgers", u_range=u_range)
+        c1=1.0, c2=1.0, name="burgers")
 
 
-def burgers_plus_linear(b: float, u_range: Tuple[float, float] = (-3.0, 3.0)) -> FluxModel:
+def burgers_plus_linear(b: float) -> FluxModel:
     """f(u) = u^2 / 2 + b u; shifts every speed by b, curvature unchanged."""
     return FluxModel(
         f=lambda u: 0.5 * u * u + b * u,
         df=lambda u: u + b,
         d2f=lambda u: np.ones_like(np.asarray(u, dtype=float)),
-        c1=1.0, c2=1.0, name="burgers-plus-linear", u_range=u_range)
+        c1=1.0, c2=1.0, name="burgers-plus-linear")
 
 
-def quartic_perturbed(kappa: float, u_range: Tuple[float, float] = (-2.0, 2.0)) -> FluxModel:
-    """f(u) = u^2 / 2 + kappa u^4 with kappa >= 0, still uniformly convex."""
+def quartic_perturbed(kappa: float) -> FluxModel:
+    """f(u) = u^2 / 2 + kappa u^4 with kappa >= 0, still uniformly convex on [-2, 2]."""
     if kappa < 0:
         raise ValueError("kappa must be nonnegative to keep f convex")
-    hi = max(abs(u_range[0]), abs(u_range[1]))
     return FluxModel(
         f=lambda u: 0.5 * u * u + kappa * u ** 4,
         df=lambda u: u + 4.0 * kappa * u ** 3,
         d2f=lambda u: 1.0 + 12.0 * kappa * u ** 2,
-        c1=1.0, c2=1.0 + 12.0 * kappa * hi * hi,
-        name="quartic-perturbed", u_range=u_range)
+        c1=1.0, c2=1.0 + 48.0 * kappa,  # f'' at |u| = 2
+        name="quartic-perturbed", u_range=(-2.0, 2.0))
 
 
 BUILTIN_FLUXES = {

@@ -14,7 +14,7 @@ round-off level everywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -29,19 +29,16 @@ class SmoothData:
     """Smooth initial data with its derivative.
 
     The derivative is cross-checked against central differences at
-    construction on ``check_points`` (a default interior sample when not
-    given), so an inconsistent pair fails immediately.
+    construction on ``check_points``, so an inconsistent pair fails
+    immediately.
     """
 
     u0: Callable
     du0: Callable
-    check_points: Optional[np.ndarray] = None
+    check_points: np.ndarray
 
     def __post_init__(self):
-        pts = self.check_points
-        if pts is None:
-            pts = np.linspace(-2.0, 2.0, 17)
-        pts = np.asarray(pts, dtype=float)
+        pts = np.asarray(self.check_points, dtype=float)
         object.__setattr__(self, "check_points", pts)
         h = 1e-5
         fd = (self.u0(pts + h) - self.u0(pts - h)) / (2.0 * h)
@@ -51,8 +48,7 @@ class SmoothData:
             raise ValueError("du0 disagrees with finite differences of u0")
 
 
-def characteristic_value(data: SmoothData, flux: FluxModel, t: float, x: float,
-                         tol: float = 1e-13) -> float:
+def characteristic_value(data: SmoothData, flux: FluxModel, t: float, x: float) -> float:
     """Value carried to (t, x) along straight characteristics.
 
     Solves xi + t f'(u0(xi)) = x for the foot point by a bracketed scan,
@@ -92,7 +88,7 @@ def characteristic_value(data: SmoothData, flux: FluxModel, t: float, x: float,
     for _ in range(80):
         mid = 0.5 * (a + b)
         rm = residual(mid)
-        if rm == 0.0 or (b - a) < tol * max(1.0, abs(mid)):
+        if rm == 0.0 or (b - a) < 1e-13 * max(1.0, abs(mid)):
             a = b = mid
             break
         if (ra < 0.0) == (rm < 0.0):
@@ -262,11 +258,10 @@ class ZBoundsReport:
     residual_max: float
 
 
-def z_bounds_audit(t_grid: Sequence[float], x_grid: Sequence[float],
-                   slack: float = 1e-12) -> ZBoundsReport:
+def z_bounds_audit(t_grid: Sequence[float], x_grid: Sequence[float]) -> ZBoundsReport:
     """Audit slope, curvature, third-derivative, and envelope bounds of z.
 
-    Checked on the tensor grid, all with t < 0:
+    Checked on the tensor grid, all with t < 0, each to a slack of 1e-12:
       slope:      1/t <= z_x < 0
       curvature:  |z_xx| < |t|^(-5/2), with the sign of x
       third:      |z_xxx| <= 36 / t^4
@@ -298,6 +293,6 @@ def z_bounds_audit(t_grid: Sequence[float], x_grid: Sequence[float],
     worst = {}
     for key, m in margins.items():
         worst[key] = float(np.min(m))
-        violations += int(np.count_nonzero(m < -slack))
+        violations += int(np.count_nonzero(m < -1e-12))
     res = float(np.max(np.abs(xx - (tt * z - z ** 3))))
     return ZBoundsReport(int(z.size), violations, worst, res)

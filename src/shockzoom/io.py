@@ -97,8 +97,6 @@ def _jsonable(obj):
     if isinstance(obj, (np.floating, float)):
         # strict JSON has no NaN or Infinity; a number that is not finite is null
         return float(obj) if math.isfinite(obj) else None
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
     return obj
 
 

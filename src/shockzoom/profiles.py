@@ -30,7 +30,7 @@ class TravelingWave:
     shock: ShockData
     offset: float
     profile: GridFunction
-    flux: FluxModel = field(repr=False, compare=False, default=None)
+    flux: FluxModel = field(repr=False, compare=False)
 
     @property
     def midpoint(self) -> float:
@@ -95,7 +95,7 @@ def traveling_wave(flux: FluxModel, u_minus: float, u_plus: float,
     return TravelingWave(shock, shock.offset, prof, flux)
 
 
-def transition_width(wave: TravelingWave, fraction: float = 0.01) -> float:
+def transition_width(wave: TravelingWave, fraction: float) -> float:
     """Half-width outside which the profile sits within fraction*jump of its limits."""
     jump = wave.shock.u_minus - wave.shock.u_plus
     s = wave.profile.values
@@ -127,33 +127,29 @@ class MergingTriple:
 
     @classmethod
     def from_states(cls, flux: FluxModel, u_minus: float, u_star: float,
-                    u_plus: float, lambda_star: Optional[float] = None) -> "MergingTriple":
+                    u_plus: float) -> "MergingTriple":
         if not (u_minus > u_star > u_plus):
             raise NotOrderedError(
                 f"need u_minus > u_star > u_plus, got {(u_minus, u_star, u_plus)}")
         s1 = rankine_hugoniot(flux, u_minus, u_star)
         s2 = rankine_hugoniot(flux, u_star, u_plus)
-        ls = 0.5 * (s1.speed + s2.speed) if lambda_star is None else float(lambda_star)
+        # the blend speed; it fails to separate them where both underflow to 0
+        ls = 0.5 * (s1.speed + s2.speed)
         if not s2.speed < ls < s1.speed:
             raise ValueError("lambda_star must separate the two shock speeds")
         return cls(flux, u_minus, u_star, u_plus, s1.speed, s2.speed, ls)
 
 
 def merging_initial(triple: MergingTriple, tau: float, grid: GridFunction,
-                    profiles: Optional[Tuple[TravelingWave, TravelingWave]] = None,
-                    ) -> GridFunction:
-    """Blend the two traveling waves at their time-tau positions.
+                    profiles: Tuple[TravelingWave, TravelingWave]) -> GridFunction:
+    """Blend the two traveling waves ``profiles`` at their time-tau positions.
 
     The faster wave is centred at lambda1*tau, the slower at lambda2*tau,
     and the smoothstep blend weight ramps over one unit from lambda_star*tau.
     tau must be negative enough that the transition regions stay clear of
     the blend; otherwise TauTooLateError.
     """
-    if profiles is None:
-        w1 = traveling_wave(triple.flux, triple.u_minus, triple.u_star, 60.0, 0.02)
-        w2 = traveling_wave(triple.flux, triple.u_star, triple.u_plus, 60.0, 0.02)
-    else:
-        w1, w2 = profiles
+    w1, w2 = profiles
     separation = (triple.lambda1 - triple.lambda2) * abs(tau)
     # 5% tails: the blend only needs the discarded profile to be nearly flat
     needed = transition_width(w1, 0.05) + transition_width(w2, 0.05) + 1.0
@@ -186,50 +182,33 @@ class CauchyReport:
         return all(d[i] > d[i + 1] for i in range(len(d) - 1))
 
 
-def merging_grid(triple: MergingTriple, tau: float, dx: float) -> GridFunction:
-    """The zero grid of ``merging_wave`` whose earliest restart is ``tau``.
-
-    It spans both waves at tau, padded so that the outer profile tails
-    reach their constant states to ~1e-9 at its ends.
-    """
-    flux = triple.flux
-    jump = triple.u_minus - triple.u_plus
-    rate_l = abs(float(flux.df(triple.u_minus)) - triple.lambda1)
-    rate_r = abs(float(flux.df(triple.u_plus)) - triple.lambda2)
-    depth = np.log(max(jump, 1.0) / 1e-9)
-    x_pad = 6.0 + depth / min(rate_l, rate_r)
-    x_lo = triple.lambda1 * tau - x_pad
-    x_hi = triple.lambda2 * tau + x_pad
-    return GridFunction(x_lo, dx, np.zeros(cell_count(x_hi - x_lo, dx) + 1))
-
-
 def merging_wave(triple: MergingTriple, tau_list: Sequence[float], window: Window, *,
-                 dx: float = 0.05, comparison_time: Optional[float] = None,
-                 snapshot_times: Sequence[float] = (),
+                 dx: float, comparison_time: float, snapshot_times: Sequence[float],
                  ) -> Tuple[List[Tuple[float, GridFunction]], CauchyReport]:
     """Realise the interaction wave by evolving blended restarts.
 
     Each tau in tau_list launches the blended data at that time and evolves
     it at unit viscosity, its ends held; all runs
-    are measured against each other at ``comparison_time`` (default: the
-    window start).  The run from the most negative tau doubles as the limit
-    surrogate and is returned sampled at the window times plus any extra
+    are measured against each other at ``comparison_time``.  The run from
+    the most negative tau doubles as the limit surrogate and is returned
+    sampled at the window's ends, the comparison time and the
     ``snapshot_times``.
 
-    The padding puts the clamped ends deep enough that the outer
-    profile tails reach their constant states to ~1e-9 there; anything less
-    makes each restart clamp at a slightly different edge value, and those
-    mismatches advect inward and swamp the settling distances.
+    The restarts' grid spans both waves at the earliest restart, padded so
+    that the outer profile tails reach their constant states to ~1e-9 at
+    its clamped ends; anything less makes each restart clamp at a slightly
+    different edge value, and those mismatches advect inward and swamp the
+    settling distances.
 
     ConfigError, before any solve, unless every restart precedes the
     comparison time, the comparison time does not lie after the window
     (where the run ends), and the window lies after the earliest restart
-    and on its grid (``merging_grid``), where the run can be sampled.
+    and on the restarts' grid, where the run can be sampled.
     """
     taus = sorted(float(s) for s in tau_list)
     if len(taus) < 2:
         raise ValueError("need at least two restart times")
-    t_cmp = window.t_min if comparison_time is None else float(comparison_time)
+    t_cmp = float(comparison_time)
     if taus[-1] >= t_cmp:
         raise ConfigError(f"the restart at tau={taus[-1]:.6g} does not precede the "
                           f"comparison time {t_cmp:.6g}")
@@ -241,39 +220,35 @@ def merging_wave(triple: MergingTriple, tau_list: Sequence[float], window: Windo
                           f"earliest restart tau={taus[0]:.6g}")
 
     flux = triple.flux
-    template = merging_grid(triple, taus[0], dx)
+    depth = np.log(max(triple.u_minus - triple.u_plus, 1.0) / 1e-9)
+    x_pad = 6.0 + depth / min(abs(float(flux.df(triple.u_minus)) - triple.lambda1),
+                              abs(float(flux.df(triple.u_plus)) - triple.lambda2))
+    x_lo = triple.lambda1 * taus[0] - x_pad
+    x_hi = triple.lambda2 * taus[0] + x_pad
+    template = GridFunction(x_lo, dx, np.zeros(cell_count(x_hi - x_lo, dx) + 1))
     if not template.x_left <= window.x_min <= window.x_max <= template.x_right:
         raise ConfigError(f"the window's x in [{window.x_min:.6g}, {window.x_max:.6g}] "
                           f"leaves the restarts' grid [{template.x_left:.6g}, "
                           f"{template.x_right:.6g}]")
-    w1 = traveling_wave(flux, triple.u_minus, triple.u_star, 60.0, 0.02)
-    w2 = traveling_wave(flux, triple.u_star, triple.u_plus, 60.0, 0.02)
-
-    extra = [float(s) for s in np.atleast_1d(snapshot_times)]
-    full_times = sorted(set([t_cmp, window.t_min, window.t_max] + extra))
+    waves = (traveling_wave(flux, triple.u_minus, triple.u_star, 60.0, 0.02),
+             traveling_wave(flux, triple.u_star, triple.u_plus, 60.0, 0.02))
+    times = sorted(set([t_cmp, window.t_min, window.t_max]
+                       + [float(s) for s in snapshot_times]))
 
     cfg = SolverConfig(viscosity=1.0, boundary=Clamped())
     # every restart's blend is checked (TauTooLateError) before the first solve
-    restarts = [merging_initial(triple, tau, template, profiles=(w1, w2)) for tau in taus]
-    states_at_cmp = []
-    trajectory: List[Tuple[float, GridFunction]] = []
-    for i, (tau, data) in enumerate(zip(taus, restarts)):
-        if i == 0:
-            targets = [s - tau for s in full_times if s > tau]
-            snaps = solve(data, flux, cfg, targets[-1], targets)
-            trajectory = [(s + tau, g) for s, g in snaps]
-            cmp_state = min(trajectory, key=lambda p: abs(p[0] - t_cmp))[1]
-        else:
-            snaps = solve(data, flux, cfg, t_cmp - tau, [t_cmp - tau])
-            cmp_state = snaps[-1][1]
-        states_at_cmp.append(cmp_state)
+    restarts = [merging_initial(triple, tau, template, waves) for tau in taus]
+    first = solve(restarts[0], flux, cfg, times[-1] - taus[0], [s - taus[0] for s in times])
+    states_at_cmp = [dict(first)[t_cmp - taus[0]]] + [
+        solve(data, flux, cfg, t_cmp - tau, [t_cmp - tau])[-1][1]
+        for tau, data in zip(taus[1:], restarts[1:])]
 
     dists = [l1_distance(a, b) for a, b in zip(states_at_cmp[:-1], states_at_cmp[1:])]
     later = np.abs(np.array(taus[1:], dtype=float))
     logd = np.log(np.maximum(dists, 1e-300))
     slope = float(np.polyfit(later, logd, 1)[0]) if len(dists) > 1 else float("nan")
     report = CauchyReport(tuple(taus), t_cmp, tuple(float(d) for d in dists[::-1]), slope)
-    return trajectory, report
+    return [(s + taus[0], g) for s, g in first], report
 
 
 # ---------------------------------------------------------------------------
@@ -290,12 +265,12 @@ ETERNAL_STRIDE = 2
 
 
 def eternal_z(n: float, window: Window, *, dx: float = 0.02, x_max: Optional[float] = None,
-              snapshot_times: Sequence[float] = ()) -> List[Tuple[float, GridFunction]]:
-    """Evolve unit-viscosity data z(-n, .) up to the window times.
+              snapshot_times: Sequence[float]) -> List[Tuple[float, GridFunction]]:
+    """Evolve unit-viscosity data z(-n, .) up to the snapshot times.
 
-    Returns (t, state) pairs at the snapshot times (default: the window's
-    ends), in physical time, on the grid of [-xr, xr] with xr the node
-    nearest x_max, which is wider than the observation window.  The outer
+    Returns (t, state) pairs at the snapshot times, in physical time, on
+    the grid of [-xr, xr] with xr the node nearest x_max, which is wider
+    than the observation window.  The outer
     end is clamped to the exact outer cubic root at the running time, the
     correct far-field continuation up to a small viscous correction.
     Snapshots past t = 0 are allowed as long as the ends stay outside the
@@ -332,8 +307,7 @@ def eternal_z(n: float, window: Window, *, dx: float = 0.02, x_max: Optional[flo
     def ends(t: float) -> Tuple[float, float]:
         return 0.0, float(_outer_root(t - n, xr))
 
-    times = sorted(set(float(t) for t in np.atleast_1d(snapshot_times))) or \
-        [window.t_min, window.t_max]
+    times = sorted(set(float(t) for t in np.atleast_1d(snapshot_times)))
     if times[0] < -n:
         raise ValueError("snapshot before the launch time")
     # the fold |x| <= 2 (t/3)^(3/2), where the clamps have no single root,

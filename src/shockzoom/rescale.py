@@ -47,9 +47,8 @@ class RescaleFrame:
             raise ValueError("time_scale must be positive")
 
     @classmethod
-    def type1(cls, tau_eps: float, xi_eps: float, eps: float,
-              u_center: float = 0.0) -> "RescaleFrame":
-        return cls(tau_eps, xi_eps, eps, 1.0, 1.0, 0.0, u_center)
+    def type1(cls, tau_eps: float, xi_eps: float, eps: float) -> "RescaleFrame":
+        return cls(tau_eps, xi_eps, eps, 1.0, 1.0, 0.0)
 
     @classmethod
     def type2(cls, tau_eps: float, xi_eps: float, eps: float,

@@ -1,9 +1,10 @@
 """Pre-built experiment scenarios with exact inviscid references.
 
 Each scenario packages smooth initial data, the distinguished space-time
-point where its singular pattern lives, a recommended solve domain, and a
-vectorised exact evaluator for the inviscid entropy solution wherever it is
-available in closed or root-solvable form.
+point where its singular pattern lives, a recommended solve domain, and,
+for the two shocked scenarios, a vectorised exact evaluator for the
+inviscid entropy solution wherever it is available in closed or
+root-solvable form.
 
 Ramped step data absorbs into clean shocks in finite time; the reference
 switches from characteristic tracing (before blow-up) to the piecewise
@@ -38,7 +39,7 @@ class Scenario:
     domain: Tuple[float, float]
     formed_time: float
     blowup: float
-    reference: Callable = field(repr=False, compare=False, default=None)
+    reference: Optional[Callable] = field(repr=False, compare=False, default=None)
     shock: Optional[ShockData] = None
     merging: Optional[MergingTriple] = None
     formation: Optional[FormationPoint] = None
@@ -227,25 +228,9 @@ def shock_formation_scenario(flux: FluxModel, amplitude: float = 1.0, *,
         return out if out.ndim else float(out)
 
     data = SmoothData(u0, du0, check_points=np.linspace(-0.8 * R, 0.8 * R, 17))
-    u_edge = float(u0(-R))
-
-    def reference(t, x):
-        """Exact inviscid solution for t <= tau (pre-shock)."""
-        t = float(t)
-        if t > tau:
-            raise OutOfDomainError("reference available only up to the formation time")
-        x = np.asarray(x, dtype=float)
-        spread = tau - t
-        smooth = _cubic_profile_root(A, flux, spread, x, b)
-        x_left = -R + t * float(flux.df(u_edge))
-        x_right = R + t * float(flux.df(-u_edge))
-        out = np.where(x < x_left, u_edge, np.where(x > x_right, -u_edge, smooth))
-        return out if out.ndim else float(out)
-
     point = FormationPoint(tau, 0.0, 0.0, 0.0, 0.0, -6.0 * A)
     return Scenario("theorem2-formation", flux, data, (tau, 0.0),
-                    (), (-R - 1.0, R + 1.0), tau, tau,
-                    reference, formation=point)
+                    (), (-R - 1.0, R + 1.0), tau, tau, formation=point)
 
 
 # each scenario id with its constructor; the constructors' defaults are the

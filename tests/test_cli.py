@@ -173,8 +173,8 @@ def test_exit_code_2_paths(tmp_path, monkeypatch):
         # windows whose zoom at the largest eps leaves the scenario's domain
         # (x up to 2.4 on +-2, 2.64 on +-2.5 yet on the surrogate's grid,
         # and 5.4 on +-3.5), or its grid: at dx = 0.0048 the last node is
-        # 1.99856, short of x = 2 on +-2; and windows of zero width, whose
-        # x-samples would be 0 apart
+        # 1.99856, short of x = 2 on +-2; and windows of zero width or zero
+        # duration, whose x- or t-samples would be 0 apart
         for args in (["run", "--scenario", "theorem1-single", "--set",
                       "grid.base_divisor=8.333", "--set", "window.x_max=50"],
                      ["run", "--scenario", "theorem1-single", "--set", "window.x_min=1",
@@ -182,6 +182,11 @@ def test_exit_code_2_paths(tmp_path, monkeypatch):
                      ["run", "--scenario", "theorem1-merging", "--set", "window.x_min=1",
                       "--set", "window.x_max=1"],
                      formation + ["--set", "window2.x_min=1", "--set", "window2.x_max=1"],
+                     ["run", "--scenario", "theorem1-single", "--set", "window.t_min=0.5",
+                      "--set", "window.t_max=0.5"],
+                     ["run", "--scenario", "theorem1-merging", "--set", "window.t_min=0.5",
+                      "--set", "window.t_max=0.5"],
+                     formation + ["--set", "window2.t_min=-1", "--set", "window2.t_max=-1"],
                      ["merge", "--set", "window.x_min=1", "--set", "window.x_max=1"],
                      ["merge", "--taus=-14,-16", "--set", "merge.comparison_time=-3",
                       "--set", "merge.dx=0.1", "--set", "window.t_min=-30",
@@ -286,9 +291,11 @@ def test_library_rejects_bad_study_inputs_before_any_solve(monkeypatch):
     for call, match in (
             # the eternal wave: a window before the launch time, or off its grid
             (lambda: profiles.eternal_z(2.0, Window(-3.0, -1.0, -4.0, 4.0), dx=0.1,
-                                        x_max=10.0), "launch time -n=-2"),
+                                        x_max=10.0, snapshot_times=[-3.0, -1.0]),
+             "launch time -n=-2"),
             (lambda: profiles.eternal_z(4.0, Window(-3.0, -1.0, -4.0, 12.0), dx=0.1,
-                                        x_max=10.0), r"x in \[-4, 12\] leaves"),
+                                        x_max=10.0, snapshot_times=[-3.0, -1.0]),
+             r"x in \[-4, 12\] leaves"),
             # the surrogate: a restart at the comparison time, a comparison
             # after the window, a window before the earliest restart, and one
             # off the restarts' grid (about +-57 here)
@@ -328,6 +335,14 @@ def test_library_rejects_bad_study_inputs_before_any_solve(monkeypatch):
             (lambda: experiments.formation_zoom(
                 formation, (0.01, 0.04), flat, window=Window(-1.0, 0.5, -2.0, 60.0)),
              "eps=0.04 sees x"),
+            # a window of zero duration, whose time samples would be 0 apart
+            (lambda: experiments.single_shock_zoom(
+                single, (0.04,), window=Window(0.5, 0.5, -4.0, 4.0)), "zero duration"),
+            (lambda: experiments.merging_zoom(
+                merging, (0.04,), None, window=Window(0.5, 0.5, -2.0, 2.0)), "zero duration"),
+            (lambda: experiments.formation_zoom(
+                formation, (0.01,), flat, window=Window(-1.0, -1.0, -1.0, 1.0)),
+             "zero duration"),
             # samples beyond the solver's snapshot memory: nt x ny values, held
             # once per time shift by the merging search (17 x 21 x 10^6 there)
             (lambda: experiments.single_shock_zoom(

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from shockzoom import (Clamped, GridFunction, Periodic, RescaleFrame,
+from shockzoom import (Clamped, ConfigError, GridFunction, Periodic, RescaleFrame,
                        SnapshotInterpolant, SolverConfig, Window, burgers,
                        burgers_plus_linear, build_scenario, eternal_z, solve,
                        trapezoid)
@@ -254,6 +254,25 @@ def test_one_time_zooms_integrate_over_y(monkeypatch):
             assert np.array_equal(sup, rows.max(axis=-1))
         assert (outcome.sup_error, outcome.l1_error) == tuple(map(float, calls[-1][2:]))
         assert {model.shape[:-2] for _, model, _, _ in calls} == axes
+
+
+def test_zoom_sample_bound_counts_the_merging_shifts(monkeypatch):
+    # nt x ny = 10^8 samples fit the bound once, but not once per time shift
+    # of the merging search; planning alone solves nothing
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve called")
+
+    for module in (experiments, solver):
+        monkeypatch.setattr(module, "solve", no_solve)
+    nt, ny = 100, 10**6
+    assert nt * ny <= solver.MAX_SNAPSHOT_VALUES < len(SHIFT_TIMES) * nt * ny
+    single = build_scenario("theorem1-single", burgers())
+    s_grid, y_grid, _ = experiments.zooms(single, (0.04,), Window(-2.0, 2.0, -4.0, 4.0),
+                                          nt, ny)
+    assert (s_grid.size, y_grid.size) == (nt, ny)
+    merging = build_scenario("theorem1-merging", burgers())
+    with pytest.raises(ConfigError, match="17 x 100 x 1000000 zoom samples exceed"):
+        experiments.zooms(merging, (0.04,), Window(-1.0, 1.0, -2.0, 2.0), nt, ny)
 
 
 def test_zoom_local_solve_matches_full_solve(monkeypatch):

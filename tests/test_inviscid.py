@@ -10,10 +10,13 @@ from shockzoom import (MultipleRootsError, ShockData, SmoothData, blowup_time,
 from shockzoom.errors import NotOrderedError
 from shockzoom.inviscid import _outer_root
 
+# where each pair below is cross-checked against finite differences
+CHECK_POINTS = np.linspace(-2.0, 2.0, 17)
+
 
 def linear_data():
     return SmoothData(lambda x: -np.asarray(x, dtype=float),
-                      lambda x: -np.ones_like(np.asarray(x, dtype=float)))
+                      lambda x: -np.ones_like(np.asarray(x, dtype=float)), CHECK_POINTS)
 
 
 def test_characteristic_linear_data():
@@ -28,26 +31,27 @@ def test_blowup_time_linear():
     data = linear_data()
     assert blowup_time(data, burgers(), 0.3) == pytest.approx(1.0, abs=1e-12)
     rising = SmoothData(lambda x: np.asarray(x, dtype=float),
-                        lambda x: np.ones_like(np.asarray(x, dtype=float)))
+                        lambda x: np.ones_like(np.asarray(x, dtype=float)), CHECK_POINTS)
     assert blowup_time(rising, burgers(), 0.0) == np.inf
 
 
 def test_characteristics_cross_after_blowup():
     data = SmoothData(lambda x: -np.tanh(np.asarray(x, dtype=float)),
-                      lambda x: -1.0 / np.cosh(np.asarray(x, dtype=float)) ** 2)
+                      lambda x: -1.0 / np.cosh(np.asarray(x, dtype=float)) ** 2,
+                      CHECK_POINTS)
     with pytest.raises(MultipleRootsError):
         characteristic_value(data, burgers(), 2.0, 0.0)
 
 
 def test_smooth_data_rejects_wrong_derivative():
     with pytest.raises(ValueError, match="disagrees"):
-        SmoothData(lambda x: np.sin(x), lambda x: np.sin(x))
+        SmoothData(lambda x: np.sin(x), lambda x: np.sin(x), CHECK_POINTS)
 
 
 def test_smooth_data_rejects_nan():
     with pytest.raises(ValueError, match="disagrees"):
         SmoothData(lambda x: np.full_like(np.asarray(x, dtype=float), np.nan),
-                   lambda x: np.zeros_like(np.asarray(x, dtype=float)))
+                   lambda x: np.zeros_like(np.asarray(x, dtype=float)), CHECK_POINTS)
 
 
 def test_single_shock_pattern():

@@ -73,14 +73,20 @@ def test_triple_orders_and_speeds():
     assert triple.lambda_star == pytest.approx(0.0)
     with pytest.raises(NotOrderedError):
         MergingTriple.from_states(burgers(), -1.0, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        MergingTriple.from_states(burgers(), 1.0, 0.0, -1.0, lambda_star=1.0)
+    # both speeds underflow to 0, which their mean cannot separate
+    with pytest.raises(ValueError, match="separate"):
+        MergingTriple.from_states(burgers(), 1e-300, 0.0, -1e-300)
+
+
+def make_waves(triple):
+    return (traveling_wave(triple.flux, triple.u_minus, triple.u_star, 60.0, 0.02),
+            traveling_wave(triple.flux, triple.u_star, triple.u_plus, 60.0, 0.02))
 
 
 def test_merging_initial_far_fields():
     triple = make_triple()
     grid = GridFunction.from_callable(lambda x: 0.0 * x, -60.0, 60.0, 0.05)
-    data = merging_initial(triple, -16.0, grid)
+    data = merging_initial(triple, -16.0, grid, make_waves(triple))
     assert abs(data.values[0] - 1.0) < 1e-6
     assert abs(data.values[-1] + 1.0) < 1e-6
     # between the waves the data sits near the middle state
@@ -90,15 +96,16 @@ def test_merging_initial_far_fields():
 def test_merging_initial_rejects_late_tau():
     triple = make_triple()
     grid = GridFunction.from_callable(lambda x: 0.0 * x, -40.0, 40.0, 0.05)
+    waves = make_waves(triple)
     with pytest.raises(TauTooLateError):
-        merging_initial(triple, -5.0, grid)
+        merging_initial(triple, -5.0, grid, waves)
     with pytest.raises(TauTooLateError):
-        merging_initial(triple, 1.0, grid)
+        merging_initial(triple, 1.0, grid, waves)
 
 
 def test_eternal_wave_is_odd():
     win = Window(-1.5, -0.5, -6.0, 6.0)
-    zw = eternal_z(2.0, win, dx=0.05, x_max=12.0)
+    zw = eternal_z(2.0, win, dx=0.05, x_max=12.0, snapshot_times=[-1.5, -0.5])
     for t, g in zw:
         v = g.values
         # the half-line solve, mirrored
@@ -181,7 +188,7 @@ def test_eternal_wave_starts_fine_where_coarse_peclet_is_high(monkeypatch):
 
 def test_eternal_wave_sits_above_cubic():
     win = Window(-1.5, -0.5, -6.0, 6.0)
-    zw = eternal_z(2.0, win, dx=0.05, x_max=12.0)
+    zw = eternal_z(2.0, win, dx=0.05, x_max=12.0, snapshot_times=[-1.5, -0.5])
     t, g = zw[-1]
     assert t == -0.5
     z = z_root(t, g.x)
@@ -204,7 +211,7 @@ def test_eternal_wave_converges_at_second_order():
 def test_eternal_wave_needs_launch_before_window():
     win = Window(-1.0, -0.5, -4.0, 4.0)
     with pytest.raises(ValueError, match="launch"):
-        eternal_z(0.5, win, dx=0.05, x_max=8.0)
+        eternal_z(0.5, win, dx=0.05, x_max=8.0, snapshot_times=[-1.0, -0.5])
 
 
 # clamp radii half*dx of the eternal waves run by the gate, the CLI and the tests
@@ -237,6 +244,7 @@ def test_eternal_wave_evaluates_one_root_per_step(monkeypatch):
 
     monkeypatch.setattr(profiles, "_outer_root", counted_root)
     monkeypatch.setattr(solver, "stable_dt", counted_dt)
-    eternal_z(2.0, Window(-1.5, -1.0, -4.0, 4.0), dx=0.1, x_max=8.0)
+    eternal_z(2.0, Window(-1.5, -1.0, -4.0, 4.0), dx=0.1, x_max=8.0,
+              snapshot_times=[-1.5, -1.0])
     assert steps > 0
     assert roots == steps

@@ -85,14 +85,6 @@ def test_formation_blowup_map():
     assert times[k - 1] - 2.0 * times[k] + times[k + 1] > 0.0
 
 
-def test_formation_reference_before_and_at_tau():
-    scen = build_scenario("theorem2-formation", burgers())
-    # at the formation instant the profile is the decreasing root of x = -u^3
-    assert scen.reference(1.0, -1.0) == pytest.approx(1.0, abs=1e-10)
-    with pytest.raises(OutOfDomainError):
-        scen.reference(1.5, 0.0)
-
-
 def test_unknown_scenario_id():
     with pytest.raises(ValueError, match="unknown scenario"):
         build_scenario("theorem9-nope", burgers())
