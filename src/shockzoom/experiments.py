@@ -14,13 +14,16 @@ comparison with the pattern differs between the zooms.
 Grid policy for the zoom sweeps: the shock-resolving runs refine the mesh
 faster than the viscous width (dx ~ eps^{3/2}), so the discretisation error
 measured in observation coordinates shrinks along the sweep instead of
-staying at a fixed relative level.  Each zoom solve is local: it runs on
-the scenario grid's nodes within reach of the window, max|f'(u0)| t_end
-plus eight diffusion lengths sqrt(eps t_end) past the x-range the window
-sees, with the cut's ends held.  Where the data are still smooth before the
-window (t0, a quarter of the window's duration before it opens, lies before
-the blow-up time) and the grid is at least twice as fine as a cell Peclet
-number of 0.5 needs, the solve starts coarse (``solver.solve_coarse_start``).
+staying at a fixed relative level.  Each zoom solve marches only the
+window's cone of dependence, which shrinks as the march nears the window:
+in ZOOM_STAGES stages of equal duration, each cut at its start t to the
+scenario grid's nodes within s (t_end - t) plus ten diffusion lengths
+sqrt(eps (t_end - t)) of the x-range the window sees, s the largest speed
+on the current cut, with the cut's ends held through the stage.  Where the
+data are still smooth before the window (t0, a quarter of the window's
+duration before it opens, lies before the blow-up time) and the grid is at
+least twice as fine as a cell Peclet number of 0.5 needs, the stages before
+t0 march on a coarser subgrid, prolonged to the fine nodes at t0.
 """
 from __future__ import annotations
 
@@ -34,14 +37,14 @@ from .diagnostics import phase_audit
 from .flux import FluxModel, burgers
 from .errors import ConfigError, NoCrossingError, OutOfDomainError
 from .grid import (MAX_CELLS, GridFunction, Window, cell_count, l1_distance,
-                   periodic_mass, trapezoid)
+                   periodic_mass, prolong_cubic, trapezoid)
 from .inviscid import z_bounds_audit, z_root
 from .profiles import CauchyReport, eternal_z, merging_wave, traveling_wave
 from .rescale import (RateFit, RescaleFrame, SnapshotInterpolant, convergence_rate,
                       fit_formation_frame, fit_shift)
 from .scenarios import Scenario
 from .solver import (COARSE_PECLET, MAX_SNAPSHOT_VALUES, Clamped, OleinikReport, Periodic,
-                     SolverConfig, oleinik_check, solve, solve_coarse_start)
+                     SolverConfig, check_step_count, oleinik_check, solve)
 
 # The merging shift search tries time shifts on the surrogate's snapshot
 # lattice, so no time interpolation error enters, and space shifts on a
@@ -54,9 +57,14 @@ SHIFT_TIMES = SHIFT_LATTICE * np.arange(-round(SHIFT_RANGE / SHIFT_LATTICE),
                                         round(SHIFT_RANGE / SHIFT_LATTICE) + 1)
 
 # A zoom solve's margin past the window, beyond the advective reach, in
-# diffusion lengths sqrt(eps t): the heat kernel holds erfc(4)/2 < 1e-8 of
-# its mass past eight of them.
-REACH_DIFFUSION_LENGTHS = 8.0
+# diffusion lengths sqrt(eps t): the heat kernel holds erfc(5)/2 < 1e-12 of
+# its mass past ten of them.  Every stage's held ends leak into the cut, so
+# the staged march needs more than one fixed cut: on the merging scenario
+# at eps = 0.08 it leaves 9.0e-9 of the solution's sup at eight, 2.7e-9 at
+# nine and 7.8e-10 at ten.
+REACH_DIFFUSION_LENGTHS = 10.0
+# The zoom march is cut back to the window's cone this many times.
+ZOOM_STAGES = 8
 # The fine solve takes over this fraction of the window's duration before
 # the window opens, so the prolongation's error is smoothed before it is seen.
 COARSE_LEAD = 0.25
@@ -150,58 +158,94 @@ def _zoom_field(scenario: Scenario, eps: float, dx: float, frame: RescaleFrame,
                 s_grid: np.ndarray, y_grid: np.ndarray) -> np.ndarray:
     """The rescaled field at the frame's points (s_grid x y_grid), one row per time.
 
-    The clamped solve lands on the frame's times, and each row is
-    interpolated linearly in x off the snapshot at its time.  The solve
-    covers only the window's domain of dependence: the nodes of
-    ``scenario_grid(scenario, dx)`` within ``reach`` of the x-range the
-    window sees at any of its times, where ``reach`` is max|f'(u0)| t_end
-    (the maximum principle bounds every speed by the data's), read at the
-    grid's end nodes, plus
-    REACH_DIFFUSION_LENGTHS diffusion lengths sqrt(eps t_end).  The cut's
-    end nodes are held at the data's values.
+    The clamped march from the data at t = 0 to the window's last time
+    t_end covers only the window's cone of dependence, and it shrinks as it
+    goes.  It runs in ZOOM_STAGES stages of equal duration.  At each stage's
+    start t the state is cut to the nodes of ``scenario_grid(scenario, dx)``
+    within s (t_end - t) + REACH_DIFFUSION_LENGTHS sqrt(eps (t_end - t)) of
+    the x-range the window sees at any of its times, inside the last cut.
+    Here s is max|f'(u)| over the current cut, which the maximum principle
+    makes a bound for the rest of the march; at t = 0 it is read at the
+    grid's end nodes.  Each cut's end nodes are held through its stage.
+    Every stage lands on the frame's times within it, and each row is
+    interpolated linearly in x off the snapshot at its time.
 
-    Where the solution is still smooth before the window, the solve starts
-    coarse (``solve_coarse_start``, which sets when that is safe): with
-    m = floor(COARSE_PECLET eps / (max|f'(u0)| dx)) >= 2 and
-    t0 = t_first - COARSE_LEAD (t_last - t_first) in (0, blow-up time), the
-    cut, widened to whole coarse cells, is solved to t0 on its every m-th
-    node, and the fine solve leads the window by t_first - t0.
+    Where the solution is still smooth before the window, the march starts
+    coarse: with m = floor(COARSE_PECLET eps / (max|f'(u0)| dx)) >= 2 and
+    t0 = t_first - COARSE_LEAD (t_last - t_first) in (0, blow-up time),
+    the first cut is widened to at least three whole coarse cells, every cut
+    before t0 keeps whole coarse cells, those stages march on every m-th
+    node, and the state is prolonged to the fine nodes by cubic
+    interpolation at t0, which is one more stage start.
     """
-    # each row's time, once: the solve lands on it and the row is read there
+    # each row's time, once: the march lands on it and the row is read there
     t_rows = frame.to_physical(s_grid, 0.0)[0].tolist()
     times = sorted(set(t_rows))
+    t_end = times[-1]
     lo, hi = scenario.domain
     last = cell_count(hi - lo, dx)
-    u0 = scenario.initial.u0
-    # every scenario's data are monotone, so their largest speed is at the
-    # grid's end nodes
-    speed = scenario.flux.max_speed(u0(lo + dx * np.array([0.0, last])))
-    reach = speed * times[-1] + REACH_DIFFUSION_LENGTHS * math.sqrt(eps * times[-1])
+    flux, u0 = scenario.flux, scenario.initial.u0
     with np.errstate(over="ignore"):
         _, x_rows = frame.to_physical(s_grid[:, None], y_grid)
-        # clipped as floats, so that a window far off the grid cannot
-        # overflow int(); the cut keeps at least two nodes
-        i = np.clip(np.floor((np.min(x_rows) - reach - lo) / dx), 0, last - 1)
-        j = np.clip(np.ceil((np.max(x_rows) + reach - lo) / dx), i + 1, last)
-    i, j = int(i), int(j)
-    t0 = times[0] - COARSE_LEAD * (times[-1] - times[0])
+    x_seen = np.min(x_rows), np.max(x_rows)
+
+    def cone(t: float, speed: float, i: int, j: int, m: int):
+        """The nodes a < b of the cut i, i + m, ..., j that cover the window's
+        cone of dependence at time t, at least one cell apart, or three coarse
+        cells, the four nodes that ``prolong_cubic`` needs."""
+        cells = 3 if m > 1 else 1
+        reach = speed * (t_end - t) + REACH_DIFFUSION_LENGTHS * math.sqrt(eps * (t_end - t))
+        # clipped as floats, so that a window far off the grid cannot overflow int()
+        with np.errstate(over="ignore"):
+            a = np.clip(np.floor(((x_seen[0] - reach - lo) / dx - i) / m),
+                        0, (j - i) // m - cells)
+            b = np.clip(np.ceil(((x_seen[1] + reach - lo) / dx - i) / m),
+                        a + cells, (j - i) // m)
+        return i + m * int(a), i + m * int(b)
+
+    # every scenario's data are monotone, so their largest speed is at the
+    # grid's end nodes
+    speed = flux.max_speed(u0(lo + dx * np.array([0.0, last])))
+    i, j = cone(0.0, speed, 0, last, 1)
+    t0 = times[0] - COARSE_LEAD * (t_end - times[0])
     m = math.floor(COARSE_PECLET * eps / (speed * dx))
-    if m >= 2 and 0.0 < t0 < scenario.blowup:
+    if m >= 2 and 0.0 < t0 < min(times[0], scenario.blowup):
         # whole coarse cells, widened to the right first, then to the left;
-        # a grid too short for that starts fine
+        # a grid too short for three of them starts fine
         pad = -(j - i) % m
         j_wide = min(last, j + pad)
         i_wide = i - pad + (j_wide - j)
-        if i_wide >= 0:
+        if i_wide >= 0 and j_wide - i_wide >= 3 * m:
             i, j = i_wide, j_wide
+        else:
+            m = 1
     else:
         m = 1
+    # the whole march's steps at the data's speed, its coarse stretch at
+    # stride m, are capped before any step, as one solve's would be
+    check_step_count(t_end - t0 * (m - 1) / m, speed, dx)
+    starts = sorted({t_end * k / ZOOM_STAGES for k in range(ZOOM_STAGES)}
+                    | ({t0} if m > 1 else set()))
+    # each row to the stage that ends at or after its time
+    stage_of = np.maximum(np.searchsorted(starts, t_rows) - 1, 0)
+    field = np.empty(x_rows.shape)
     # sampled on the cut's nodes only, each as scenario_grid places it
-    cut = GridFunction(lo + dx * i, dx, u0(lo + dx * np.arange(i, j + 1)))
-    snaps = dict(solve_coarse_start(cut, scenario.flux, SolverConfig(eps, Clamped()),
-                                    times[-1], times, m, t0))
-    return frame.rescale_values([np.interp(x, cut.x, snaps[t].values)
-                                 for t, x in zip(t_rows, x_rows)])
+    values = u0(lo + dx * np.arange(i, j + 1, m))
+    for k, (start, stop) in enumerate(zip(starts, starts[1:] + [t_end])):
+        if k:
+            if start == t0 and m > 1:
+                values, m = prolong_cubic(values, m), 1
+            a, b = cone(start, flux.max_speed(values), i, j, m)
+            values = values[(a - i) // m:(b - i) // m + 1]
+            i, j = a, b
+        cut = GridFunction(lo + dx * i, m * dx, values)
+        rows = np.flatnonzero(stage_of == k)
+        snaps = dict(solve(cut, flux, SolverConfig(eps, Clamped()), stop - start,
+                           [t_rows[r] - start for r in rows] + [stop - start]))
+        for r in rows:
+            field[r] = np.interp(x_rows[r], cut.x, snaps[t_rows[r] - start].values)
+        values = snaps[stop - start].values
+    return frame.rescale_values(field)
 
 
 def _mismatch(field: np.ndarray, model: np.ndarray, s_grid: np.ndarray, y_grid: np.ndarray):
@@ -257,10 +301,8 @@ def single_shock_zoom(scenario: Scenario, eps_list: Sequence[float], *,
     return out
 
 
-def merging_surrogate(scenario: Scenario, *,
-                      taus: Sequence[float] = (-20.0, -30.0, -40.0),
-                      window: Window,
-                      comparison_time: float = -10.0, dx: float = 0.05,
+def merging_surrogate(scenario: Scenario, *, taus: Sequence[float], window: Window,
+                      comparison_time: float, dx: float = 0.05,
                       ) -> Tuple[SnapshotInterpolant, CauchyReport]:
     """Build the two-shock interaction wave surrogate for zoom comparisons.
 

@@ -264,7 +264,7 @@ def merging_wave(triple: MergingTriple, tau_list: Sequence[float], window: Windo
 ETERNAL_STRIDE = 2
 
 
-def eternal_z(n: float, window: Window, *, dx: float = 0.02, x_max: Optional[float] = None,
+def eternal_z(n: float, window: Window, *, dx: float, x_max: Optional[float] = None,
               snapshot_times: Sequence[float]) -> List[Tuple[float, GridFunction]]:
     """Evolve unit-viscosity data z(-n, .) up to the snapshot times.
 
@@ -283,11 +283,15 @@ def eternal_z(n: float, window: Window, *, dx: float = 0.02, x_max: Optional[flo
     (``solve_coarse_start``) on every ETERNAL_STRIDE-th node up to
     t0 = t_first - (t_last - t_first), where that is safe.
 
-    ConfigError, before any solve, unless the window starts at or after
-    the launch time -n and its x-range lies on the grid [-xr, xr].
+    ConfigError, before any solve, unless there is a snapshot time, the
+    window starts at or after the launch time -n and its x-range lies on
+    the grid [-xr, xr].
     """
     if n <= 0.0:
         raise ValueError("n must be positive")
+    times = sorted(set(float(t) for t in np.atleast_1d(snapshot_times)))
+    if not times:
+        raise ConfigError("eternal_z needs at least one snapshot time")
     if window.t_min < -n:
         raise ConfigError(f"the window starts at t={window.t_min:.6g}, before the "
                           f"launch time -n={-n:.6g}")
@@ -307,7 +311,6 @@ def eternal_z(n: float, window: Window, *, dx: float = 0.02, x_max: Optional[flo
     def ends(t: float) -> Tuple[float, float]:
         return 0.0, float(_outer_root(t - n, xr))
 
-    times = sorted(set(float(t) for t in np.atleast_1d(snapshot_times)))
     if times[0] < -n:
         raise ValueError("snapshot before the launch time")
     # the fold |x| <= 2 (t/3)^(3/2), where the clamps have no single root,
@@ -343,7 +346,7 @@ class ZLimitReport:
 
 
 def eternal_z_limit(n_list: Sequence[float], window: Window, *,
-                    dx: float = 0.02, x_max: Optional[float] = None,
+                    dx: float, x_max: Optional[float] = None,
                     ) -> Tuple[List[Tuple[float, GridFunction]], ZLimitReport]:
     """Run increasing horizons and measure how the family settles.
 

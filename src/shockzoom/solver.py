@@ -86,6 +86,16 @@ def stable_dt(values: np.ndarray, dx: float, flux: FluxModel, cfg: SolverConfig)
     return float(cfg.cfl_advection * dx / speed) if speed > 0.0 else np.inf
 
 
+def check_step_count(t_final: float, speed: float, dx: float) -> None:
+    """ConfigError if a march to t_final takes more than MAX_STEPS steps at
+    the advective bound of ``speed`` on the mesh dx."""
+    with np.errstate(over="ignore"):
+        steps = np.float64(t_final) * speed / (SolverConfig.cfl_advection * dx)
+    if not steps <= MAX_STEPS:
+        raise ConfigError(f"t_final={t_final:.3g} takes about {steps:.3g} steps at "
+                          f"dx={dx:.3g}, more than {MAX_STEPS}")
+
+
 def _advection(u: np.ndarray, dx: float, flux: FluxModel, periodic: bool) -> np.ndarray:
     """-f(u)_x by central differences at u[1:-1], or at every node of a periodic u."""
     fu = flux.f(u)
@@ -199,12 +209,7 @@ def solve(initial: GridFunction, flux: FluxModel, cfg: SolverConfig,
     if len(targets) * initial.n > MAX_SNAPSHOT_VALUES:
         raise ConfigError(f"{len(targets)} snapshots of {initial.n} nodes exceed "
                           f"{MAX_SNAPSHOT_VALUES} stored values")
-    with np.errstate(over="ignore"):
-        steps = np.float64(t_final) * flux.max_speed(initial.values) / (
-            cfg.cfl_advection * initial.dx)
-    if not steps <= MAX_STEPS:
-        raise ConfigError(f"t_final={t_final:.3g} takes about {steps:.3g} steps at "
-                          f"dx={initial.dx:.3g}, more than {MAX_STEPS}")
+    check_step_count(t_final, flux.max_speed(initial.values), initial.dx)
 
     dx = initial.dx
     u = initial.values.copy()

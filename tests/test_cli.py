@@ -289,7 +289,11 @@ def test_library_rejects_bad_study_inputs_before_any_solve(monkeypatch):
     # a stand-in for the eternal wave, which these zooms never reach
     flat = [(t, GridFunction(-100.0, 1.0, np.zeros(201))) for t in (-1e3, 1.0)]
     for call, match in (
-            # the eternal wave: a window before the launch time, or off its grid
+            # the eternal wave: no snapshot time, a window before the launch
+            # time, or off its grid
+            (lambda: profiles.eternal_z(2.0, Window(-1.5, -1.0, -4.0, 4.0), dx=0.1,
+                                        x_max=8.0, snapshot_times=[]),
+             "at least one snapshot time"),
             (lambda: profiles.eternal_z(2.0, Window(-3.0, -1.0, -4.0, 4.0), dx=0.1,
                                         x_max=10.0, snapshot_times=[-3.0, -1.0]),
              "launch time -n=-2"),

@@ -8,7 +8,7 @@ from shockzoom import (Clamped, ConfigError, GridFunction, Periodic, RescaleFram
                        trapezoid)
 from shockzoom import experiments, solver
 from shockzoom.experiments import (COARSE_PECLET, SHIFT_DY, SHIFT_LATTICE, SHIFT_RANGE,
-                                   SHIFT_TIMES, _zoom_field, contraction_check,
+                                   SHIFT_TIMES, ZOOM_STAGES, _zoom_field, contraction_check,
                                    formation_zoom, mass_drift_check, merging_surrogate,
                                    merging_zoom, refined_dx, scenario_grid,
                                    single_shock_zoom, suite_cubic_bounds,
@@ -97,8 +97,8 @@ def test_single_shock_zoom_regression():
     outcomes = single_shock_zoom(scen, (0.08, 0.04), window=Window(-2.0, 2.0, -4.0, 4.0),
                                  nt=5, ny=81, base_divisor=4.0)
     _pinned(outcomes, [
-        (0.08, 0.005718838328325204, 0.05835846013927168, 1.2434497875801753e-14, 0.0),
-        (0.04, 0.0010681196397595016, 0.011824924813745039, -4.153711774890212e-05, 0.0),
+        (0.08, 0.005718736679536929, 0.05835791912329614, 5.329070518200751e-15, 0.0),
+        (0.04, 0.0010681210712590872, 0.011824967655463814, -4.15371174904422e-05, 0.0),
     ])
 
 
@@ -111,8 +111,8 @@ def test_merging_zoom_regression():
     outcomes = merging_zoom(scen, (0.08, 0.04), wave, window=Window(-1.0, 1.0, -2.0, 2.0),
                             nt=3, ny=41, base_divisor=4.0)
     _pinned(outcomes, [
-        (0.08, 0.02136055432387607, 0.09237822081974667, 0.009407370104389716, 1.0),
-        (0.04, 0.0027719494502924658, 0.009968464934597843, 0.006315686116781183, 0.453125),
+        (0.08, 0.021359978509083333, 0.09236164284966134, 0.009406976085400228, 1.0),
+        (0.04, 0.00277154067609231, 0.009969416715997968, 0.006315686132863524, 0.453125),
     ])
 
 
@@ -205,8 +205,8 @@ def test_formation_zoom_regression():
     outcomes = formation_zoom(scen, (0.04, 0.02), z_wave, window=window,
                               nt=3, ny=41, dx_hat=0.1)
     _pinned(outcomes, [
-        (0.04, 0.012855878114993335, 0.050155846592012734, 0.0, 0.0),
-        (0.02, 0.02076485082315871, 0.08180166429873136, 0.0, 0.0),
+        (0.04, 0.012855201878631095, 0.05015372163527861, 0.0, 0.0),
+        (0.02, 0.02076496224883506, 0.0817948678500779, 0.0, 0.0),
     ])
 
 
@@ -276,46 +276,49 @@ def test_zoom_sample_bound_counts_the_merging_shifts(monkeypatch):
 
 
 def test_zoom_local_solve_matches_full_solve(monkeypatch):
-    # every solve of a zoom, against one full-domain solve at the zoom's dx
-    initials = []
+    # every stage of a zoom's march, against one full-domain solve at the
+    # zoom's dx that lands on the same stage times
+    stages = []
 
-    def recording(initial, *args, **kwargs):
-        initials.append(initial)
-        return solve(initial, *args, **kwargs)
+    def recording(initial, flux, cfg, t_final, snapshot_times):
+        stages.append((initial, t_final))
+        return solve(initial, flux, cfg, t_final, snapshot_times)
 
-    # the zooms solve through solver.solve_coarse_start, which calls solver.solve
-    monkeypatch.setattr(solver, "solve", recording)
+    monkeypatch.setattr(experiments, "solve", recording)
 
     def gap(scen, eps, dx, window, nt, ny):
-        """Sup gap and reference sup of the rows, the solves' strides, and
-        whether the fine solve dropped nodes."""
+        """Sup gap and reference sup of the rows, each stage's stride, and
+        whether the last stage dropped nodes."""
         frame = zoom_frame(scen, eps)
         s_grid, y_grid = window.t_samples(nt), window.x_samples(ny)
-        initials.clear()
+        stages.clear()
         local = _zoom_field(scen, eps, dx, frame, s_grid, y_grid)
         full = scenario_grid(scen, dx)
-        strides = []
-        for g in initials:
-            # a node offset and a stride into the full grid, never past its ends
+        strides, ends, inside = [], [], (0, full.n - 1)
+        for g, duration in stages:
+            # a node offset and a stride into the full grid, inside the last cut
             k, m = round((g.x_left - full.x_left) / dx), round(g.dx / dx)
-            assert 0 <= k and k + m * (g.n - 1) <= full.n - 1
+            assert inside[0] <= k and k + m * (g.n - 1) <= inside[1], (inside, k, m, g.n)
             np.testing.assert_allclose(g.x, full.x[k:k + m * (g.n - 1) + 1:m],
                                        rtol=0.0, atol=1e-12)
+            inside = (k, k + m * (g.n - 1))
             strides.append(m)
-        times = sorted(float(frame.to_physical(s, 0.0)[0]) for s in s_grid)
-        snaps = dict(solve(full, scen.flux, SolverConfig(eps, Clamped()), times[-1], times))
+            ends.append((ends[-1] if ends else 0.0) + duration)
+        t_rows = [float(frame.to_physical(s, 0.0)[0]) for s in s_grid]
+        snaps = dict(solve(full, scen.flux, SolverConfig(eps, Clamped()), max(t_rows),
+                           t_rows + ends[:-1]))
         # each row read off the full solve's snapshot at its time, at the
         # frame's physical points
         ref = []
-        for s in s_grid:
-            t, x = frame.to_physical(s, y_grid)
-            ref.append(frame.rescale_values(np.interp(x, full.x, snaps[float(t)].values)))
+        for s, t in zip(s_grid, t_rows):
+            _, x = frame.to_physical(s, y_grid)
+            ref.append(frame.rescale_values(np.interp(x, full.x, snaps[t].values)))
         ref = np.array(ref)
-        cut = initials[-1].n < full.n
+        cut = stages[-1][0].n < full.n
         return float(np.max(np.abs(local - ref))), float(np.max(np.abs(ref))), strides, cut
 
     # the single-shock and merging regression configurations, and a single
-    # shock at an eps small enough for the cut to drop nodes
+    # shock at an eps small enough for the march to drop nodes from stage 2
     single = build_scenario("theorem1-single", burgers())
     merging = build_scenario("theorem1-merging", burgers())
     type1 = [(single, eps, Window(-2.0, 2.0, -4.0, 4.0), 5, 81) for eps in (0.08, 0.04, 0.01)]
@@ -324,10 +327,11 @@ def test_zoom_local_solve_matches_full_solve(monkeypatch):
         sup_gap, sup_ref, strides, cut = gap(scen, eps, refined_dx(eps, 0.08, 4.0),
                                              window, nt, ny)
         assert sup_gap <= 1e-9 * sup_ref, (scen.id, eps, sup_gap)
-        assert strides == [1] and cut == (eps == 0.01), (scen.id, eps)
+        assert strides == [1] * ZOOM_STAGES and cut, (scen.id, eps)
 
     # the formation regression scenario at eps = 0.01, dx_hat = 0.04, where
-    # the cut drops nodes and the coarse start engages
+    # the cut drops nodes and the coarse start engages: the stages before t0
+    # march at stride m and one more starts at t0
     scen = build_scenario("theorem2-formation", burgers_plus_linear(0.5), amplitude=2.0)
     window = Window(-1.0, 0.5, -2.0, 2.0)
     z_wave = eternal_z(4.0, window, dx=0.1, x_max=15.0,
@@ -338,15 +342,36 @@ def test_zoom_local_solve_matches_full_solve(monkeypatch):
     sup_gap, _, strides, cut = gap(scen, eps, dx, window, 3, 41)
     speed = scen.flux.max_speed(scenario_grid(scen, dx).values)
     m = int(COARSE_PECLET * eps / (speed * dx))
-    assert m >= 2 and strides == [m, 1] and cut, (m, strides)
+    coarse = strides.count(m)
+    assert m >= 2 and coarse >= 1 and cut, (m, strides)
+    assert strides == [m] * coarse + [1] * (ZOOM_STAGES + 1 - coarse), (m, strides)
     assert sup_gap < 0.1 * outcome.sup_error, (sup_gap, outcome.sup_error)
-    # a window of one time leaves the fine solve no lead, so it starts fine;
+    # a window of one time leaves the fine march no lead, so it starts fine;
     # sampled straight off the coarse start's prolongation, its gap was
-    # 1.3e-4 of the reference sup, and the cut alone leaves 1.1e-6
+    # 1.3e-4 of the reference sup, and the staged cuts leave 3.0e-6
     for window, nt in ((Window(-1.0, 0.5, -2.0, 2.0), 1), (Window(-1.0, -1.0, -2.0, 2.0), 3)):
         sup_gap, sup_ref, strides, cut = gap(scen, eps, dx, window, nt, 41)
-        assert strides == [1] and cut, strides
+        assert strides == [1] * ZOOM_STAGES and cut, strides
         assert sup_gap <= 1e-5 * sup_ref, (sup_gap, sup_ref)
+
+
+def test_zoom_march_is_step_capped_as_a_whole(monkeypatch):
+    # each stage of the march takes an eighth of its steps, so the cap is
+    # checked on all of it, before the first stage's solve
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve called")
+
+    scen = build_scenario("theorem1-single", burgers())
+    eps, window = 0.04, Window(-2.0, 2.0, -4.0, 4.0)
+    dx = refined_dx(eps, 0.08, 4.0)
+    frame = zoom_frame(scen, eps)
+    t_end = float(frame.to_physical(window.t_max, 0.0)[0])
+    speed = scen.flux.max_speed(scenario_grid(scen, dx).values)
+    steps = t_end * speed / (SolverConfig.cfl_advection * dx)
+    monkeypatch.setattr(experiments, "solve", no_solve)
+    monkeypatch.setattr(solver, "MAX_STEPS", int(steps / 2))
+    with pytest.raises(ConfigError, match="steps"):
+        _zoom_field(scen, eps, dx, frame, window.t_samples(5), window.x_samples(81))
 
 
 def test_oleinik_suite_regression():
