@@ -19,7 +19,7 @@ from .solver import (Clamped, OleinikReport, Periodic, SolverConfig,
                      oleinik_check, solve)
 from .inviscid import (SmoothData, ZBoundsReport, ZPoint, blowup_time,
                        characteristic_value, two_shock, single_shock,
-                       z_bounds_audit, z_eval, z_root)
+                       z_bounds_audit, z_eval, z_exact, z_root)
 from .profiles import (CauchyReport, MergingTriple, TravelingWave,
                        ZLimitReport, eternal_z, eternal_z_limit,
                        merging_initial, merging_wave, smoothstep,

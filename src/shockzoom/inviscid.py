@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (MultipleRootsError, NoBracketError, NotOrderedError)
+from .errors import ConfigError, MultipleRootsError, NoBracketError, NotOrderedError
 from .flux import FluxModel, ShockData, rankine_hugoniot
 
 _FD_RTOL = 1e-6
@@ -166,30 +166,8 @@ def z_root(t, x):
 
 
 def _outer_root(t, x):
-    """Single real root of x = t z - z^3 when the discriminant is positive.
-
-    For t <= 0 this is always the case; for t > 0 it holds outside the
-    fold region |x| <= 2 (t/3)^(3/2), which is where boundary clamps use it.
-    A float pair, a moving clamp's one call per step, takes the same
-    arithmetic on float64 scalars: np.power and np.cbrt run the array
-    path's own loops, so the two agree bit for bit.
-    """
-    if isinstance(t, float) and isinstance(x, float):
-        t, x = np.float64(t), np.float64(x)
-        disc = 0.25 * x * x - np.power(t, 3.0) / 27.0
-        if disc < 0.0:
-            raise ValueError("no single real root inside the fold region")
-        s = np.sqrt(disc)
-        h1 = -0.5 * x + s
-        h2 = -0.5 * x - s
-        a = np.cbrt(h1 if abs(h1) >= abs(h2) else h2)
-        z = a + t / (3.0 * a) if a != 0.0 else 0.0
-        for _ in range(2):
-            r = (z * z - t) * z + x
-            d = 3.0 * z * z - t
-            if d != 0.0:
-                z = z - r / d
-        return float(z)
+    """Single real root of x = t z - z^3: at every x for t <= 0, and outside
+    the fold region |x| <= 2 (t/3)^(3/2) for t > 0."""
     t = np.asarray(t, dtype=float)
     x = np.asarray(x, dtype=float)
     t, x = np.broadcast_arrays(t, x)
@@ -296,3 +274,104 @@ def z_bounds_audit(t_grid: Sequence[float], x_grid: Sequence[float]) -> ZBoundsR
         violations += int(np.count_nonzero(m < -1e-12))
     res = float(np.max(np.abs(xx - (tt * z - z ** 3))))
     return ZBoundsReport(int(z.size), violations, worst, res)
+
+
+# ---------------------------------------------------------------------------
+# the eternal wave, by Cole-Hopf
+
+# the trapezoid step in widths of the weight's narrowest saddle (a Gaussian's
+# rule errs by exp(-2 pi^2 / Z_STEP^2), 1e-20), the log-weight below every
+# peak where nodes stop, and the most nodes per time and terms per call
+Z_STEP, Z_TAIL, MAX_Z_NODES, MAX_QUADRATURE_TERMS = 0.65, 60.0, 10**5, 10**9
+
+
+def z_exact(n: float, t, x: np.ndarray) -> np.ndarray:
+    """The eternal wave Z^(n): unit-viscosity Burgers from z(-n, .) at t = -n.
+
+    By Cole-Hopf, with s = t + n > 0, Z is the mean of (x - y)/s under the
+    weight exp(psi(y) - (x - y)^2/(4s)), psi(y) = -1/2 int_0^y z(-n, .) =
+    n z^2/4 + 3 z^4/8 at z = z(-n, y), summed by the trapezoid rule in z
+    with y = -n z - z^3, dy = (n + 3 z^2) dz.  At t = -n, Z is z(-n, x).
+    A sequence of times t adds a leading axis to x's shape.  ConfigError,
+    before any sum, past MAX_Z_NODES nodes at a time (one just after the
+    launch) or MAX_QUADRATURE_TERMS in all, and for a value not finite.
+    """
+    times = np.atleast_1d(np.asarray(t, dtype=float))
+    x = np.asarray(x, dtype=float)
+    if not (0.0 < n < np.inf and np.all(np.isfinite(times) & (times >= -n))):
+        raise ValueError("Z^(n) needs a finite n > 0 and finite times t >= -n")
+    ax = np.abs(x)
+    xr = float(np.max(ax, initial=0.0))
+    later = np.flatnonzero(times > -n)
+    lo, hi, h = _z_spans(n, times[later], xr)
+    terms = x.size * int(np.sum(np.ceil(hi / h) - np.floor(lo / h) + 1.0))
+    if terms > MAX_QUADRATURE_TERMS:
+        raise ConfigError(f"Z^({n:.3g}) takes {terms} quadrature terms, more than "
+                          f"{MAX_QUADRATURE_TERMS}")
+    out = np.empty(times.shape + x.shape)
+    out[times == -n] = z_root(-n, x)
+    for i, a, b, step in zip(later, lo, hi, h):
+        z = step * np.arange(np.floor(a / step), np.ceil(b / step) + 1.0)
+        keep = np.flatnonzero(_z_bound(z, n, times[i], xr) >= -Z_TAIL)
+        z = z[max(keep[0] - 1, 0):keep[-1] + 2]
+        # Z is odd, so x = 0 takes 0
+        out[i] = np.where(x == 0.0, 0.0, np.sign(x) * _z_mean(n, times[i], ax, z))
+    if not np.all(np.isfinite(out)):
+        raise ConfigError(f"Z^({n:.3g}) is not finite")
+    return out if np.ndim(t) else out[0]
+
+
+def _z_bound(z, n: float, t, xr: float):
+    """psi(y) - dist(y, [0, xr])^2/(4s) at y = -n z - z^3, a bound on the
+    log-weight at 0 <= x <= xr, with psi - y^2/(4s) expanded so that no term
+    grows with n."""
+    zz, y = z * z, -(n + z * z) * z
+    near = np.clip(y, 0.0, xr)
+    return (zz * (n * t + (1.5 * t - 0.5 * n) * zz - zz * zz)
+            + near * (2.0 * y - near)) / (4.0 * (t + n))
+
+
+def _z_spans(n: float, t: np.ndarray, xr: float):
+    """Each time's trapezoid step h and span [lo, hi] in z on |x| <= xr, t > -n.
+
+    The weight's saddles solve x = t z - z^3, at |z| <= zm = xr^(1/3) +
+    sqrt(max(t, 0)), where the log-weight's curvature (n + 3 z^2)(3 z^2 - t)
+    /(2s) is largest.  On x >= 0 every peak is >= 0 (at y = x); the span
+    doubles outwards from [0, xr] until ``_z_bound``, unimodal on either
+    side, falls below -Z_TAIL."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        w = 3.0 * (np.cbrt(xr) + np.sqrt(np.maximum(t, 0.0))) ** 2
+        h = Z_STEP / np.sqrt((n + w) * (w - t) / (2.0 * (t + n)) + 1.0)
+        core = _outer_root(-n, xr)
+        lo, hi = core - h, h
+        # each side doubles up to the node cap, or to a bound of -inf or nan
+        while np.any(grow := (_z_bound(lo, n, t, xr) >= -Z_TAIL) & ((hi - lo) / h <= MAX_Z_NODES)):
+            lo = np.where(grow, core - 2.0 * (core - lo), lo)
+        while np.any(grow := (_z_bound(hi, n, t, xr) >= -Z_TAIL) & ((hi - lo) / h <= MAX_Z_NODES)):
+            hi = np.where(grow, 2.0 * hi, hi)
+        wide = np.flatnonzero(~((hi - lo) / h <= MAX_Z_NODES))
+    if wide.size:
+        raise ConfigError(f"Z^({n:.3g}) at t={t[wide[0]]:.6g} on |x| <= {xr:.3g} needs "
+                          f"more than {MAX_Z_NODES} quadrature nodes")
+    return lo, hi, h
+
+
+def _z_mean(n: float, t: float, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Z^(n)(t, x) for x >= 0 on the nodes z, a 256 kB block of terms at a time."""
+    s, zz = t + n, z * z
+    # psi - (x - y)^2/(4s) + log dy/dz, with q = x + z^3 written as
+    # (n t z^2 - q (q + 2 n z))/(4s) + 3 z^4/8 + log(n + 3 z^2): no term grows with n
+    base = (0.25 * n * t / s) * zz + 0.375 * zz * zz + np.log(n + 3.0 * zz)
+    cube, rows = zz * z, max(1, 2**15 // z.size)
+    out = np.empty(x.size)
+    for i in range(0, x.size, rows):
+        q = np.add.outer(x.ravel()[i:i + rows], cube)
+        e = q + 2.0 * n * z
+        e *= q
+        e *= -0.25 / s
+        e += base
+        e -= e.max(axis=1, keepdims=True)
+        np.exp(e, out=e)
+        q += n * z                      # x - y
+        out[i:i + rows] = np.einsum("ij,ij->i", e, q) / (s * e.sum(axis=1))
+    return out.reshape(x.shape)

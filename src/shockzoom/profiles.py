@@ -7,7 +7,8 @@ Three families:
 * merging data: two traveling waves glued with a smooth blend far in the
   past, evolved forward to realise the two-shock interaction wave;
 * the eternal wave Z^(n): the viscous evolution launched from the cubic
-  wave z(-n, .), whose large-n limit is the universal formation profile.
+  wave z(-n, .), exact by Cole-Hopf, whose large-n limit is the universal
+  formation profile.
 """
 from __future__ import annotations
 
@@ -17,10 +18,10 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ConfigError, NotLaxError, NotOrderedError, TauTooLateError
-from .flux import FluxModel, ShockData, burgers, rankine_hugoniot
+from .flux import FluxModel, ShockData, rankine_hugoniot
 from .grid import GridFunction, Window, cell_count, l1_distance
-from .inviscid import _outer_root, z_root
-from .solver import Clamped, SolverConfig, solve, solve_coarse_start
+from .inviscid import z_exact, z_root
+from .solver import MAX_SNAPSHOT_VALUES, Clamped, SolverConfig, solve
 
 
 @dataclass(frozen=True)
@@ -254,41 +255,19 @@ def merging_wave(triple: MergingTriple, tau_list: Sequence[float], window: Windo
 # ---------------------------------------------------------------------------
 # the eternal wave
 
-# The eternal wave's coarse start runs on every 2nd node.  On the default
-# zref (n = 32, dx = 0.04) that moves Z by 1.2e-5, under a third of the
-# 4.0e-5 that halving dx moves it, and the default formation run's final
-# error by +0.04%.  Stride 3, the most the Peclet check allows there, saves
-# a further fifth of the wave's time but moves Z by 3.1e-5 and the error by
-# +0.10%; stride 6, which the zooms' rule would pick from the launch data,
-# moves them by 1.4e-4 and +0.44% when forced past the check.
-ETERNAL_STRIDE = 2
-
 
 def eternal_z(n: float, window: Window, *, dx: float, x_max: Optional[float] = None,
               snapshot_times: Sequence[float]) -> List[Tuple[float, GridFunction]]:
-    """Evolve unit-viscosity data z(-n, .) up to the snapshot times.
+    """(t, state) pairs of the exact eternal wave Z^(n) (``z_exact``) at the
+    snapshot times, on the grid of [-xr, xr], xr the node nearest x_max, wider
+    than the window; dx and x_max set only this grid.  Z is odd, so only
+    x >= 0 is evaluated.
 
-    Returns (t, state) pairs at the snapshot times, in physical time, on
-    the grid of [-xr, xr] with xr the node nearest x_max, which is wider
-    than the observation window.  The outer
-    end is clamped to the exact outer cubic root at the running time, the
-    correct far-field continuation up to a small viscous correction.
-    Snapshots past t = 0 are allowed as long as the ends stay outside the
-    fold region, which holds for any reasonable x_max.
-
-    Only the half-line [0, xr] is solved, its left end clamped to 0, and
-    each snapshot is mirrored: the data, the clamps and Burgers' flux are
-    odd, and the central scheme holds the node x = 0 at 0, so this is the
-    symmetric solve up to rounding.  The solve starts coarse
-    (``solve_coarse_start``) on every ETERNAL_STRIDE-th node up to
-    t0 = t_first - (t_last - t_first), where that is safe.
-
-    ConfigError, before any solve, unless there is a snapshot time, the
-    window starts at or after the launch time -n and its x-range lies on
-    the grid [-xr, xr].
+    ConfigError, before any quadrature, unless there is a snapshot time, the
+    window starts at or after the launch time -n and lies on the grid, the
+    launch data z(-n, .) are finite and the snapshots hold at most
+    MAX_SNAPSHOT_VALUES values; ``z_exact`` bounds its own work.
     """
-    if n <= 0.0:
-        raise ValueError("n must be positive")
     times = sorted(set(float(t) for t in np.atleast_1d(snapshot_times)))
     if not times:
         raise ConfigError("eternal_z needs at least one snapshot time")
@@ -303,30 +282,14 @@ def eternal_z(n: float, window: Window, *, dx: float, x_max: Optional[float] = N
         raise ConfigError(f"the window's x in [{window.x_min:.6g}, {window.x_max:.6g}] "
                           f"leaves the eternal wave's grid [{-xr:.6g}, {xr:.6g}]")
     with np.errstate(over="ignore", invalid="ignore"):
-        launch = z_root(-n, dx * np.arange(half + 1))
-    if not np.all(np.isfinite(launch)):
-        raise ConfigError(f"n={n:.3g}: the launch data z(-n, x) overflow")
-    data = GridFunction(0.0, dx, launch)
-
-    def ends(t: float) -> Tuple[float, float]:
-        return 0.0, float(_outer_root(t - n, xr))
-
-    if times[0] < -n:
-        raise ValueError("snapshot before the launch time")
-    # the fold |x| <= 2 (t/3)^(3/2), where the clamps have no single root,
-    # widens with t: the ends must clear it at the last time
-    with np.errstate(over="ignore"):
-        fold = 2.0 * (max(np.float64(times[-1]), 0.0) / 3.0) ** 1.5
-    if not fold < xr:
-        raise ConfigError(f"t={times[-1]:.3g}: the clamped ends x=+-{xr:.3g} lie inside "
-                          f"the fold of the cubic wave")
-    cfg = SolverConfig(viscosity=1.0, boundary=Clamped(ends))
-    shifted = [t + n for t in times]
-    t0 = times[0] - (times[-1] - times[0])
-    snaps = solve_coarse_start(data, burgers(), cfg, shifted[-1], shifted,
-                               ETERNAL_STRIDE, t0 + n)
-    return [(t - n, GridFunction(-xr, dx, np.concatenate([-g.values[:0:-1], g.values])))
-            for t, g in snaps]
+        if not np.isfinite(z_root(-n, xr)):
+            raise ConfigError(f"n={n:.3g}: the launch data z(-n, x) overflow")
+    if len(times) * (2 * half + 1) > MAX_SNAPSHOT_VALUES:
+        raise ConfigError(f"{len(times)} snapshots of {2 * half + 1} nodes exceed "
+                          f"{MAX_SNAPSHOT_VALUES} stored values")
+    rows = z_exact(n, times, dx * np.arange(half + 1))
+    return [(t, GridFunction(-xr, dx, np.concatenate([-row[:0:-1], row])))
+            for t, row in zip(times, rows)]
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,7 @@ the data's end values, or, when the boundary carries ``ends(t)``, are set
 once per step to its values at the new time, and the inner stage takes
 the straight line between the old and the new end values.  Snapshots are
 hit exactly by shortening the final step; nothing is ever interpolated in
-time.  ``solve_coarse_start`` marches a smooth early stretch on a coarser
-subgrid and prolongs it to the fine one.
+time.
 """
 from __future__ import annotations
 
@@ -28,12 +27,7 @@ import numpy as np
 
 from .errors import ConfigError, InstabilityError
 from .flux import FluxModel
-from .grid import GridFunction, max_forward_slope, prolong_cubic
-
-# The coarse start's cell Peclet number, a quarter of the solver's limit of
-# 2: on the acceptance gate's formation study (eps = 0.01, 0.004, 0.0016)
-# it moves the zoom errors by at most 0.15%, against 0.72% at 1.
-COARSE_PECLET = 0.5
+from .grid import GridFunction, max_forward_slope
 
 # the most grid values one solve may hold in snapshots (8 bytes each, 800 MB)
 MAX_SNAPSHOT_VALUES = 10**8
@@ -235,48 +229,6 @@ def solve(initial: GridFunction, flux: FluxModel, cfg: SolverConfig,
         # no step writes into its input, so each snapshot keeps its step's output
         out.append((target, initial.with_values(u)))
     return out
-
-
-def solve_coarse_start(initial: GridFunction, flux: FluxModel, cfg: SolverConfig,
-                       t_final: float, snapshot_times: Sequence[float], m: int,
-                       t0: float) -> List[Tuple[float, GridFunction]]:
-    """``solve``, with the march up to t0 on every m-th node where that is safe.
-
-    The coarse start solves the data's every m-th node to t0, prolongs the
-    result to all of its nodes by cubic Lagrange interpolation
-    (``prolong_cubic``) and solves on from there; moving ends keep their
-    clock, and the snapshots carry the times ``solve`` gives them.  It runs
-    only when all of these hold, and otherwise the whole march is fine:
-
-    * the ends are clamped, m >= 2, and the grid's cell count is a multiple
-      of m with at least three coarse cells, the four nodes the
-      prolongation needs;
-    * 0 < t0 < the first snapshot time, so that the fine solve has a lead
-      in which to smooth the prolongation's error before it is seen;
-    * the coarse cell Peclet number speed * m * dx / viscosity is at most
-      COARSE_PECLET, where speed is the data's largest and that of moving
-      ends at t0 (ends that speed up with time, as the eternal wave's do,
-      are fastest there).
-    """
-    targets = sorted(set(float(s) for s in snapshot_times)) or [float(t_final)]
-    bc = cfg.boundary
-    cells = initial.n - 1
-    coarse = (isinstance(bc, Clamped) and m >= 2 and cells % m == 0
-              and cells >= 3 * m and 0.0 < t0 < targets[0])
-    if coarse:
-        speed = flux.max_speed(initial.values)
-        if bc.ends is not None:
-            speed = max(speed, flux.max_speed(np.array(bc.at(t0))))
-        coarse = speed * m * initial.dx <= COARSE_PECLET * cfg.viscosity
-    if not coarse:
-        return solve(initial, flux, cfg, t_final, snapshot_times)
-    data = GridFunction(initial.x_left, m * initial.dx, initial.values[::m])
-    start = solve(data, flux, cfg, t0)[-1][1]
-    if bc.ends is not None:
-        cfg = SolverConfig(cfg.viscosity, Clamped(lambda t: bc.ends(t0 + t)))
-    snaps = solve(initial.with_values(prolong_cubic(start.values, m)), flux, cfg,
-                  t_final - t0, [t - t0 for t in targets])
-    return [(t, g) for t, (_, g) in zip(targets, snaps)]
 
 
 @dataclass(frozen=True)

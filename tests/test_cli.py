@@ -1,6 +1,7 @@
 """Command-line surface: config plumbing, exit codes, output files."""
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -92,8 +93,6 @@ def test_exit_code_2_paths(tmp_path, monkeypatch):
     assert main(["run", "--set", "window.t_min=6", "--out", out]) == 2
     assert main(["sweep", "--set", "sweep.n_nodes=1", "--out", out]) == 2
     assert main(["zlimit", "--set", "zlimit.dx=0", "--out", out]) == 2
-    # a grid too coarse for its viscosity: cell Peclet number above 2
-    assert main(["zlimit", "--set", "zlimit.dx=2.5", "--out", out]) == 2
     # each of these is caught before the first solve step, where the CLI
     # reads it or in the library function that it calls
     formation = ["run", "--scenario", "theorem2-formation"]
@@ -137,7 +136,7 @@ def test_exit_code_2_paths(tmp_path, monkeypatch):
                  formation + ["--set", f"zoom2.ny={too_many}"],
                  ["merge", "--set", f"merge.nt={too_many}"],
                  # within MAX_COUNT, but 10^6 snapshots of the eternal wave's
-                 # 1,501 half-line nodes exceed the solver's snapshot memory cap
+                 # 3,001 nodes exceed the snapshot memory cap
                  formation + ["--set", f"zoom2.nt={MAX_COUNT}", "--set", "zoom2.ny=2"],
                  # the derivatives of the cubic wave blow up at t = 0, x = 0
                  ["z-table", "--t", "-1", "0", "--x", "-2", "2"],
@@ -163,6 +162,7 @@ def test_exit_code_2_paths(tmp_path, monkeypatch):
     with monkeypatch.context() as m:
         for module in (experiments, profiles, solver):
             m.setattr(module, "solve", _no_solve)
+        m.setattr(profiles, "z_exact", _no_solve)
         assert main(["run", "--eps", "0.3,0.1", "--out", str(mended)]) == 2
         for setting, commands in MENDED:
             for command in commands:
@@ -224,8 +224,7 @@ def _long(command, setting, out):
 
 
 # each setting with the LONG_COMMANDS it broke: the zoom starting before
-# t = 0, a negative seed, scenario and window values that overflow, and
-# clamped ends inside the fold of the cubic wave
+# t = 0, a negative seed, and scenario and window values that overflow
 MENDED = [("window.t_min=-30", ("single", "merging")),
           ("window.t_min=-1e308", ("single", "merging", "merge")),
           ("run.seed=-1", ("single", "merging", "formation")),
@@ -237,9 +236,27 @@ MENDED = [("window.t_min=-30", ("single", "merging")),
           ("scenario.amplitude=1e100", ("formation",)),
           ("scenario.amplitude=1e308", ("formation",)),
           ("window.t_max=1e308", ("merging", "merge")),
-          ("window.x_max=1e308", ("single",)),
-          ("window2.t_max=50", ("formation",)),
-          ("zlimit.t_max=50", ("zlimit",))]
+          ("window.x_max=1e308", ("single",))]
+
+
+def test_the_exact_eternal_wave_takes_late_windows_and_coarse_grids(tmp_path):
+    # the eternal wave has no clamps, whose fold once refused windows past
+    # the blow-up (t = 50), and no cell-Peclet bound (zlimit.dx = 2.5):
+    # these run and write finite checks; zlimit's two horizons are 0.052
+    # apart at t = 50, past its default tolerance of 0.05
+    for args, code in ((_long("formation", "window2.t_max=50", tmp_path / "f"), 0),
+                       (_long("zlimit", "zlimit.t_max=50", tmp_path / "z"), 1),
+                       (["zlimit", "--set", "zlimit.dx=2.5", "--out", str(tmp_path / "d")], 0)):
+        assert main(args) == code, args
+        summary = json.loads((Path(args[-1]) / "summary.json").read_text(),
+                             parse_constant=_reject_constant)
+        assert all(np.isfinite(c["margin"]) for c in summary["checks"]), args
+    # a window that ends far later still exits 2: the quadrature's node cap
+    # refuses it before any solve or sum
+    for command, key in (("formation", "window2"), ("zlimit", "zlimit")):
+        out = tmp_path / "late"
+        assert main(_long(command, f"{key}.t_max=1e308", out)) == 2, command
+        assert not out.exists(), command
 
 
 def test_config_error_leaves_no_output_directory(tmp_path):
@@ -278,9 +295,10 @@ def test_bad_restart_settings_exit_2_before_any_solve(tmp_path, monkeypatch):
 
 def test_library_rejects_bad_study_inputs_before_any_solve(monkeypatch):
     # each rule on a study's inputs lives in the library function that runs
-    # the study, and fires before that function's first solve
+    # the study, and fires before that function's first solve or quadrature
     for module in (experiments, profiles, solver):
         monkeypatch.setattr(module, "solve", _no_solve)
+    monkeypatch.setattr(profiles, "z_exact", _no_solve)
     single, merging, formation = (build_scenario(sid, burgers()) for sid in (
         "theorem1-single", "theorem1-merging", "theorem2-formation"))
     surrogate = dict(taus=(-14.0, -16.0), comparison_time=-3.0, dx=0.1,

@@ -4,11 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shockzoom import (MultipleRootsError, ShockData, SmoothData, blowup_time,
-                       burgers, characteristic_value, single_shock, two_shock,
-                       z_bounds_audit, z_eval, z_root)
+from shockzoom import (ConfigError, MultipleRootsError, ShockData, SmoothData,
+                       blowup_time, burgers, characteristic_value, inviscid, single_shock,
+                       two_shock, z_bounds_audit, z_eval, z_exact, z_root)
 from shockzoom.errors import NotOrderedError
-from shockzoom.inviscid import _outer_root
 
 # where each pair below is cross-checked against finite differences
 CHECK_POINTS = np.linspace(-2.0, 2.0, 17)
@@ -129,21 +128,68 @@ def test_z_root_rejects_positive_time():
         z_eval(0.5, 1.0)
 
 
-def test_scalar_outer_root_matches_array_path_bitwise():
-    # a float pair takes _outer_root's scalar path; every other input the
-    # array path.  Edges: x = 0, t = 0 (the root 0 itself), |x| >= 100, and
-    # t > 0 just outside the fold |x| <= 2 (t/3)^(3/2)
-    rng = np.random.default_rng(11)
-    t_edge = np.array([0.0, -0.0, -1e-12, -1.0, -64.0, -1e4])
-    x_edge = np.array([0.0, -0.0, 1e-12, -1.0, 100.0, -250.0, 1e4, -1e6])
-    tt, xx = (a.ravel() for a in np.meshgrid(t_edge, x_edge))
-    t_fold = rng.uniform(0.0, 20.0, 2000)
-    x_fold = np.sign(rng.uniform(-1.0, 1.0, 2000)) * (
-        2.0 * (t_fold / 3.0) ** 1.5 + rng.uniform(1e-3, 200.0, 2000))
-    t = np.concatenate([tt, rng.uniform(-100.0, 0.0, 20000), t_fold])
-    x = np.concatenate([xx, rng.uniform(-300.0, 300.0, 20000), x_fold])
-    want = _outer_root(t, x)
-    got = np.array([_outer_root(float(a), float(b)) for a, b in zip(t, x)])
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
-    with pytest.raises(ValueError, match="fold"):
-        _outer_root(3.0, 0.5)
+def test_z_exact_solves_burgers():
+    # U_T + U U_X = U_XX by centred differences of step h: their own error
+    # is about h^2 = 1e-6 times the third derivatives, 8e-6 at the blow-up
+    # time t = 0, where U_XX peaks near 0.13
+    n, h = 8.0, 1e-3
+    x = np.linspace(-6.0, 6.0, 121)[:, None] + h * np.array([-1.0, 0.0, 1.0])
+    for t in (-7.5, -1.0, 0.0, 2.0):
+        before, (left, u, right), after = z_exact(n, [t - h, t, t + h], x).transpose(0, 2, 1)
+        residual = ((after[1] - before[1]) / (2.0 * h) + u * (right - left) / (2.0 * h)
+                    - (right - 2.0 * u + left) / (h * h))
+        assert np.max(np.abs(residual)) < 2e-5, t
+
+
+def test_z_exact_is_odd_and_starts_from_the_cubic_wave():
+    x = np.linspace(0.0, 30.0, 301)
+    for n, t in ((2.0, -1.5), (32.0, -3.0), (32.0, 1.0), (4.0, 20.0)):
+        right = z_exact(n, t, x)
+        assert np.array_equal(z_exact(n, t, -x), -right)
+        assert right[0] == 0.0
+    assert np.array_equal(z_exact(32.0, -32.0, x), z_root(-32.0, x))
+    assert np.array_equal(z_exact(32.0, [-32.0, -3.0], x)[0], z_root(-32.0, x))
+
+
+def test_z_exact_sits_above_the_cubic_wave():
+    # z <= Z^(n) on x >= 0 before the blow-up time, as criterion 4 checks
+    x = np.linspace(0.0, 40.0, 2001)
+    for n in (2.0, 16.0, 32.0):
+        for t in (0.5 - n, -1.0, 0.0):
+            assert np.min(z_exact(n, t, x) - z_root(t, x)) >= -1e-14, (n, t)
+
+
+def test_z_exact_quadrature_is_converged(monkeypatch):
+    # half the trapezoid step over twice the tail moves no value past 1e-13,
+    # on the default zref and zlimit horizons and past the blow-up
+    cases = [(32.0, np.linspace(-3.0, 1.0, 17), 60.0), (4.0, [-3.5, -1.0], 40.0),
+             (48.0, [-3.0, 1.0], 60.0), (2.0, [-1.9, 10.0], 12.0)]
+    x = [np.linspace(0.0, xr, 1501) for _, _, xr in cases]
+    got = [z_exact(n, t, xs) for (n, t, _), xs in zip(cases, x)]
+    monkeypatch.setattr(inviscid, "Z_STEP", inviscid.Z_STEP / 2.0)
+    monkeypatch.setattr(inviscid, "Z_TAIL", inviscid.Z_TAIL * 2.0)
+    for (n, t, _), xs, want in zip(cases, x, got):
+        assert np.max(np.abs(z_exact(n, t, xs) - want)) <= 1e-13, n
+
+
+def test_z_exact_bounds_its_work(monkeypatch):
+    # just after the launch, or long after the blow-up, the step shrinks
+    # past the node cap; the term cap counts every time before any sum
+    x = np.linspace(0.0, 60.0, 1501)
+    for n, t in ((32.0, -32.0 + 1e-9), (4.0, 1e10), (4.0, 1e300)):
+        with pytest.raises(ConfigError, match="quadrature nodes"):
+            z_exact(n, t, x)
+    with pytest.raises(ValueError, match="t >= -n"):
+        z_exact(4.0, -4.5, x)
+    # a huge horizon stays finite and near its limit Z(infinity)
+    far = z_exact(1e100, 1.0, x)
+    assert np.all(np.isfinite(far))
+    assert np.max(np.abs(far - z_exact(1e8, 1.0, x))) < 1e-7
+
+    def no_sum(*args):
+        raise AssertionError("quadrature summed")
+
+    monkeypatch.setattr(inviscid, "_z_mean", no_sum)
+    monkeypatch.setattr(inviscid, "MAX_QUADRATURE_TERMS", 10**6)
+    with pytest.raises(ConfigError, match="quadrature terms"):
+        z_exact(32.0, np.linspace(-3.0, 1.0, 17), x)

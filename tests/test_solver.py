@@ -304,50 +304,3 @@ def test_oleinik_check_flags_increase():
     g_ok = GridFunction(0.0, 0.1, np.array([0.0, 0.05, 0.1]))
     report = oleinik_check([(1.0, g_ok)], 1.0, tolerance=0.0)
     assert report.violations == 0
-
-
-def test_coarse_start_runs_only_where_safe(monkeypatch):
-    # -tanh(x) on [-2, 2] at dx = 0.05 and nu = 0.25: stride 2 has a coarse
-    # cell Peclet number of 0.39, below COARSE_PECLET, and stride 3 one of 0.58
-    nu, times = 0.25, [0.2, 0.3]
-    data = GridFunction.from_callable(lambda x: -np.tanh(x), -2.0, 2.0, 0.05)
-    fine_solve = solver.solve
-    strides = []
-
-    def recording(initial, *args, **kwargs):
-        strides.append(round(initial.dx / 0.05))
-        return fine_solve(initial, *args, **kwargs)
-
-    monkeypatch.setattr(solver, "solve", recording)
-
-    def run(initial, boundary, m, t0):
-        strides.clear()
-        cfg = SolverConfig(nu, boundary)
-        got = solver.solve_coarse_start(initial, burgers(), cfg, times[-1], times, m, t0)
-        want = fine_solve(initial, burgers(), cfg, times[-1], times)
-        assert [t for t, _ in got] == times
-        return max(float(np.max(np.abs(a.values - b.values)))
-                   for (_, a), (_, b) in zip(got, want))
-
-    # the ends speed up from the data's tanh(2) = 0.964 to 1.164 at t0 = 0.1,
-    # a Peclet number of 0.47; a fine solve that lost the ends' clock would
-    # be 0.2 off at the ends
-    edge = float(np.tanh(2.0))
-    speeding = Clamped(lambda t: (edge + 2.0 * t, -edge - 2.0 * t))
-    for boundary in (Clamped(), speeding):
-        assert run(data, boundary, 2, 0.1) < 1e-3
-        assert strides == [2, 1]
-    short = GridFunction(-2.0, 0.05, data.values[:-1])
-    tiny = GridFunction(-2.0, 0.05, data.values[:5])
-    xp = -2.0 + 0.05 * np.arange(80)
-    for initial, boundary, m, t0 in ((data, Clamped(), 1, 0.1),
-                                     (data, Clamped(), 3, 0.1),        # Peclet 0.58
-                                     (data, speeding, 2, 0.15),        # Peclet 0.51
-                                     (short, Clamped(), 2, 0.1),       # 79 cells
-                                     (tiny, Clamped(), 2, 0.1),        # 2 coarse cells
-                                     (data, Clamped(), 2, 0.0),        # no coarse time
-                                     (data, Clamped(), 2, 0.2),        # no fine lead
-                                     (GridFunction(-2.0, 0.05, np.sin(np.pi * xp / 2.0)),
-                                      Periodic(), 2, 0.1)):
-        assert run(initial, boundary, m, t0) == 0.0, (m, t0)
-        assert strides == [1], (m, t0)
