@@ -135,8 +135,6 @@ KEYS: Dict[str, Tuple[str, Callable[[str], Any]]] = {
     "merge.dx": ("0.05", _positive),
     "merge.nt": ("23", _count(1)),
     "zref.n": ("32.0", _positive),
-    "zref.dx": ("0.04", _positive),
-    "zref.x_max": ("60.0", _positive),
     "zlimit.n_list": ("4.0,8.0,16.0",
                       _kind(_floats, lambda ns: len(ns) >= 2 and _increasing(ns),
                             "two or more finite horizons, increasing")),
@@ -310,13 +308,13 @@ def cmd_run(cfg: Config, args: argparse.Namespace) -> int:
         raise ConfigError(f"{eps_key}: need at least 2 viscosities")
 
     # every setting is read, and every zoom planned and so checked, before the
-    # first solve: the eternal wave and the surrogate are built before any zoom runs
+    # first solve: the surrogate is built, and the eternal wave evaluated,
+    # before any zoom runs
     prefix = "window2" if scenario_id == "theorem2-formation" else "window"
     window = _config_window(cfg, prefix)
     if scenario_id == "theorem2-formation":
         nt, ny, dx_hat, n = cfg["zoom2.nt"], cfg["zoom2.ny"], cfg["grid.dx_hat"], cfg["zref.n"]
         mesh = dict(dx_hat=dx_hat)
-        zref = dict(dx=cfg["zref.dx"], x_max=cfg["zref.x_max"])
     else:
         mesh = dict(base_divisor=cfg["grid.base_divisor"])
         nt, ny = cfg["zoom.nt"], cfg["zoom.ny"]
@@ -329,9 +327,7 @@ def cmd_run(cfg: Config, args: argparse.Namespace) -> int:
     out = _out_dir(cfg, args.out)
 
     if scenario_id == "theorem2-formation":
-        z_wave = experiments.eternal_z(n, window, snapshot_times=list(window.t_samples(nt)),
-                                       **zref)
-        outcomes = experiments.formation_zoom(scenario, eps, z_wave, **zoom)
+        outcomes = experiments.formation_zoom(scenario, eps, n, **zoom)
         checks = [_decreasing("sup-decreasing", eps[-1],
                               [o.sup_error for o in outcomes])]
     elif scenario_id == "theorem1-merging":

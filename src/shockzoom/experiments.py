@@ -38,7 +38,7 @@ from .flux import FluxModel, burgers
 from .errors import ConfigError, NoCrossingError, OutOfDomainError
 from .grid import (MAX_CELLS, GridFunction, Window, cell_count, l1_distance,
                    periodic_mass, prolong_cubic, trapezoid)
-from .inviscid import z_bounds_audit, z_root
+from .inviscid import z_bounds_audit, z_exact, z_root
 from .profiles import CauchyReport, eternal_z, merging_wave, traveling_wave
 from .rescale import (RateFit, RescaleFrame, SnapshotInterpolant, convergence_rate,
                       fit_formation_frame, fit_shift)
@@ -378,16 +378,15 @@ def merging_zoom(scenario: Scenario, eps_list: Sequence[float],
     return out
 
 
-def formation_zoom(scenario: Scenario, eps_list: Sequence[float],
-                   z_wave: List[Tuple[float, GridFunction]], *, window: Window,
-                   nt: int = 17, ny: int = 321,
+def formation_zoom(scenario: Scenario, eps_list: Sequence[float], n: float, *,
+                   window: Window, nt: int = 17, ny: int = 321,
                    dx_hat: float = 0.04) -> List[ZoomOutcome]:
-    """Compare type-2 zooms (see ``zoom_frame``) of a formation scenario with
-    the eternal wave, on the mesh of ``zooms``."""
+    """Compare type-2 zooms (see ``zoom_frame``) of a formation scenario, on the
+    mesh of ``zooms``, with Z^(n) (``z_exact``) at their samples, before any solve."""
     if scenario.formation is None:
         raise ValueError("scenario has no formation point")
     s_grid, y_grid, fields = zooms(scenario, eps_list, window, nt, ny, dx_hat=dx_hat)
-    pattern = SnapshotInterpolant(z_wave)(s_grid, y_grid)
+    pattern = z_exact(n, s_grid, y_grid)
     out = []
     for eps, field in fields:
         sup, l1 = _mismatch(field, pattern, s_grid, y_grid)
@@ -574,8 +573,7 @@ def suite_cubic_bounds(nt: int = 100, nx: int = 100):
     return report, rows
 
 
-def suite_sandwich(n: float = 16.0, dx: float = 0.02, x_solve: float = 60.0,
-                   x_check: float = 40.0,
+def suite_sandwich(n: float = 16.0, dx: float = 0.02, x_check: float = 40.0,
                    times: Sequence[float] = (-9.0, -4.0, -1.0)):
     """Eternal-wave order and closeness against the cubic wave.
 
@@ -583,17 +581,14 @@ def suite_sandwich(n: float = 16.0, dx: float = 0.02, x_solve: float = 60.0,
     and the mirrored order on x <= 0.
     """
     times = sorted(float(t) for t in times)
-    window = Window(times[0], times[-1], -x_check, x_check)
-    wave = eternal_z(n, window, dx=dx, x_max=x_solve, snapshot_times=times)
+    wave = eternal_z(n, Window(times[0], times[-1], -x_check, x_check), dx=dx,
+                     snapshot_times=times)
     rows = []
     for t, g in wave:
-        sel = np.abs(g.x) <= x_check + 1e-9
-        x = g.x[sel]
-        zv = z_root(t, x)
-        diff = g.values[sel] - zv
+        diff = g.values - z_root(t, g.x)
         band = 2.0 * abs(t) ** -1.5 + 5.0 * dx
         # signed gap: Z sits above z on the right half, below on the left
-        gap = np.where(x >= 0.0, diff, -diff)
+        gap = np.where(g.x >= 0.0, diff, -diff)
         rows.append(("order", t, float(np.min(gap)), bool(np.min(gap) >= -1e-12)))
         rows.append(("band", t, float(np.min(band - np.abs(diff))),
                      bool(np.max(np.abs(diff)) <= band)))

@@ -279,7 +279,7 @@ def z_bounds_audit(t_grid: Sequence[float], x_grid: Sequence[float]) -> ZBoundsR
 # ---------------------------------------------------------------------------
 # the eternal wave, by Cole-Hopf
 
-# the trapezoid step in widths of the weight's narrowest saddle (a Gaussian's
+# the trapezoid step in widths of the log-weight's curvature (a Gaussian's
 # rule errs by exp(-2 pi^2 / Z_STEP^2), 1e-20), the log-weight below every
 # peak where nodes stop, and the most nodes per time and terms per call
 Z_STEP, Z_TAIL, MAX_Z_NODES, MAX_QUADRATURE_TERMS = 0.65, 60.0, 10**5, 10**9
@@ -293,18 +293,27 @@ def z_exact(n: float, t, x: np.ndarray) -> np.ndarray:
     n z^2/4 + 3 z^4/8 at z = z(-n, y), summed by the trapezoid rule in z
     with y = -n z - z^3, dy = (n + 3 z^2) dz.  At t = -n, Z is z(-n, x).
     A sequence of times t adds a leading axis to x's shape.  ConfigError,
-    before any sum, past MAX_Z_NODES nodes at a time (one just after the
-    launch) or MAX_QUADRATURE_TERMS in all, and for a value not finite.
+    before any sum, unless n > 0 and every t >= -n are finite and z(-n, .)
+    is finite on |x|; past MAX_Z_NODES nodes at a time (one just after the
+    launch) or MAX_QUADRATURE_TERMS in all, each time counting at least one
+    block of ``_z_mean``; and for a value not finite.
     """
     times = np.atleast_1d(np.asarray(t, dtype=float))
     x = np.asarray(x, dtype=float)
     if not (0.0 < n < np.inf and np.all(np.isfinite(times) & (times >= -n))):
-        raise ValueError("Z^(n) needs a finite n > 0 and finite times t >= -n")
+        raise ConfigError(f"Z^(n) needs a finite n > 0 and finite times t >= -n, "
+                          f"the launch time -n={-n:.6g}")
     ax = np.abs(x)
     xr = float(np.max(ax, initial=0.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.isfinite(z_root(-n, xr)):
+            raise ConfigError(f"n={n:.3g}: the launch data z(-n, x) overflow")
     later = np.flatnonzero(times > -n)
-    lo, hi, h = _z_spans(n, times[later], xr)
-    terms = x.size * int(np.sum(np.ceil(hi / h) - np.floor(lo / h) + 1.0))
+    terms = later.size * 2**15
+    if terms <= MAX_QUADRATURE_TERMS:
+        lo, hi, h = _z_spans(n, times[later], xr)
+        nodes = np.ceil(hi / h) - np.floor(lo / h) + 1.0
+        terms = int(np.sum(np.maximum(x.size * nodes, 2**15)))
     if terms > MAX_QUADRATURE_TERMS:
         raise ConfigError(f"Z^({n:.3g}) takes {terms} quadrature terms, more than "
                           f"{MAX_QUADRATURE_TERMS}")
@@ -334,11 +343,15 @@ def _z_bound(z, n: float, t, xr: float):
 def _z_spans(n: float, t: np.ndarray, xr: float):
     """Each time's trapezoid step h and span [lo, hi] in z on |x| <= xr, t > -n.
 
-    The weight's saddles solve x = t z - z^3, at |z| <= zm = xr^(1/3) +
-    sqrt(max(t, 0)), where the log-weight's curvature (n + 3 z^2)(3 z^2 - t)
-    /(2s) is largest.  On x >= 0 every peak is >= 0 (at y = x); the span
+    On x >= 0 every peak of the log-weight L is >= 0 (at y = x); the span
     doubles outwards from [0, xr] until ``_z_bound``, unimodal on either
-    side, falls below -Z_TAIL."""
+    side, falls below -Z_TAIL.  On a strip of half-width d the rule errs by
+    about exp(max_z (L + d^2 k/2) - 2 pi d/h), k = (15 z^4 + (3n - 9t) z^2
+    - n t + 6 x z)/(2s) the curvature of -L: (n + 3 z^2)(3 z^2 - t)/(2s) at
+    a saddle x = t z - z^3, |z| <= zm = xr^(1/3) + sqrt(max(t, 0)).  So
+    h = Z_STEP/sqrt(K) keeps a Gaussian's exp(-T), T = 2 pi^2/Z_STEP^2, if
+    K >= k T/(T - L): K is the larger of k at zm and the largest k T/(T -
+    ``_z_bound``) at 65 points of the span, k taken at x = xr for z > 0."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         w = 3.0 * (np.cbrt(xr) + np.sqrt(np.maximum(t, 0.0))) ** 2
         h = Z_STEP / np.sqrt((n + w) * (w - t) / (2.0 * (t + n)) + 1.0)
@@ -349,6 +362,13 @@ def _z_spans(n: float, t: np.ndarray, xr: float):
             lo = np.where(grow, core - 2.0 * (core - lo), lo)
         while np.any(grow := (_z_bound(hi, n, t, xr) >= -Z_TAIL) & ((hi - lo) / h <= MAX_Z_NODES)):
             hi = np.where(grow, 2.0 * hi, hi)
+        z = lo[:, None] + (hi - lo)[:, None] * np.linspace(0.0, 1.0, 65)
+        zz, tt = z * z, t[:, None]
+        k = (15.0 * zz * zz + (3.0 * n - 9.0 * tt) * zz - n * tt
+             + 6.0 * xr * np.maximum(z, 0.0)) / (2.0 * (tt + n))
+        tail = 2.0 * np.pi ** 2 / Z_STEP ** 2
+        k *= tail / (tail + np.maximum(-_z_bound(z, n, tt, xr), 0.0))
+        h = np.minimum(h, Z_STEP / np.sqrt(np.max(k, axis=1) + 1.0))
         wide = np.flatnonzero(~((hi - lo) / h <= MAX_Z_NODES))
     if wide.size:
         raise ConfigError(f"Z^({n:.3g}) at t={t[wide[0]]:.6g} on |x| <= {xr:.3g} needs "

@@ -13,14 +13,14 @@ Three families:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .errors import ConfigError, NotLaxError, NotOrderedError, TauTooLateError
 from .flux import FluxModel, ShockData, rankine_hugoniot
 from .grid import GridFunction, Window, cell_count, l1_distance
-from .inviscid import z_exact, z_root
+from .inviscid import z_exact
 from .solver import MAX_SNAPSHOT_VALUES, Clamped, SolverConfig, solve
 
 
@@ -256,39 +256,25 @@ def merging_wave(triple: MergingTriple, tau_list: Sequence[float], window: Windo
 # the eternal wave
 
 
-def eternal_z(n: float, window: Window, *, dx: float, x_max: Optional[float] = None,
+def eternal_z(n: float, window: Window, *, dx: float,
               snapshot_times: Sequence[float]) -> List[Tuple[float, GridFunction]]:
     """(t, state) pairs of the exact eternal wave Z^(n) (``z_exact``) at the
-    snapshot times, on the grid of [-xr, xr], xr the node nearest x_max, wider
-    than the window; dx and x_max set only this grid.  Z is odd, so only
-    x >= 0 is evaluated.
+    snapshot times, on the grid of [-xr, xr] at spacing dx, xr the node
+    nearest the window's largest |x|.  Z is odd, so only x >= 0 is evaluated.
 
-    ConfigError, before any quadrature, unless there is a snapshot time, the
-    window starts at or after the launch time -n and lies on the grid, the
-    launch data z(-n, .) are finite and the snapshots hold at most
-    MAX_SNAPSHOT_VALUES values; ``z_exact`` bounds its own work.
+    ConfigError, before any quadrature, unless there is a snapshot time and
+    the snapshots hold at most MAX_SNAPSHOT_VALUES values; ``z_exact``
+    checks the times, the launch data and its own work.
     """
     times = sorted(set(float(t) for t in np.atleast_1d(snapshot_times)))
     if not times:
         raise ConfigError("eternal_z needs at least one snapshot time")
-    if window.t_min < -n:
-        raise ConfigError(f"the window starts at t={window.t_min:.6g}, before the "
-                          f"launch time -n={-n:.6g}")
-    if x_max is None:
-        x_max = max(abs(window.x_min), abs(window.x_max)) + 20.0
-    half = cell_count(x_max, dx)
-    xr = half * dx
-    if not -xr <= window.x_min <= window.x_max <= xr:
-        raise ConfigError(f"the window's x in [{window.x_min:.6g}, {window.x_max:.6g}] "
-                          f"leaves the eternal wave's grid [{-xr:.6g}, {xr:.6g}]")
-    with np.errstate(over="ignore", invalid="ignore"):
-        if not np.isfinite(z_root(-n, xr)):
-            raise ConfigError(f"n={n:.3g}: the launch data z(-n, x) overflow")
+    half = cell_count(max(abs(window.x_min), abs(window.x_max)), dx)
     if len(times) * (2 * half + 1) > MAX_SNAPSHOT_VALUES:
         raise ConfigError(f"{len(times)} snapshots of {2 * half + 1} nodes exceed "
                           f"{MAX_SNAPSHOT_VALUES} stored values")
     rows = z_exact(n, times, dx * np.arange(half + 1))
-    return [(t, GridFunction(-xr, dx, np.concatenate([-row[:0:-1], row])))
+    return [(t, GridFunction(-half * dx, dx, np.concatenate([-row[:0:-1], row])))
             for t, row in zip(times, rows)]
 
 
@@ -308,8 +294,7 @@ class ZLimitReport:
         return all(d[i] > d[i + 1] for i in range(len(d) - 1))
 
 
-def eternal_z_limit(n_list: Sequence[float], window: Window, *,
-                    dx: float, x_max: Optional[float] = None,
+def eternal_z_limit(n_list: Sequence[float], window: Window, *, dx: float,
                     ) -> Tuple[List[Tuple[float, GridFunction]], ZLimitReport]:
     """Run increasing horizons and measure how the family settles.
 
@@ -321,8 +306,7 @@ def eternal_z_limit(n_list: Sequence[float], window: Window, *,
     if len(ns) < 2:
         raise ValueError("need at least two horizons")
     sample_times = [float(t) for t in np.linspace(window.t_min, window.t_max, 9)]
-    runs = [eternal_z(v, window, dx=dx, x_max=x_max,
-                      snapshot_times=sample_times) for v in ns]
+    runs = [eternal_z(v, window, dx=dx, snapshot_times=sample_times) for v in ns]
 
     mono = np.inf
     sups = []

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from shockzoom import (GridFunction, Window, build_scenario, burgers, experiments,
+from shockzoom import (Window, build_scenario, burgers, experiments, inviscid,
                        profiles, solver)
 from shockzoom.cli import (DEFAULTS, KEYS, MAX_COUNT, Config, _interior_shift_row,
                            load_config, main)
@@ -101,7 +101,6 @@ def test_exit_code_2_paths(tmp_path, monkeypatch):
                  ["run", "--set", "zoom.nt=0"],
                  ["run", "--set", "grid.base_divisor=0"],
                  ["run", "--set", "grid.base_divisor=-1"],
-                 formation + ["--set", "zref.dx=0"],
                  formation + ["--set", "grid.dx_hat=0"],
                  formation + ["--set", "zref.n=2"],
                  ["merge", "--set", "merge.dx=0"],
@@ -135,9 +134,13 @@ def test_exit_code_2_paths(tmp_path, monkeypatch):
                  formation + ["--set", f"zoom2.nt={too_many}"],
                  formation + ["--set", f"zoom2.ny={too_many}"],
                  ["merge", "--set", f"merge.nt={too_many}"],
-                 # within MAX_COUNT, but 10^6 snapshots of the eternal wave's
-                 # 3,001 nodes exceed the snapshot memory cap
+                 # within MAX_COUNT, but the eternal wave's quadrature counts at
+                 # least one block of 2^15 terms per time: 10^6 times take 3.3e10
+                 # terms, past its cap of 10^9, refused before any sum
                  formation + ["--set", f"zoom2.nt={MAX_COUNT}", "--set", "zoom2.ny=2"],
+                 # the keys of the eternal wave's padded grid, retired
+                 formation + ["--set", "zref.dx=0.04"],
+                 formation + ["--set", "zref.x_max=60"],
                  # the derivatives of the cubic wave blow up at t = 0, x = 0
                  ["z-table", "--t", "-1", "0", "--x", "-2", "2"],
                  # overflow, reported without a RuntimeWarning or a traceback
@@ -162,14 +165,14 @@ def test_exit_code_2_paths(tmp_path, monkeypatch):
     with monkeypatch.context() as m:
         for module in (experiments, profiles, solver):
             m.setattr(module, "solve", _no_solve)
-        m.setattr(profiles, "z_exact", _no_solve)
+        m.setattr(inviscid, "_z_mean", _no_solve)
         assert main(["run", "--eps", "0.3,0.1", "--out", str(mended)]) == 2
         for setting, commands in MENDED:
             for command in commands:
                 assert main(_long(command, setting, mended)) == 2, (command, setting)
                 assert not mended.exists(), (command, setting)
         # windows the limit object cannot cover: before the surrogate's
-        # earliest restart, off its grid, off the eternal wave's grid; and
+        # earliest restart, or off its grid; and
         # windows whose zoom at the largest eps leaves the scenario's domain
         # (x up to 2.4 on +-2, 2.64 on +-2.5 yet on the surrogate's grid,
         # and 5.4 on +-3.5), or its grid: at dx = 0.0048 the last node is
@@ -295,29 +298,28 @@ def test_bad_restart_settings_exit_2_before_any_solve(tmp_path, monkeypatch):
 
 def test_library_rejects_bad_study_inputs_before_any_solve(monkeypatch):
     # each rule on a study's inputs lives in the library function that runs
-    # the study, and fires before that function's first solve or quadrature
+    # the study, and fires before that function's first solve or quadrature sum
     for module in (experiments, profiles, solver):
         monkeypatch.setattr(module, "solve", _no_solve)
-    monkeypatch.setattr(profiles, "z_exact", _no_solve)
+    monkeypatch.setattr(inviscid, "_z_mean", _no_solve)
     single, merging, formation = (build_scenario(sid, burgers()) for sid in (
         "theorem1-single", "theorem1-merging", "theorem2-formation"))
     surrogate = dict(taus=(-14.0, -16.0), comparison_time=-3.0, dx=0.1,
                      window=Window(-2.0, 2.0, -2.0, 2.0))
     ahead = Window(-30.0, 1.0, -2.0, 2.0)   # its zooms start before t = 0
-    # a stand-in for the eternal wave, which these zooms never reach
-    flat = [(t, GridFunction(-100.0, 1.0, np.zeros(201))) for t in (-1e3, 1.0)]
+    x = np.linspace(0.0, 4.0, 41)
     for call, match in (
-            # the eternal wave: no snapshot time, a window before the launch
-            # time, or off its grid
+            # the eternal wave: no snapshot time; a time before the launch
+            # time, or launch data that overflow, which z_exact checks
             (lambda: profiles.eternal_z(2.0, Window(-1.5, -1.0, -4.0, 4.0), dx=0.1,
-                                        x_max=8.0, snapshot_times=[]),
+                                        snapshot_times=[]),
              "at least one snapshot time"),
-            (lambda: profiles.eternal_z(2.0, Window(-3.0, -1.0, -4.0, 4.0), dx=0.1,
-                                        x_max=10.0, snapshot_times=[-3.0, -1.0]),
+            (lambda: inviscid.z_exact(2.0, [-3.0, -1.0], x), "launch time -n=-2"),
+            (lambda: inviscid.z_exact(1e308, [-3.0, -1.0], x), "launch data"),
+            # the zooms' eternal wave, evaluated after their plans
+            (lambda: experiments.formation_zoom(
+                formation, (0.01,), 2.0, window=Window(-3.0, 1.0, -4.0, 4.0)),
              "launch time -n=-2"),
-            (lambda: profiles.eternal_z(4.0, Window(-3.0, -1.0, -4.0, 12.0), dx=0.1,
-                                        x_max=10.0, snapshot_times=[-3.0, -1.0]),
-             r"x in \[-4, 12\] leaves"),
             # the surrogate: a restart at the comparison time, a comparison
             # after the window, a window before the earliest restart, and one
             # off the restarts' grid (about +-57 here)
@@ -353,9 +355,9 @@ def test_library_rejects_bad_study_inputs_before_any_solve(monkeypatch):
                 merging, (0.01, 0.04), None, window=Window(-1.0, 1.0, -2.0, 66.0)),
              "eps=0.04 sees x"),
             (lambda: experiments.formation_zoom(
-                formation, (0.01,), flat, window=Window(-1e3, 0.0, -1.0, 1.0)), "starts at t="),
+                formation, (0.01,), 32.0, window=Window(-1e3, 0.0, -1.0, 1.0)), "starts at t="),
             (lambda: experiments.formation_zoom(
-                formation, (0.01, 0.04), flat, window=Window(-1.0, 0.5, -2.0, 60.0)),
+                formation, (0.01, 0.04), 32.0, window=Window(-1.0, 0.5, -2.0, 60.0)),
              "eps=0.04 sees x"),
             # a window of zero duration, whose time samples would be 0 apart
             (lambda: experiments.single_shock_zoom(
@@ -363,7 +365,7 @@ def test_library_rejects_bad_study_inputs_before_any_solve(monkeypatch):
             (lambda: experiments.merging_zoom(
                 merging, (0.04,), None, window=Window(0.5, 0.5, -2.0, 2.0)), "zero duration"),
             (lambda: experiments.formation_zoom(
-                formation, (0.01,), flat, window=Window(-1.0, -1.0, -1.0, 1.0)),
+                formation, (0.01,), 32.0, window=Window(-1.0, -1.0, -1.0, 1.0)),
              "zero duration"),
             # samples beyond the solver's snapshot memory: nt x ny values, held
             # once per time shift by the merging search (17 x 21 x 10^6 there)
@@ -371,7 +373,7 @@ def test_library_rejects_bad_study_inputs_before_any_solve(monkeypatch):
                 single, (0.04,), window=Window(-2.0, 2.0, -4.0, 4.0), nt=10**6, ny=101),
              "1 x 1000000 x 101"),
             (lambda: experiments.formation_zoom(
-                formation, (0.01,), flat, window=Window(-1.0, 0.5, -1.0, 1.0), nt=10**6),
+                formation, (0.01,), 32.0, window=Window(-1.0, 0.5, -1.0, 1.0), nt=10**6),
              "1 x 1000000 x 321"),
             (lambda: experiments.merging_zoom(
                 merging, (0.04,), None, window=Window(-1.0, 1.0, -2.0, 2.0), ny=10**6),
@@ -538,11 +540,10 @@ LONG_BASE = {"run.eps": "0.08,0.04,0.02", "run.eps2": "0.04,0.02", "zoom.nt": "3
              "zoom.ny": "41", "grid.base_divisor": "4", "window.t_min": "-1",
              "window.t_max": "1", "window.x_min": "-2", "window.x_max": "2",
              "merge.taus": "-14,-16", "merge.comparison_time": "-3", "merge.dx": "0.1",
-             "merge.nt": "3", "zref.n": "4", "zref.dx": "0.1", "zref.x_max": "15",
-             "zoom2.nt": "3", "zoom2.ny": "41", "grid.dx_hat": "0.1",
-             "window2.t_min": "-1", "window2.t_max": "0.5", "window2.x_min": "-2",
-             "window2.x_max": "2", "sweep.n_nodes": "256", "zlimit.n_list": "4,8",
-             "zlimit.dx": "0.1", "zlimit.x_max": "10"}
+             "merge.nt": "3", "zref.n": "4", "zoom2.nt": "3", "zoom2.ny": "41",
+             "grid.dx_hat": "0.1", "window2.t_min": "-1", "window2.t_max": "0.5",
+             "window2.x_min": "-2", "window2.x_max": "2", "sweep.n_nodes": "256",
+             "zlimit.n_list": "4,8", "zlimit.dx": "0.1", "zlimit.x_max": "10"}
 # the keys the fuzz perturbs, each with values that keep a study cheap
 LONG_KEYS = {"run.eps": _values("0.08,0.04", "0.04,0.08", "0.08,0.04,0.02"),
              "run.eps2": _values("0.04,0.02", "0.02,0.04"),
@@ -550,7 +551,6 @@ LONG_KEYS = {"run.eps": _values("0.08,0.04", "0.04,0.08", "0.08,0.04,0.02"),
              "grid.base_divisor": _values("2", "4"),
              "grid.dx_hat": _values("0.1", "0.2"),
              "zref.n": _values("2", "4"),
-             "zref.dx": _values("0.1", "0.2"),
              "merge.taus": _values("-14,-16", "-16,-14", "-14,-14"),
              "merge.dx": _values("0.1", "0.2"),
              "merge.comparison_time": _values("-3", "-5"),

@@ -4,7 +4,7 @@ import pytest
 
 from shockzoom import (Clamped, ConfigError, GridFunction, Periodic, RescaleFrame,
                        SnapshotInterpolant, SolverConfig, Window, burgers,
-                       burgers_plus_linear, build_scenario, eternal_z, solve,
+                       burgers_plus_linear, build_scenario, solve,
                        trapezoid)
 from shockzoom import experiments, solver
 from shockzoom.experiments import (COARSE_PECLET, SHIFT_DY, SHIFT_LATTICE, SHIFT_RANGE,
@@ -200,9 +200,7 @@ def test_formation_zoom_regression():
     # sigma = 2^(-1/3) and lam = 0.5 exercise the normalised type-2 frame
     scen = build_scenario("theorem2-formation", burgers_plus_linear(0.5), amplitude=2.0)
     window = Window(-1.0, 0.5, -2.0, 2.0)
-    z_wave = eternal_z(4.0, window, dx=0.1, x_max=15.0,
-                       snapshot_times=list(window.t_samples(3)))
-    outcomes = formation_zoom(scen, (0.04, 0.02), z_wave, window=window,
+    outcomes = formation_zoom(scen, (0.04, 0.02), 4.0, window=window,
                               nt=3, ny=41, dx_hat=0.1)
     _pinned(outcomes, [
         (0.04, 0.012643830628607411, 0.048956037348334265, 0.0, 0.0),
@@ -230,8 +228,6 @@ def test_one_time_zooms_integrate_over_y(monkeypatch):
                                 window=Window(-2.25, 2.25, -3.25, 3.25),
                                 comparison_time=-3.0, dx=0.1)
     z_window = Window(-1.0, 0.5, -2.0, 2.0)
-    z_wave = eternal_z(4.0, z_window, dx=0.1, x_max=15.0,
-                       snapshot_times=list(z_window.t_samples(1)))
     # (window, ny, zoom, the candidate axes of its models)
     cases = [
         (Window(-2.0, 2.0, -4.0, 4.0), 81, lambda w: single_shock_zoom(
@@ -240,7 +236,7 @@ def test_one_time_zooms_integrate_over_y(monkeypatch):
             merging, (0.08,), wave, window=w, nt=1, ny=41, base_divisor=4.0),
          {(), (len(SHIFT_TIMES),)}),
         (z_window, 41, lambda w: formation_zoom(
-            formation, (0.04,), z_wave, window=w, nt=1, ny=41, dx_hat=0.1), {()}),
+            formation, (0.04,), 4.0, window=w, nt=1, ny=41, dx_hat=0.1), {()}),
     ]
     for window, ny, zoom, axes in cases:
         calls.clear()
@@ -334,10 +330,8 @@ def test_zoom_local_solve_matches_full_solve(monkeypatch):
     # march at stride m and one more starts at t0
     scen = build_scenario("theorem2-formation", burgers_plus_linear(0.5), amplitude=2.0)
     window = Window(-1.0, 0.5, -2.0, 2.0)
-    z_wave = eternal_z(4.0, window, dx=0.1, x_max=15.0,
-                       snapshot_times=list(window.t_samples(3)))
     eps, dx = 0.01, 0.04 * 0.01 ** 0.75
-    (outcome,) = formation_zoom(scen, (eps,), z_wave, window=window, nt=3, ny=41,
+    (outcome,) = formation_zoom(scen, (eps,), 4.0, window=window, nt=3, ny=41,
                                 dx_hat=0.04)
     sup_gap, _, strides, cut = gap(scen, eps, dx, window, 3, 41)
     speed = scen.flux.max_speed(scenario_grid(scen, dx).values)

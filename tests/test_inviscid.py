@@ -161,9 +161,14 @@ def test_z_exact_sits_above_the_cubic_wave():
 
 def test_z_exact_quadrature_is_converged(monkeypatch):
     # half the trapezoid step over twice the tail moves no value past 1e-13,
-    # on the default zref and zlimit horizons and past the blow-up
+    # on the default zref and zlimit horizons and past the blow-up, on wide
+    # x-ranges and on the zoom windows of the formation run and of
+    # test_formation_zoom_regression, where the weight's sextic tail, not
+    # its saddles, sets the step (a saddle-only step moved them 1.7e-8 and
+    # 2.2e-6)
     cases = [(32.0, np.linspace(-3.0, 1.0, 17), 60.0), (4.0, [-3.5, -1.0], 40.0),
-             (48.0, [-3.0, 1.0], 60.0), (2.0, [-1.9, 10.0], 12.0)]
+             (48.0, [-3.0, 1.0], 60.0), (2.0, [-1.9, 10.0], 12.0),
+             (32.0, np.linspace(-3.0, 1.0, 17), 4.0), (4.0, [-1.0, -0.25, 0.5], 2.0)]
     x = [np.linspace(0.0, xr, 1501) for _, _, xr in cases]
     got = [z_exact(n, t, xs) for (n, t, _), xs in zip(cases, x)]
     monkeypatch.setattr(inviscid, "Z_STEP", inviscid.Z_STEP / 2.0)
@@ -179,7 +184,7 @@ def test_z_exact_bounds_its_work(monkeypatch):
     for n, t in ((32.0, -32.0 + 1e-9), (4.0, 1e10), (4.0, 1e300)):
         with pytest.raises(ConfigError, match="quadrature nodes"):
             z_exact(n, t, x)
-    with pytest.raises(ValueError, match="t >= -n"):
+    with pytest.raises(ConfigError, match="t >= -n, the launch time -n=-4"):
         z_exact(4.0, -4.5, x)
     # a huge horizon stays finite and near its limit Z(infinity)
     far = z_exact(1e100, 1.0, x)
@@ -193,3 +198,7 @@ def test_z_exact_bounds_its_work(monkeypatch):
     monkeypatch.setattr(inviscid, "MAX_QUADRATURE_TERMS", 10**6)
     with pytest.raises(ConfigError, match="quadrature terms"):
         z_exact(32.0, np.linspace(-3.0, 1.0, 17), x)
+    # each time counts at least one 2^15-term block of the sum, however few
+    # its x: 31 of them exceed 10^6
+    with pytest.raises(ConfigError, match="1015808 quadrature terms"):
+        z_exact(32.0, np.linspace(-3.0, 1.0, 31), [1.0])

@@ -105,7 +105,7 @@ def test_merging_initial_rejects_late_tau():
 
 def test_eternal_wave_is_odd():
     win = Window(-1.5, -0.5, -6.0, 6.0)
-    zw = eternal_z(2.0, win, dx=0.05, x_max=12.0, snapshot_times=[-1.5, -0.5])
+    zw = eternal_z(2.0, win, dx=0.05, snapshot_times=[-1.5, -0.5])
     for t, g in zw:
         v = g.values
         # x >= 0, mirrored
@@ -114,7 +114,7 @@ def test_eternal_wave_is_odd():
 
 def test_eternal_wave_sits_above_cubic():
     win = Window(-1.5, -0.5, -6.0, 6.0)
-    zw = eternal_z(2.0, win, dx=0.05, x_max=12.0, snapshot_times=[-1.5, -0.5])
+    zw = eternal_z(2.0, win, dx=0.05, snapshot_times=[-1.5, -0.5])
     t, g = zw[-1]
     assert t == -0.5
     z = z_root(t, g.x)
@@ -142,7 +142,7 @@ def test_eternal_wave_converges_at_second_order():
 
         snaps = solve(data, burgers(), SolverConfig(1.0, Clamped(ends)), times[-1] + n,
                       [t + n for t in times])
-        exact = eternal_z(n, window, dx=dx, x_max=4.0, snapshot_times=times)
+        exact = eternal_z(n, window, dx=dx, snapshot_times=times)
         inner = slice(half - exact[0][1].n // 2, half + exact[0][1].n // 2 + 1)
         errors.append(max(float(np.max(np.abs(g.values[inner] - z.values)))
                           for (_, g), (_, z) in zip(snaps, exact)))
@@ -153,13 +153,14 @@ def test_eternal_wave_converges_at_second_order():
 def test_eternal_wave_needs_launch_before_window():
     win = Window(-1.0, -0.5, -4.0, 4.0)
     with pytest.raises(ValueError, match="launch"):
-        eternal_z(0.5, win, dx=0.05, x_max=8.0, snapshot_times=[-1.0, -0.5])
+        eternal_z(0.5, win, dx=0.05, snapshot_times=[-1.0, -0.5])
 
 
-# grid radii half*dx of the eternal waves built by the gate, the CLI and the tests
+# grid radii half*dx of the clamped judge and of the eternal waves built by
+# the gate, the CLI and the tests
 CLAMP_RADII = [round(x_max / dx) * dx for x_max, dx in
-               ((60.0, 0.02), (40.0, 0.02), (60.0, 0.04), (40.0, 0.1),
-                (12.0, 0.05), (15.0, 0.1), (10.0, 0.05), (8.0, 0.05))]
+               ((60.0, 0.02), (60.0, 0.04), (40.0, 0.02), (20.0, 0.02),
+                (10.0, 0.1), (6.0, 0.05), (4.0, 0.04), (4.0, 0.02))]
 
 
 def test_outer_root_is_odd_bitwise():
