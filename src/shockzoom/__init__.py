@@ -17,7 +17,7 @@ from .grid import (GridFunction, Window, l1_distance, max_forward_slope,
                    periodic_mass, trapezoid)
 from .solver import (Clamped, OleinikReport, Periodic, SolverConfig,
                      oleinik_check, solve)
-from .inviscid import (SmoothData, ZBoundsReport, ZPoint, blowup_time,
+from .inviscid import (SmoothData, ZBoundsReport, blowup_time,
                        characteristic_value, two_shock, single_shock,
                        z_bounds_audit, z_eval, z_exact, z_root)
 from .profiles import (CauchyReport, MergingTriple, TravelingWave,

@@ -413,22 +413,25 @@ def cmd_ztable(cfg: Config, args: argparse.Namespace) -> int:
         raise ConfigError("--x: need x_min < x_max")
     if any(t > 0.0 for t in t_values):
         raise ConfigError("--t: the cubic wave is defined for t <= 0")
+    if len(t_values) * n > MAX_COUNT:
+        raise ConfigError(f"--t/--n: {len(t_values)} times of {n} samples make more "
+                          f"than {MAX_COUNT} rows")
     # an infinite range or an argument too large for the cubic gives a
     # non-finite value, reported below
     with np.errstate(all="ignore"):
-        xs = np.linspace(x_range[0], x_range[1], n)
-        points = [z_eval(float(t), float(xv)) for t in t_values for xv in xs]
+        t, x = np.meshgrid(t_values, np.linspace(x_range[0], x_range[1], n), indexing="ij")
+        table = np.stack([t, x, *z_eval(t, x)], axis=-1).reshape(-1, 6)
     # the derivatives blow up at the singular point t = 0, x = 0
-    bad = next((p for p in points
-                if not all(map(math.isfinite, (p.z, p.zx, p.zxx, p.zxxx)))), None)
-    if bad is not None:
+    bad = np.flatnonzero(~np.all(np.isfinite(table[:, 2:]), axis=1))
+    if bad.size:
+        t, x = table[bad[0], :2].tolist()
         raise ConfigError(f"--t/--x: the cubic wave or its x-derivatives are not "
-                          f"finite at t={bad.t!r}, x={bad.x!r}")
+                          f"finite at t={t!r}, x={x!r}")
     out = _out_dir(cfg, args.out)
-    io.write_z_table(out / "ztable.csv", points)
+    io.write_z_table(out / "ztable.csv", table)
     io.write_summary(out / "summary.json", {
         "command": "z-table", "config": cfg.values, "t": list(t_values),
-        "x": list(x_range), "n": n, "rows": len(points), "passed": True,
+        "x": list(x_range), "n": n, "rows": len(table), "passed": True,
     })
     return 0
 
@@ -462,16 +465,18 @@ def cmd_merge(cfg: Config, args: argparse.Namespace) -> int:
     scenario = make_scenario(cfg, "theorem1-merging")
     window = _config_window(cfg, "window")
     nt = cfg["merge.nt"]
+    ys = window.x_samples(201)
+    if nt * ys.size > MAX_COUNT:
+        raise ConfigError(f"merge.nt: {nt} times of {ys.size} samples make more than "
+                          f"{MAX_COUNT} rows")
     settings = _merge_settings(cfg, window)
     out = _out_dir(cfg, args.out)
     wave, cauchy = experiments.merging_surrogate(scenario, **settings)
-    ys = window.x_samples(201)
-
-    def sample(t: float) -> GridFunction:
-        return GridFunction(float(ys[0]), float(ys[1] - ys[0]), wave(t, ys))
-
-    io.write_snapshots(out / "wave.csv",
-                       [(float(t), sample(float(t))) for t in window.t_samples(nt)])
+    # the table's times, then t_max, where the post-merge fit reads the wave
+    ts = window.t_samples(nt)
+    states = [GridFunction(float(ys[0]), float(ys[1] - ys[0]), row)
+              for row in wave(np.append(ts, window.t_max), ys)]
+    io.write_snapshots(out / "wave.csv", list(zip(ts.tolist(), states[:-1])))
     checks = [_decreasing("cauchy-decreasing", cauchy.comparison_time, cauchy.distances)]
     # a single restart pair has no slope to test
     if len(cauchy.distances) >= 2:
@@ -481,7 +486,7 @@ def cmd_merge(cfg: Config, args: argparse.Namespace) -> int:
     u_minus, u_plus = scenario.states[0], scenario.states[-1]
     delta = 0.05 * (u_minus - u_plus)
     try:
-        fit = strip_profile_fit(sample(window.t_max), scenario.flux, u_minus, u_plus, delta)
+        fit = strip_profile_fit(states[-1], scenario.flux, u_minus, u_plus)
         checks.append(("post-merge", window.t_max, delta - fit.sup_error,
                        fit.sup_error <= delta))
     except NoCrossingError:

@@ -69,16 +69,20 @@ def chord_region_membership(curve: WCurve, flux: FluxModel, u_minus: float,
 
 
 def strip_profile_fit(state: GridFunction, flux: FluxModel, u_minus: float,
-                      u_plus: float, delta: float,
-                      template: Optional[TravelingWave] = None) -> FitResult:
+                      u_plus: float, template: Optional[TravelingWave] = None) -> FitResult:
     """Fit a shifted traveling wave to a state whose w-curve hugs the chord.
 
-    The state must straddle the midpoint of the two states; the caller
-    asserts sup_error against its delta budget.
+    NoCrossingError unless the state reaches more than 1e-9 of the jump
+    past the midpoint of the two states on both sides; the caller asserts
+    sup_error against its own budget.
     """
     mid = 0.5 * (u_minus + u_plus)
+    # a state within rounding of the midpoint at one end has the shock on
+    # its edge, where the sign of that rounding decides a crossing; 1e-9 of
+    # the jump is far above rounding and far below any fit error
+    gap = 1e-9 * (u_minus - u_plus)
     v = state.values
-    if not (np.min(v) < mid < np.max(v)):
+    if not np.min(v) < mid - gap < mid + gap < np.max(v):
         raise NoCrossingError("state does not straddle the midpoint")
     if template is None:
         half = max(abs(state.x_left), abs(state.x_right)) + 10.0

@@ -33,15 +33,15 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .diagnostics import phase_audit
+from .diagnostics import phase_audit, strip_profile_fit
 from .flux import FluxModel, burgers
-from .errors import ConfigError, NoCrossingError, OutOfDomainError
+from .errors import ConfigError, OutOfDomainError
 from .grid import (MAX_CELLS, GridFunction, Window, cell_count, l1_distance,
                    periodic_mass, prolong_cubic, trapezoid)
 from .inviscid import z_bounds_audit, z_exact, z_root
 from .profiles import CauchyReport, eternal_z, merging_wave, traveling_wave
 from .rescale import (RateFit, RescaleFrame, SnapshotInterpolant, convergence_rate,
-                      fit_formation_frame, fit_shift)
+                      fit_formation_frame)
 from .scenarios import Scenario
 from .solver import (MAX_SNAPSHOT_VALUES, Clamped, OleinikReport, Periodic, SolverConfig,
                      check_step_count, oleinik_check, solve)
@@ -274,8 +274,8 @@ def single_shock_zoom(scenario: Scenario, eps_list: Sequence[float], *,
 
     The shift is fitted once per viscosity, on the central time slice; the
     same shifted wave is then held against every slice of the window.
-    NoCrossingError unless that slice reaches more than 1e-9 of the jump
-    past the midpoint on both sides.
+    NoCrossingError unless that slice straddles the midpoint, as
+    ``strip_profile_fit`` asks.
     """
     s_grid, y_grid, fields = zooms(scenario, eps_list, window, nt, ny,
                                     base_divisor=base_divisor)
@@ -289,16 +289,8 @@ def single_shock_zoom(scenario: Scenario, eps_list: Sequence[float], *,
     for eps, field in fields:
         # the wave moves at the shock speed through the zoom window
         centered = GridFunction(float(y_grid[0]), float(y_grid[1] - y_grid[0]), field[k0])
-        # a slice within rounding of the midpoint at one end has the shock on
-        # the window's edge, where the sign of that rounding decides a crossing;
-        # 1e-9 of the jump is far above rounding and far below any zoom error
-        gap = 1e-9 * (u_minus - u_plus)
-        mid = template.midpoint
-        if not np.min(centered.values) < mid - gap < mid + gap < np.max(centered.values):
-            raise NoCrossingError(f"the central slice at eps={eps:.3g} does not straddle "
-                                  f"the midpoint: the shock is not inside the window")
         moved = GridFunction(centered.x_left - lam * s_grid[k0], centered.dx, centered.values)
-        fit = fit_shift(moved, template, mid)
+        fit = strip_profile_fit(moved, scenario.flux, u_minus, u_plus, template)
         sup, l1 = _mismatch(field, template(centered.x - lam * s_grid[:, None] - fit.shift),
                             s_grid, y_grid)
         out.append(ZoomOutcome(eps, float(sup), float(l1), fit.shift))
@@ -361,9 +353,9 @@ def merging_zoom(scenario: Scenario, eps_list: Sequence[float],
         # fine local scan of the time shift: the optimum drifts off the
         # coarse lattice as eps shrinks, and the leftover dt error would
         # otherwise floor the sweep
-        fine = [float(dt) for dt in bt + (SHIFT_LATTICE / 8.0) * np.arange(-8, 9)
-                if abs(dt) <= SHIFT_RANGE]
-        bt = fine[int(np.argmin([mismatch(dt, by)[1] for dt in fine]))]
+        fine = bt + (SHIFT_LATTICE / 8.0) * np.arange(-8, 9)
+        fine = fine[np.abs(fine) <= SHIFT_RANGE]
+        bt = float(fine[int(np.argmin(mismatch(fine, by)[1]))])
         # parabolic refinement of the space shift at the winning point; the
         # vertex replaces it only with a strictly smaller L1
         lo, mid, hi = (float(mismatch(bt, dy)[1])
@@ -580,9 +572,7 @@ def suite_sandwich(n: float = 16.0, dx: float = 0.02, x_check: float = 40.0,
     Checks z <= Z^(n) <= z + 2|t|^{-3/2} + 5 dx on |x| <= x_check for x >= 0
     and the mirrored order on x <= 0.
     """
-    times = sorted(float(t) for t in times)
-    wave = eternal_z(n, Window(times[0], times[-1], -x_check, x_check), dx=dx,
-                     snapshot_times=times)
+    wave = eternal_z(n, x_check, dx=dx, snapshot_times=times)
     rows = []
     for t, g in wave:
         diff = g.values - z_root(t, g.x)

@@ -22,6 +22,10 @@ from .errors import ConfigError, MultipleRootsError, NoBracketError, NotOrderedE
 from .flux import FluxModel, ShockData, rankine_hugoniot
 
 _FD_RTOL = 1e-6
+# rows per block of ``characteristic_value``: 512 x 257 scan points, 1 MB an
+# array, however many x a reference asks for (4096 rows at once raised the
+# peak RSS of a sweep before the blow-up from 37 to 66 MB, for no speed)
+_FOOT_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -48,62 +52,78 @@ class SmoothData:
             raise ValueError("du0 disagrees with finite differences of u0")
 
 
-def characteristic_value(data: SmoothData, flux: FluxModel, t: float, x: float) -> float:
-    """Value carried to (t, x) along straight characteristics.
+def characteristic_value(data: SmoothData, flux: FluxModel, t: float, x):
+    """Values carried to (t, x) along straight characteristics, at every x at once.
 
-    Solves xi + t f'(u0(xi)) = x for the foot point by a bracketed scan,
-    bisection, and a Newton polish.  A single sign change is required:
-    none raises NoBracketError, several raise MultipleRootsError (the
-    characteristic field has folded).
+    Solves xi + t f'(u0(xi)) = x for each foot point by a bracketed scan,
+    bisection, and a Newton polish, one row per x, in blocks of
+    _FOOT_ROWS rows.  Each x needs a single sign change: at the first x with
+    none NoBracketError, with several MultipleRootsError (the
+    characteristic field has folded).  A scalar x gives a float.
     """
+    xs = np.asarray(x, dtype=float)
+    flat = xs.ravel()
+    out = np.empty(flat.size)
 
-    def residual(xi):
+    def residual(xi, x):
         return xi + t * flux.df(data.u0(xi)) - x
 
-    # bootstrap the speed bound from a local sample, then widen
-    local = np.linspace(x - 1.0, x + 1.0, 33)
-    m = float(np.max(np.abs(flux.df(data.u0(local)))))
-    width = (m + 1.0) * (abs(t) + 1.0)
-    wide = np.linspace(x - width, x + width, 65)
-    m = max(m, float(np.max(np.abs(flux.df(data.u0(wide))))))
-    lo = x - abs(t) * m - 1.0
-    hi = x + abs(t) * m + 1.0
+    for first in range(0, flat.size, _FOOT_ROWS):
+        x = flat[first:first + _FOOT_ROWS]
+        # bootstrap the speed bound from a local sample, then widen
+        local = np.linspace(x - 1.0, x + 1.0, 33, axis=-1)
+        m = np.max(np.abs(flux.df(data.u0(local))), axis=1)
+        width = (m + 1.0) * (abs(t) + 1.0)
+        wide = np.linspace(x - width, x + width, 65, axis=-1)
+        m = np.maximum(m, np.max(np.abs(flux.df(data.u0(wide))), axis=1))
+        lo = x - abs(t) * m - 1.0
+        hi = x + abs(t) * m + 1.0
 
-    scan = np.linspace(lo, hi, 257)
-    r = residual(scan)
-    # an exact zero at a scan node is one root, not two sign flips around it
-    node_roots = np.nonzero(r == 0.0)[0]
-    sign_change = np.nonzero(r[:-1] * r[1:] < 0.0)[0]
-    n_roots = node_roots.size + sign_change.size
-    if n_roots == 0:
-        raise NoBracketError(f"no characteristic foot point in [{lo:.3g}, {hi:.3g}]")
-    if n_roots > 1:
-        raise MultipleRootsError(
-            f"{n_roots} candidate foot points: characteristics have crossed")
-    if node_roots.size:
-        return float(data.u0(scan[node_roots[0]]))
+        scan = np.linspace(lo, hi, 257, axis=-1)
+        r = residual(scan, x[:, None])
+        # an exact zero at a scan node is one root, not two sign flips around it
+        node_root = r == 0.0
+        sign_change = r[:, :-1] * r[:, 1:] < 0.0
+        n_roots = np.sum(node_root, axis=1) + np.sum(sign_change, axis=1)
+        bad = np.flatnonzero(n_roots != 1)
+        if bad.size:
+            k = bad[0]
+            if n_roots[k] == 0:
+                raise NoBracketError(f"no characteristic foot point of x={x[k]:.6g} in "
+                                     f"[{lo[k]:.3g}, {hi[k]:.3g}]")
+            raise MultipleRootsError(f"{n_roots[k]} candidate foot points of x={x[k]:.6g}: "
+                                     f"characteristics have crossed")
 
-    a, b = scan[sign_change[0]], scan[sign_change[0] + 1]
-    ra = residual(a)
-    for _ in range(80):
-        mid = 0.5 * (a + b)
-        rm = residual(mid)
-        if rm == 0.0 or (b - a) < 1e-13 * max(1.0, abs(mid)):
-            a = b = mid
-            break
-        if (ra < 0.0) == (rm < 0.0):
-            a, ra = mid, rm
-        else:
-            b = mid
-    xi = 0.5 * (a + b)
-    # one Newton polish; derivative by finite differences of the residual
-    h = 1e-7 * max(1.0, abs(xi))
-    dr = (residual(xi + h) - residual(xi - h)) / (2.0 * h)
-    if dr != 0.0 and np.isfinite(dr):
-        xi_new = xi - residual(xi) / dr
-        if lo <= xi_new <= hi:
-            xi = xi_new
-    return float(data.u0(xi))
+        # each row's bracket: [j, j + 1] around its sign change, or its root
+        # node j twice, which is settled and skips the bisection and polish
+        rows = np.arange(x.size)
+        node = np.any(node_root, axis=1)
+        j = np.where(node, np.argmax(node_root, axis=1), np.argmax(sign_change, axis=1))
+        a = scan[rows, j]
+        b = scan[rows, j + ~node]
+        ra = residual(a, x)
+        live = ~node
+        for _ in range(80):
+            if not np.any(live):
+                break
+            mid = 0.5 * (a + b)
+            rm = residual(mid, x)
+            done = live & ((rm == 0.0) | ((b - a) < 1e-13 * np.maximum(1.0, np.abs(mid))))
+            live &= ~done
+            left = live & ((ra < 0.0) == (rm < 0.0))
+            a = np.where(done | left, mid, a)
+            ra = np.where(left, rm, ra)
+            b = np.where(done | (live & ~left), mid, b)
+        xi = 0.5 * (a + b)
+        # one Newton polish off the nodes; derivative by finite differences
+        # of the residual
+        h = 1e-7 * np.maximum(1.0, np.abs(xi))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dr = (residual(xi + h, x) - residual(xi - h, x)) / (2.0 * h)
+            xi_new = xi - residual(xi, x) / dr
+        polish = ~node & (dr != 0.0) & np.isfinite(dr) & (lo <= xi_new) & (xi_new <= hi)
+        out[first:first + _FOOT_ROWS] = data.u0(np.where(polish, xi_new, xi))
+    return out.reshape(xs.shape) if xs.ndim else float(out[0])
 
 
 def blowup_time(data: SmoothData, flux: FluxModel, xi: float) -> float:
@@ -189,41 +209,17 @@ def _outer_root(t, x):
     return z if z.ndim else float(z)
 
 
-def _z_derivatives(t, z):
-    """First three x-derivatives from implicit differentiation of the cubic."""
+def z_eval(t, x):
+    """The cubic wave and its first three x-derivatives, (z, z_x, z_xx, z_xxx),
+    as arrays broadcast over t and x, all t <= 0.
+
+    The derivatives come from implicit differentiation of the cubic.
+    """
+    z = z_root(t, x)
     t = np.asarray(t, dtype=float)
-    z = np.asarray(z, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         g = t - 3.0 * z * z          # negative for t < 0
-        zx = 1.0 / g
-        zxx = 6.0 * z / g ** 3
-        zxxx = 6.0 / g ** 4 + 108.0 * z * z / g ** 5
-    return zx, zxx, zxxx
-
-
-@dataclass(frozen=True)
-class ZPoint:
-    """Cubic-wave value and x-derivatives at one (t, x)."""
-
-    t: float
-    x: float
-    z: float
-    zx: float
-    zxx: float
-    zxxx: float
-
-    @property
-    def residual(self) -> float:
-        return abs(self.x - (self.t * self.z - self.z ** 3))
-
-
-def z_eval(t: float, x: float) -> ZPoint:
-    """Evaluate the cubic wave and its first three x-derivatives at (t, x), t <= 0."""
-    if t > 0.0:
-        raise ValueError("z_eval requires t <= 0")
-    z = float(z_root(t, x))
-    zx, zxx, zxxx = _z_derivatives(t, z)
-    return ZPoint(float(t), float(x), z, float(zx), float(zxx), float(zxxx))
+        return z, 1.0 / g, 6.0 * z / g ** 3, 6.0 / g ** 4 + 108.0 * z * z / g ** 5
 
 
 @dataclass(frozen=True)
@@ -251,8 +247,7 @@ def z_bounds_audit(t_grid: Sequence[float], x_grid: Sequence[float]) -> ZBoundsR
     if np.any(t_grid >= 0.0):
         raise ValueError("audit grid needs t < 0")
     tt, xx = np.meshgrid(t_grid, x_grid, indexing="ij")
-    z = z_root(tt, xx)
-    zx, zxx, zxxx = _z_derivatives(tt, z)
+    z, zx, zxx, zxxx = z_eval(tt, xx)
     absz = np.abs(z)
     abst = np.abs(tt)
     absx = np.abs(xx)
@@ -303,7 +298,8 @@ def z_exact(n: float, t, x: np.ndarray) -> np.ndarray:
     if not (0.0 < n < np.inf and np.all(np.isfinite(times) & (times >= -n))):
         raise ConfigError(f"Z^(n) needs a finite n > 0 and finite times t >= -n, "
                           f"the launch time -n={-n:.6g}")
-    ax = np.abs(x)
+    # Z is odd: each distinct |x| is summed once
+    ax, back = np.unique(np.abs(x), return_inverse=True)
     xr = float(np.max(ax, initial=0.0))
     with np.errstate(over="ignore", invalid="ignore"):
         if not np.isfinite(z_root(-n, xr)):
@@ -313,7 +309,7 @@ def z_exact(n: float, t, x: np.ndarray) -> np.ndarray:
     if terms <= MAX_QUADRATURE_TERMS:
         lo, hi, h = _z_spans(n, times[later], xr)
         nodes = np.ceil(hi / h) - np.floor(lo / h) + 1.0
-        terms = int(np.sum(np.maximum(x.size * nodes, 2**15)))
+        terms = int(np.sum(np.maximum(ax.size * nodes, 2**15)))
     if terms > MAX_QUADRATURE_TERMS:
         raise ConfigError(f"Z^({n:.3g}) takes {terms} quadrature terms, more than "
                           f"{MAX_QUADRATURE_TERMS}")
@@ -323,8 +319,9 @@ def z_exact(n: float, t, x: np.ndarray) -> np.ndarray:
         z = step * np.arange(np.floor(a / step), np.ceil(b / step) + 1.0)
         keep = np.flatnonzero(_z_bound(z, n, times[i], xr) >= -Z_TAIL)
         z = z[max(keep[0] - 1, 0):keep[-1] + 2]
-        # Z is odd, so x = 0 takes 0
-        out[i] = np.where(x == 0.0, 0.0, np.sign(x) * _z_mean(n, times[i], ax, z))
+        # x = 0 takes 0, not the -0 of a negative sum
+        out[i] = np.where(x == 0.0, 0.0,
+                          np.sign(x) * _z_mean(n, times[i], ax, z)[back].reshape(x.shape))
     if not np.all(np.isfinite(out)):
         raise ConfigError(f"Z^({n:.3g}) is not finite")
     return out if np.ndim(t) else out[0]

@@ -40,10 +40,10 @@ def parse_cell(s: str) -> Cell:
 
 
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence[Cell]]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_cell(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    """The header and each row as one line, streamed to the file."""
+    with open(path, "w") as f:
+        f.write(",".join(header) + "\n")
+        f.writelines(",".join(map(format_cell, row)) + "\n" for row in rows)
 
 
 def read_csv(path) -> Tuple[List[str], List[Tuple[Cell, ...]]]:
@@ -69,10 +69,9 @@ def write_profile(path, x: np.ndarray, values: np.ndarray) -> None:
               ((float(a), float(b)) for a, b in zip(x, values)))
 
 
-def write_z_table(path, points) -> None:
-    """Rows of cubic-wave evaluations (ZPoint instances)."""
-    write_csv(path, ("t", "x", "z", "zx", "zxx", "zxxx"),
-              ((p.t, p.x, p.z, p.zx, p.zxx, p.zxxx) for p in points))
+def write_z_table(path, points: np.ndarray) -> None:
+    """Cubic-wave evaluations, one (t, x, z, zx, zxx, zxxx) row of ``points`` each."""
+    write_csv(path, ("t", "x", "z", "zx", "zxx", "zxxx"), (p.tolist() for p in points))
 
 
 def write_sweep(path, outcomes) -> None:

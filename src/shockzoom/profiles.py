@@ -33,10 +33,6 @@ class TravelingWave:
     profile: GridFunction
     flux: FluxModel = field(repr=False, compare=False)
 
-    @property
-    def midpoint(self) -> float:
-        return 0.5 * (self.shock.u_minus + self.shock.u_plus)
-
     def __call__(self, x):
         """Linear interpolation with the exact limits beyond the grid."""
         return np.interp(x, self.profile.x, self.profile.values,
@@ -256,11 +252,11 @@ def merging_wave(triple: MergingTriple, tau_list: Sequence[float], window: Windo
 # the eternal wave
 
 
-def eternal_z(n: float, window: Window, *, dx: float,
+def eternal_z(n: float, half_width: float, *, dx: float,
               snapshot_times: Sequence[float]) -> List[Tuple[float, GridFunction]]:
     """(t, state) pairs of the exact eternal wave Z^(n) (``z_exact``) at the
     snapshot times, on the grid of [-xr, xr] at spacing dx, xr the node
-    nearest the window's largest |x|.  Z is odd, so only x >= 0 is evaluated.
+    nearest ``half_width``.
 
     ConfigError, before any quadrature, unless there is a snapshot time and
     the snapshots hold at most MAX_SNAPSHOT_VALUES values; ``z_exact``
@@ -269,13 +265,12 @@ def eternal_z(n: float, window: Window, *, dx: float,
     times = sorted(set(float(t) for t in np.atleast_1d(snapshot_times)))
     if not times:
         raise ConfigError("eternal_z needs at least one snapshot time")
-    half = cell_count(max(abs(window.x_min), abs(window.x_max)), dx)
+    half = cell_count(half_width, dx)
     if len(times) * (2 * half + 1) > MAX_SNAPSHOT_VALUES:
         raise ConfigError(f"{len(times)} snapshots of {2 * half + 1} nodes exceed "
                           f"{MAX_SNAPSHOT_VALUES} stored values")
-    rows = z_exact(n, times, dx * np.arange(half + 1))
-    return [(t, GridFunction(-half * dx, dx, np.concatenate([-row[:0:-1], row])))
-            for t, row in zip(times, rows)]
+    rows = z_exact(n, times, dx * np.arange(-half, half + 1))
+    return [(t, GridFunction(-half * dx, dx, row)) for t, row in zip(times, rows)]
 
 
 @dataclass(frozen=True)
@@ -306,7 +301,8 @@ def eternal_z_limit(n_list: Sequence[float], window: Window, *, dx: float,
     if len(ns) < 2:
         raise ValueError("need at least two horizons")
     sample_times = [float(t) for t in np.linspace(window.t_min, window.t_max, 9)]
-    runs = [eternal_z(v, window, dx=dx, snapshot_times=sample_times) for v in ns]
+    half_width = max(abs(window.x_min), abs(window.x_max))
+    runs = [eternal_z(v, half_width, dx=dx, snapshot_times=sample_times) for v in ns]
 
     mono = np.inf
     sups = []

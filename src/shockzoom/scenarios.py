@@ -104,9 +104,7 @@ def single_shock_scenario(flux: FluxModel, u_minus: float = 1.0, u_plus: float =
         if t >= formed:
             return single_shock(shock, t, x)
         if t < 0.98 * blow:
-            xs = np.atleast_1d(np.asarray(x, dtype=float))
-            out = np.array([characteristic_value(data, flux, t, xi) for xi in xs])
-            return out if np.ndim(x) else float(out[0])
+            return characteristic_value(data, flux, t, x)
         raise OutOfDomainError(
             f"no exact reference between blow-up ({blow:.3g}) and absorption ({formed:.3g})")
 
@@ -156,9 +154,7 @@ def merging_shocks_scenario(flux: FluxModel, u_minus: float = 1.0, u_star: float
         if t >= formed:
             return two_shock(flux, u_minus, u_star, u_plus, t - tau, x)
         if t < 0.98 * blow:
-            xs = np.atleast_1d(np.asarray(x, dtype=float))
-            out = np.array([characteristic_value(data, flux, t, xi) for xi in xs])
-            return out if np.ndim(x) else float(out[0])
+            return characteristic_value(data, flux, t, x)
         raise OutOfDomainError(
             f"no exact reference between blow-up ({blow:.3g}) and absorption ({formed:.3g})")
 

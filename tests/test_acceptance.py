@@ -107,7 +107,7 @@ def test_criterion_06_merging_cauchy_rate(merging_bundle):
     t0 = time.perf_counter()
     xs = np.arange(-5.0, 5.0 + 0.025, 0.05)
     state = GridFunction(-5.0, 0.05, wave(12.0, xs))
-    fit = strip_profile_fit(state, burgers(), 1.0, -1.0, 0.05)
+    fit = strip_profile_fit(state, burgers(), 1.0, -1.0)
     elapsed = merging_bundle["elapsed"] + (time.perf_counter() - t0)
     _say(6, f"distances {[f'{d:.3e}' for d in cauchy.distances]}, "
             f"slope {cauchy.log_slope:.3f}, post-merge sup {fit.sup_error:.3e}, "
@@ -186,8 +186,7 @@ def test_criterion_13_strip_size_linearity():
     ratios = []
     for delta in (0.1, 0.05, 0.025):
         state = GridFunction(-15.0, dx, -np.tanh(x / 2.0) + 0.5 * delta * bump)
-        fit = strip_profile_fit(state, burgers(), 1.0, -1.0, delta,
-                                template=template)
+        fit = strip_profile_fit(state, burgers(), 1.0, -1.0, template=template)
         ratios.append(fit.sup_error / delta)
     band = max(ratios) / min(ratios)
     _say(13, f"sup_error/delta ratios {[f'{r:.4f}' for r in ratios]}, "

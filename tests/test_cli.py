@@ -166,6 +166,7 @@ def test_exit_code_2_paths(tmp_path, monkeypatch):
         for module in (experiments, profiles, solver):
             m.setattr(module, "solve", _no_solve)
         m.setattr(inviscid, "_z_mean", _no_solve)
+        m.setattr("shockzoom.cli.z_eval", _no_solve)
         assert main(["run", "--eps", "0.3,0.1", "--out", str(mended)]) == 2
         for setting, commands in MENDED:
             for command in commands:
@@ -202,7 +203,11 @@ def test_exit_code_2_paths(tmp_path, monkeypatch):
                      ["run", "--scenario", "theorem1-merging",
                       "--set", f"zoom.ny={MAX_COUNT}"],
                      formation + ["--eps", "0.04,0.01", "--set", "window2.x_min=-60",
-                                  "--set", "window2.x_max=60"]):
+                                  "--set", "window2.x_max=60"],
+                     # tables of more than MAX_COUNT rows, times x samples each,
+                     # refused before any evaluation
+                     ["z-table", "--t", "-1", "-2", "--x", "-1", "1", "--n", str(MAX_COUNT)],
+                     ["merge", "--set", "merge.nt=5000"]):
             assert main(args + ["--out", str(mended)]) == 2, args
             assert not mended.exists(), args
     # each of these once ran for ever; now the solver's step cap refuses it
@@ -311,8 +316,7 @@ def test_library_rejects_bad_study_inputs_before_any_solve(monkeypatch):
     for call, match in (
             # the eternal wave: no snapshot time; a time before the launch
             # time, or launch data that overflow, which z_exact checks
-            (lambda: profiles.eternal_z(2.0, Window(-1.5, -1.0, -4.0, 4.0), dx=0.1,
-                                        snapshot_times=[]),
+            (lambda: profiles.eternal_z(2.0, 4.0, dx=0.1, snapshot_times=[]),
              "at least one snapshot time"),
             (lambda: inviscid.z_exact(2.0, [-3.0, -1.0], x), "launch time -n=-2"),
             (lambda: inviscid.z_exact(1e308, [-3.0, -1.0], x), "launch data"),
@@ -445,7 +449,8 @@ def test_cauchy_row_fails_on_any_rise(tmp_path, monkeypatch):
     # log-slope is negative: the row fails, and its margin is that rise
     cauchy = profiles.CauchyReport((-20.0, -30.0, -40.0), -10.0, (0.01, 0.001, 0.002), -1.0)
     monkeypatch.setattr(experiments, "merging_surrogate",
-                        lambda scenario, **kw: (lambda t, y: -np.tanh(y / 2.0), cauchy))
+                        lambda scenario, **kw: (lambda t, y: np.broadcast_to(
+                            -np.tanh(y / 2.0), np.shape(t) + y.shape), cauchy))
     out = tmp_path / "m"
     assert main(["merge", "--set", "merge.nt=3", "--out", str(out)]) == 1
     flags, summary = _checks(out)

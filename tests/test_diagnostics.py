@@ -43,7 +43,7 @@ def test_strip_fit_recovers_shift():
     dx = 0.002
     x = np.arange(-15.0, 15.0 + dx / 2, dx)
     state = GridFunction(-15.0, dx, -np.tanh((x - 1.2) / 2.0))
-    fit = strip_profile_fit(state, burgers(), 1.0, -1.0, 0.1)
+    fit = strip_profile_fit(state, burgers(), 1.0, -1.0)
     assert fit.shift == pytest.approx(1.2, abs=1e-5)
     assert fit.sup_error < 1e-6
 
@@ -51,7 +51,7 @@ def test_strip_fit_recovers_shift():
 def test_strip_fit_needs_straddle():
     state = GridFunction(0.0, 0.1, np.full(11, 0.9))
     with pytest.raises(NoCrossingError):
-        strip_profile_fit(state, burgers(), 1.0, -1.0, 0.1)
+        strip_profile_fit(state, burgers(), 1.0, -1.0)
 
 
 def test_almost_monotone_margin():

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shockzoom import (ConfigError, MultipleRootsError, ShockData, SmoothData,
-                       blowup_time, burgers, characteristic_value, inviscid, single_shock,
+                       blowup_time, build_scenario, burgers, characteristic_value, inviscid, single_shock,
                        two_shock, z_bounds_audit, z_eval, z_exact, z_root)
 from shockzoom.errors import NotOrderedError
 
@@ -24,6 +24,32 @@ def test_characteristic_linear_data():
     val = characteristic_value(data, burgers(), 0.5, 0.25)
     assert val == pytest.approx(-0.5, abs=1e-12)
     assert characteristic_value(data, burgers(), 0.0, 0.7) == pytest.approx(-0.7, abs=1e-12)
+
+
+def test_characteristic_value_takes_arrays(monkeypatch):
+    # one call on many x equals one call per x, bit for bit, on the early
+    # times of each shocked scenario's reference, in one block of rows or
+    # in several
+    for scenario_id in ("theorem1-single", "theorem1-merging"):
+        scen = build_scenario(scenario_id, burgers())
+        t = 0.5 * scen.blowup
+        x = np.linspace(*scen.domain, 64)
+        values = characteristic_value(scen.initial, scen.flux, t, x)
+        assert values.shape == x.shape
+        each = [characteristic_value(scen.initial, scen.flux, t, xi) for xi in x]
+        assert all(isinstance(v, float) for v in each)
+        assert np.array_equal(values, each), scenario_id
+        assert np.array_equal(scen.reference(t, x), values)
+        with monkeypatch.context() as m:
+            m.setattr(inviscid, "_FOOT_ROWS", 10)
+            blocks = characteristic_value(scen.initial, scen.flux, t, x.reshape(8, 8))
+        assert np.array_equal(blocks, values.reshape(8, 8)), scenario_id
+    # on a crossed field the first x with several foot points is named
+    data = SmoothData(lambda x: -np.tanh(np.asarray(x, dtype=float)),
+                      lambda x: -1.0 / np.cosh(np.asarray(x, dtype=float)) ** 2,
+                      CHECK_POINTS)
+    with pytest.raises(MultipleRootsError, match="x=-0.25:"):
+        characteristic_value(data, burgers(), 2.0, [-40.0, -0.25, 0.0, 0.25])
 
 
 def test_blowup_time_linear():
@@ -78,10 +104,15 @@ def test_z_known_points():
     assert z_root(-1.0, 2.0) == pytest.approx(-1.0, abs=1e-14)
     assert z_root(-1.0, 0.0) == 0.0
     assert z_root(0.0, 8.0) == pytest.approx(-2.0, abs=1e-14)  # pure cube root
-    p = z_eval(-1.0, 0.0)
-    assert p.zx == pytest.approx(-1.0, abs=1e-14)
-    assert p.zxx == 0.0
-    assert p.zxxx == pytest.approx(6.0, abs=1e-12)
+    z, zx, zxx, zxxx = z_eval(-1.0, 0.0)
+    assert z == 0.0
+    assert zx == pytest.approx(-1.0, abs=1e-14)
+    assert zxx == 0.0
+    assert zxxx == pytest.approx(6.0, abs=1e-12)
+    # broadcast over t and x
+    table = z_eval([[-1.0], [-2.0]], [0.0, 2.0, 5.0])
+    assert all(np.shape(a) == (2, 3) for a in table)
+    assert np.array_equal(table[0], z_root([[-1.0], [-2.0]], [0.0, 2.0, 5.0]))
 
 
 def test_z_odd_in_x():
@@ -104,13 +135,13 @@ def test_z_self_similarity():
 @given(st.floats(-8.0, -0.6), st.floats(-15.0, 15.0))
 def test_z_derivatives_match_differences(t, x):
     h = 1e-5 * max(1.0, abs(x))
-    p = z_eval(t, x)
+    z, zx, zxx, _ = z_eval(t, x)
     zp = z_root(t, x + h)
     zm = z_root(t, x - h)
     fd1 = (zp - zm) / (2.0 * h)
-    fd2 = (zp - 2.0 * p.z + zm) / (h * h)
-    assert p.zx == pytest.approx(fd1, rel=2e-6, abs=2e-6)
-    assert p.zxx == pytest.approx(fd2, rel=5e-4, abs=5e-4)
+    fd2 = (zp - 2.0 * z + zm) / (h * h)
+    assert zx == pytest.approx(fd1, rel=2e-6, abs=2e-6)
+    assert zxx == pytest.approx(fd2, rel=5e-4, abs=5e-4)
 
 
 def test_z_bounds_audit_clean():

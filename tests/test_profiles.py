@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from shockzoom import (Clamped, GridFunction, MergingTriple, NotLaxError,
-                       SolverConfig, TauTooLateError, Window, burgers, eternal_z,
+                       SolverConfig, TauTooLateError, burgers, eternal_z,
                        merging_initial, smoothstep, solve, transition_width,
                        traveling_wave, z_root)
 from shockzoom.errors import NotOrderedError
@@ -104,17 +104,15 @@ def test_merging_initial_rejects_late_tau():
 
 
 def test_eternal_wave_is_odd():
-    win = Window(-1.5, -0.5, -6.0, 6.0)
-    zw = eternal_z(2.0, win, dx=0.05, snapshot_times=[-1.5, -0.5])
+    zw = eternal_z(2.0, 6.0, dx=0.05, snapshot_times=[-1.5, -0.5])
     for t, g in zw:
         v = g.values
-        # x >= 0, mirrored
+        # z_exact sums each |x| once
         assert np.array_equal(v, -v[::-1])
 
 
 def test_eternal_wave_sits_above_cubic():
-    win = Window(-1.5, -0.5, -6.0, 6.0)
-    zw = eternal_z(2.0, win, dx=0.05, snapshot_times=[-1.5, -0.5])
+    zw = eternal_z(2.0, 6.0, dx=0.05, snapshot_times=[-1.5, -0.5])
     t, g = zw[-1]
     assert t == -0.5
     z = z_root(t, g.x)
@@ -129,7 +127,6 @@ def test_eternal_wave_converges_at_second_order():
     # by 4 when dx halves (5.5e-5, then 1.4e-5); at x_max = 40 the clamps'
     # far-field error, 8.2e-4, would hide it
     n, x_max, times = 16.0, 60.0, [-3.0, -1.0, 1.0]
-    window = Window(times[0], times[-1], -4.0, 4.0)
     errors = []
     for dx in (0.04, 0.02):
         half = round(x_max / dx)
@@ -142,7 +139,7 @@ def test_eternal_wave_converges_at_second_order():
 
         snaps = solve(data, burgers(), SolverConfig(1.0, Clamped(ends)), times[-1] + n,
                       [t + n for t in times])
-        exact = eternal_z(n, window, dx=dx, snapshot_times=times)
+        exact = eternal_z(n, 4.0, dx=dx, snapshot_times=times)
         inner = slice(half - exact[0][1].n // 2, half + exact[0][1].n // 2 + 1)
         errors.append(max(float(np.max(np.abs(g.values[inner] - z.values)))
                           for (_, g), (_, z) in zip(snaps, exact)))
@@ -151,9 +148,8 @@ def test_eternal_wave_converges_at_second_order():
 
 
 def test_eternal_wave_needs_launch_before_window():
-    win = Window(-1.0, -0.5, -4.0, 4.0)
     with pytest.raises(ValueError, match="launch"):
-        eternal_z(0.5, win, dx=0.05, snapshot_times=[-1.0, -0.5])
+        eternal_z(0.5, 4.0, dx=0.05, snapshot_times=[-1.0, -0.5])
 
 
 # grid radii half*dx of the clamped judge and of the eternal waves built by
