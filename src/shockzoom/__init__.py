@@ -22,8 +22,8 @@ from .inviscid import (SmoothData, ZBoundsReport, blowup_time,
                        z_bounds_audit, z_eval, z_exact, z_root)
 from .profiles import (CauchyReport, MergingTriple, TravelingWave,
                        ZLimitReport, eternal_z, eternal_z_limit,
-                       merging_initial, merging_wave, smoothstep,
-                       transition_width, traveling_wave)
+                       exact_merging_wave, merging_initial, merging_wave,
+                       smoothstep, transition_width, traveling_wave)
 from .rescale import (FitResult, FormationFrameFit, FormationPoint, RateFit,
                       RescaleFrame, SnapshotInterpolant, convergence_rate,
                       fit_formation_frame, fit_shift)

@@ -32,7 +32,7 @@ from .diagnostics import strip_profile_fit
 from .flux import FluxModel, make_flux
 from .grid import GridFunction, Window
 from .inviscid import z_eval
-from .profiles import eternal_z_limit, traveling_wave
+from .profiles import eternal_z_limit, exact_merging_wave, traveling_wave
 from .scenarios import SCENARIO_IDS, Scenario, build_scenario
 
 AUDIT_SUITES = ("lemma81", "zbo", "oleinik", "phase")
@@ -298,6 +298,22 @@ def _merge_settings(cfg: Config, window: Window, pad: float = 0.0) -> dict:
                 comparison_time=cfg["merge.comparison_time"], dx=cfg["merge.dx"])
 
 
+def _merging_pattern(cfg: Config, scenario: Scenario, window: Window) -> tuple:
+    """The type-1 pattern of a merging ``run``: its name, the wave, and its check rows.
+
+    For a flux of constant curvature it is the exact Cole-Hopf wave, which
+    reads no ``merge.*`` key and adds no row.  Otherwise it is the surrogate
+    over the zoom window plus the shift search range, with the
+    ``cauchy-decreasing`` row of its settling.
+    """
+    if scenario.flux.c1 == scenario.flux.c2:
+        return "exact", exact_merging_wave(scenario.merging), []
+    settings = _merge_settings(cfg, window, experiments.SHIFT_RANGE + 0.25)
+    wave, cauchy = experiments.merging_surrogate(scenario, **settings)
+    return "surrogate", wave, [_decreasing("cauchy-decreasing", cauchy.comparison_time,
+                                           cauchy.distances)]
+
+
 def cmd_run(cfg: Config, args: argparse.Namespace) -> int:
     scenario_id = cfg["run.scenario"]
     scenario = make_scenario(cfg, scenario_id)
@@ -308,8 +324,8 @@ def cmd_run(cfg: Config, args: argparse.Namespace) -> int:
         raise ConfigError(f"{eps_key}: need at least 2 viscosities")
 
     # every setting is read, and every zoom planned and so checked, before the
-    # first solve: the surrogate is built, and the eternal wave evaluated,
-    # before any zoom runs
+    # first solve: the merging pattern is built, and the eternal wave
+    # evaluated, before any zoom runs
     prefix = "window2" if scenario_id == "theorem2-formation" else "window"
     window = _config_window(cfg, prefix)
     if scenario_id == "theorem2-formation":
@@ -318,12 +334,12 @@ def cmd_run(cfg: Config, args: argparse.Namespace) -> int:
     else:
         mesh = dict(base_divisor=cfg["grid.base_divisor"])
         nt, ny = cfg["zoom.nt"], cfg["zoom.ny"]
-        if scenario_id == "theorem1-merging":
-            # the surrogate covers the zoom window plus the shift search range
-            merge = _merge_settings(cfg, window, experiments.SHIFT_RANGE + 0.25)
     zoom = dict(window=window, nt=nt, ny=ny, **mesh)
     # this call solves nothing: its zooms are solved only when iterated
     experiments.zooms(scenario, eps, **zoom)
+    extra = {}
+    if scenario_id == "theorem1-merging":
+        extra["pattern"], wave, settling = _merging_pattern(cfg, scenario, window)
     out = _out_dir(cfg, args.out)
 
     if scenario_id == "theorem2-formation":
@@ -331,13 +347,10 @@ def cmd_run(cfg: Config, args: argparse.Namespace) -> int:
         checks = [_decreasing("sup-decreasing", eps[-1],
                               [o.sup_error for o in outcomes])]
     elif scenario_id == "theorem1-merging":
-        wave, cauchy = experiments.merging_surrogate(scenario, **merge)
         outcomes = experiments.merging_zoom(scenario, eps, wave, **zoom)
         checks = [_decreasing("l1-decreasing", eps[-1],
                               [o.l1_error for o in outcomes]),
-                  _decreasing("cauchy-decreasing", cauchy.comparison_time,
-                              cauchy.distances),
-                  _interior_shift_row(eps[-1], outcomes)]
+                  *settling, _interior_shift_row(eps[-1], outcomes)]
     else:
         jump = scenario.states[0] - scenario.states[-1]
         try:
@@ -357,7 +370,7 @@ def cmd_run(cfg: Config, args: argparse.Namespace) -> int:
     return _report(out, cfg, "run", checks, scenario=scenario_id, eps=eps,
                    outcomes=[{"eps": o.eps, "sup_error": o.sup_error,
                               "l1_error": o.l1_error, "shift": o.shift,
-                              "shift_t": o.shift_t} for o in outcomes])
+                              "shift_t": o.shift_t} for o in outcomes], **extra)
 
 
 def cmd_sweep(cfg: Config, args: argparse.Namespace) -> int:

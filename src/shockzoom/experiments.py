@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -324,13 +324,15 @@ def merging_surrogate(scenario: Scenario, *, taus: Sequence[float], window: Wind
 
 
 def merging_zoom(scenario: Scenario, eps_list: Sequence[float],
-                 wave_interp: SnapshotInterpolant, *,
+                 wave_interp: Callable, *,
                  window: Window, nt: int = 21, ny: int = 401,
                  base_divisor: float = 8.0) -> List[ZoomOutcome]:
     """L1-compare type-1 zooms with the interaction wave, shift-fitted in (t, x).
 
-    The shift is found by lattice search (see SHIFT_RANGE) followed by a
-    parabolic refinement of the space shift.
+    ``wave_interp`` is the surrogate's interpolant, or any callable with its
+    contract, such as ``profiles.exact_merging_wave``.  The shift is found
+    by lattice search (see SHIFT_RANGE) followed by a parabolic refinement
+    of the space shift.
     """
     s_grid, y_grid, fields = zooms(scenario, eps_list, window, nt, ny,
                                     base_divisor=base_divisor)

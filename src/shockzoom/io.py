@@ -16,6 +16,8 @@ import numpy as np
 from .grid import GridFunction
 
 Cell = Union[float, bool, str, int]
+# the rows of a float table converted to Python floats at a time
+_BLOCK_ROWS = 4096
 
 
 def format_cell(v: Cell) -> str:
@@ -54,24 +56,36 @@ def read_csv(path) -> Tuple[List[str], List[Tuple[Cell, ...]]]:
     return header, rows
 
 
+def _write_floats(path, header: Sequence[str], tables: Iterable[np.ndarray]) -> None:
+    """The header and the rows of each float table, as ``write_csv`` writes them.
+
+    Each row is formatted by one ``%`` call, read off ``tolist`` in blocks
+    of _BLOCK_ROWS rows, so a table of 10^6 rows holds no more than one
+    block as Python floats.
+    """
+    line = ",".join(["%.17g"] * len(header)) + "\n"
+    with open(path, "w") as f:
+        f.write(",".join(header) + "\n")
+        for table in tables:
+            for start in range(0, len(table), _BLOCK_ROWS):
+                f.writelines(line % tuple(row)
+                             for row in table[start:start + _BLOCK_ROWS].tolist())
+
+
 def write_snapshots(path, snaps: Sequence[Tuple[float, GridFunction]]) -> None:
     """Long-format solution table, one (t, x, u) row per node per snapshot."""
-    def rows():
-        for t, g in snaps:
-            x = g.x
-            for i in range(g.n):
-                yield (float(t), float(x[i]), float(g.values[i]))
-    write_csv(path, ("t", "x", "u"), rows())
+    _write_floats(path, ("t", "x", "u"),
+                  (np.column_stack((np.full(g.n, float(t)), g.x, g.values))
+                   for t, g in snaps))
 
 
 def write_profile(path, x: np.ndarray, values: np.ndarray) -> None:
-    write_csv(path, ("x", "S"),
-              ((float(a), float(b)) for a, b in zip(x, values)))
+    _write_floats(path, ("x", "S"), [np.column_stack((x, values))])
 
 
 def write_z_table(path, points: np.ndarray) -> None:
     """Cubic-wave evaluations, one (t, x, z, zx, zxx, zxxx) row of ``points`` each."""
-    write_csv(path, ("t", "x", "z", "zx", "zxx", "zxxx"), (p.tolist() for p in points))
+    _write_floats(path, ("t", "x", "z", "zx", "zxx", "zxxx"), [points])
 
 
 def write_sweep(path, outcomes) -> None:

@@ -5,7 +5,8 @@ Three families:
 * traveling waves S with S' = f(S) - speed * S - offset, joining u_minus to
   u_plus, integrated from the midpoint in both directions;
 * merging data: two traveling waves glued with a smooth blend far in the
-  past, evolved forward to realise the two-shock interaction wave;
+  past, evolved forward to realise the two-shock interaction wave, which
+  for a flux of constant curvature is also exact by Cole-Hopf;
 * the eternal wave Z^(n): the viscous evolution launched from the cubic
   wave z(-n, .), exact by Cole-Hopf, whose large-n limit is the universal
   formation profile.
@@ -13,7 +14,7 @@ Three families:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -246,6 +247,58 @@ def merging_wave(triple: MergingTriple, tau_list: Sequence[float], window: Windo
     slope = float(np.polyfit(later, logd, 1)[0]) if len(dists) > 1 else float("nan")
     report = CauchyReport(tuple(taus), t_cmp, tuple(float(d) for d in dists[::-1]), slope)
     return [(s + taus[0], g) for s, g in first], report
+
+
+# the smallest normal float over its epsilon: where the product form of
+# exact_merging_wave sums to less, its terms have lost digits to underflow
+_UNDERFLOW = np.finfo(float).tiny / np.finfo(float).eps
+
+
+def exact_merging_wave(triple: MergingTriple) -> Callable:
+    """The interaction wave of ``triple`` at unit viscosity, exact by Cole-Hopf.
+
+    For a flux of constant curvature, f = c u^2/2 + b u, the wave is
+    U = sum u_i w_i / sum w_i over the three states, with
+    w_i = exp(-c u_i X/2 + (c^2 u_i^2/4 + c b u_i/2) T).  Its shocks run at
+    lambda1 and lambda2 and meet at (0, 0), like the surrogate's.  The
+    returned callable has ``SnapshotInterpolant``'s contract: ``wave(t, x)``
+    has shape ``t.shape + x.shape``, here for every t and x.
+
+    ValueError unless the flux's curvature bounds c1 and c2 are equal.
+    """
+    flux = triple.flux
+    if flux.c1 != flux.c2:
+        raise ValueError(f"flux {flux.name!r}: no closed-form interaction wave "
+                         f"unless f'' is constant, got [{flux.c1}, {flux.c2}]")
+    c, b = flux.c1, float(flux.df(np.float64(0.0)))
+    u = np.array([triple.u_minus, triple.u_star, triple.u_plus])
+    x_rate = -0.5 * c * u
+    t_rate = c * u * (0.25 * c * u + 0.5 * b)
+
+    def wave(t, x) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
+        x = np.asarray(x, dtype=float)
+        et = np.multiply.outer(t.reshape(-1), t_rate)
+        ex = np.multiply.outer(x_rate, x.reshape(-1))
+        with np.errstate(under="ignore"):
+            # each factor shifted by its max over the states, so neither overflows
+            ft = np.exp(et - et.max(axis=1, keepdims=True))
+            fx = np.exp(ex - ex.max(axis=0))
+            den = ft @ fx
+            vals = (ft * u) @ fx
+            # where the factors' maxima fall on different states, their
+            # product can underflow: those points by a log-sum-exp each
+            low = den < _UNDERFLOW
+            if low.any():
+                i, j = np.nonzero(low)
+                e = et[i] + ex[:, j].T
+                w = np.exp(e - e.max(axis=1, keepdims=True))
+                vals[i, j] = (w @ u) / w.sum(axis=1)
+                den[i, j] = 1.0
+        vals /= den
+        return vals.reshape(t.shape + x.shape)
+
+    return wave
 
 
 # ---------------------------------------------------------------------------

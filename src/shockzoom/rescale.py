@@ -128,7 +128,13 @@ class SnapshotInterpolant:
         if np.any(mid):
             t0, t1 = self.times[j[mid]], self.times[j[mid] + 1]
             w = ((ts[mid] - t0) / (t1 - t0)).reshape((-1,) + (1,) * x.ndim)
-            vals[mid] = (1.0 - w) * vals[mid] + w * rows[np.searchsorted(used, j[mid] + 1)]
+            # (1 - w) a + w b, blended in place: two temporaries, not four
+            blend = vals[mid]
+            blend *= 1.0 - w
+            upper = rows[np.searchsorted(used, j[mid] + 1)]
+            upper *= w
+            blend += upper
+            vals[mid] = blend
         return vals.reshape(t.shape + x.shape)
 
 

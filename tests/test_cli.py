@@ -274,7 +274,8 @@ def test_config_error_leaves_no_output_directory(tmp_path):
     # directory is made, which main then removes
     existing = tmp_path / "existing"
     existing.mkdir()
-    for args in (["run", "--scenario", "theorem1-merging", "--set", "merge.taus=-20"],
+    for args in (["run", "--scenario", "theorem1-merging", "--set", "merge.taus=-20",
+                  "--set", "flux.name=quartic", "--set", "flux.kappa=0.05"],
                  ["sweep", "--set", "sweep.t_check=0.1"],
                  ["run", "--eps", "0.3,0.1"],
                  ["run", "--set", "run.seed=-1"],
@@ -297,7 +298,9 @@ def test_bad_restart_settings_exit_2_before_any_solve(tmp_path, monkeypatch):
                  ["merge", "--taus=-20,-30", "--set", "merge.comparison_time=-25"],
                  # tau = -12 puts the two waves too close for the blend
                  ["merge", "--taus=-40,-12"],
-                 ["run", "--scenario", "theorem1-merging", "--set", "merge.taus=-20"]):
+                 # a flux of varying curvature, whose run builds the surrogate
+                 ["run", "--scenario", "theorem1-merging", "--set", "merge.taus=-20",
+                  "--set", "flux.name=quartic", "--set", "flux.kappa=0.05"]):
         assert main(args + ["--out", out]) == 2, args
 
 
@@ -419,6 +422,30 @@ def test_zlimit_reports_its_checks(tmp_path):
     flags, summary = _checks(tmp_path / "b")
     assert flags == {"decreasing": True, "monotone": True, "settled": False}
     assert summary["final_diff"] > 1e-6
+
+
+def test_merging_run_picks_its_pattern_by_the_flux(tmp_path, monkeypatch):
+    # Burgers has a constant curvature: the default run zooms against the
+    # exact Cole-Hopf wave, builds no surrogate and reads no merge.* key
+    with monkeypatch.context() as m:
+        m.setattr(experiments, "merging_surrogate", _no_solve)
+        out = tmp_path / "exact"
+        assert main(["run", "--scenario", "theorem1-merging", "--set", "merge.dx=nan",
+                     "--out", str(out)]) == 0
+    flags, summary = _checks(out)
+    assert summary["pattern"] == "exact"
+    assert list(flags) == ["l1-decreasing", "interior-shift", "contraction", "mass-drift"]
+    assert [o["shift_t"] for o in summary["outcomes"]] == [0.484375, 0.0625, 0.0]
+    # a flux of varying curvature keeps the surrogate and its settling row
+    # (quartic at kappa = 0 is Burgers); at these coarse settings a row may
+    # fail, which is exit 1
+    out = tmp_path / "surrogate"
+    assert main(_long("merging", "flux.kappa=0.05", out)
+                + ["--set", "flux.name=quartic"]) <= 1
+    flags, summary = _checks(out)
+    assert summary["pattern"] == "surrogate"
+    assert list(flags) == ["l1-decreasing", "cauchy-decreasing", "interior-shift",
+                           "contraction", "mass-drift"]
 
 
 def test_merge_reports_its_checks(tmp_path):

@@ -4,8 +4,8 @@ import pytest
 
 from shockzoom import (Clamped, ConfigError, GridFunction, Periodic, RescaleFrame,
                        SnapshotInterpolant, SolverConfig, Window, burgers,
-                       burgers_plus_linear, build_scenario, solve,
-                       trapezoid)
+                       burgers_plus_linear, build_scenario, exact_merging_wave,
+                       solve, trapezoid)
 from shockzoom import experiments, solver
 from shockzoom.experiments import (COARSE_PECLET, SHIFT_DY, SHIFT_LATTICE, SHIFT_RANGE,
                                    SHIFT_TIMES, ZOOM_STAGES, _zoom_field, contraction_check,
@@ -115,6 +115,25 @@ def test_merging_zoom_regression():
         (0.04, 0.00277154067609231, 0.009969416715997968, 0.006315686132863524, 0.453125),
     ])
 
+
+
+def test_merging_surrogate_converges_to_the_exact_wave():
+    # the judge of the default surrogate (restarts at -20, -30, -40, its
+    # window padded to +-6.25 as the merging run pads it): on the run's
+    # 21 x 401 samples of [-5, 5]^2 it meets the Cole-Hopf wave within
+    # 3.0e-4 at dx 0.1 and 7.8e-5 at dx 0.05, a second-order fall
+    scen = build_scenario("theorem1-merging", burgers())
+    exact = exact_merging_wave(scen.merging)
+    window = Window(-5.0, 5.0, -5.0, 5.0)
+    s_grid, y_grid = window.t_samples(21), window.x_samples(401)
+    errors = []
+    for dx in (0.1, 0.05):
+        wave, _ = merging_surrogate(scen, taus=(-20.0, -30.0, -40.0),
+                                    window=Window(-6.25, 6.25, -6.25, 6.25),
+                                    comparison_time=-10.0, dx=dx)
+        errors.append(float(np.max(np.abs(wave(s_grid, y_grid) - exact(s_grid, y_grid)))))
+    assert errors[1] < 1e-4, errors
+    assert errors[0] / errors[1] >= 3.0, errors
 
 
 class _RecordingWave:

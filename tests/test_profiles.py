@@ -1,10 +1,13 @@
 """Viscous profiles: traveling waves, merging data, the eternal wave."""
+import warnings
+
 import numpy as np
 import pytest
 
 from shockzoom import (Clamped, GridFunction, MergingTriple, NotLaxError,
-                       SolverConfig, TauTooLateError, burgers, eternal_z,
-                       merging_initial, smoothstep, solve, transition_width,
+                       SolverConfig, TauTooLateError, burgers, burgers_plus_linear,
+                       eternal_z, exact_merging_wave, merging_initial,
+                       quartic_perturbed, smoothstep, solve, transition_width,
                        traveling_wave, z_root)
 from shockzoom.errors import NotOrderedError
 from shockzoom.inviscid import _outer_root
@@ -101,6 +104,84 @@ def test_merging_initial_rejects_late_tau():
         merging_initial(triple, -5.0, grid, waves)
     with pytest.raises(TauTooLateError):
         merging_initial(triple, 1.0, grid, waves)
+
+
+def test_exact_merging_wave_shape_and_broadcasting():
+    wave = exact_merging_wave(make_triple())
+    x = np.linspace(-5.0, 5.0, 11)
+    t = np.array([[-1.0, 0.0, 2.0], [3.0, 4.0, 5.0]])
+    grid = wave(t, x)
+    assert grid.shape == (2, 3, 11)
+    assert wave(0.5, x).shape == (11,)
+    assert wave(0.5, 0.25).shape == ()
+    # every (t, x) pair is the same point however the call is shaped
+    np.testing.assert_allclose(grid[1, 2], wave(5.0, x), rtol=0.0, atol=1e-14)
+    assert float(wave(5.0, x[3])) == pytest.approx(grid[1, 2, 3], rel=0.0, abs=1e-14)
+    # the closed form of the default states (1, 0, -1)
+    e = np.exp(t[..., None] / 4.0)
+    want = -2.0 * np.sinh(x / 2.0) * e / (1.0 + 2.0 * np.cosh(x / 2.0) * e)
+    assert np.max(np.abs(grid - want)) <= 1e-14
+
+
+@pytest.mark.parametrize("flux", [burgers(), burgers_plus_linear(1.0), quartic_perturbed(0.0)],
+                         ids=lambda f: f.name)
+def test_exact_merging_wave_solves_unit_viscosity_equation(flux):
+    # U_T + f(U)_X = U_XX by centred differences at h = 1e-3, whose own
+    # error is about 1e-8 here
+    triple = MergingTriple.from_states(flux, 1.2, 0.1, -0.9)
+    wave = exact_merging_wave(triple)
+    h = 1e-3
+    t = np.linspace(-6.0, 6.0, 25)
+    # both shocks, at lambda_i t, stay on x for every t
+    x = np.linspace(-12.0, 12.0, 241)
+    u = wave(t, x)
+    u_t = (wave(t + h, x) - wave(t - h, x)) / (2.0 * h)
+    f_x = (flux.f(wave(t, x + h)) - flux.f(wave(t, x - h))) / (2.0 * h)
+    u_xx = (wave(t, x + h) - 2.0 * u + wave(t, x - h)) / h ** 2
+    assert np.max(np.abs(u_t + f_x - u_xx)) <= 1e-6
+
+
+def test_exact_merging_wave_far_fields():
+    triple = make_triple()
+    wave = exact_merging_wave(triple)
+    # before the merger: the outer states outside the fan, the middle one
+    # between the two shocks
+    far = wave(-40.0, np.array([-200.0, 0.0, 200.0]))
+    assert far == pytest.approx([1.0, 0.0, -1.0], abs=1e-15)
+    # after it: one shock of the outer states
+    assert wave(40.0, np.array([-200.0, 200.0])) == pytest.approx([1.0, -1.0], abs=1e-15)
+
+
+def test_exact_merging_wave_shocks_run_at_their_speeds():
+    # burgers-linear at b = 1: both shocks shift by b, and each sits where
+    # the wave crosses the mean of its two states, at lambda_i T, up to the
+    # third state's weight, exp(T/2) of the two others there
+    triple = MergingTriple.from_states(burgers_plus_linear(1.0), 1.0, 0.0, -1.0)
+    assert (triple.lambda1, triple.lambda2) == pytest.approx((1.5, 0.5))
+    wave = exact_merging_wave(triple)
+    for t in (-80.0, -70.0, -60.0):
+        for speed, mid in ((triple.lambda1, 0.5), (triple.lambda2, -0.5)):
+            assert float(wave(t, speed * t)) == pytest.approx(mid, abs=1e-12), (t, speed)
+
+
+def test_exact_merging_wave_is_finite_far_out():
+    # the product of the two factors underflows where their maxima fall on
+    # different states; those points are summed by a log-sum-exp
+    wave = exact_merging_wave(make_triple())
+    far = np.array([-1e4, -1e3, -1.0, 0.0, 1.0, 1e3, 1e4])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        vals = wave(far, far)
+    assert np.all(np.isfinite(vals))
+    assert np.all(np.abs(vals) <= 1.0)
+    # inside the fan at T = -1e4 the middle state, outside it the outer ones
+    assert vals[0] == pytest.approx([1.0, 0.0, 0.0, 0.0, 0.0, 0.0, -1.0], abs=1e-12)
+
+
+def test_exact_merging_wave_needs_constant_curvature():
+    triple = MergingTriple.from_states(quartic_perturbed(0.05), 1.0, 0.0, -1.0)
+    with pytest.raises(ValueError, match="constant"):
+        exact_merging_wave(triple)
 
 
 def test_eternal_wave_is_odd():
