@@ -123,17 +123,18 @@ def zooms(scenario: Scenario, eps_list: Sequence[float], window: Window, nt: int
     horizon gap dominates, and ``refined_dx`` against the sweep's largest eps
     for a type-1 zoom.  ConfigError unless a window of two or more times
     has nonzero duration, unless the samples, held once per SHIFT_TIMES
-    entry by the merging search, fit in MAX_SNAPSHOT_VALUES values, and
-    unless each zoom's window starts at t >= 0, where the solve starts from
-    the data, and sees x on ``scenario_grid`` at its mesh, whose last node
-    is the one nearest the domain's right end.
+    entry and once per viscosity by the merging search, fit in
+    MAX_SNAPSHOT_VALUES values, and unless each zoom's window starts at
+    t >= 0, where the solve starts from the data, and sees x on
+    ``scenario_grid`` at its mesh, whose last node is the one nearest the
+    domain's right end.
     """
     if nt >= 2 and window.t_min == window.t_max:
         raise ConfigError(f"the window's t in [{window.t_min:.6g}, {window.t_max:.6g}] "
                           f"has zero duration, so its {nt} time samples are 0 apart")
-    shifts = 1 if scenario.merging is None else len(SHIFT_TIMES)
-    if nt * ny * shifts > MAX_SNAPSHOT_VALUES:
-        raise ConfigError(f"{shifts} x {nt} x {ny} zoom samples exceed "
+    held = 1 if scenario.merging is None else len(SHIFT_TIMES) + len(eps_list)
+    if nt * ny * held > MAX_SNAPSHOT_VALUES:
+        raise ConfigError(f"{held} x {nt} x {ny} zoom samples exceed "
                           f"{MAX_SNAPSHOT_VALUES} values")
     lo, hi = scenario.domain
     plans = []
@@ -331,25 +332,37 @@ def merging_zoom(scenario: Scenario, eps_list: Sequence[float],
 
     ``wave_interp`` is the surrogate's interpolant, or any callable with its
     contract, such as ``profiles.exact_merging_wave``.  The shift is found
-    by lattice search (see SHIFT_RANGE) followed by a parabolic refinement
-    of the space shift.
+    by a lattice search (see SHIFT_RANGE), one pass that scores every
+    viscosity's field, then for each viscosity by a fine scan of the time
+    shift and a parabolic refinement of the space shift.
     """
     s_grid, y_grid, fields = zooms(scenario, eps_list, window, nt, ny,
                                     base_divisor=base_divisor)
     n_dy = int(round(SHIFT_RANGE / SHIFT_DY))
     dy_cands = SHIFT_DY * np.arange(-n_dy, n_dy + 1)
+    # every field is solved first, so the lattice, which does not depend on
+    # eps, is evaluated once for all of them: one wave call per dy column,
+    # at the distinct shifted times only (on a window whose time step is a
+    # multiple of SHIFT_LATTICE most of them repeat)
+    fields = list(fields)
+    times, inverse = np.unique(np.add.outer(SHIFT_TIMES, s_grid), return_inverse=True)
+    inverse = inverse.reshape(len(SHIFT_TIMES), len(s_grid))
+    lattice = np.empty((len(fields), len(SHIFT_TIMES), len(dy_cands)))
+    for k, dy in enumerate(dy_cands):
+        model = wave_interp(times, y_grid + dy)[inverse]
+        for f, (_, field) in enumerate(fields):
+            lattice[f, :, k] = _mismatch(field, model, s_grid, y_grid)[1]
 
     out = []
-    for eps, field in fields:
+    for (eps, field), l1 in zip(fields, lattice):
 
         def mismatch(dt, dy: float):
             """Sup and L1 against the wave shifted by (dt, dy), per dt if an array."""
             return _mismatch(field, wave_interp(np.add.outer(dt, s_grid), y_grid + dy),
                              s_grid, y_grid)
 
-        # the lattice one dy column at a time; the flat argmin runs over dt,
-        # then dy, and picks the first candidate with the least L1
-        l1 = np.stack([mismatch(SHIFT_TIMES, dy)[1] for dy in dy_cands], axis=1)
+        # the flat argmin over the lattice runs over dt, then dy, and picks
+        # the first candidate with the least L1
         i, k = np.unravel_index(int(np.argmin(l1)), l1.shape)
         bt, by = float(SHIFT_TIMES[i]), float(dy_cands[k])
         # fine local scan of the time shift: the optimum drifts off the

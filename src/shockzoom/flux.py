@@ -124,8 +124,9 @@ def quartic_perturbed(kappa: float) -> FluxModel:
     if kappa < 0:
         raise ValueError("kappa must be nonnegative to keep f convex")
     return FluxModel(
-        f=lambda u: 0.5 * u * u + kappa * u ** 4,
-        df=lambda u: u + 4.0 * kappa * u ** 3,
+        # products, not pow, which takes about ten times as long on arrays
+        f=lambda u: 0.5 * u * u + kappa * (u * u) * (u * u),
+        df=lambda u: u + 4.0 * kappa * (u * u) * u,
         d2f=lambda u: 1.0 + 12.0 * kappa * u ** 2,
         c1=1.0, c2=1.0 + 48.0 * kappa,  # f'' at |u| = 2
         name="quartic-perturbed", u_range=(-2.0, 2.0))

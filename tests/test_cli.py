@@ -375,7 +375,8 @@ def test_library_rejects_bad_study_inputs_before_any_solve(monkeypatch):
                 formation, (0.01,), 32.0, window=Window(-1.0, -1.0, -1.0, 1.0)),
              "zero duration"),
             # samples beyond the solver's snapshot memory: nt x ny values, held
-            # once per time shift by the merging search (17 x 21 x 10^6 there)
+            # once per time shift and once per viscosity by the merging search
+            # ((17 + 1) x 21 x 10^6 there)
             (lambda: experiments.single_shock_zoom(
                 single, (0.04,), window=Window(-2.0, 2.0, -4.0, 4.0), nt=10**6, ny=101),
              "1 x 1000000 x 101"),
@@ -384,7 +385,7 @@ def test_library_rejects_bad_study_inputs_before_any_solve(monkeypatch):
              "1 x 1000000 x 321"),
             (lambda: experiments.merging_zoom(
                 merging, (0.04,), None, window=Window(-1.0, 1.0, -2.0, 2.0), ny=10**6),
-             "17 x 21 x 1000000 zoom samples exceed")):
+             "18 x 21 x 1000000 zoom samples exceed")):
         with pytest.raises(ConfigError, match=match):
             call()
 
@@ -427,13 +428,33 @@ def test_zlimit_reports_its_checks(tmp_path):
 def test_merging_run_picks_its_pattern_by_the_flux(tmp_path, monkeypatch):
     # Burgers has a constant curvature: the default run zooms against the
     # exact Cole-Hopf wave, builds no surrogate and reads no merge.* key
+    calls = []
+
+    def counted(triple):
+        wave = profiles.exact_merging_wave(triple)
+
+        def recording(t, x):
+            calls.append(np.shape(t))
+            return wave(t, x)
+        return recording
+
     with monkeypatch.context() as m:
         m.setattr(experiments, "merging_surrogate", _no_solve)
+        m.setattr("shockzoom.cli.exact_merging_wave", counted)
         out = tmp_path / "exact"
         assert main(["run", "--scenario", "theorem1-merging", "--set", "merge.dx=nan",
                      "--out", str(out)]) == 0
     flags, summary = _checks(out)
     assert summary["pattern"] == "exact"
+    # one lattice pass for the three viscosities, one call per space shift
+    # at the 97 distinct shifted times of 17 shifts of 21 samples, then for
+    # each viscosity one fine time scan and at most five calls of its space
+    # refinement
+    n_dy = 2 * round(SHIFT_RANGE / experiments.SHIFT_DY) + 1
+    assert calls[:n_dy] == [(97,)] * n_dy
+    rest = calls[n_dy:]
+    assert len([t for t in rest if len(t) == 2]) == 3
+    assert len(rest) <= 3 * 6 and len(calls) <= 59
     assert list(flags) == ["l1-decreasing", "interior-shift", "contraction", "mass-drift"]
     assert [o["shift_t"] for o in summary["outcomes"]] == [0.484375, 0.0625, 0.0]
     # a flux of varying curvature keeps the surrogate and its settling row
@@ -446,6 +467,24 @@ def test_merging_run_picks_its_pattern_by_the_flux(tmp_path, monkeypatch):
     assert summary["pattern"] == "surrogate"
     assert list(flags) == ["l1-decreasing", "cauchy-decreasing", "interior-shift",
                            "contraction", "mass-drift"]
+
+
+def test_merging_run_counts_every_held_field_before_any_solve(tmp_path, monkeypatch,
+                                                             capsys):
+    # the merging search holds 17 lattice candidates and one field per
+    # viscosity of nt x ny samples each: 5 x 10^6 samples fit 17 times in
+    # the bound, but not 17 + 4 times
+    for module in (experiments, profiles, solver):
+        monkeypatch.setattr(module, "solve", _no_solve)
+    nt, ny = 100, 50000
+    shifts = len(experiments.SHIFT_TIMES)
+    assert shifts * nt * ny <= solver.MAX_SNAPSHOT_VALUES < (shifts + 4) * nt * ny
+    out = tmp_path / "o"
+    assert main(["run", "--scenario", "theorem1-merging", "--eps", "0.04,0.02,0.01,0.005",
+                 "--set", f"zoom.nt={nt}", "--set", f"zoom.ny={ny}",
+                 "--out", str(out)]) == 2
+    assert f"{shifts + 4} x {nt} x {ny} zoom samples exceed" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_merge_reports_its_checks(tmp_path):

@@ -176,33 +176,78 @@ def _scalar_search(field, s_grid, wave, y_grid):
     return coarse, fine, (bt, by), l1(bt, by)
 
 
-def test_merging_search_matches_scalar_search():
-    # the test_merging_zoom_regression setup, against an exhaustive search
-    # that loops over candidates and slices
-    scen = build_scenario("theorem1-merging", burgers())
-    wave, _ = merging_surrogate(scen, taus=(-14.0, -16.0),
-                                window=Window(-2.25, 2.25, -3.25, 3.25),
-                                comparison_time=-3.0, dx=0.1)
-    window = Window(-1.0, 1.0, -2.0, 2.0)
-    s_grid, y_grid = window.t_samples(3), window.x_samples(41)
+def _check_against_scalar_search(scen, wave, window, nt, eps_list):
+    """Run ``merging_zoom`` through a recording wave and hold each viscosity's
+    outcome, bit for bit, against ``_scalar_search`` on the same field."""
+    s_grid, y_grid = window.t_samples(nt), window.x_samples(41)
     recording = _RecordingWave(wave)
-    outcomes = merging_zoom(scen, (0.08, 0.04), recording, window=window,
-                            nt=3, ny=41, base_divisor=4.0)
-    # each viscosity's search opens with one call per dy column of the lattice
-    starts = [i for i, (t, _) in enumerate(recording.calls)
-              if t.ndim == 2 and (i == 0 or recording.calls[i - 1][0].ndim == 1)]
-    assert len(starts) == 2
-    for o, start in zip(outcomes, starts):
+    outcomes = merging_zoom(scen, eps_list, recording, window=window,
+                            nt=nt, ny=41, base_divisor=4.0)
+    # one lattice pass for every viscosity, one call per dy column at the
+    # distinct shifted times; then each viscosity's fine scan, the only
+    # call with a candidate axis, and at most five calls of its refinement
+    n_dy = round(SHIFT_RANGE / SHIFT_DY)
+    dy_cands = SHIFT_DY * np.arange(-n_dy, n_dy + 1)
+    times = np.unique(np.add.outer(SHIFT_TIMES, s_grid))
+    lattice, rest = recording.calls[:len(dy_cands)], recording.calls[len(dy_cands):]
+    for (t, x), dy in zip(lattice, dy_cands):
+        assert np.array_equal(t, times)
+        assert np.array_equal(x, y_grid + dy)
+    fine_calls = [(t, x) for t, x in rest if t.ndim == 2]
+    assert len(fine_calls) == len(eps_list)
+    assert len(rest) <= 6 * len(eps_list)
+    for o, (t, x) in zip(outcomes, fine_calls):
         frame = RescaleFrame.type1(scen.tau, scen.xi, o.eps)
-        field = _zoom_field(scen, o.eps, refined_dx(o.eps, 0.08, 4.0), frame, s_grid, y_grid)
+        field = _zoom_field(scen, o.eps, refined_dx(o.eps, max(eps_list), 4.0), frame,
+                            s_grid, y_grid)
         coarse, fine, (bt, by), l1 = _scalar_search(field, s_grid, wave, y_grid)
         # the fine scan is laid around the coarse winner, so its one call,
         # a candidate axis of 9 to 17 time shifts, pins it
-        t, x = recording.calls[start + 41]
         assert 9 <= len(fine) <= 17
         assert np.array_equal(t, np.add.outer(fine, s_grid))
         assert np.array_equal(x, y_grid + coarse[1])
         assert (o.shift_t, o.shift, o.l1_error) == (bt, by, l1)
+    return times
+
+
+def test_merging_search_matches_scalar_search():
+    # the test_merging_zoom_regression setup, against an exhaustive search
+    # that loops over candidates and slices; the window's time step 1 is a
+    # multiple of SHIFT_LATTICE, so 33 distinct times serve 17 x 3 shifted ones
+    scen = build_scenario("theorem1-merging", burgers())
+    wave, _ = merging_surrogate(scen, taus=(-14.0, -16.0),
+                                window=Window(-2.25, 2.25, -3.25, 3.25),
+                                comparison_time=-3.0, dx=0.1)
+    times = _check_against_scalar_search(scen, wave, Window(-1.0, 1.0, -2.0, 2.0), 3,
+                                         (0.08, 0.04))
+    assert len(times) == 33
+
+
+def _one_time_per_call(wave):
+    """``wave`` evaluated at one time per call, so that no value depends on
+    the other times of a call: the exact wave's matrix product can round a
+    row differently, by an ulp or two, with the number of rows it is
+    computed with, which no search that batches times can match bit for bit."""
+    def at(t, x):
+        t = np.asarray(t, dtype=float)
+        rows = np.array([wave(s, x) for s in t.reshape(-1)])
+        return rows.reshape(t.shape + np.shape(x))
+    return at
+
+
+def test_merging_search_without_shared_times_matches_scalar_search():
+    # times 0.6 apart, so no two differ by a multiple of SHIFT_LATTICE and
+    # no shifted time repeats (on [-1, 1] at nt = 4, -1 + 1 = 1 - 1 would):
+    # the search still matches the exhaustive one bit for bit, on the exact
+    # wave and on the surrogate's interpolant
+    scen = build_scenario("theorem1-merging", burgers())
+    surrogate, _ = merging_surrogate(scen, taus=(-14.0, -16.0),
+                                     window=Window(-2.25, 2.25, -3.25, 3.25),
+                                     comparison_time=-3.0, dx=0.1)
+    for wave in (_one_time_per_call(exact_merging_wave(scen.merging)), surrogate):
+        times = _check_against_scalar_search(scen, wave, Window(-0.9, 0.9, -2.0, 2.0), 4,
+                                             (0.08, 0.04))
+        assert len(times) == 4 * len(SHIFT_TIMES)
 
 
 def test_merging_search_takes_the_first_least_candidate():
@@ -277,7 +322,7 @@ def test_one_time_zooms_integrate_over_y(monkeypatch):
 
 def test_zoom_sample_bound_counts_the_merging_shifts(monkeypatch):
     # nt x ny = 10^8 samples fit the bound once, but not once per time shift
-    # of the merging search; planning alone solves nothing
+    # and per viscosity of the merging search; planning alone solves nothing
     def no_solve(*args, **kwargs):
         raise AssertionError("solve called")
 
@@ -290,7 +335,7 @@ def test_zoom_sample_bound_counts_the_merging_shifts(monkeypatch):
                                           nt, ny)
     assert (s_grid.size, y_grid.size) == (nt, ny)
     merging = build_scenario("theorem1-merging", burgers())
-    with pytest.raises(ConfigError, match="17 x 100 x 1000000 zoom samples exceed"):
+    with pytest.raises(ConfigError, match="18 x 100 x 1000000 zoom samples exceed"):
         experiments.zooms(merging, (0.04,), Window(-1.0, 1.0, -2.0, 2.0), nt, ny)
 
 

@@ -63,6 +63,16 @@ def test_chord_above_f_for_convex(a, b):
     assert np.all(flux.f(u) <= line(u) + 1e-12)
 
 
+def test_quartic_products_match_the_powers():
+    # f and df are written with products for speed; on the declared range
+    # they agree with the pow forms to a few ulp
+    u = np.linspace(-2.0, 2.0, 4001)
+    for kappa in (0.05, 1.0):
+        flux = quartic_perturbed(kappa)
+        np.testing.assert_array_max_ulp(flux.f(u), 0.5 * u * u + kappa * u ** 4, maxulp=4)
+        np.testing.assert_array_max_ulp(flux.df(u), u + 4.0 * kappa * u ** 3, maxulp=4)
+
+
 def test_self_check_rejects_nan():
     # a NaN discrepancy fails the check instead of slipping past err > tol
     with pytest.raises(ValueError, match="disagrees"):
