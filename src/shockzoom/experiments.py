@@ -545,7 +545,10 @@ def health_rows(scenario: Scenario, eps: float, seed: int) -> list:
         bump = 0.05 * np.exp(-((data.x - center) / (0.05 * (hi - lo))) ** 2)
         return data, data.with_values(data.values + bump)
 
-    data, other = bumped(nodes(800, *bumped(800)))
+    data, other = bumped(800)
+    n = nodes(800, data, other)
+    if n > 800:
+        data, other = bumped(n)
     cfg = SolverConfig(eps, Clamped())
     horizon = min(0.5, 0.5 * scenario.tau)
     contraction = contraction_check(data, other, scenario.flux, cfg,

@@ -1,9 +1,12 @@
 """Named experiment setups and their exact references."""
+import dataclasses
+
 import numpy as np
 import pytest
 
-from shockzoom import (NotLaxError, OutOfDomainError, blowup_time, build_scenario,
-                       burgers, merging_shocks_scenario, single_shock_scenario)
+from shockzoom import (FluxModel, NotLaxError, OutOfDomainError, blowup_time,
+                       build_scenario, burgers, burgers_plus_linear,
+                       merging_shocks_scenario, quartic_perturbed, single_shock_scenario)
 
 
 def test_single_reference_is_shock_after_forming():
@@ -69,6 +72,79 @@ def test_formation_data_oracle():
     assert float(scen.initial.du0(-1.0)) == pytest.approx(expected, rel=1e-9)
     # clamped outside the radius
     assert float(scen.initial.du0(4.0)) == 0.0
+
+
+def _bisection_root(amplitude, flux, x, tau=1.0, radius=2.5):
+    """The formation data by 90 bisection sweeps over the scenario's bracket."""
+    def foot(u):
+        return -amplitude * u ** 3 - tau * float(flux.df(u))
+
+    b = 1.0
+    while foot(b) > -radius or foot(-b) < radius:
+        b *= 2.0
+    lo = np.full(x.shape, -b)
+    hi = np.full(x.shape, b)
+    for _ in range(90):
+        mid = 0.5 * (lo + hi)
+        high = -amplitude * mid ** 3 - tau * flux.df(mid) > x
+        lo = np.where(high, mid, lo)
+        hi = np.where(high, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def _curvature_bumps(c=1.0, k=20.0, a=0.5):
+    """Convex flux whose f'' peaks at u = +-a, far above its value at u = 0.
+
+    Newton from the seed, which sees only f''(0), cycles on it without the
+    bracket: the steps overshoot across the steep stretches of f'.
+    """
+    def antiderivative(v):  # of arctan(k v)
+        return v * np.arctan(k * v) - np.log1p((k * v) ** 2) / (2.0 * k)
+
+    return FluxModel(
+        f=lambda u: 0.5 * u * u + c * (antiderivative(u - a) + antiderivative(u + a)),
+        df=lambda u: u + c * (np.arctan(k * (u - a)) + np.arctan(k * (u + a))),
+        d2f=lambda u: 1.0 + c * k * (1.0 / (1.0 + (k * (u - a)) ** 2)
+                                     + 1.0 / (1.0 + (k * (u + a)) ** 2)),
+        c1=1.0, c2=1.0 + 2.0 * c * k, name="curvature-bumps", u_range=(-2.0, 2.0))
+
+
+@pytest.mark.parametrize("flux", [burgers(), burgers_plus_linear(1.0), quartic_perturbed(0.05),
+                                  quartic_perturbed(5.0), _curvature_bumps()],
+                         ids=["burgers", "burgers-plus-linear", "quartic-0.05", "quartic-5",
+                              "curvature-bumps"])
+@pytest.mark.parametrize("amplitude", [0.5, 1.0, 2.0])
+def test_formation_data_match_bisection(flux, amplitude):
+    # the seeded Newton root agrees with a 90-step bisection to round-off
+    # over the whole clamp range, and the data stay monotone
+    x = np.linspace(-2.5, 2.5, 20001)
+    u = build_scenario("theorem2-formation", flux, amplitude=amplitude).initial.u0(x)
+    assert np.max(np.abs(u - _bisection_root(amplitude, flux, x))) <= 2e-15
+    assert np.all(np.diff(u) <= 0.0)
+
+
+@pytest.mark.parametrize("flux, amplitude, most", [
+    (burgers(), 1.0, 3), (burgers_plus_linear(1.0), 1.0, 3),
+    (burgers(), 0.5, 3), (burgers_plus_linear(0.5), 2.0, 3),
+    (quartic_perturbed(5.0), 0.1, 12)],
+    ids=["burgers", "burgers-plus-linear", "burgers-A0.5", "burgers-plus-linear-A2",
+         "quartic-5-A0.1"])
+def test_formation_data_count_their_flux_calls(flux, amplitude, most):
+    # the closed-form seed is exact for constant curvature, so one Newton
+    # pass settles it; the stiff quartic needs a few more
+    calls = []
+
+    def df(u):
+        calls.append(u)
+        return flux.df(u)
+
+    scen = build_scenario("theorem2-formation", dataclasses.replace(flux, df=df),
+                          amplitude=amplitude)
+    x = np.linspace(-3.0, 3.0, 2001)
+    calls.clear()
+    u = scen.initial.u0(x)
+    assert len(calls) <= most
+    assert np.max(np.abs(u - _bisection_root(amplitude, flux, np.clip(x, -2.5, 2.5)))) <= 2e-15
 
 
 def test_formation_blowup_map():
