@@ -52,21 +52,45 @@ class SmoothData:
             raise ValueError("du0 disagrees with finite differences of u0")
 
 
+def bracketed_root(residual: Callable, u, lo, hi):
+    """Root of an increasing residual at every node, inside its bracket [lo, hi].
+
+    ``residual(u)`` returns ``(r, r_u)``.  Each pass takes a Newton step from
+    u; a step that lands outside the closed bracket takes the bracket's
+    midpoint instead, and the sign of each residual narrows the node's
+    bracket.  A node is frozen once it moves at most four ulps of
+    max(|u|, 1), so its value never depends on the other nodes of the call;
+    the loop stops after at most 90 passes, as many as a bisection takes to
+    close any bracket.
+    """
+    live = np.ones(np.shape(u), dtype=bool)
+    for _ in range(90):
+        r, slope = residual(u)
+        lo = np.where(r <= 0.0, u, lo)
+        hi = np.where(r >= 0.0, u, hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            new = u - r / slope
+        new = np.where((lo <= new) & (new <= hi), new, 0.5 * (lo + hi))
+        moved = np.abs(new - u) > 4.0 * np.finfo(float).eps * np.maximum(np.abs(u), 1.0)
+        u = np.where(live, new, u)
+        live &= moved
+        if not np.any(live):
+            break
+    return u
+
+
 def characteristic_value(data: SmoothData, flux: FluxModel, t: float, x):
     """Values carried to (t, x) along straight characteristics, at every x at once.
 
-    Solves xi + t f'(u0(xi)) = x for each foot point by a bracketed scan,
-    bisection, and a Newton polish, one row per x, in blocks of
-    _FOOT_ROWS rows.  Each x needs a single sign change: at the first x with
-    none NoBracketError, with several MultipleRootsError (the
-    characteristic field has folded).  A scalar x gives a float.
+    Solves xi + t f'(u0(xi)) = x for each foot point: a scan brackets it,
+    then ``bracketed_root`` finds it from the bracket's midpoint, one row per
+    x, in blocks of _FOOT_ROWS rows.  Each x needs a single sign change: at
+    the first x with none NoBracketError, with several MultipleRootsError
+    (the characteristic field has folded).  A scalar x gives a float.
     """
     xs = np.asarray(x, dtype=float)
     flat = xs.ravel()
     out = np.empty(flat.size)
-
-    def residual(xi, x):
-        return xi + t * flux.df(data.u0(xi)) - x
 
     for first in range(0, flat.size, _FOOT_ROWS):
         x = flat[first:first + _FOOT_ROWS]
@@ -80,7 +104,7 @@ def characteristic_value(data: SmoothData, flux: FluxModel, t: float, x):
         hi = x + abs(t) * m + 1.0
 
         scan = np.linspace(lo, hi, 257, axis=-1)
-        r = residual(scan, x[:, None])
+        r = (scan - x[:, None]) + t * flux.df(data.u0(scan))
         # an exact zero at a scan node is one root, not two sign flips around it
         node_root = r == 0.0
         sign_change = r[:, :-1] * r[:, 1:] < 0.0
@@ -95,43 +119,31 @@ def characteristic_value(data: SmoothData, flux: FluxModel, t: float, x):
                                      f"characteristics have crossed")
 
         # each row's bracket: [j, j + 1] around its sign change, or its root
-        # node j twice, which is settled and skips the bisection and polish
+        # node j twice, which is settled
         rows = np.arange(x.size)
         node = np.any(node_root, axis=1)
         j = np.where(node, np.argmax(node_root, axis=1), np.argmax(sign_change, axis=1))
         a = scan[rows, j]
         b = scan[rows, j + ~node]
-        ra = residual(a, x)
-        live = ~node
-        for _ in range(80):
-            if not np.any(live):
-                break
-            mid = 0.5 * (a + b)
-            rm = residual(mid, x)
-            done = live & ((rm == 0.0) | ((b - a) < 1e-13 * np.maximum(1.0, np.abs(mid))))
-            live &= ~done
-            left = live & ((ra < 0.0) == (rm < 0.0))
-            a = np.where(done | left, mid, a)
-            ra = np.where(left, rm, ra)
-            b = np.where(done | (live & ~left), mid, b)
-        xi = 0.5 * (a + b)
-        # one Newton polish off the nodes; derivative by finite differences
-        # of the residual
-        h = 1e-7 * np.maximum(1.0, np.abs(xi))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dr = (residual(xi + h, x) - residual(xi - h, x)) / (2.0 * h)
-            xi_new = xi - residual(xi, x) / dr
-        polish = ~node & (dr != 0.0) & np.isfinite(dr) & (lo <= xi_new) & (xi_new <= hi)
-        out[first:first + _FOOT_ROWS] = data.u0(np.where(polish, xi_new, xi))
+
+        def residual(xi, x=x):
+            u = data.u0(xi)
+            return ((xi - x) + t * flux.df(u),
+                    1.0 + t * flux.d2f(u) * data.du0(xi))
+
+        xi = bracketed_root(residual, 0.5 * (a + b), a, b)
+        out[first:first + _FOOT_ROWS] = data.u0(xi)
     return out.reshape(xs.shape) if xs.ndim else float(out[0])
 
 
-def blowup_time(data: SmoothData, flux: FluxModel, xi: float) -> float:
-    """First focusing time of the characteristic from xi; inf if it never focuses."""
-    slope = float(data.du0(xi)) * float(flux.d2f(data.u0(xi)))
-    if slope >= 0.0:
-        return float(np.inf)
-    return -1.0 / slope
+def blowup_time(data: SmoothData, flux: FluxModel, xi):
+    """First focusing time of the characteristic from each xi; inf where it
+    never focuses.  A scalar xi gives a float."""
+    xi = np.asarray(xi, dtype=float)
+    slope = data.du0(xi) * flux.d2f(data.u0(xi))
+    with np.errstate(divide="ignore"):
+        out = np.where(slope >= 0.0, np.inf, -1.0 / slope)
+    return out if out.ndim else float(out)
 
 
 def single_shock(shock: ShockData, t, x):

@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import DegenerateError, NotLaxError, OutOfDomainError
 from .flux import FluxModel, ShockData, rankine_hugoniot
-from .inviscid import (SmoothData, blowup_time, characteristic_value, single_shock, two_shock,
-                       z_root)
+from .inviscid import (SmoothData, blowup_time, bracketed_root, characteristic_value,
+                       single_shock, two_shock, z_root)
 from .profiles import MergingTriple
 from .rescale import FormationPoint
 
@@ -98,7 +98,7 @@ def single_shock_scenario(flux: FluxModel, u_minus: float = 1.0, u_plus: float =
     if formed >= tau:
         raise ValueError(
             f"ramp_width {w} absorbs only at t={formed:.3g}, after tau={tau}")
-    blow = min(blowup_time(data, flux, xi) for xi in np.linspace(-3.0 * w, 3.0 * w, 31))
+    blow = float(np.min(blowup_time(data, flux, np.linspace(-3.0 * w, 3.0 * w, 31))))
 
     def reference(t, x):
         t = float(t)
@@ -148,7 +148,7 @@ def merging_shocks_scenario(flux: FluxModel, u_minus: float = 1.0, u_star: float
         raise ValueError(f"ramps absorb only at t={formed:.3g}; thin them or raise tau")
     scan = np.concatenate([p1 + np.linspace(-3.0 * w, 3.0 * w, 21),
                            p2 + np.linspace(-3.0 * w, 3.0 * w, 21)])
-    blow = min(blowup_time(data, flux, xi) for xi in scan)
+    blow = float(np.min(blowup_time(data, flux, scan)))
 
     def reference(t, x):
         t = float(t)
@@ -172,34 +172,21 @@ def _cubic_profile_root(amplitude: float, flux: FluxModel, spread: float,
     """Vectorised decreasing root of x = -amplitude*u^3 - spread*f'(u).
 
     The seed is the closed-form root of the cubic with f' linearised at
-    u = 0, exact for a constant-curvature flux.  Newton on f' itself then
-    polishes it inside a per-node bracket [lo, hi] that starts at
-    [-u_bracket, u_bracket]; a step that lands outside the bracket takes
-    its midpoint.  The loop stops once no node moves more than four ulps of
-    max(|u|, 1), after at most 90 passes, as many as a bisection of the
-    bracket takes to close it.
+    u = 0, exact for a constant-curvature flux, clipped into the bracket
+    [-u_bracket, u_bracket]; ``bracketed_root`` polishes it on the negated,
+    increasing residual amplitude*u^3 + spread*f'(u) + x.
     """
     x = np.asarray(x, dtype=float)
     zero = np.float64(0.0)
     t = -spread * float(flux.d2f(zero)) / amplitude
     seed = z_root(t, (x + spread * float(flux.df(zero))) / amplitude)
-    u = np.clip(seed, -u_bracket, u_bracket)
-    lo = np.full(x.shape, -u_bracket)
-    hi = np.full(x.shape, u_bracket)
-    tol = 4.0 * np.finfo(float).eps
-    for _ in range(90):
-        res = -amplitude * (u * u) * u - spread * np.asarray(flux.df(u), dtype=float) - x
-        # residual decreasing in u: the root lies at or above u where res >= 0
-        lo = np.where(res >= 0.0, u, lo)
-        hi = np.where(res <= 0.0, u, hi)
-        slope = 3.0 * amplitude * u * u + spread * np.asarray(flux.d2f(u), dtype=float)
-        new = u + res / slope
-        new = np.where((lo <= new) & (new <= hi), new, 0.5 * (lo + hi))
-        done = np.all(np.abs(new - u) <= tol * np.maximum(np.abs(u), 1.0))
-        u = new
-        if done:
-            break
-    return u
+
+    def residual(u):
+        return (amplitude * (u * u) * u + spread * np.asarray(flux.df(u), dtype=float) + x,
+                3.0 * amplitude * u * u + spread * np.asarray(flux.d2f(u), dtype=float))
+
+    return bracketed_root(residual, np.clip(seed, -u_bracket, u_bracket),
+                          -u_bracket, u_bracket)
 
 
 def shock_formation_scenario(flux: FluxModel, amplitude: float = 1.0, *,

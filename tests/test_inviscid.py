@@ -1,4 +1,6 @@
 """Exact-solution oracles: characteristics, shock patterns, cubic wave."""
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from shockzoom import (ConfigError, MultipleRootsError, ShockData, SmoothData,
                        blowup_time, build_scenario, burgers, characteristic_value, inviscid, single_shock,
                        two_shock, z_bounds_audit, z_eval, z_exact, z_root)
 from shockzoom.errors import NotOrderedError
+from shockzoom.flux import burgers_plus_linear, quartic_perturbed
 
 # where each pair below is cross-checked against finite differences
 CHECK_POINTS = np.linspace(-2.0, 2.0, 17)
@@ -52,12 +55,68 @@ def test_characteristic_value_takes_arrays(monkeypatch):
         characteristic_value(data, burgers(), 2.0, [-40.0, -0.25, 0.0, 0.25])
 
 
+def _bisection_foot_value(scen, t, x):
+    """u at (t, x) from a 200-step bisection of the foot residual
+    xi + t f'(u0(xi)) - x, which increases in xi before the blow-up."""
+    speed = np.max(np.abs(scen.flux.df(np.array(scen.states))))
+    lo, hi = x - t * speed - 1.0, x + t * speed + 1.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        low = (mid - x) + t * scen.flux.df(scen.initial.u0(mid)) < 0.0
+        lo, hi = np.where(low, mid, lo), np.where(low, hi, mid)
+    # the end of the last bracket with the smaller residual
+    r_lo, r_hi = ((v - x) + t * scen.flux.df(scen.initial.u0(v)) for v in (lo, hi))
+    return scen.initial.u0(np.where(np.abs(r_lo) <= np.abs(r_hi), lo, hi))
+
+
+@pytest.mark.parametrize("scenario_id", ["theorem1-single", "theorem1-merging"])
+@pytest.mark.parametrize("fraction", [0.1, 0.5, 0.9])
+def test_characteristic_roots_match_bisection(scenario_id, fraction):
+    # the shared Newton root agrees with a long bisection to round-off
+    scen = build_scenario(scenario_id, burgers())
+    t = fraction * scen.blowup
+    x = np.linspace(*scen.domain, 2001)
+    u = characteristic_value(scen.initial, scen.flux, t, x)
+    assert np.max(np.abs(u - _bisection_foot_value(scen, t, x))) <= 1e-14
+
+
+@pytest.mark.parametrize("flux", [burgers(), burgers_plus_linear(0.5), quartic_perturbed(0.05)],
+                         ids=["burgers", "burgers-plus-linear", "quartic-0.05"])
+@pytest.mark.parametrize("scenario_id", ["theorem1-single", "theorem1-merging"])
+def test_characteristic_roots_count_their_flux_calls(monkeypatch, flux, scenario_id):
+    # a block of rows costs two df calls for the speed bound, one for the
+    # scan and one per Newton pass, up to just before the blow-up
+    calls = []
+
+    def df(u):
+        calls.append(u)
+        return flux.df(u)
+
+    monkeypatch.setattr(inviscid, "_FOOT_ROWS", 4096)
+    scen = build_scenario(scenario_id, dataclasses.replace(flux, df=df))
+    x = np.linspace(*scen.domain, 4096)
+    for fraction in (0.0, 0.1, 0.5, 0.9, 0.97):
+        calls.clear()
+        characteristic_value(scen.initial, scen.flux, fraction * scen.blowup, x)
+        assert len(calls) <= 16, fraction
+
+
 def test_blowup_time_linear():
     data = linear_data()
     assert blowup_time(data, burgers(), 0.3) == pytest.approx(1.0, abs=1e-12)
     rising = SmoothData(lambda x: np.asarray(x, dtype=float),
                         lambda x: np.ones_like(np.asarray(x, dtype=float)), CHECK_POINTS)
     assert blowup_time(rising, burgers(), 0.0) == np.inf
+    # an array of feet, one of which never focuses, gives the scalar calls
+    # bit for bit
+    bump = SmoothData(lambda x: np.exp(-np.square(x)),
+                      lambda x: -2.0 * np.asarray(x) * np.exp(-np.square(x)), CHECK_POINTS)
+    xi = np.array([-1.0, 0.0, 0.3, 0.7071, 1.5])
+    times = blowup_time(bump, burgers(), xi)
+    assert times.shape == xi.shape and times[0] == np.inf
+    each = [blowup_time(bump, burgers(), v) for v in xi]
+    assert all(isinstance(v, float) for v in each)
+    assert np.array_equal(times, each)
 
 
 def test_characteristics_cross_after_blowup():

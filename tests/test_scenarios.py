@@ -118,9 +118,14 @@ def test_formation_data_match_bisection(flux, amplitude):
     # the seeded Newton root agrees with a 90-step bisection to round-off
     # over the whole clamp range, and the data stay monotone
     x = np.linspace(-2.5, 2.5, 20001)
-    u = build_scenario("theorem2-formation", flux, amplitude=amplitude).initial.u0(x)
+    u0 = build_scenario("theorem2-formation", flux, amplitude=amplitude).initial.u0
+    u = u0(x)
     assert np.max(np.abs(u - _bisection_root(amplitude, flux, x))) <= 2e-15
     assert np.all(np.diff(u) <= 0.0)
+    # each node stops on its own: one point at a time, or a slice, gives
+    # the batched bits
+    assert np.array_equal([u0(v) for v in x[::97]], u[::97])
+    assert np.array_equal(u0(x[7000:9001]), u[7000:9001])
 
 
 @pytest.mark.parametrize("flux, amplitude, most", [
