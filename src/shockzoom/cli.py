@@ -179,10 +179,14 @@ def load_config(path: Optional[str], sets: Sequence[str]) -> Config:
     """A file's ``key = value`` lines, then the ``--set`` items over them."""
     items = list(sets)
     if path is not None:
-        p = Path(path)
-        if not p.exists():
-            raise ConfigError(f"config file not found: {path}")
-        items[:0] = [ln for ln in map(str.strip, p.read_text().split("\n"))
+        try:
+            text = Path(path).read_text()
+        except FileNotFoundError:
+            raise ConfigError(f"config file not found: {path}") from None
+        except (OSError, UnicodeDecodeError) as e:
+            # a directory, say, or a file that is not text
+            raise ConfigError(f"config file {path} cannot be read as text: {e}") from None
+        items[:0] = [ln for ln in map(str.strip, text.split("\n"))
                      if ln and not ln.startswith("#")]
     values: Dict[str, str] = {}
     for item in items:
@@ -245,13 +249,19 @@ def _config_window(cfg: Config, prefix: str) -> Window:
     return window
 
 
-def _out_path(cfg: Config, override: Optional[str]) -> Path:
-    return Path(override if override is not None else cfg["run.out"])
-
-
 def _out_dir(cfg: Config, override: Optional[str]) -> Path:
-    out = _out_path(cfg, override)
-    out.mkdir(parents=True, exist_ok=True)
+    """The output directory, ``--out`` or else run.out, checked before any work.
+
+    The directory is made by the first file written into it, once the
+    command has its results; here a file at the path, or at one of its
+    parents, where the directory would have to be, is refused.
+    """
+    out = Path(override if override is not None else cfg["run.out"])
+    for d in (out, *out.parents):
+        if d.exists():
+            if d.is_dir():
+                return out
+            raise ConfigError(f"output directory {out}: {d} is not a directory")
     return out
 
 
@@ -340,7 +350,6 @@ def cmd_run(cfg: Config, args: argparse.Namespace) -> int:
     extra = {}
     if scenario_id == "theorem1-merging":
         extra["pattern"], wave, settling = _merging_pattern(cfg, scenario, window)
-    out = _out_dir(cfg, args.out)
 
     if scenario_id == "theorem2-formation":
         outcomes = experiments.formation_zoom(scenario, eps, n, **zoom)
@@ -366,8 +375,8 @@ def cmd_run(cfg: Config, args: argparse.Namespace) -> int:
                        sups[-1] <= 0.1 * jump)]
 
     checks.extend(experiments.health_rows(scenario, eps[0], seed))
-    io.write_sweep(out / "sweep.csv", outcomes)
-    return _report(out, cfg, "run", checks, scenario=scenario_id, eps=eps,
+    io.write_sweep(args.out / "sweep.csv", outcomes)
+    return _report(args.out, cfg, "run", checks, scenario=scenario_id, eps=eps,
                    outcomes=[{"eps": o.eps, "sup_error": o.sup_error,
                               "l1_error": o.l1_error, "shift": o.shift,
                               "shift_t": o.shift_t} for o in outcomes], **extra)
@@ -380,11 +389,7 @@ def cmd_sweep(cfg: Config, args: argparse.Namespace) -> int:
     t_check = cfg["sweep.t_check"]
     eps = cfg["run.eps"]
     min_slope = cfg["sweep.min_slope"]
-    out = _out_dir(cfg, args.out)
     report = experiments.kuznetsov_sweep(scenario, eps, t_check=t_check, n_nodes=n_nodes)
-    io.write_sweep(out / "sweep.csv",
-                   [experiments.ZoomOutcome(e, err, l1, 0.0)
-                    for (e, err, _), l1 in zip(report.pointwise, report.l1_errors)])
     checks = [
         ("l1-slope", 0.0, report.rate.slope - min_slope,
          report.rate.slope >= min_slope),
@@ -392,7 +397,10 @@ def cmd_sweep(cfg: Config, args: argparse.Namespace) -> int:
          min(allow - err for _, err, allow in report.pointwise),
          report.pointwise_ok),
     ]
-    return _report(out, cfg, "sweep", checks, scenario=scenario_id,
+    io.write_sweep(args.out / "sweep.csv",
+                   [experiments.ZoomOutcome(e, err, l1, 0.0)
+                    for (e, err, _), l1 in zip(report.pointwise, report.l1_errors)])
+    return _report(args.out, cfg, "sweep", checks, scenario=scenario_id,
                    eps=list(report.eps_list), l1_errors=list(report.l1_errors),
                    slope=report.rate.slope, intercept=report.rate.intercept,
                    residual=report.rate.residual)
@@ -401,7 +409,6 @@ def cmd_sweep(cfg: Config, args: argparse.Namespace) -> int:
 
 def cmd_audit(cfg: Config, args: argparse.Namespace) -> int:
     suite = cfg["audit.suite"]
-    out = _out_dir(cfg, args.out)
     if suite == "lemma81":
         report, rows = experiments.suite_cubic_bounds()
         extra = {"n_points": report.n_points, "violations": report.violations,
@@ -416,7 +423,7 @@ def cmd_audit(cfg: Config, args: argparse.Namespace) -> int:
     else:
         report, rows = experiments.suite_phase()
         extra = {"t1": report.t1, "t2": report.t2}
-    return _report(out, cfg, "audit", rows, suite=suite, **extra)
+    return _report(args.out, cfg, "audit", rows, suite=suite, **extra)
 
 
 def cmd_ztable(cfg: Config, args: argparse.Namespace) -> int:
@@ -440,9 +447,8 @@ def cmd_ztable(cfg: Config, args: argparse.Namespace) -> int:
         t, x = table[bad[0], :2].tolist()
         raise ConfigError(f"--t/--x: the cubic wave or its x-derivatives are not "
                           f"finite at t={t!r}, x={x!r}")
-    out = _out_dir(cfg, args.out)
-    io.write_z_table(out / "ztable.csv", table)
-    io.write_summary(out / "summary.json", {
+    io.write_z_table(args.out / "ztable.csv", table)
+    io.write_summary(args.out / "summary.json", {
         "command": "z-table", "config": cfg.values, "t": list(t_values),
         "x": list(x_range), "n": n, "rows": len(table), "passed": True,
     })
@@ -463,9 +469,8 @@ def cmd_profile(cfg: Config, args: argparse.Namespace) -> int:
             wave = traveling_wave(flux, u_minus, u_plus, half_width, dx)
     except (ValueError, RuntimeError, OverflowError) as e:
         raise ConfigError(f"--u-minus/--u-plus/--dx: no profile at these settings: {e}")
-    out = _out_dir(cfg, args.out)
-    io.write_profile(out / "profile.csv", wave.profile.x, wave.profile.values)
-    io.write_summary(out / "summary.json", {
+    io.write_profile(args.out / "profile.csv", wave.profile.x, wave.profile.values)
+    io.write_summary(args.out / "summary.json", {
         "command": "profile", "config": cfg.values,
         "u_minus": u_minus, "u_plus": u_plus, "speed": wave.shock.speed,
         "offset": wave.offset, "ode_residual": wave.ode_residual(),
@@ -483,13 +488,11 @@ def cmd_merge(cfg: Config, args: argparse.Namespace) -> int:
         raise ConfigError(f"merge.nt: {nt} times of {ys.size} samples make more than "
                           f"{MAX_COUNT} rows")
     settings = _merge_settings(cfg, window)
-    out = _out_dir(cfg, args.out)
     wave, cauchy = experiments.merging_surrogate(scenario, **settings)
     # the table's times, then t_max, where the post-merge fit reads the wave
     ts = window.t_samples(nt)
     states = [GridFunction(float(ys[0]), float(ys[1] - ys[0]), row)
               for row in wave(np.append(ts, window.t_max), ys)]
-    io.write_snapshots(out / "wave.csv", list(zip(ts.tolist(), states[:-1])))
     checks = [_decreasing("cauchy-decreasing", cauchy.comparison_time, cauchy.distances)]
     # a single restart pair has no slope to test
     if len(cauchy.distances) >= 2:
@@ -505,7 +508,8 @@ def cmd_merge(cfg: Config, args: argparse.Namespace) -> int:
     except NoCrossingError:
         # the shock has left the window: no profile fits there
         checks.append(("post-merge", window.t_max, -delta, False))
-    return _report(out, cfg, "merge", checks, taus=list(cauchy.taus),
+    io.write_snapshots(args.out / "wave.csv", list(zip(ts.tolist(), states[:-1])))
+    return _report(args.out, cfg, "merge", checks, taus=list(cauchy.taus),
                    comparison_time=cauchy.comparison_time,
                    distances=list(cauchy.distances), log_slope=cauchy.log_slope)
 
@@ -514,14 +518,13 @@ def cmd_zlimit(cfg: Config, args: argparse.Namespace) -> int:
     x_max = cfg["zlimit.x_max"]
     window = _window("zlimit", cfg["zlimit.t_min"], cfg["zlimit.t_max"], -x_max, x_max)
     dx, tol, n_list = cfg["zlimit.dx"], cfg["zlimit.tol"], cfg["zlimit.n_list"]
-    out = _out_dir(cfg, args.out)
     wave, report = eternal_z_limit(n_list, window, dx=dx)
-    io.write_snapshots(out / "zwave.csv", wave)
     checks = [_decreasing("decreasing", 0.0, report.sup_diffs),
               ("monotone", 0.0, report.monotone_margin + 1e-4,
                report.monotone_margin >= -1e-4),
               ("settled", 0.0, tol - report.final_diff, report.final_diff <= tol)]
-    return _report(out, cfg, "zlimit", checks, n_list=list(report.n_list),
+    io.write_snapshots(args.out / "zwave.csv", wave)
+    return _report(args.out, cfg, "zlimit", checks, n_list=list(report.n_list),
                    sample_times=list(report.sample_times),
                    monotone_margin=report.monotone_margin,
                    sup_diffs=list(report.sup_diffs), final_diff=report.final_diff)
@@ -583,7 +586,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command is None:
         parser.print_help()
         return 2
-    fresh: List[Path] = []
     try:
         # flags override --set; a flag left out is None, an empty one is still set
         sets = list(args.set) + [f"{key}={getattr(args, dest)}"
@@ -592,29 +594,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         cfg = load_config(args.config, sets)
         if getattr(args, "eps", None) is not None:
             cfg.values[_eps_key(cfg["run.scenario"])] = args.eps
-        # the directories _out_dir would make, deepest first: a failed
-        # command removes those it made that are still empty
-        out = _out_path(cfg, args.out)
-        fresh = [d for d in (out, *out.parents) if not d.exists()]
+        args.out = _out_dir(cfg, args.out)
         return args.func(cfg, args)
     except (ConfigError, TauTooLateError) as e:
         # TauTooLateError: merging_wave found, before its first solve, a
         # merge.taus restart too late for its blend
         print(f"config error: {e}", file=sys.stderr)
-        code = 2
+        return 2
     except InstabilityError as e:
         print(f"solver instability: {e}", file=sys.stderr)
-        code = 3
+        return 3
     except ShockzoomError as e:
         print(f"check failed: {e}", file=sys.stderr)
-        code = 1
-    for d in fresh:
-        try:
-            d.rmdir()
-        except OSError:  # never made, or holds output
-            break
-    return code
-
+        return 1
 
 if __name__ == "__main__":
     sys.exit(main())

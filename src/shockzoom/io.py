@@ -2,69 +2,42 @@
 
 Floats are printed with 17 significant digits so every table round-trips
 bit-for-bit; booleans are the words true/false; no timestamps or other
-run-dependent noise ever enters an output file.
+run-dependent noise ever enters an output file.  Each writer makes its
+file's directory, so a directory appears only when something is written
+into it.
 """
 from __future__ import annotations
 
 import json
 import math
 from pathlib import Path
-from typing import Iterable, List, Sequence, Tuple, Union
+from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
 from .grid import GridFunction
 
-Cell = Union[float, bool, str, int]
-# the rows of a float table converted to Python floats at a time
+# the rows of a table converted to Python objects at a time
 _BLOCK_ROWS = 4096
+_FLOAT = "%.17g"
 
 
-def format_cell(v: Cell) -> str:
-    if isinstance(v, bool) or isinstance(v, np.bool_):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return "%.17g" % float(v)
-    return str(v)
+def _open(path):
+    """``path`` opened for writing, its directory made first."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    return open(path, "w")
 
 
-def parse_cell(s: str) -> Cell:
-    if s == "true":
-        return True
-    if s == "false":
-        return False
-    try:
-        return float(s)
-    except ValueError:
-        return s
+def _write(path, header: Sequence[str], cells: Sequence[str],
+           tables: Iterable[np.ndarray]) -> None:
+    """The header, then each row of each 2-D table formatted by one ``%`` call.
 
-
-def write_csv(path, header: Sequence[str], rows: Iterable[Sequence[Cell]]) -> None:
-    """The header and each row as one line, streamed to the file."""
-    with open(path, "w") as f:
-        f.write(",".join(header) + "\n")
-        f.writelines(",".join(map(format_cell, row)) + "\n" for row in rows)
-
-
-def read_csv(path) -> Tuple[List[str], List[Tuple[Cell, ...]]]:
-    text = Path(path).read_text()
-    lines = [ln for ln in text.split("\n") if ln != ""]
-    header = lines[0].split(",")
-    rows = [tuple(parse_cell(tok) for tok in ln.split(",")) for ln in lines[1:]]
-    return header, rows
-
-
-def _write_floats(path, header: Sequence[str], tables: Iterable[np.ndarray]) -> None:
-    """The header and the rows of each float table, as ``write_csv`` writes them.
-
-    Each row is formatted by one ``%`` call, read off ``tolist`` in blocks
-    of _BLOCK_ROWS rows, so a table of 10^6 rows holds no more than one
-    block as Python floats.
+    ``cells`` holds the ``%`` conversion of each column.  Rows are read off
+    ``tolist`` in blocks of _BLOCK_ROWS rows, so a table of 10^6 rows holds
+    no more than one block as Python objects.
     """
-    line = ",".join(["%.17g"] * len(header)) + "\n"
-    with open(path, "w") as f:
+    line = ",".join(cells) + "\n"
+    with _open(path) as f:
         f.write(",".join(header) + "\n")
         for table in tables:
             for start in range(0, len(table), _BLOCK_ROWS):
@@ -74,28 +47,31 @@ def _write_floats(path, header: Sequence[str], tables: Iterable[np.ndarray]) -> 
 
 def write_snapshots(path, snaps: Sequence[Tuple[float, GridFunction]]) -> None:
     """Long-format solution table, one (t, x, u) row per node per snapshot."""
-    _write_floats(path, ("t", "x", "u"),
-                  (np.column_stack((np.full(g.n, float(t)), g.x, g.values))
-                   for t, g in snaps))
+    _write(path, ("t", "x", "u"), [_FLOAT] * 3,
+           (np.column_stack((np.full(g.n, float(t)), g.x, g.values))
+            for t, g in snaps))
 
 
 def write_profile(path, x: np.ndarray, values: np.ndarray) -> None:
-    _write_floats(path, ("x", "S"), [np.column_stack((x, values))])
+    _write(path, ("x", "S"), [_FLOAT] * 2, [np.column_stack((x, values))])
 
 
 def write_z_table(path, points: np.ndarray) -> None:
     """Cubic-wave evaluations, one (t, x, z, zx, zxx, zxxx) row of ``points`` each."""
-    _write_floats(path, ("t", "x", "z", "zx", "zxx", "zxxx"), [points])
+    _write(path, ("t", "x", "z", "zx", "zxx", "zxxx"), [_FLOAT] * 6, [points])
 
 
 def write_sweep(path, outcomes) -> None:
     """Per-viscosity errors of a zoom or rate sweep (ZoomOutcome instances)."""
-    write_csv(path, ("eps", "sup_error", "l1_error", "shift"),
-              ((o.eps, o.sup_error, o.l1_error, o.shift) for o in outcomes))
+    _write(path, ("eps", "sup_error", "l1_error", "shift"), [_FLOAT] * 4,
+           [np.array([(o.eps, o.sup_error, o.l1_error, o.shift) for o in outcomes])])
 
 
 def write_audit(path, rows: Iterable[Tuple[str, float, float, bool]]) -> None:
-    write_csv(path, ("check", "t", "margin", "pass"), rows)
+    """Check rows (name, t, margin, pass), the pass flag written as true/false."""
+    _write(path, ("check", "t", "margin", "pass"), ("%s", _FLOAT, _FLOAT, "%s"),
+           [np.array([(name, t, margin, "true" if ok else "false")
+                      for name, t, margin, ok in rows], dtype=object)])
 
 
 def _jsonable(obj):
@@ -115,5 +91,5 @@ def _jsonable(obj):
 
 def write_summary(path, payload: dict) -> None:
     """Canonical JSON: sorted keys, two-space indent, trailing newline, no NaN."""
-    Path(path).write_text(
-        json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n")
+    with _open(path) as f:
+        f.write(json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n")

@@ -14,7 +14,26 @@ from shockzoom.cli import (DEFAULTS, KEYS, MAX_COUNT, Config, _interior_shift_ro
                            load_config, main)
 from shockzoom.errors import ConfigError
 from shockzoom.experiments import SHIFT_RANGE, ZoomOutcome
-from shockzoom.io import format_cell, parse_cell, read_csv
+from shockzoom.io import write_audit, write_sweep
+
+
+def parse_cell(s):
+    """One CSV cell: the words true/false as booleans, else a float, else the text."""
+    if s == "true":
+        return True
+    if s == "false":
+        return False
+    try:
+        return float(s)
+    except ValueError:
+        return s
+
+
+def read_csv(path):
+    """The header and the parsed rows of a CSV table that shockzoom wrote."""
+    lines = [ln for ln in Path(path).read_text().split("\n") if ln != ""]
+    return (lines[0].split(","),
+            [tuple(parse_cell(tok) for tok in ln.split(",")) for ln in lines[1:]])
 
 
 def test_dump_defaults_sorted(capsys):
@@ -78,9 +97,15 @@ def test_config_file_and_set_precedence(tmp_path):
     cfgfile.write_text("just words\n")
     with pytest.raises(ConfigError, match="key = value"):
         load_config(str(cfgfile), [])
+    # a directory, and a file that is not UTF-8 text, name the path
+    cfgfile.write_bytes("scenario.tau = 2.0 # \xe9\n".encode("latin-1"))
+    for path in (tmp_path, cfgfile):
+        with pytest.raises(ConfigError, match="cannot be read as text") as caught:
+            load_config(str(path), [])
+        assert str(path) in str(caught.value)
 
 
-def test_exit_code_2_paths(tmp_path, monkeypatch):
+def test_exit_code_2_paths(tmp_path, monkeypatch, capsys):
     out = str(tmp_path / "o")
     assert main(["audit", "--suite", "nope", "--out", out]) == 2
     assert main(["run", "--set", "run.eps=0.01,0.02", "--out", out]) == 2
@@ -210,6 +235,23 @@ def test_exit_code_2_paths(tmp_path, monkeypatch):
                      ["merge", "--set", "merge.nt=5000"]):
             assert main(args + ["--out", str(mended)]) == 2, args
             assert not mended.exists(), args
+        # a file where the output directory is, or where one of its parents
+        # would be made, and a config that is a directory or not UTF-8 text:
+        # each is one config error line, and the file is left as it was
+        blocker = tmp_path / "blocker"
+        blocker.write_text("kept\n")
+        latin1 = tmp_path / "latin1.cfg"
+        latin1.write_bytes("scenario.tau = 1.0 # \xe9\n".encode("latin-1"))
+        capsys.readouterr()
+        for command in (["run"], ["profile"], ["z-table", "--t", "-1", "--x", "-1", "1"]):
+            for tail in (["--out", str(blocker)], ["--out", str(blocker / "sub")],
+                         ["--config", str(tmp_path), "--out", str(mended)],
+                         ["--config", str(latin1), "--out", str(mended)]):
+                assert main(command + tail) == 2, (command, tail)
+                err = capsys.readouterr().err
+                assert err.startswith("config error: ") and err.count("\n") == 1, err
+                assert blocker.read_text() == "kept\n", (command, tail)
+                assert not mended.exists(), (command, tail)
     # each of these once ran for ever; now the solver's step cap refuses it
     for setting, commands in (("scenario.tau=1e308", ("single", "sweep", "formation")),
                               ("window.t_max=1e308", ("single",)),
@@ -268,10 +310,10 @@ def test_the_exact_eternal_wave_takes_late_windows_and_coarse_grids(tmp_path):
 
 
 def test_config_error_leaves_no_output_directory(tmp_path):
-    # four fail before the output directory is made; sweep.t_check=0.1 in
-    # kuznetsov_sweep before its first solve, and the last one during its
-    # first solve, on the cell-Peclet guard (100 at dx=4), each after the
-    # directory is made, which main then removes
+    # a command makes its output directory only when it writes its results:
+    # none of these gets that far, whether it fails on reading a setting,
+    # in kuznetsov_sweep before its first solve (sweep.t_check=0.1), or
+    # during its first solve, on the cell-Peclet guard (100 at dx=4)
     existing = tmp_path / "existing"
     existing.mkdir()
     for args in (["run", "--scenario", "theorem1-merging", "--set", "merge.taus=-20",
@@ -721,16 +763,29 @@ def test_profile_summary_and_determinism(tmp_path):
     assert main(["profile", "--half-width", "0.0", "--out", str(out1)]) == 2
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.floats(allow_nan=False, allow_infinity=False))
-def test_cells_round_trip(v):
-    assert parse_cell(format_cell(v)) == v
+def _bits(values):
+    return np.array(values, dtype=float).reshape(-1).view(np.int64).tolist()
 
 
-def test_cell_booleans_and_strings():
-    assert format_cell(True) == "true"
-    assert format_cell(False) == "false"
-    assert parse_cell("true") is True
-    assert parse_cell("false") is False
-    assert parse_cell("lemma81") == "lemma81"
-    assert format_cell(3) == "3"
+_float64 = st.floats(allow_nan=False)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(audit=st.lists(st.tuples(st.sampled_from(["order", "l1-slope", "mass-drift"]),
+                                _float64, _float64,
+                                st.sampled_from([True, False, np.True_, np.False_]))),
+       sweep=st.lists(st.tuples(_float64, _float64, _float64, _float64)))
+def test_writers_round_trip(tmp_path, audit, sweep):
+    write_audit(tmp_path / "audit.csv", audit)
+    write_sweep(tmp_path / "sweep.csv", [ZoomOutcome(*row) for row in sweep])
+    header, rows = read_csv(tmp_path / "audit.csv")
+    assert header == ["check", "t", "margin", "pass"]
+    assert [r[0] for r in rows] == [a[0] for a in audit]
+    assert _bits([r[1:3] for r in rows]) == _bits([a[1:3] for a in audit])
+    # parse_cell gives a bool only for the words true and false
+    assert [r[3] for r in rows] == [bool(a[3]) for a in audit]
+    assert all(type(r[3]) is bool for r in rows)
+    header, rows = read_csv(tmp_path / "sweep.csv")
+    assert header == ["eps", "sup_error", "l1_error", "shift"]
+    assert _bits(rows) == _bits(sweep)
