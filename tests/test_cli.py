@@ -773,19 +773,31 @@ _float64 = st.floats(allow_nan=False)
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(audit=st.lists(st.tuples(st.sampled_from(["order", "l1-slope", "mass-drift"]),
-                                _float64, _float64,
-                                st.sampled_from([True, False, np.True_, np.False_]))),
+                                _float64, _float64, st.booleans())),
        sweep=st.lists(st.tuples(_float64, _float64, _float64, _float64)))
-def test_writers_round_trip(tmp_path, audit, sweep):
+def test_cells_round_trip(tmp_path, audit, sweep):
+    # every float cell the writers format reads back to the same bits
     write_audit(tmp_path / "audit.csv", audit)
     write_sweep(tmp_path / "sweep.csv", [ZoomOutcome(*row) for row in sweep])
     header, rows = read_csv(tmp_path / "audit.csv")
     assert header == ["check", "t", "margin", "pass"]
-    assert [r[0] for r in rows] == [a[0] for a in audit]
     assert _bits([r[1:3] for r in rows]) == _bits([a[1:3] for a in audit])
-    # parse_cell gives a bool only for the words true and false
-    assert [r[3] for r in rows] == [bool(a[3]) for a in audit]
-    assert all(type(r[3]) is bool for r in rows)
     header, rows = read_csv(tmp_path / "sweep.csv")
     assert header == ["eps", "sup_error", "l1_error", "shift"]
     assert _bits(rows) == _bits(sweep)
+
+
+def test_cell_booleans_and_strings(tmp_path):
+    # the pass column is written as the words true/false, for Python and
+    # numpy booleans alike, and parse_cell gives a bool only for those words
+    audit = [("order", 0.5, 1.0, True), ("l1-slope", 1.0, -2.0, False),
+             ("mass-drift", 2.0, 3.0, np.True_), ("lemma81", 4.0, 0.25, np.False_)]
+    write_audit(tmp_path / "audit.csv", audit)
+    lines = (tmp_path / "audit.csv").read_text().splitlines()
+    assert [ln.rsplit(",", 1)[1] for ln in lines[1:]] == ["true", "false", "true", "false"]
+    header, rows = read_csv(tmp_path / "audit.csv")
+    assert [r[0] for r in rows] == ["order", "l1-slope", "mass-drift", "lemma81"]
+    assert [r[3] for r in rows] == [True, False, True, False]
+    assert all(type(r[3]) is bool for r in rows)
+    assert parse_cell("lemma81") == "lemma81"
+    assert parse_cell("3") == 3.0
