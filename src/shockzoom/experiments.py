@@ -23,7 +23,8 @@ on the current cut, with the cut's ends held through the stage.  Where the
 data are still smooth before the window (t0, a quarter of the window's
 duration before it opens, lies before the blow-up time) and the grid is at
 least twice as fine as a cell Peclet number of 0.5 needs, the stages before
-t0 march on a coarser subgrid, prolonged to the fine nodes at t0.
+t0 march on every m-th node of the grid, counted from its left end, and the
+state is prolonged to the fine nodes at t0.
 """
 from __future__ import annotations
 
@@ -176,11 +177,11 @@ def _zoom_field(scenario: Scenario, eps: float, dx: float, frame: RescaleFrame,
     interpolated linearly in x off the snapshot at its time.
 
     Where the solution is still smooth before the window, the march starts
-    coarse: with m = floor(COARSE_PECLET eps / (max|f'(u0)| dx)) >= 2 and
-    t0 = t_first - COARSE_LEAD (t_last - t_first) in (0, blow-up time),
-    the first cut is widened to at least three whole coarse cells, every cut
-    before t0 keeps whole coarse cells, those stages march on every m-th
-    node, and the state is prolonged to the fine nodes by cubic
+    coarse: with m = floor(COARSE_PECLET eps / (max|f'(u0)| dx)) >= 2, at
+    least three coarse cells on the grid and t0 = t_first - COARSE_LEAD
+    (t_last - t_first) in (0, blow-up time), the stages before t0 march on
+    the grid's nodes whose index is a multiple of m, each cut at least three
+    coarse cells long, and the state is prolonged to the fine nodes by cubic
     interpolation at t0, which is one more stage start.
     """
     # each row's time, once: the march lands on it and the row is read there
@@ -195,37 +196,25 @@ def _zoom_field(scenario: Scenario, eps: float, dx: float, frame: RescaleFrame,
     x_seen = np.min(x_rows), np.max(x_rows)
 
     def cone(t: float, speed: float, i: int, j: int, m: int):
-        """The nodes a < b of the cut i, i + m, ..., j that cover the window's
-        cone of dependence at time t, at least one cell apart, or three coarse
-        cells, the four nodes that ``prolong_cubic`` needs."""
+        """The nodes a < b, multiples of m in the cut i, ..., j, that cover the
+        window's cone of dependence at time t, at least one cell apart, or
+        three coarse cells, the four nodes that ``prolong_cubic`` needs."""
         cells = 3 if m > 1 else 1
         reach = speed * (t_end - t) + REACH_DIFFUSION_LENGTHS * math.sqrt(eps * (t_end - t))
         # clipped as floats, so that a window far off the grid cannot overflow int()
         with np.errstate(over="ignore"):
-            a = np.clip(np.floor(((x_seen[0] - reach - lo) / dx - i) / m),
-                        0, (j - i) // m - cells)
-            b = np.clip(np.ceil(((x_seen[1] + reach - lo) / dx - i) / m),
-                        a + cells, (j - i) // m)
-        return i + m * int(a), i + m * int(b)
+            a = np.clip(np.floor((x_seen[0] - reach - lo) / (m * dx)), i // m, j // m - cells)
+            b = np.clip(np.ceil((x_seen[1] + reach - lo) / (m * dx)), a + cells, j // m)
+        return m * int(a), m * int(b)
 
     # every scenario's data are monotone, so their largest speed is at the
     # grid's end nodes
     speed = flux.max_speed(u0(lo + dx * np.array([0.0, last])))
-    i, j = cone(0.0, speed, 0, last, 1)
     t0 = times[0] - COARSE_LEAD * (t_end - times[0])
     m = math.floor(COARSE_PECLET * eps / (speed * dx))
-    if m >= 2 and 0.0 < t0 < min(times[0], scenario.blowup):
-        # whole coarse cells, widened to the right first, then to the left;
-        # a grid too short for three of them starts fine
-        pad = -(j - i) % m
-        j_wide = min(last, j + pad)
-        i_wide = i - pad + (j_wide - j)
-        if i_wide >= 0 and j_wide - i_wide >= 3 * m:
-            i, j = i_wide, j_wide
-        else:
-            m = 1
-    else:
+    if not (m >= 2 and 0.0 < t0 < min(times[0], scenario.blowup) and 3 * m <= last):
         m = 1
+    i, j = cone(0.0, speed, 0, last, m)
     # the whole march's steps at the data's speed, its coarse stretch at
     # stride m, are capped before any step, as one solve's would be
     check_step_count(t_end - t0 * (m - 1) / m, speed, dx)
@@ -453,7 +442,7 @@ def kuznetsov_sweep(scenario: Scenario, eps_list: Sequence[float], *,
                       trip.lambda2 * (t_check - scenario.tau)]
         elif trip is not None:
             shocks = [scenario.shock.speed * (t_check - scenario.tau)]
-        elif scenario.shock is not None:
+        else:
             shocks = [scenario.shock.speed * t_check]
 
     finals = [solve(data, scenario.flux, SolverConfig(eps, Clamped()), t_check,

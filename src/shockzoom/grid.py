@@ -67,10 +67,6 @@ class GridFunction:
     def with_values(self, values: np.ndarray) -> "GridFunction":
         return GridFunction(self.x_left, self.dx, values)
 
-    def __call__(self, x):
-        """Linear interpolation; constant extension beyond the grid ends."""
-        return np.interp(x, self.x, self.values)
-
     @classmethod
     def from_callable(cls, f: Callable, x_left: float, x_right: float,
                       dx: float) -> "GridFunction":

@@ -363,6 +363,8 @@ def test_zoom_local_solve_matches_full_solve(monkeypatch):
             # a node offset and a stride into the full grid, inside the last cut
             k, m = round((g.x_left - full.x_left) / dx), round(g.dx / dx)
             assert inside[0] <= k and k + m * (g.n - 1) <= inside[1], (inside, k, m, g.n)
+            # on the grid's own stride-m lattice, counted from its left end
+            assert k % m == 0, (k, m)
             np.testing.assert_allclose(g.x, full.x[k:k + m * (g.n - 1) + 1:m],
                                        rtol=0.0, atol=1e-12)
             inside = (k, k + m * (g.n - 1))
@@ -407,6 +409,14 @@ def test_zoom_local_solve_matches_full_solve(monkeypatch):
     coarse = strides.count(m)
     assert m >= 2 and coarse >= 1 and cut, (m, strides)
     assert strides == [m] * coarse + [1] * (ZOOM_STAGES + 1 - coarse), (m, strides)
+    assert sup_gap < 0.1 * outcome.sup_error, (sup_gap, outcome.sup_error)
+    # a first cut that spans the whole grid, whose 783 cells are no multiple
+    # of m = 2: the coarse start still engages, on the grid's own lattice
+    scen = build_scenario("theorem2-formation", burgers(), amplitude=1.0)
+    eps, dx = 0.04, 0.1 * 0.04 ** 0.75
+    (outcome,) = formation_zoom(scen, (eps,), 4.0, window=window, nt=3, ny=41, dx_hat=0.1)
+    sup_gap, _, strides, cut = gap(scen, eps, dx, window, 3, 41)
+    assert stages[0][0].n == 783 // 2 + 1 and strides[0] == 2 and cut, (stages[0][0].n, strides)
     assert sup_gap < 0.1 * outcome.sup_error, (sup_gap, outcome.sup_error)
     # a window of one time leaves the fine march no lead, so it starts fine;
     # sampled straight off the coarse start's prolongation, its gap was

@@ -27,13 +27,6 @@ def test_grid_geometry():
     assert np.allclose(g.x, [-1.0, -0.5, 0.0, 0.5, 1.0])
 
 
-def test_interpolation_constant_extension():
-    g = GridFunction(0.0, 1.0, np.array([2.0, 4.0]))
-    assert g(0.5) == 3.0
-    assert g(-10.0) == 2.0
-    assert g(10.0) == 4.0
-
-
 def test_l1_distance_and_mismatch():
     a = GridFunction(0.0, 0.1, np.zeros(11))
     b = GridFunction(0.0, 0.1, np.ones(11))
