@@ -24,13 +24,12 @@ from .profiles import (CauchyReport, MergingTriple, TravelingWave,
                        ZLimitReport, eternal_z, eternal_z_limit,
                        exact_merging_wave, merging_initial, merging_wave,
                        smoothstep, transition_width, traveling_wave)
-from .rescale import (FitResult, FormationFrameFit, FormationPoint, RateFit,
-                      RescaleFrame, SnapshotInterpolant, convergence_rate,
-                      fit_formation_frame, fit_shift)
-from .diagnostics import (MembershipReport, PhaseAuditReport, WCurve,
-                          almost_monotone_margin, chord_region_membership,
-                          phase_audit, phase_times, strip_profile_fit,
-                          w_curve)
+from .rescale import (FitResult, FormationPoint, RateFit, RescaleFrame,
+                      SnapshotInterpolant, convergence_rate, fit_formation_frame,
+                      fit_shift)
+from .diagnostics import (PhaseAuditReport, almost_monotone_margin,
+                          chord_region_margin, phase_audit, phase_times,
+                          strip_profile_fit)
 from .scenarios import (SCENARIO_IDS, Scenario, build_scenario,
                         merging_shocks_scenario, shock_formation_scenario,
                         single_shock_scenario)

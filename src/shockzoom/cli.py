@@ -18,6 +18,7 @@ Configuration is a flat list of dotted ``key = value`` pairs (see
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 from pathlib import Path
@@ -377,9 +378,7 @@ def cmd_run(cfg: Config, args: argparse.Namespace) -> int:
     checks.extend(experiments.health_rows(scenario, eps[0], seed))
     io.write_sweep(args.out / "sweep.csv", outcomes)
     return _report(args.out, cfg, "run", checks, scenario=scenario_id, eps=eps,
-                   outcomes=[{"eps": o.eps, "sup_error": o.sup_error,
-                              "l1_error": o.l1_error, "shift": o.shift,
-                              "shift_t": o.shift_t} for o in outcomes], **extra)
+                   outcomes=[dataclasses.asdict(o) for o in outcomes], **extra)
 
 
 def cmd_sweep(cfg: Config, args: argparse.Namespace) -> int:
@@ -473,7 +472,7 @@ def cmd_profile(cfg: Config, args: argparse.Namespace) -> int:
     io.write_summary(args.out / "summary.json", {
         "command": "profile", "config": cfg.values,
         "u_minus": u_minus, "u_plus": u_plus, "speed": wave.shock.speed,
-        "offset": wave.offset, "ode_residual": wave.ode_residual(),
+        "offset": wave.shock.offset, "ode_residual": wave.ode_residual(),
         "passed": True,
     })
     return 0

@@ -2,9 +2,8 @@
 
 The central object is the transformed curve u -> w = f(u) - u_x.  For an
 exact traveling wave this curve collapses onto the chord of f through the
-two end states, so distance-to-chord measures how close a state is to a
-profile, and membership in a slightly widened chord-hull region certifies
-the later stages of the approach to the wave.
+two end states, so a positive margin to a slightly widened chord-hull
+region certifies the later stages of the approach to the wave.
 """
 from __future__ import annotations
 
@@ -21,51 +20,25 @@ from .rescale import FitResult, fit_shift
 from .solver import Clamped, SolverConfig, solve
 
 
-@dataclass(frozen=True)
-class WCurve:
-    """Samples of the transformed curve (u, f(u) - u_x)."""
+def chord_region_margin(state: GridFunction, flux: FluxModel, u_minus: float,
+                        u_plus: float, delta1: float) -> float:
+    """Worst margin of the transformed curve (u, f(u) - u_x) of ``state`` to
+    the widened chord-hull region; negative where the curve leaves it.
 
-    u: np.ndarray
-    w: np.ndarray
-
-
-def w_curve(state: GridFunction, flux: FluxModel) -> WCurve:
-    """Build the transformed curve; u_x by centred differences, one-sided ends."""
-    ux = np.gradient(state.values, state.dx, edge_order=1)
-    return WCurve(state.values.copy(), np.asarray(flux.f(state.values), dtype=float) - ux)
-
-
-@dataclass(frozen=True)
-class MembershipReport:
-    inside: np.ndarray
-    margins: np.ndarray
-    worst_margin: float
-
-    @property
-    def all_inside(self) -> bool:
-        return bool(np.all(self.inside))
-
-
-def chord_region_membership(curve: WCurve, flux: FluxModel, u_minus: float,
-                            u_plus: float, delta1: float) -> MembershipReport:
-    """Test samples against the widened chord-hull region.
-
-    The region widens the state interval by delta1 on both sides, takes the
-    chord of f over the widened interval raised by delta1 as the upper
-    boundary, and f - delta1 lowered by a further hull fillet allowance of
-    delta1 as the lower boundary.  The lower edge itself counts as outside.
+    u_x is taken by centred differences, one-sided at the ends.  The region
+    widens the state interval by delta1 on both sides, takes the chord of f
+    over the widened interval raised by delta1 as the upper boundary, and
+    f - delta1 lowered by a further hull fillet allowance of delta1 as the
+    lower boundary.
     """
+    u = state.values
+    f = np.asarray(flux.f(u), dtype=float)
+    w = f - np.gradient(u, state.dx, edge_order=1)
     lo, hi = u_plus - delta1, u_minus + delta1
-    wide = chord(flux, hi, lo)
-    hull_slack = delta1
-    upper = np.asarray(wide(curve.u), dtype=float) + delta1
-    lower = np.asarray(flux.f(curve.u), dtype=float) - delta1 - hull_slack
-    m_u = np.minimum(curve.u - lo, hi - curve.u)
-    m_low = curve.w - lower
-    m_up = upper - curve.w
-    margins = np.minimum(np.minimum(m_u, m_up), m_low)
-    inside = (m_u >= 0.0) & (m_up >= 0.0) & (m_low > 0.0)
-    return MembershipReport(inside, margins, float(np.min(margins)))
+    upper = np.asarray(chord(flux, hi, lo)(u), dtype=float) + delta1
+    lower = f - delta1 - delta1
+    m_u = np.minimum(u - lo, hi - u)
+    return float(np.min(np.minimum(np.minimum(m_u, upper - w), w - lower)))
 
 
 def strip_profile_fit(state: GridFunction, flux: FluxModel, u_minus: float,
@@ -172,8 +145,6 @@ def phase_audit(initial: GridFunction, flux: FluxModel, delta0: float,
         margin = 2.0 * delta1 + tol - almost_monotone_margin(state)
         rows.append(("almost-monotone", t, float(margin), margin >= 0.0))
         if t >= t2:
-            curve = w_curve(state, flux)
-            rep = chord_region_membership(curve, flux, u_minus, u_plus, delta1)
-            margin = rep.worst_margin + tol
+            margin = chord_region_margin(state, flux, u_minus, u_plus, delta1) + tol
             rows.append(("chord-region", t, float(margin), margin >= 0.0))
     return PhaseAuditReport(t1, t2, tuple(rows))

@@ -97,20 +97,12 @@ def scenario_grid(scenario: Scenario, dx: float) -> GridFunction:
 
 
 def zoom_frame(scenario: Scenario, eps: float) -> RescaleFrame:
-    """The frame of a zoom at viscosity eps: type 2 at a formation point, else type 1.
-
-    A type-2 frame is normalised through the fitted (c, sigma, lam): the
-    field f''(u_c)(u - u_c)/sigma zoomed at effective viscosity eps/sigma in
-    the drifting frame is the one converging to the eternal wave.  For the
-    canonical scenario all factors are 1.
-    """
+    """The frame of a zoom at viscosity eps: the type-2 frame of
+    ``fit_formation_frame`` at a formation point, else type 1."""
     point = scenario.formation
     if point is None:
         return RescaleFrame.type1(scenario.tau, scenario.xi, eps)
-    fit = fit_formation_frame(point, scenario.flux)
-    f2 = float(scenario.flux.d2f(np.float64(point.u_value)))
-    return RescaleFrame.type2(fit.tau_eps, fit.xi_eps, eps, point.u_value,
-                              time_scale=fit.sigma, drift=fit.lam, value_scale=f2)
+    return fit_formation_frame(point, scenario.flux, eps)
 
 
 def zooms(scenario: Scenario, eps_list: Sequence[float], window: Window, nt: int,

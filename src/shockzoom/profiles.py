@@ -27,10 +27,9 @@ from .solver import MAX_SNAPSHOT_VALUES, Clamped, SolverConfig, solve
 
 @dataclass(frozen=True)
 class TravelingWave:
-    """A monotone viscous profile with its jump data and chord offset."""
+    """A monotone viscous profile with its jump data."""
 
     shock: ShockData
-    offset: float
     profile: GridFunction
     flux: FluxModel = field(repr=False, compare=False)
 
@@ -49,7 +48,7 @@ class TravelingWave:
         dx = self.profile.dx
         ds = (-s[4:] + 8.0 * s[3:-1] - 8.0 * s[1:-3] + s[:-4]) / (12.0 * dx)
         mid = s[2:-2]
-        rhs = self.flux.f(mid) - self.shock.speed * mid - self.offset
+        rhs = self.flux.f(mid) - self.shock.speed * mid - self.shock.offset
         return float(np.max(np.abs(ds - rhs)))
 
 
@@ -90,7 +89,7 @@ def traveling_wave(flux: FluxModel, u_minus: float, u_plus: float,
     prof = GridFunction(-n_half * dx, dx, values)
     if np.max(np.diff(values)) > 1e-13 * max(1.0, u_minus - u_plus):
         raise RuntimeError("integrated profile failed to decrease monotonically")
-    return TravelingWave(shock, shock.offset, prof, flux)
+    return TravelingWave(shock, prof, flux)
 
 
 def transition_width(wave: TravelingWave, fraction: float) -> float:

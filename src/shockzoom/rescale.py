@@ -12,7 +12,7 @@ a centre value.  Type-1 frames (exponents 1, 1, 0) resolve a formed shock
 of width eps; type-2 frames (1/2, 3/4, 1/4) resolve the first instant of
 gradient blow-up, where amplitudes shrink like eps^(1/4).  With the
 default sigma = 1, lam = 0 and value_scale = 1 the plain power-law zoom
-remains.
+remains; ``fit_formation_frame`` sets all three from a formation point.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DegenerateError, NoCrossingError, NonPositiveError, OutOfDomainError
 from .flux import FluxModel
-from .grid import GridFunction, trapezoid
+from .grid import GridFunction
 
 
 @dataclass(frozen=True)
@@ -142,7 +142,6 @@ class SnapshotInterpolant:
 class FitResult:
     shift: float
     sup_error: float
-    l1_error: float
 
 
 def fit_shift(profile: GridFunction, template: Callable, midpoint: float) -> FitResult:
@@ -150,7 +149,7 @@ def fit_shift(profile: GridFunction, template: Callable, midpoint: float) -> Fit
 
     The shift is the x where the profile first crosses the midpoint going
     down (linear interpolation between the bracketing nodes).  The template
-    is assumed centred, i.e. template(0) = midpoint; errors compare
+    is assumed centred, i.e. template(0) = midpoint; the error compares
     profile(x) with template(x - shift) on the profile's grid.
     """
     d = profile.values - midpoint
@@ -161,59 +160,39 @@ def fit_shift(profile: GridFunction, template: Callable, midpoint: float) -> Fit
     frac = d[i] / (d[i] - d[i + 1])
     shift = profile.x_left + profile.dx * (i + frac)
     fitted = np.asarray(template(profile.x - shift), dtype=float)
-    diff = np.abs(profile.values - fitted)
-    return FitResult(float(shift), float(np.max(diff)),
-                     trapezoid(diff, profile.dx))
+    return FitResult(float(shift), float(np.max(np.abs(profile.values - fitted))))
 
 
 @dataclass(frozen=True)
 class FormationPoint:
-    """Local inverse-profile data x(tau, u) at a gradient catastrophe.
-
-    Derivatives are taken in u at the critical value; a clean cubic
-    degeneracy means x_u = x_uu = 0 and x_uuu < 0.
-    """
+    """A gradient catastrophe at (tau, xi): to leading order the inverse
+    profile there is the clean cubic x - xi = x_uuu/6 (u - u_value)^3, with
+    x_uuu < 0."""
 
     tau: float
     xi: float
     u_value: float
-    x_u: float
-    x_uu: float
     x_uuu: float
 
 
-@dataclass(frozen=True)
-class FormationFrameFit:
-    """Normalised limit parameters: the limit is c * Z(sigma t, x - lam t)."""
-
-    c: float
-    sigma: float
-    lam: float
-    tau_eps: float
-    xi_eps: float
-
-
-def fit_formation_frame(point: FormationPoint, flux: FluxModel) -> FormationFrameFit:
-    """Match the cubic degeneracy to the normalised formation profile.
+def fit_formation_frame(point: FormationPoint, flux: FluxModel, eps: float) -> RescaleFrame:
+    """The type-2 frame at viscosity eps that matches the cubic degeneracy
+    to the normalised formation profile: the limit is c Z(sigma t, x - lam t).
 
     Scaling u = c v turns x = x_uuu/6 * u^3 into the canonical x = -v^3
     when c = (-x_uuu / 6)^(-1/3); the observation clock runs at
-    sigma = f''(u) * c and the frame drifts at lam = f'(u).  x_u and x_uu
-    must vanish to a relative 1e-8.
+    sigma = f''(u_c) * c, the frame drifts at lam = f'(u_c), and f''(u_c)
+    turns u - u_c into a speed.
     """
-    scale = abs(point.x_uuu)
-    if not (point.x_uuu < 0.0) or scale == 0.0:
+    if not point.x_uuu < 0.0:
         raise DegenerateError("need x_uuu < 0 at the formation point")
-    tol = 1e-8 * max(1.0, scale)
-    if abs(point.x_u) > tol or abs(point.x_uu) > tol:
-        raise DegenerateError(
-            f"x_u={point.x_u:.3g}, x_uu={point.x_uu:.3g}: not a clean cubic degeneracy")
     c = (-point.x_uuu / 6.0) ** (-1.0 / 3.0)
     a = float(flux.d2f(np.float64(point.u_value)))
-    b = float(flux.df(np.float64(point.u_value)))
     if a <= 0.0:
         raise DegenerateError("flux curvature must be positive at the formation value")
-    return FormationFrameFit(c, a * c, b, point.tau, point.xi)
+    return RescaleFrame.type2(point.tau, point.xi, eps, point.u_value, time_scale=a * c,
+                              drift=float(flux.df(np.float64(point.u_value))),
+                              value_scale=a)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """Pre-built experiment scenarios with exact inviscid references.
 
 Each scenario packages smooth initial data, the distinguished space-time
-point where its singular pattern lives, a recommended solve domain, and,
+point (tau, xi) where its singular pattern lives, a recommended solve domain, and,
 for the two shocked scenarios, a vectorised exact evaluator for the
 inviscid entropy solution wherever it is available in closed or
 root-solvable form.
@@ -35,7 +35,8 @@ class Scenario:
     id: str
     flux: FluxModel
     initial: SmoothData
-    singular_point: Tuple[float, float]
+    tau: float
+    xi: float
     states: Tuple[float, ...]
     domain: Tuple[float, float]
     formed_time: float
@@ -44,14 +45,6 @@ class Scenario:
     shock: Optional[ShockData] = None
     merging: Optional[MergingTriple] = None
     formation: Optional[FormationPoint] = None
-
-    @property
-    def tau(self) -> float:
-        return self.singular_point[0]
-
-    @property
-    def xi(self) -> float:
-        return self.singular_point[1]
 
 
 def _ramp(center: float, width: float):
@@ -63,6 +56,22 @@ def _ramp(center: float, width: float):
         th = np.tanh((np.asarray(x, dtype=float) - center) / width)
         return 0.5 * (1.0 - th * th) / width
     return h, dh
+
+
+def _reference(data: SmoothData, flux: FluxModel, blow: float, formed: float,
+               pattern: Callable) -> Callable:
+    """The exact inviscid solution reference(t, x): the data's characteristics
+    before 0.98 of the blow-up time, ``pattern(t, x)`` from the absorption
+    time on, and OutOfDomainError in between."""
+    def reference(t, x):
+        t = float(t)
+        if t >= formed:
+            return pattern(t, x)
+        if t < 0.98 * blow:
+            return characteristic_value(data, flux, t, x)
+        raise OutOfDomainError(
+            f"no exact reference between blow-up ({blow:.3g}) and absorption ({formed:.3g})")
+    return reference
 
 
 def _absorb_time(flux: FluxModel, left: float, right: float, speed: float,
@@ -99,22 +108,12 @@ def single_shock_scenario(flux: FluxModel, u_minus: float = 1.0, u_plus: float =
         raise ValueError(
             f"ramp_width {w} absorbs only at t={formed:.3g}, after tau={tau}")
     blow = float(np.min(blowup_time(data, flux, np.linspace(-3.0 * w, 3.0 * w, 31))))
-
-    def reference(t, x):
-        t = float(t)
-        if t >= formed:
-            return single_shock(shock, t, x)
-        if t < 0.98 * blow:
-            return characteristic_value(data, flux, t, x)
-        raise OutOfDomainError(
-            f"no exact reference between blow-up ({blow:.3g}) and absorption ({formed:.3g})")
-
+    reference = _reference(data, flux, blow, formed,
+                           lambda t, x: single_shock(shock, t, x))
     lo = min(0.0, shock.speed * tau) - 2.0
     hi = max(0.0, shock.speed * tau) + 2.0
-    return Scenario("theorem1-single", flux, data,
-                    (tau, shock.speed * tau), (u_minus, u_plus),
-                    (lo, hi), formed, blow,
-                    reference, shock=shock)
+    return Scenario("theorem1-single", flux, data, tau, shock.speed * tau,
+                    (u_minus, u_plus), (lo, hi), formed, blow, reference, shock=shock)
 
 
 def merging_shocks_scenario(flux: FluxModel, u_minus: float = 1.0, u_star: float = 0.0,
@@ -149,20 +148,12 @@ def merging_shocks_scenario(flux: FluxModel, u_minus: float = 1.0, u_star: float
     scan = np.concatenate([p1 + np.linspace(-3.0 * w, 3.0 * w, 21),
                            p2 + np.linspace(-3.0 * w, 3.0 * w, 21)])
     blow = float(np.min(blowup_time(data, flux, scan)))
-
-    def reference(t, x):
-        t = float(t)
-        if t >= formed:
-            return two_shock(flux, u_minus, u_star, u_plus, t - tau, x)
-        if t < 0.98 * blow:
-            return characteristic_value(data, flux, t, x)
-        raise OutOfDomainError(
-            f"no exact reference between blow-up ({blow:.3g}) and absorption ({formed:.3g})")
-
+    reference = _reference(data, flux, blow, formed,
+                           lambda t, x: two_shock(flux, u_minus, u_star, u_plus, t - tau, x))
     merged = rankine_hugoniot(flux, u_minus, u_plus)
     lo = min(p1, merged.speed * tau) - 2.0
     hi = max(p2, merged.speed * tau) + 2.0
-    return Scenario("theorem1-merging", flux, data, (tau, 0.0),
+    return Scenario("theorem1-merging", flux, data, tau, 0.0,
                     (u_minus, u_star, u_plus), (lo, hi), formed, blow,
                     reference, shock=merged, merging=triple)
 
@@ -232,9 +223,8 @@ def shock_formation_scenario(flux: FluxModel, amplitude: float = 1.0, *,
         return out if out.ndim else float(out)
 
     data = SmoothData(u0, du0, check_points=np.linspace(-0.8 * R, 0.8 * R, 17))
-    point = FormationPoint(tau, 0.0, 0.0, 0.0, 0.0, -6.0 * A)
-    return Scenario("theorem2-formation", flux, data, (tau, 0.0),
-                    (), (-R - 1.0, R + 1.0), tau, tau, formation=point)
+    return Scenario("theorem2-formation", flux, data, tau, 0.0, (), (-R - 1.0, R + 1.0),
+                    tau, tau, formation=FormationPoint(tau, 0.0, 0.0, -6.0 * A))
 
 
 # each scenario id with its constructor; the constructors' defaults are the

@@ -3,40 +3,43 @@ import numpy as np
 import pytest
 
 from shockzoom import (GridFunction, NoCrossingError, almost_monotone_margin,
-                       burgers, chord, chord_region_membership, phase_times,
-                       strip_profile_fit, traveling_wave, w_curve)
+                       burgers, chord, chord_region_margin, phase_times,
+                       strip_profile_fit)
 
 
-def exact_wave_state(dx=0.002, half=15.0):
+def exact_wave_state(dx=0.002, half=15.0, width=2.0, sign=-1.0):
     x = np.arange(-half, half + dx / 2, dx)
-    return GridFunction(-half, dx, -np.tanh(x / 2.0))
+    return GridFunction(-half, dx, sign * np.tanh(x / width))
 
 
 def test_wave_collapses_onto_chord():
     # for the exact profile, f(S) - S_x is the chord lam*u + C exactly
     state = exact_wave_state()
-    curve = w_curve(state, burgers())
-    line = chord(burgers(), 1.0, -1.0)
-    dev = np.max(np.abs(curve.w - line(curve.u)))
+    u = state.values
+    w = burgers().f(u) - np.gradient(u, state.dx, edge_order=1)
+    dev = np.max(np.abs(w - chord(burgers(), 1.0, -1.0)(u)))
     # centred differences leave an O(dx^2 * |S'''|) residue
     assert dev < 5e-6
 
 
 def test_membership_inside_and_outside():
-    state = exact_wave_state(dx=0.002)
+    # states (1, -1) widened by delta1 = 1/4: u in [-1.25, 1.25]; the chord
+    # over that range is the constant f(1.25) = 0.78125, so the region is
+    # f(u) - 0.5 < w <= 1.03125, with w = f(u) - u_x
     flux = burgers()
-    curve = w_curve(state, flux)
-    report = chord_region_membership(curve, flux, 1.0, -1.0, 0.25)
-    assert report.all_inside
-    assert report.worst_margin > 0.0
-    # the lower edge w = f(u) - 2*delta1 counts as outside
-    u = np.linspace(-0.9, 0.9, 40)
-    edge = type(curve)(u, np.asarray(flux.f(u)) - 0.5)
-    report = chord_region_membership(edge, flux, 1.0, -1.0, 0.25)
-    assert not report.all_inside
-    # points far above the widened chord are outside too
-    high = type(curve)(u, np.asarray(flux.f(u)) + 5.0)
-    assert not chord_region_membership(high, flux, 1.0, -1.0, 0.25).all_inside
+
+    def margin(state):
+        return chord_region_margin(state, flux, 1.0, -1.0, 0.25)
+
+    # the exact wave -tanh(x/2) sits inside, a quarter from the u-range's ends
+    assert margin(exact_wave_state()) == pytest.approx(0.25, abs=1e-6)
+    # out through the widened u-range: a constant state at 1.4, whose
+    # w = f(1.4) = 0.98 lies between both curves
+    assert margin(GridFunction(-1.0, 0.1, np.full(21, 1.4))) == pytest.approx(-0.15, rel=1e-12)
+    # out through the raised chord: a wave ten times too steep, w = 5 at u = 0
+    assert margin(exact_wave_state(width=0.2)) == pytest.approx(1.03125 - 5.0, rel=1e-4)
+    # out through the lowered f: an upward step, u_x = 1 at u = 0
+    assert margin(exact_wave_state(width=1.0, sign=1.0)) == pytest.approx(-0.5, rel=1e-4)
 
 
 def test_strip_fit_recovers_shift():

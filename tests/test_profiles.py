@@ -20,7 +20,7 @@ def test_wave_matches_tanh_oracle():
     err = np.max(np.abs(tw.profile.values + np.tanh(x / 2.0)))
     assert err <= 1e-8
     assert tw.shock.speed == pytest.approx(0.0, abs=1e-15)
-    assert tw.offset == pytest.approx(0.5, abs=1e-15)
+    assert tw.shock.offset == pytest.approx(0.5, abs=1e-15)
 
 
 def test_wave_matches_logistic_oracle():

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from shockzoom import (DegenerateError, FormationPoint, GridFunction,
                        NoCrossingError, OutOfDomainError, RescaleFrame,
                        SnapshotInterpolant, burgers, burgers_plus_linear,
-                       convergence_rate, fit_formation_frame, fit_shift)
+                       convergence_rate, fit_formation_frame, fit_shift,
+                       quartic_perturbed)
 from shockzoom.errors import NonPositiveError
 
 
@@ -50,15 +51,15 @@ def test_type2_frame_carries_formation_normalisation():
     # formation mapping t = tau + sqrt(e) s / sigma, x = xi + lam (t - tau)
     # + e^(3/4) y, v = e^(-1/4) f''(u_c) / sigma * (u - u_c), e = eps / sigma
     flux = burgers_plus_linear(0.5)
-    point = FormationPoint(1.0, 0.2, 0.3, 0.0, 0.0, -6.0 / 2.0 ** 3)
-    fit = fit_formation_frame(point, flux)
-    assert fit.sigma != 1.0 and fit.lam != 0.0
+    point = FormationPoint(1.0, 0.2, 0.3, -6.0 / 2.0 ** 3)
     eps = 0.004
-    f2 = float(flux.d2f(np.float64(point.u_value)))
-    frame = RescaleFrame.type2(fit.tau_eps, fit.xi_eps, eps, point.u_value,
-                               time_scale=fit.sigma, drift=fit.lam, value_scale=f2)
-    eps_eff = eps / fit.sigma
-    amp = eps_eff ** -0.25 * f2 / fit.sigma
+    frame = fit_formation_frame(point, flux, eps)
+    # c = 2 and f'' = 1, so sigma = 2; lam = f'(0.3) = 0.8
+    sigma, lam = frame.time_scale, frame.drift
+    assert sigma == pytest.approx(2.0, rel=1e-12) and lam == pytest.approx(0.8, rel=1e-12)
+    assert (frame.tau_eps, frame.xi_eps, frame.eps) == (point.tau, point.xi, eps)
+    eps_eff = eps / sigma
+    amp = eps_eff ** -0.25 * 1.0 / sigma
     y = np.linspace(-3.0, 3.0, 13)
 
     def field(t, x):
@@ -69,8 +70,8 @@ def test_type2_frame_carries_formation_normalisation():
     t_rows, x_rows = frame.to_physical(s_grid[:, None], y)
     rows = frame.rescale_values(field(t_rows, x_rows))
     for s, t_frame, x_frame, row in zip(s_grid, t_rows[:, 0], x_rows, rows):
-        tp = fit.tau_eps + math.sqrt(eps_eff) * s / fit.sigma
-        xp = fit.xi_eps + fit.lam * (tp - fit.tau_eps) + eps_eff ** 0.75 * y
+        tp = point.tau + math.sqrt(eps_eff) * s / sigma
+        xp = point.xi + lam * (tp - point.tau) + eps_eff ** 0.75 * y
         assert float(t_frame) == pytest.approx(tp, rel=1e-15)
         assert np.allclose(x_frame, xp, rtol=1e-15, atol=0.0)
         assert np.allclose(row, amp * (field(tp, xp) - point.u_value),
@@ -85,7 +86,6 @@ def test_fit_shift_recovers_translation(s0):
     fit = fit_shift(prof, template, 0.0)
     assert fit.shift == pytest.approx(s0, abs=1e-6)
     assert fit.sup_error < 1e-6
-    assert fit.l1_error < 1e-5
 
 
 def test_fit_shift_needs_a_crossing():
@@ -95,28 +95,34 @@ def test_fit_shift_needs_a_crossing():
 
 
 def test_formation_frame_canonical():
-    point = FormationPoint(1.0, 0.0, 0.0, 0.0, 0.0, -6.0)
-    fit = fit_formation_frame(point, burgers())
-    assert fit.c == pytest.approx(1.0)
-    assert fit.sigma == pytest.approx(1.0)
-    assert fit.lam == pytest.approx(0.0)
+    frame = fit_formation_frame(FormationPoint(1.0, 0.0, 0.0, -6.0), burgers(), 0.01)
+    assert (frame.alpha, frame.beta, frame.gamma) == (0.5, 0.75, 0.25)
+    assert (frame.tau_eps, frame.xi_eps, frame.eps, frame.u_center) == (1.0, 0.0, 0.01, 0.0)
+    assert frame.time_scale == pytest.approx(1.0)
+    assert frame.drift == pytest.approx(0.0)
+    assert frame.value_scale == 1.0
 
 
 def test_formation_frame_scalings():
     # x = -(u/c)^3 means x_uuu = -6 / c^3
     c = 2.0
-    point = FormationPoint(1.0, 0.0, 0.3, 0.0, 0.0, -6.0 / c ** 3)
-    fit = fit_formation_frame(point, burgers())
-    assert fit.c == pytest.approx(c, rel=1e-12)
-    assert fit.sigma == pytest.approx(c, rel=1e-12)      # f'' = 1
-    assert fit.lam == pytest.approx(0.3, rel=1e-12)      # f' = u
+    cases = [
+        # f'' = 1: sigma = c, lam = f'(u_c) = u_c
+        (burgers(), 0.3, c, 0.3, 1.0),
+        # f = u^2/2 + u^4: f''(1/2) = 4 and f'(1/2) = 1, so sigma = 4 c
+        (quartic_perturbed(1.0), 0.5, 4.0 * c, 1.0, 4.0)]
+    for flux, u_c, sigma, lam, f2 in cases:
+        frame = fit_formation_frame(FormationPoint(1.0, 0.0, u_c, -6.0 / c ** 3), flux, 0.01)
+        assert frame.u_center == u_c
+        assert frame.time_scale == pytest.approx(sigma, rel=1e-12)
+        assert frame.drift == pytest.approx(lam, rel=1e-12)
+        assert frame.value_scale == pytest.approx(f2, rel=1e-12)
 
 
 def test_formation_frame_rejects_degenerate():
-    with pytest.raises(DegenerateError):
-        fit_formation_frame(FormationPoint(1.0, 0.0, 0.0, 0.0, 0.0, 6.0), burgers())
-    with pytest.raises(DegenerateError):
-        fit_formation_frame(FormationPoint(1.0, 0.0, 0.0, 0.5, 0.0, -6.0), burgers())
+    for x_uuu in (6.0, 0.0, float("nan")):
+        with pytest.raises(DegenerateError):
+            fit_formation_frame(FormationPoint(1.0, 0.0, 0.0, x_uuu), burgers(), 0.01)
 
 
 def test_convergence_rate_exact_power():

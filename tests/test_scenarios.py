@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from shockzoom import (FluxModel, NotLaxError, OutOfDomainError, blowup_time,
-                       build_scenario, burgers, burgers_plus_linear,
+                       build_scenario, burgers, burgers_plus_linear, characteristic_value,
                        merging_shocks_scenario, quartic_perturbed, single_shock_scenario)
 
 
@@ -15,7 +15,7 @@ def test_single_reference_is_shock_after_forming():
     assert scen.reference(t, -1.0) == 1.0
     assert scen.reference(t, 1.0) == -1.0
     # stationary for the symmetric pair
-    assert scen.singular_point == (1.0, 0.0)
+    assert (scen.tau, scen.xi) == (1.0, 0.0)
     assert scen.shock.speed == 0.0
 
 
@@ -54,6 +54,32 @@ def test_merging_ramp_positions():
     t = scen.tau + 1.0
     assert scen.reference(t, -2.0) == 1.0
     assert scen.reference(t, 2.0) == -1.0
+
+def test_merging_reference_regimes():
+    # Burgers, states (1, 0, -1): the data's characteristics until just
+    # before blow-up, no reference until the ramps are absorbed, then two
+    # shocks at lambda1 = 1/2 and lambda2 = -1/2 that merge at (tau, 0)
+    # into one standing shock
+    scen = build_scenario("theorem1-merging", burgers())
+    trip = scen.merging
+    assert (trip.lambda1, trip.lambda2, scen.shock.speed) == (0.5, -0.5, 0.0)
+    assert scen.blowup == pytest.approx(0.02, abs=1e-12)
+    assert scen.formed_time == pytest.approx(0.4, abs=1e-12)
+    x = np.linspace(-2.0, 2.0, 81)
+    for t in (0.0, 0.5 * scen.blowup, 0.97 * scen.blowup):
+        assert np.array_equal(scen.reference(t, x),
+                              characteristic_value(scen.initial, scen.flux, t, x))
+    for t in (0.98 * scen.blowup, scen.blowup, 0.2, 0.39):
+        with pytest.raises(OutOfDomainError):
+            scen.reference(t, x)
+    for t in (scen.formed_time, 0.7, 0.99):
+        s = t - scen.tau
+        expected = np.where(x < trip.lambda1 * s, 1.0,
+                            np.where(x < trip.lambda2 * s, 0.0, -1.0))
+        assert np.array_equal(scen.reference(t, x), expected)
+        assert np.any(scen.reference(t, x) == 0.0)
+    for t in (scen.tau, 1.5):
+        assert np.array_equal(scen.reference(t, x), np.where(x < 0.0, 1.0, -1.0))
 
 
 def test_merging_validation():
