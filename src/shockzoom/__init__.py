@@ -33,10 +33,10 @@ from .diagnostics import (PhaseAuditReport, almost_monotone_margin,
 from .scenarios import (SCENARIO_IDS, Scenario, build_scenario,
                         merging_shocks_scenario, shock_formation_scenario,
                         single_shock_scenario)
-from .experiments import (ContractionReport, KuznetsovReport, MassReport,
-                          ZoomOutcome, contraction_check, formation_zoom,
-                          kuznetsov_sweep, mass_drift_check, merging_surrogate,
-                          merging_zoom, refined_dx, single_shock_zoom,
-                          suite_cubic_bounds, suite_oleinik, suite_sandwich)
+from .experiments import (KuznetsovReport, ZoomOutcome, contraction_check,
+                          formation_zoom, kuznetsov_sweep, mass_drift_check,
+                          merging_surrogate, merging_zoom, refined_dx,
+                          single_shock_zoom, suite_cubic_bounds, suite_oleinik,
+                          suite_sandwich)
 
 __version__ = "0.1.0"

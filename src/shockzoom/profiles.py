@@ -162,14 +162,14 @@ def merging_initial(triple: MergingTriple, tau: float, grid: GridFunction,
 
 @dataclass(frozen=True)
 class CauchyReport:
-    """Distances between restarts at a shared comparison time.
+    """Settling of the restarts at their shared comparison time.
 
-    ``distances`` pairs consecutive restart times, latest pair first, so a
-    decreasing tuple means the family is settling as tau recedes.
+    ``distances`` are the L1 distances between consecutive restart times,
+    latest pair first, so a decreasing tuple means the family is settling
+    as tau recedes; ``log_slope`` is the slope of their logarithm against
+    the later restart's |tau| (NaN for a single pair).
     """
 
-    taus: Tuple[float, ...]
-    comparison_time: float
     distances: Tuple[float, ...]
     log_slope: float
 
@@ -244,7 +244,7 @@ def merging_wave(triple: MergingTriple, tau_list: Sequence[float], window: Windo
     later = np.abs(np.array(taus[1:], dtype=float))
     logd = np.log(np.maximum(dists, 1e-300))
     slope = float(np.polyfit(later, logd, 1)[0]) if len(dists) > 1 else float("nan")
-    report = CauchyReport(tuple(taus), t_cmp, tuple(float(d) for d in dists[::-1]), slope)
+    report = CauchyReport(tuple(float(d) for d in dists[::-1]), slope)
     return [(s + taus[0], g) for s, g in first], report
 
 
@@ -327,13 +327,13 @@ def eternal_z(n: float, half_width: float, *, dx: float,
 
 @dataclass(frozen=True)
 class ZLimitReport:
-    """Monotonicity and Cauchy behaviour of the eternal-wave family."""
+    """Monotonicity and Cauchy behaviour of the eternal-wave family at its
+    sample times: the least Z^(next) - Z^(prev) over x >= 0, and the sup of
+    |Z^(next) - Z^(prev)|, per pair of consecutive horizons in increasing n."""
 
-    n_list: Tuple[float, ...]
     sample_times: Tuple[float, ...]
-    monotone_margin: float          # min over x >= 0 of Z^(next) - Z^(prev)
-    sup_diffs: Tuple[float, ...]    # consecutive horizons, increasing n
-    final_diff: float
+    monotone_margin: float
+    sup_diffs: Tuple[float, ...]
 
     @property
     def decreasing(self) -> bool:
@@ -356,18 +356,10 @@ def eternal_z_limit(n_list: Sequence[float], window: Window, *, dx: float,
     half_width = max(abs(window.x_min), abs(window.x_max))
     runs = [eternal_z(v, half_width, dx=dx, snapshot_times=sample_times) for v in ns]
 
-    mono = np.inf
-    sups = []
-    for prev, nxt in zip(runs[:-1], runs[1:]):
-        worst_gap = np.inf
-        sup = 0.0
-        # every run holds the sample times, in order
-        for (_, a), (_, b) in zip(prev, nxt):
-            sel = a.x >= 0.0
-            gap = b.values[sel] - a.values[sel]
-            worst_gap = min(worst_gap, float(np.min(gap)))
-            sup = max(sup, float(np.max(np.abs(b.values - a.values))))
-        mono = min(mono, worst_gap)
-        sups.append(sup)
-    return runs[-1], ZLimitReport(tuple(ns), tuple(sample_times), float(mono),
-                                  tuple(sups), float(sups[-1]))
+    # every run holds the sample times, in order, on the same grid
+    right = runs[0][0][1].x >= 0.0
+    values = [np.array([g.values for _, g in run]) for run in runs]
+    diffs = [b - a for a, b in zip(values[:-1], values[1:])]
+    mono = min(float(np.min(d[:, right])) for d in diffs)
+    sups = [float(np.max(np.abs(d))) for d in diffs]
+    return runs[-1], ZLimitReport(tuple(sample_times), mono, tuple(sups))

@@ -30,14 +30,17 @@ _ABSORB_WIDTHS = 20.0
 
 @dataclass(frozen=True)
 class Scenario:
-    """A runnable singular-pattern experiment."""
+    """A runnable singular-pattern experiment.
+
+    A shocked scenario's outer states are its limit shock's, ``shock.u_minus``
+    and ``shock.u_plus``; a merging one's middle state is ``merging.u_star``.
+    """
 
     id: str
     flux: FluxModel
     initial: SmoothData
     tau: float
     xi: float
-    states: Tuple[float, ...]
     domain: Tuple[float, float]
     formed_time: float
     blowup: float
@@ -113,7 +116,7 @@ def single_shock_scenario(flux: FluxModel, u_minus: float = 1.0, u_plus: float =
     lo = min(0.0, shock.speed * tau) - 2.0
     hi = max(0.0, shock.speed * tau) + 2.0
     return Scenario("theorem1-single", flux, data, tau, shock.speed * tau,
-                    (u_minus, u_plus), (lo, hi), formed, blow, reference, shock=shock)
+                    (lo, hi), formed, blow, reference, shock=shock)
 
 
 def merging_shocks_scenario(flux: FluxModel, u_minus: float = 1.0, u_star: float = 0.0,
@@ -153,8 +156,7 @@ def merging_shocks_scenario(flux: FluxModel, u_minus: float = 1.0, u_star: float
     merged = rankine_hugoniot(flux, u_minus, u_plus)
     lo = min(p1, merged.speed * tau) - 2.0
     hi = max(p2, merged.speed * tau) + 2.0
-    return Scenario("theorem1-merging", flux, data, tau, 0.0,
-                    (u_minus, u_star, u_plus), (lo, hi), formed, blow,
+    return Scenario("theorem1-merging", flux, data, tau, 0.0, (lo, hi), formed, blow,
                     reference, shock=merged, merging=triple)
 
 
@@ -223,7 +225,7 @@ def shock_formation_scenario(flux: FluxModel, amplitude: float = 1.0, *,
         return out if out.ndim else float(out)
 
     data = SmoothData(u0, du0, check_points=np.linspace(-0.8 * R, 0.8 * R, 17))
-    return Scenario("theorem2-formation", flux, data, tau, 0.0, (), (-R - 1.0, R + 1.0),
+    return Scenario("theorem2-formation", flux, data, tau, 0.0, (-R - 1.0, R + 1.0),
                     tau, tau, formation=FormationPoint(tau, 0.0, 0.0, -6.0 * A))
 
 

@@ -555,7 +555,7 @@ def test_merge_reports_its_checks(tmp_path):
 def test_cauchy_row_fails_on_any_rise(tmp_path, monkeypatch):
     # the distances rise at the last restart although their fitted
     # log-slope is negative: the row fails, and its margin is that rise
-    cauchy = profiles.CauchyReport((-20.0, -30.0, -40.0), -10.0, (0.01, 0.001, 0.002), -1.0)
+    cauchy = profiles.CauchyReport((0.01, 0.001, 0.002), -1.0)
     monkeypatch.setattr(experiments, "merging_surrogate",
                         lambda scenario, **kw: (lambda t, y: np.broadcast_to(
                             -np.tanh(y / 2.0), np.shape(t) + y.shape), cauchy))
@@ -566,6 +566,9 @@ def test_cauchy_row_fails_on_any_rise(tmp_path, monkeypatch):
     row = summary["checks"][0]
     assert row["name"] == "cauchy-decreasing"
     assert row["margin"] == pytest.approx(-0.001) and row["margin"] <= 0.0
+    # the rows' time and the restart times come from the config, not the report
+    assert row["t"] == -10.0
+    assert summary["taus"] == [-40.0, -30.0, -20.0] and summary["comparison_time"] == -10.0
 
 
 def test_merge_reports_a_shock_that_left_the_window(tmp_path):

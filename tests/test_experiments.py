@@ -46,26 +46,48 @@ def test_data_speed_peaks_at_the_grid_ends():
             assert scen.flux.max_speed(ends) == scen.flux.max_speed(g.values), (scen.id, dx)
 
 
-def test_contraction_check_on_periodic_pair():
+def _stub_solve(monkeypatch, scales):
+    """Replace the solver by one that returns, at the sorted times it is
+    asked for, the data's values times scales[k] at the k-th time."""
+    def fake(data, flux, cfg, t_end, times):
+        return [(t, data.with_values(data.values * scale))
+                for t, scale in zip(sorted(times), scales)]
+    monkeypatch.setattr(experiments, "solve", fake)
+
+
+def test_contraction_check_on_periodic_pair(monkeypatch):
     n = 128
     dx = 2.0 * np.pi / n
     x = dx * np.arange(n)
     a = GridFunction(0.0, dx, np.sin(x))
     b = GridFunction(0.0, dx, np.sin(x) + 0.05 * np.sin(2.0 * x))
     cfg = SolverConfig(0.5, Periodic())
-    rep = contraction_check(a, b, burgers(), cfg, [0.0, 0.2, 0.4])
-    assert rep.relative_slack <= 1e-12
-    assert rep.distances[0] > rep.distances[-1]
+    # a contracting pair: the distance never rises
+    assert 0.0 <= contraction_check(a, b, burgers(), cfg, [0.0, 0.2, 0.4]) <= 1e-12
+    # identical data start 0 apart: the zero-start branch, exactly 0
+    assert contraction_check(a, a, burgers(), cfg, [0.0, 0.2, 0.4]) == 0.0
+    # distances 1.0, 0.5, 0.8 (zeros against ones scaled, on two nodes 1
+    # apart): the largest forward rise, 0.3, over the first distance, 1.0
+    pair = GridFunction(0.0, 1.0, np.zeros(2)), GridFunction(0.0, 1.0, np.ones(2))
+    _stub_solve(monkeypatch, [1.0, 0.5, 0.8])
+    slack = contraction_check(*pair, burgers(), cfg, [0.4, 0.0, 0.2])
+    assert slack == pytest.approx(0.3, rel=1e-15)
 
 
-def test_mass_drift_check_periodic():
+def test_mass_drift_check_periodic(monkeypatch):
     n = 128
     dx = 2.0 * np.pi / n
     x = dx * np.arange(n)
     g = GridFunction(0.0, dx, 0.2 + np.sin(x))
-    rep = mass_drift_check(g, burgers(), SolverConfig(0.3, Periodic()),
-                           [0.0, 0.5, 1.0])
-    assert rep.drift_rate < 1e-13
+    cfg = SolverConfig(0.3, Periodic())
+    assert mass_drift_check(g, burgers(), cfg, [0.0, 0.5, 1.0]) < 1e-13
+    with pytest.raises(ValueError, match="periodic"):
+        mass_drift_check(g, burgers(), SolverConfig(0.3, Clamped()), [0.0, 1.0])
+    # masses 0, 0.25 and 0.125 (ones scaled, on two nodes 1/2 apart) at the
+    # sorted times 1, 1.5 and 3: drift rates 0.25/0.5 and 0.125/2, the worst 0.5
+    unit = GridFunction(0.0, 0.5, np.ones(2))
+    _stub_solve(monkeypatch, [0.0, 0.25, 0.125])
+    assert mass_drift_check(unit, burgers(), cfg, [3.0, 1.0, 1.5]) == 0.5
 
 
 def test_cubic_bounds_suite_clean():

@@ -58,7 +58,7 @@ def test_characteristic_value_takes_arrays(monkeypatch):
 def _bisection_foot_value(scen, t, x):
     """u at (t, x) from a 200-step bisection of the foot residual
     xi + t f'(u0(xi)) - x, which increases in xi before the blow-up."""
-    speed = np.max(np.abs(scen.flux.df(np.array(scen.states))))
+    speed = np.max(np.abs(scen.flux.df(np.array([scen.shock.u_minus, scen.shock.u_plus]))))
     lo, hi = x - t * speed - 1.0, x + t * speed + 1.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)

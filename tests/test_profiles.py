@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from shockzoom import (Clamped, GridFunction, MergingTriple, NotLaxError,
-                       SolverConfig, TauTooLateError, burgers, burgers_plus_linear,
-                       eternal_z, exact_merging_wave, merging_initial,
+                       SolverConfig, TauTooLateError, Window, burgers,
+                       burgers_plus_linear, eternal_z, eternal_z_limit,
+                       exact_merging_wave, merging_initial,
                        quartic_perturbed, smoothstep, solve, transition_width,
                        traveling_wave, z_root)
 from shockzoom.errors import NotOrderedError
@@ -231,6 +232,24 @@ def test_eternal_wave_converges_at_second_order():
 def test_eternal_wave_needs_launch_before_window():
     with pytest.raises(ValueError, match="launch"):
         eternal_z(0.5, 4.0, dx=0.05, snapshot_times=[-1.0, -0.5])
+
+
+def test_eternal_z_limit_matches_snapshot_loop():
+    # the report's margins equal those of a loop over each pair of
+    # horizons and each sample time, bit for bit: min and max are exact
+    window = Window(-1.5, -0.5, -6.0, 6.0)
+    wave, report = eternal_z_limit([8.0, 2.0, 4.0], window, dx=0.1)
+    times = [float(t) for t in np.linspace(-1.5, -0.5, 9)]
+    runs = [eternal_z(n, 6.0, dx=0.1, snapshot_times=times) for n in (2.0, 4.0, 8.0)]
+    gaps, sups = [], []
+    for prev, nxt in zip(runs[:-1], runs[1:]):
+        pair = [(b.values - a.values, a.x >= 0.0) for (_, a), (_, b) in zip(prev, nxt)]
+        gaps.append(min(float(np.min(d[right])) for d, right in pair))
+        sups.append(max(float(np.max(np.abs(d))) for d, _ in pair))
+    assert report.sample_times == tuple(times)
+    assert report.monotone_margin == min(gaps)
+    assert report.sup_diffs == tuple(sups)
+    assert all(np.array_equal(g.values, r.values) for (_, g), (_, r) in zip(wave, runs[-1]))
 
 
 # grid radii half*dx of the clamped judge and of the eternal waves built by
