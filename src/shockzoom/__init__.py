@@ -5,11 +5,8 @@ into measurable numerical experiments: viscous traveling shocks, merging
 shock pairs, and first-singularity formation profiles, each compared with
 its rescaling limit on a fixed observation window.
 """
-from .errors import (ConfigError, DegenerateError, EqualStatesError,
-                     GridMismatchError, InstabilityError, MultipleRootsError,
-                     NoBracketError, NoCrossingError, NonPositiveError,
-                     NotLaxError, NotLaxWarning, NotOrderedError,
-                     OutOfDomainError, ShockzoomError, TauTooLateError)
+from .errors import (ConfigError, InstabilityError, NoCrossingError,
+                     NotLaxWarning, OutOfDomainError, ShockzoomError)
 from .flux import (BUILTIN_FLUXES, FluxModel, ShockData, burgers,
                    burgers_plus_linear, chord, make_flux, quartic_perturbed,
                    rankine_hugoniot)

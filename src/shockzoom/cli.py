@@ -27,8 +27,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import experiments, io
-from .errors import (ConfigError, InstabilityError, NoCrossingError, ShockzoomError,
-                     TauTooLateError)
+from .errors import ConfigError, InstabilityError, NoCrossingError, ShockzoomError
 from .diagnostics import strip_profile_fit
 from .flux import FluxModel, make_flux
 from .grid import GridFunction, Window
@@ -596,9 +595,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             cfg.values[_eps_key(cfg["run.scenario"])] = args.eps
         args.out = _out_dir(cfg, args.out)
         return args.func(cfg, args)
-    except (ConfigError, TauTooLateError) as e:
-        # TauTooLateError: merging_wave found, before its first solve, a
-        # merge.taus restart too late for its blend
+    except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except InstabilityError as e:

@@ -405,7 +405,8 @@ def kuznetsov_sweep(scenario: Scenario, eps_list: Sequence[float], *,
     eps^(1/3) clear of each shock, against 2 * C * eps^(1/6) with C from
     the fitted intercept.  The reference is evaluated before any solve:
     ConfigError where it does not exist, for a scenario whose limit holds no
-    shock, or for fewer than three viscosities.
+    shock, or for fewer than three viscosities; after the solves, ConfigError
+    where an L1 error is 0, which no log-log rate fits.
     """
     if scenario.shock is None:
         raise ConfigError(f"{scenario.id}: rate sweeps need an exact shocked reference")
@@ -438,6 +439,10 @@ def kuznetsov_sweep(scenario: Scenario, eps_list: Sequence[float], *,
     finals = [solve(data, scenario.flux, SolverConfig(eps, Clamped()), t_check,
                     [t_check])[-1][1] for eps in eps_arr]
     errors = [l1_distance(final, ref_state) for final in finals]
+    if 0.0 in errors:
+        eps = eps_arr[errors.index(0.0)]
+        raise ConfigError(f"t_check={t_check:.6g}: the solution at eps={eps:.6g} "
+                          f"equals the reference, so no log-log rate can be fitted")
     rate = convergence_rate(eps_arr, errors)
     c_star = float(np.exp(rate.intercept))
     pointwise = []

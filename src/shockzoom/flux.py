@@ -13,7 +13,7 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from .errors import EqualStatesError, NotLaxWarning
+from .errors import ConfigError, NotLaxWarning
 
 _FD_RTOL = 1e-6
 _FD_STEP = 1e-5
@@ -83,7 +83,7 @@ def rankine_hugoniot(flux: FluxModel, u_minus: float, u_plus: float) -> ShockDat
     for convex flux and only warns, since the raw speed is still well defined.
     """
     if u_minus == u_plus:
-        raise EqualStatesError(f"u_minus == u_plus == {u_minus}")
+        raise ConfigError(f"u_minus == u_plus == {u_minus}")
     if u_minus < u_plus:
         warnings.warn(
             f"jump ({u_minus}, {u_plus}) is upward and not admissible",

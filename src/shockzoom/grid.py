@@ -11,7 +11,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, GridMismatchError
+from .errors import ConfigError, ShockzoomError
 
 _GRID_RTOL = 1e-9
 
@@ -104,7 +104,7 @@ def _check_same_grid(a: GridFunction, b: GridFunction) -> None:
     scale = max(1.0, abs(a.x_left), a.dx)
     if (a.n != b.n or abs(a.x_left - b.x_left) > _GRID_RTOL * scale
             or abs(a.dx - b.dx) > _GRID_RTOL * a.dx):
-        raise GridMismatchError(
+        raise ShockzoomError(
             f"grids differ: ({a.x_left}, {a.dx}, {a.n}) vs ({b.x_left}, {b.dx}, {b.n})")
 
 

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, MultipleRootsError, NoBracketError, NotOrderedError
+from .errors import ConfigError, ShockzoomError
 from .flux import FluxModel, ShockData, rankine_hugoniot
 
 _FD_RTOL = 1e-6
@@ -84,9 +84,9 @@ def characteristic_value(data: SmoothData, flux: FluxModel, t: float, x):
 
     Solves xi + t f'(u0(xi)) = x for each foot point: a scan brackets it,
     then ``bracketed_root`` finds it from the bracket's midpoint, one row per
-    x, in blocks of _FOOT_ROWS rows.  Each x needs a single sign change: at
-    the first x with none NoBracketError, with several MultipleRootsError
-    (the characteristic field has folded).  A scalar x gives a float.
+    x, in blocks of _FOOT_ROWS rows.  Each x needs a single sign change: the
+    first x with none, or with several (the characteristic field has folded),
+    raises ShockzoomError.  A scalar x gives a float.
     """
     xs = np.asarray(x, dtype=float)
     flat = xs.ravel()
@@ -113,10 +113,10 @@ def characteristic_value(data: SmoothData, flux: FluxModel, t: float, x):
         if bad.size:
             k = bad[0]
             if n_roots[k] == 0:
-                raise NoBracketError(f"no characteristic foot point of x={x[k]:.6g} in "
+                raise ShockzoomError(f"no characteristic foot point of x={x[k]:.6g} in "
                                      f"[{lo[k]:.3g}, {hi[k]:.3g}]")
-            raise MultipleRootsError(f"{n_roots[k]} candidate foot points of x={x[k]:.6g}: "
-                                     f"characteristics have crossed")
+            raise ShockzoomError(f"{n_roots[k]} candidate foot points of x={x[k]:.6g}: "
+                                 f"characteristics have crossed")
 
         # each row's bracket: [j, j + 1] around its sign change, or its root
         # node j twice, which is settled
@@ -164,7 +164,7 @@ def two_shock(flux: FluxModel, u_minus: float, u_star: float, u_plus: float, t, 
     to the right.
     """
     if not (u_minus > u_star > u_plus):
-        raise NotOrderedError(
+        raise ConfigError(
             f"need u_minus > u_star > u_plus, got {(u_minus, u_star, u_plus)}")
     s1 = rankine_hugoniot(flux, u_minus, u_star)
     s2 = rankine_hugoniot(flux, u_star, u_plus)

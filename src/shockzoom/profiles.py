@@ -18,7 +18,7 @@ from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ConfigError, NotLaxError, NotOrderedError, TauTooLateError
+from .errors import ConfigError
 from .flux import FluxModel, ShockData, rankine_hugoniot
 from .grid import GridFunction, Window, cell_count, l1_distance
 from .inviscid import z_exact
@@ -60,7 +60,7 @@ def traveling_wave(flux: FluxModel, u_minus: float, u_plus: float,
     node, over [-half_width, half_width].  Requires a downward jump.
     """
     if not u_minus > u_plus:
-        raise NotLaxError(f"traveling wave needs u_minus > u_plus, got ({u_minus}, {u_plus})")
+        raise ConfigError(f"traveling wave needs u_minus > u_plus, got ({u_minus}, {u_plus})")
     shock = rankine_hugoniot(flux, u_minus, u_plus)
 
     def g(s):
@@ -126,7 +126,7 @@ class MergingTriple:
     def from_states(cls, flux: FluxModel, u_minus: float, u_star: float,
                     u_plus: float) -> "MergingTriple":
         if not (u_minus > u_star > u_plus):
-            raise NotOrderedError(
+            raise ConfigError(
                 f"need u_minus > u_star > u_plus, got {(u_minus, u_star, u_plus)}")
         s1 = rankine_hugoniot(flux, u_minus, u_star)
         s2 = rankine_hugoniot(flux, u_star, u_plus)
@@ -144,14 +144,14 @@ def merging_initial(triple: MergingTriple, tau: float, grid: GridFunction,
     The faster wave is centred at lambda1*tau, the slower at lambda2*tau,
     and the smoothstep blend weight ramps over one unit from lambda_star*tau.
     tau must be negative enough that the transition regions stay clear of
-    the blend; otherwise TauTooLateError.
+    the blend; otherwise ConfigError.
     """
     w1, w2 = profiles
     separation = (triple.lambda1 - triple.lambda2) * abs(tau)
     # 5% tails: the blend only needs the discarded profile to be nearly flat
     needed = transition_width(w1, 0.05) + transition_width(w2, 0.05) + 1.0
     if tau >= 0.0 or separation <= needed:
-        raise TauTooLateError(
+        raise ConfigError(
             f"tau={tau} puts the waves {separation:.3g} apart; need more than {needed:.3g}")
     x = grid.x
     theta = smoothstep(x - triple.lambda_star * tau)
@@ -233,7 +233,7 @@ def merging_wave(triple: MergingTriple, tau_list: Sequence[float], window: Windo
                        + [float(s) for s in snapshot_times]))
 
     cfg = SolverConfig(viscosity=1.0, boundary=Clamped())
-    # every restart's blend is checked (TauTooLateError) before the first solve
+    # every restart's blend is checked (ConfigError) before the first solve
     restarts = [merging_initial(triple, tau, template, waves) for tau in taus]
     first = solve(restarts[0], flux, cfg, times[-1] - taus[0], [s - taus[0] for s in times])
     states_at_cmp = [dict(first)[t_cmp - taus[0]]] + [

@@ -21,7 +21,7 @@ from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DegenerateError, NoCrossingError, NonPositiveError, OutOfDomainError
+from .errors import ConfigError, NoCrossingError, OutOfDomainError
 from .flux import FluxModel
 from .grid import GridFunction
 
@@ -188,11 +188,11 @@ def fit_formation_frame(point: FormationPoint, flux: FluxModel, eps: float) -> R
     turns u - u_c into a speed.
     """
     if not point.x_uuu < 0.0:
-        raise DegenerateError("need x_uuu < 0 at the formation point")
+        raise ConfigError("need x_uuu < 0 at the formation point")
     c = (-point.x_uuu / 6.0) ** (-1.0 / 3.0)
     a = float(flux.d2f(np.float64(point.u_value)))
     if a <= 0.0:
-        raise DegenerateError("flux curvature must be positive at the formation value")
+        raise ConfigError("flux curvature must be positive at the formation value")
     return RescaleFrame.type2(point.tau, point.xi, eps, point.u_value, time_scale=a * c,
                               drift=float(flux.df(np.float64(point.u_value))),
                               value_scale=a)
@@ -216,7 +216,7 @@ def convergence_rate(eps_list: Sequence[float], errors: Sequence[float]) -> Rate
     if eps.size != err.size or eps.size < 3:
         raise ValueError("need at least three (eps, error) pairs")
     if np.any(eps <= 0.0) or np.any(err <= 0.0):
-        raise NonPositiveError("eps and errors must be positive for a log-log fit")
+        raise ValueError("eps and errors must be positive for a log-log fit")
     if np.any(np.diff(eps) >= 0.0):
         raise ValueError("eps_list must be strictly decreasing")
     le = np.log(eps)

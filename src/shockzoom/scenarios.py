@@ -17,7 +17,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .errors import DegenerateError, NotLaxError, OutOfDomainError
+from .errors import ConfigError, OutOfDomainError
 from .flux import FluxModel, ShockData, rankine_hugoniot
 from .inviscid import (SmoothData, blowup_time, bracketed_root, characteristic_value,
                        single_shock, two_shock, z_root)
@@ -90,7 +90,7 @@ def single_shock_scenario(flux: FluxModel, u_minus: float = 1.0, u_plus: float =
                           *, tau: float = 1.0, ramp_width: float = 0.02) -> Scenario:
     """Smoothed step whose inviscid limit is one shock through (tau, speed*tau)."""
     if u_minus <= u_plus:
-        raise NotLaxError(f"need a downward jump, got ({u_minus}, {u_plus})")
+        raise ConfigError(f"need a downward jump, got ({u_minus}, {u_plus})")
     if tau <= 0.0 or ramp_width <= 0.0:
         raise ValueError("tau and ramp_width must be positive")
     shock = rankine_hugoniot(flux, u_minus, u_plus)
@@ -193,8 +193,8 @@ def shock_formation_scenario(flux: FluxModel, amplitude: float = 1.0, *,
     """
     # the formation point's x_uuu is -6 amplitude
     if not 0.0 < 6.0 * amplitude < np.inf:
-        raise DegenerateError(f"a cubic tangency needs 0 < 6 amplitude < inf, "
-                              f"got amplitude={amplitude!r}")
+        raise ConfigError(f"a cubic tangency needs 0 < 6 amplitude < inf, "
+                          f"got amplitude={amplitude!r}")
     if tau <= 0.0 or clamp_radius <= 0.0:
         raise ValueError("tau and clamp_radius must be positive")
     A = float(amplitude)
@@ -209,7 +209,7 @@ def shock_formation_scenario(flux: FluxModel, amplitude: float = 1.0, *,
     while foot(b) > -R or foot(-b) < R:
         b *= 2.0
         if b > 1e6:
-            raise DegenerateError("could not bracket the data range")
+            raise ConfigError("could not bracket the data range")
 
     def u0(x):
         xc = np.clip(np.asarray(x, dtype=float), -R, R)

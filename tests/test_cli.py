@@ -12,7 +12,7 @@ from shockzoom import (Window, build_scenario, burgers, experiments, inviscid,
                        profiles, solver)
 from shockzoom.cli import (DEFAULTS, KEYS, MAX_COUNT, Config, _interior_shift_row,
                            load_config, main)
-from shockzoom.errors import ConfigError
+from shockzoom.errors import ConfigError, InstabilityError, ShockzoomError
 from shockzoom.experiments import SHIFT_RANGE, ZoomOutcome
 from shockzoom.io import write_audit, write_sweep
 
@@ -312,13 +312,17 @@ def test_the_exact_eternal_wave_takes_late_windows_and_coarse_grids(tmp_path):
 def test_config_error_leaves_no_output_directory(tmp_path):
     # a command makes its output directory only when it writes its results:
     # none of these gets that far, whether it fails on reading a setting,
-    # in kuznetsov_sweep before its first solve (sweep.t_check=0.1), or
-    # during its first solve, on the cell-Peclet guard (100 at dx=4)
+    # in kuznetsov_sweep before its first solve (sweep.t_check=0.1) or after
+    # its solves (sweep.t_check=1e-300: one step leaves every L1 error 0,
+    # which no log-log rate fits), or during its first solve, on the
+    # cell-Peclet guard (100 at dx=4)
     existing = tmp_path / "existing"
     existing.mkdir()
     for args in (["run", "--scenario", "theorem1-merging", "--set", "merge.taus=-20",
                   "--set", "flux.name=quartic", "--set", "flux.kappa=0.05"],
                  ["sweep", "--set", "sweep.t_check=0.1"],
+                 ["sweep", "--set", "sweep.t_check=1e-300"],
+                 ["sweep", "--scenario", "theorem1-merging", "--set", "sweep.t_check=1e-300"],
                  ["run", "--eps", "0.3,0.1"],
                  ["run", "--set", "run.seed=-1"],
                  ["audit", "--suite", "nope"],
@@ -344,6 +348,18 @@ def test_bad_restart_settings_exit_2_before_any_solve(tmp_path, monkeypatch):
                  ["run", "--scenario", "theorem1-merging", "--set", "merge.taus=-20",
                   "--set", "flux.name=quartic", "--set", "flux.kappa=0.05"]):
         assert main(args + ["--out", out]) == 2, args
+
+
+def test_main_maps_instability_to_3_and_other_errors_to_1(tmp_path, monkeypatch, capsys):
+    for error, code, prefix in ((InstabilityError("blew up"), 3, "solver instability: "),
+                                (ShockzoomError("no foot point"), 1, "check failed: ")):
+        def fail(*args, **kwargs):
+            raise error
+        monkeypatch.setattr(experiments, "solve", fail)
+        out = tmp_path / "o"
+        assert main(["sweep", "--out", str(out)]) == code, error
+        assert capsys.readouterr().err == f"{prefix}{error}\n"
+        assert not out.exists(), error
 
 
 def test_library_rejects_bad_study_inputs_before_any_solve(monkeypatch):

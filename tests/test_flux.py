@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shockzoom import (BUILTIN_FLUXES, EqualStatesError, FluxModel,
+from shockzoom import (BUILTIN_FLUXES, ConfigError, FluxModel,
                        NotLaxWarning, burgers, burgers_plus_linear, chord,
                        make_flux, quartic_perturbed, rankine_hugoniot)
 
@@ -29,7 +29,7 @@ def test_linear_shift_adds_to_speed():
 
 
 def test_equal_states_raise():
-    with pytest.raises(EqualStatesError):
+    with pytest.raises(ConfigError, match="u_minus == u_plus == 0.3"):
         rankine_hugoniot(burgers(), 0.3, 0.3)
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shockzoom import (GridFunction, GridMismatchError, Window, l1_distance,
+from shockzoom import (GridFunction, ShockzoomError, Window, l1_distance,
                        max_forward_slope, periodic_mass, trapezoid)
 from shockzoom.grid import prolong_cubic
 
@@ -32,7 +32,7 @@ def test_l1_distance_and_mismatch():
     b = GridFunction(0.0, 0.1, np.ones(11))
     assert l1_distance(a, b) == pytest.approx(1.0, rel=1e-13)
     c = GridFunction(0.0, 0.1, np.ones(12))
-    with pytest.raises(GridMismatchError):
+    with pytest.raises(ShockzoomError, match="grids differ"):
         l1_distance(a, c)
 
 

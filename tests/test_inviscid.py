@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shockzoom import (ConfigError, MultipleRootsError, ShockData, SmoothData,
+from shockzoom import (ConfigError, ShockData, ShockzoomError, SmoothData,
                        blowup_time, build_scenario, burgers, characteristic_value, inviscid, single_shock,
                        two_shock, z_bounds_audit, z_eval, z_exact, z_root)
-from shockzoom.errors import NotOrderedError
 from shockzoom.flux import burgers_plus_linear, quartic_perturbed
 
 # where each pair below is cross-checked against finite differences
@@ -51,7 +50,7 @@ def test_characteristic_value_takes_arrays(monkeypatch):
     data = SmoothData(lambda x: -np.tanh(np.asarray(x, dtype=float)),
                       lambda x: -1.0 / np.cosh(np.asarray(x, dtype=float)) ** 2,
                       CHECK_POINTS)
-    with pytest.raises(MultipleRootsError, match="x=-0.25:"):
+    with pytest.raises(ShockzoomError, match="candidate foot points of x=-0.25:"):
         characteristic_value(data, burgers(), 2.0, [-40.0, -0.25, 0.0, 0.25])
 
 
@@ -123,7 +122,7 @@ def test_characteristics_cross_after_blowup():
     data = SmoothData(lambda x: -np.tanh(np.asarray(x, dtype=float)),
                       lambda x: -1.0 / np.cosh(np.asarray(x, dtype=float)) ** 2,
                       CHECK_POINTS)
-    with pytest.raises(MultipleRootsError):
+    with pytest.raises(ShockzoomError, match="characteristics have crossed"):
         characteristic_value(data, burgers(), 2.0, 0.0)
 
 
@@ -154,7 +153,7 @@ def test_two_shock_wedge_and_merge():
     assert two_shock(flux, um, us, up, -1.0, 0.6) == up
     assert two_shock(flux, um, us, up, 1.0, -0.1) == um
     assert two_shock(flux, um, us, up, 1.0, 0.1) == up
-    with pytest.raises(NotOrderedError):
+    with pytest.raises(ConfigError, match="need u_minus > u_star > u_plus"):
         two_shock(flux, -1.0, 0.0, 1.0, -1.0, 0.0)
 
 

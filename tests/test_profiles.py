@@ -4,13 +4,12 @@ import warnings
 import numpy as np
 import pytest
 
-from shockzoom import (Clamped, GridFunction, MergingTriple, NotLaxError,
-                       SolverConfig, TauTooLateError, Window, burgers,
+from shockzoom import (Clamped, ConfigError, GridFunction, MergingTriple,
+                       SolverConfig, Window, burgers,
                        burgers_plus_linear, eternal_z, eternal_z_limit,
                        exact_merging_wave, merging_initial,
                        quartic_perturbed, smoothstep, solve, transition_width,
                        traveling_wave, z_root)
-from shockzoom.errors import NotOrderedError
 from shockzoom.inviscid import _outer_root
 
 
@@ -46,7 +45,7 @@ def test_wave_call_extends_with_limits():
 
 
 def test_upward_jump_rejected():
-    with pytest.raises(NotLaxError):
+    with pytest.raises(ConfigError, match="needs u_minus > u_plus"):
         traveling_wave(burgers(), -1.0, 1.0, 10.0, 0.01)
 
 
@@ -75,7 +74,7 @@ def test_triple_orders_and_speeds():
     assert triple.lambda1 == pytest.approx(0.5)
     assert triple.lambda2 == pytest.approx(-0.5)
     assert triple.lambda_star == pytest.approx(0.0)
-    with pytest.raises(NotOrderedError):
+    with pytest.raises(ConfigError, match="need u_minus > u_star > u_plus"):
         MergingTriple.from_states(burgers(), -1.0, 0.0, 1.0)
     # both speeds underflow to 0, which their mean cannot separate
     with pytest.raises(ValueError, match="separate"):
@@ -101,9 +100,9 @@ def test_merging_initial_rejects_late_tau():
     triple = make_triple()
     grid = GridFunction.from_callable(lambda x: 0.0 * x, -40.0, 40.0, 0.05)
     waves = make_waves(triple)
-    with pytest.raises(TauTooLateError):
+    with pytest.raises(ConfigError, match="tau=-5.0 puts the waves"):
         merging_initial(triple, -5.0, grid, waves)
-    with pytest.raises(TauTooLateError):
+    with pytest.raises(ConfigError, match="tau=1.0 puts the waves"):
         merging_initial(triple, 1.0, grid, waves)
 
 

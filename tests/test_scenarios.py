@@ -4,7 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from shockzoom import (FluxModel, NotLaxError, OutOfDomainError, blowup_time,
+from shockzoom import (ConfigError, FluxModel, OutOfDomainError, blowup_time,
                        build_scenario, burgers, burgers_plus_linear, characteristic_value,
                        merging_shocks_scenario, quartic_perturbed, single_shock_scenario)
 
@@ -35,7 +35,7 @@ def test_single_reference_gap_raises():
 
 
 def test_single_validation():
-    with pytest.raises(NotLaxError):
+    with pytest.raises(ConfigError, match="need a downward jump"):
         single_shock_scenario(burgers(), -1.0, 1.0)
     with pytest.raises(ValueError):
         single_shock_scenario(burgers(), 1.0, -1.0, tau=1e-4)
