@@ -19,7 +19,13 @@ window's cone of dependence, which shrinks as the march nears the window:
 in ZOOM_STAGES stages of equal duration, each cut at its start t to the
 scenario grid's nodes within s (t_end - t) plus ten diffusion lengths
 sqrt(eps (t_end - t)) of the x-range the window sees, s the largest speed
-on the current cut, with the cut's ends held through the stage.  Where the
+on the current cut, with the cut's ends held through the stage.  Each cut
+then drops its flat ends, the nodes equal to its first or last value, but
+for the s (t_stop - t) + ten diffusion lengths sqrt(eps (t_stop - t)) next
+to the nodes that vary, its reach over the stage: a held end sits in data
+equal to it, so the heat kernel's erfc(5)/2 bound that sizes the cone
+keeps it exact too.  The default merging run's first cut at eps = 0.01
+holds 3,771 of the grid's 8,001 nodes, 6,801 without the trim.  Where the
 data are still smooth before the window (t0, a quarter of the window's
 duration before it opens, lies before the blow-up time) and the grid is at
 least twice as fine as a cell Peclet number of 0.5 needs, the stages before
@@ -165,9 +171,18 @@ def _zoom_field(scenario: Scenario, eps: float, dx: float, frame: RescaleFrame,
     the x-range the window sees at any of its times, inside the last cut.
     Here s is max|f'(u)| over the current cut, which the maximum principle
     makes a bound for the rest of the march; at t = 0 it is read at the
-    grid's end nodes.  Each cut's end nodes are held through its stage.
-    Every stage lands on the frame's times within it, and each row is
-    interpolated linearly in x off the snapshot at its time.
+    grid's end nodes.  The cut then keeps only what the stage can change:
+    its leading nodes equal to its first value and trailing nodes equal to
+    its last (exactly, with no tolerance) are dropped but for the
+    ceil(reach / (m dx)) next to the first and last varying node, with
+    reach = s (stop - start) + REACH_DIFFUSION_LENGTHS sqrt(eps (stop - start)),
+    the cone's formula run forward over the stage; a cut with no varying
+    node is kept whole.  Each cut's end nodes are held through its stage:
+    beyond the varying part's reach the state stays the held value to the
+    heat kernel's erfc(5)/2, as at the cone's edge.  Every stage lands on
+    the frame's times within it, and each row is interpolated linearly in
+    x off the snapshot at its time; a row point past a trimmed end reads
+    the end's held value.
 
     Where the solution is still smooth before the window, the march starts
     coarse: with m = floor(COARSE_PECLET eps / (max|f'(u0)| dx)) >= 2, at
@@ -188,17 +203,36 @@ def _zoom_field(scenario: Scenario, eps: float, dx: float, frame: RescaleFrame,
         _, x_rows = frame.to_physical(s_grid[:, None], y_grid)
     x_seen = np.min(x_rows), np.max(x_rows)
 
+    def reach(speed: float, duration: float) -> float:
+        """How far data can act at speed ``speed`` over ``duration``."""
+        return speed * duration + REACH_DIFFUSION_LENGTHS * math.sqrt(eps * duration)
+
     def cone(t: float, speed: float, i: int, j: int, m: int):
         """The nodes a < b, multiples of m in the cut i, ..., j, that cover the
         window's cone of dependence at time t, at least one cell apart, or
         three coarse cells, the four nodes that ``prolong_cubic`` needs."""
         cells = 3 if m > 1 else 1
-        reach = speed * (t_end - t) + REACH_DIFFUSION_LENGTHS * math.sqrt(eps * (t_end - t))
+        far = reach(speed, t_end - t)
         # clipped as floats, so that a window far off the grid cannot overflow int()
         with np.errstate(over="ignore"):
-            a = np.clip(np.floor((x_seen[0] - reach - lo) / (m * dx)), i // m, j // m - cells)
-            b = np.clip(np.ceil((x_seen[1] + reach - lo) / (m * dx)), a + cells, j // m)
+            a = np.clip(np.floor((x_seen[0] - far - lo) / (m * dx)), i // m, j // m - cells)
+            b = np.clip(np.ceil((x_seen[1] + far - lo) / (m * dx)), a + cells, j // m)
         return m * int(a), m * int(b)
+
+    def varying(values: np.ndarray, speed: float, duration: float, m: int):
+        """The offsets p < q into the cut's values that a stage of ``duration``
+        must march: its flat ends, the nodes equal to its first or last value,
+        are dropped but for the ceil(reach / (m dx)) next to the nodes that
+        differ from them, keeping as many cells as ``cone``; a cut that is
+        flat throughout is kept whole."""
+        n = values.size
+        left, right = np.flatnonzero(values != values[0]), np.flatnonzero(values != values[-1])
+        if not left.size:
+            return 0, n - 1
+        cells = 3 if m > 1 else 1
+        keep = math.ceil(reach(speed, duration) / (m * dx))
+        p = min(max(int(left[0]) - keep, 0), n - 1 - cells)
+        return p, min(max(int(right[-1]) + keep, p + cells), n - 1)
 
     # every scenario's data are monotone, so their largest speed is at the
     # grid's end nodes
@@ -222,9 +256,13 @@ def _zoom_field(scenario: Scenario, eps: float, dx: float, frame: RescaleFrame,
         if k:
             if start == t0 and m > 1:
                 values, m = prolong_cubic(values, m), 1
-            a, b = cone(start, flux.max_speed(values), i, j, m)
+            speed = flux.max_speed(values)
+            a, b = cone(start, speed, i, j, m)
             values = values[(a - i) // m:(b - i) // m + 1]
             i, j = a, b
+        p, q = varying(values, speed, stop - start, m)
+        values = values[p:q + 1]
+        i, j = i + m * p, i + m * q
         cut = GridFunction(lo + dx * i, m * dx, values)
         rows = np.flatnonzero(stage_of == k)
         snaps = dict(solve(cut, flux, SolverConfig(eps, Clamped()), stop - start,

@@ -59,7 +59,7 @@ class FluxModel:
                 f"flux {self.name!r}: f'' leaves [{self.c1}, {self.c2}] on the declared range")
 
     def max_speed(self, values: np.ndarray) -> float:
-        return float(np.max(np.abs(self.df(values))))
+        return float(np.abs(self.df(values)).max())
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,9 @@ raises ConfigError.  Time: the two-stage second-order ARS(2,2,2) method
 difference is explicit and the viscosity implicit, so the step obeys only
 the advective CFL bound.  Each implicit stage solves one constant-
 coefficient tridiagonal system, by FFT on a periodic grid and, on a
-clamped one, through its exact inverse (``solve_tridiagonal``); the inner
-stage's diffusion is read off its own solve.
+clamped one, through its exact inverse (``TridiagonalInverse``), whose
+constants are built once per step for both stages; the inner stage's
+diffusion is read off its own solve.
 Clamped end nodes are pinned and only the interior is marched: they hold
 the data's end values, or, when the boundary carries ``ends(t)``, are set
 once per step to its values at the new time, and the inner stage takes
@@ -98,9 +99,9 @@ def _advection(u: np.ndarray, dx: float, flux: FluxModel, periodic: bool) -> np.
     return (fu[:-2] - fu[2:]) * (0.5 / dx)
 
 
-def solve_tridiagonal(d: np.ndarray, r: float,
-                      ends: Tuple[float, float] = (0.0, 0.0)) -> np.ndarray:
-    """Solve (1 + 2r) x[i] - r (x[i-1] + x[i+1]) = d[i] with x[-1], x[n] = ends, r > 0.
+class TridiagonalInverse:
+    """The exact inverse of (1 + 2r) x[i] - r (x[i-1] + x[i+1]) on n nodes, r > 0,
+    with its r-dependent constants built once for every solve on them.
 
     On the whole line the inverse is c alpha^|i-k|, with c = 1/sqrt(1 + 4r)
     and alpha = r/beta < 1, beta the larger root of p^2 - (1 + 2r) p + r^2.
@@ -113,32 +114,52 @@ def solve_tridiagonal(d: np.ndarray, r: float,
     onto the ends, exactly for every n.  Terms below _NEGLIGIBLE are dropped;
     rounding grows like sqrt(r) / n once r exceeds n^2.
     """
-    n = d.size
-    if n == 0:
-        return np.empty(0)
-    root = math.sqrt(1.0 + 4.0 * r)
-    alpha = 2.0 * r / (1.0 + 2.0 * r + root)
-    c = 1.0 / root
-    # e[i] += alpha e[i-1] by recursive doubling: e[:n] is F, e[n:] B reversed
-    e = np.concatenate((d, d[::-1]))
-    power, shift = alpha, 1
-    while power >= _NEGLIGIBLE and shift < e.size:
-        e[shift:] += power * e[:-shift]
-        power, shift = power * power, 2 * shift
-    # y's misses at -1 and n, past the end values, and the fit that clears them
-    a, b = c * alpha * e[-1] - ends[0], c * (1.0 + alpha) * e[n - 1] - ends[1]
-    far = alpha ** (n + 1)
-    left, right = (a - far * b) / (1.0 - far * far), (b - far * a) / (1.0 - far * far)
-    x = e[:n]
-    x += e[:n - 1:-1]
-    x -= d
-    x *= c
-    # alpha^j past the last k nodes is negligible
-    k = min(n, math.ceil(math.log(_NEGLIGIBLE) / math.log(alpha)))
-    decay = alpha ** np.arange(1.0, k + 1.0)
-    x[:k] -= left * decay
-    x[n - k:] -= right * decay[::-1]
-    return x
+
+    def __init__(self, n: int, r: float):
+        self.n = n
+        root = math.sqrt(1.0 + 4.0 * r)
+        self.alpha = alpha = 2.0 * r / (1.0 + 2.0 * r + root)
+        self.c = 1.0 / root
+        # the doubling passes e[shift:] += power e[:-shift] over the 2n values
+        self.passes = []
+        power, shift = alpha, 1
+        while power >= _NEGLIGIBLE and shift < 2 * n:
+            self.passes.append((power, shift))
+            power, shift = power * power, 2 * shift
+        self.far = alpha ** (n + 1)
+        # alpha^j past the last k nodes is negligible
+        k = min(n, math.ceil(math.log(_NEGLIGIBLE) / math.log(alpha)))
+        self.decay = alpha ** np.arange(1.0, k + 1.0)
+
+    def solve(self, d: np.ndarray, ends: Tuple[float, float]) -> np.ndarray:
+        """The n + 2 values x[-1], ..., x[n]: the solve for d between the ends."""
+        n, alpha, c, far, decay = self.n, self.alpha, self.c, self.far, self.decay
+        out = np.empty(n + 2)
+        out[0], out[-1] = ends
+        if n == 0:
+            return out
+        # e[i] += alpha e[i-1] by recursive doubling: e[:n] is F, e[n:] B reversed
+        e = np.concatenate((d, d[::-1]))
+        for power, shift in self.passes:
+            e[shift:] += power * e[:-shift]
+        # y's misses at -1 and n, past the end values, and the fit that clears them
+        a, b = c * alpha * e[-1] - ends[0], c * (1.0 + alpha) * e[n - 1] - ends[1]
+        left, right = (a - far * b) / (1.0 - far * far), (b - far * a) / (1.0 - far * far)
+        x = out[1:-1]
+        np.add(e[:n], e[:n - 1:-1], out=x)
+        x -= d
+        x *= c
+        k = decay.size
+        x[:k] -= left * decay
+        x[n - k:] -= right * decay[::-1]
+        return out
+
+
+def solve_tridiagonal(d: np.ndarray, r: float,
+                      ends: Tuple[float, float] = (0.0, 0.0)) -> np.ndarray:
+    """Solve (1 + 2r) x[i] - r (x[i-1] + x[i+1]) = d[i] with x[-1], x[n] = ends, r > 0,
+    through ``TridiagonalInverse``."""
+    return TridiagonalInverse(d.size, r).solve(d, ends)[1:-1]
 
 
 def solve_circulant(d: np.ndarray, r: float) -> np.ndarray:
@@ -148,13 +169,6 @@ def solve_circulant(d: np.ndarray, r: float) -> np.ndarray:
     return np.fft.irfft(np.fft.rfft(d) / symbol, n)
 
 
-def _implicit(d: np.ndarray, r: float, ends: Optional[Tuple[float, float]]) -> np.ndarray:
-    """One implicit viscous stage: periodic when ``ends`` is None, else clamped to them."""
-    if ends is None:
-        return solve_circulant(d, r)
-    return np.concatenate(((ends[0],), solve_tridiagonal(d, r, ends), (ends[1],)))
-
-
 def _ars222(u: np.ndarray, dx: float, flux: FluxModel, cfg: SolverConfig,
             dt: float, t: float) -> np.ndarray:
     """One ARS(2,2,2) step from time t to t + dt."""
@@ -162,16 +176,21 @@ def _ars222(u: np.ndarray, dx: float, flux: FluxModel, cfg: SolverConfig,
     bc = cfg.boundary
     periodic = isinstance(bc, Periodic)
     if periodic:
-        v, mid, new = u, None, None
+        v = u
     else:
         # only the interior is marched; the inner stage at t + GAMMA*dt takes
         # its ends on the line from the current to the new end values
         v, now = u[1:-1], (u[0], u[-1])
-        new = now if bc.ends is None else bc.at(t + dt)
-        mid = tuple(a + GAMMA * (b - a) for a, b in zip(now, new))
+        if bc.ends is None:
+            mid = new = now
+        else:
+            new = bc.at(t + dt)
+            mid = tuple(a + GAMMA * (b - a) for a, b in zip(now, new))
+        # both stages solve with the same r on the same nodes
+        inverse = TridiagonalInverse(v.size, r)
     k1 = _advection(u, dx, flux, periodic)
     d = v + (GAMMA * dt) * k1
-    inner = _implicit(d, r, mid)
+    inner = solve_circulant(d, r) if periodic else inverse.solve(d, mid)
     k2 = _advection(inner, dx, flux, periodic)
     # the inner stage's diffusion, from its own solve: nu u_xx = (inner - d) / (GAMMA dt);
     # inner is spent once k2 is taken, so the right-hand side is built in it
@@ -181,7 +200,7 @@ def _ars222(u: np.ndarray, dx: float, flux: FluxModel, cfg: SolverConfig,
     rhs += v
     rhs += (DELTA * dt) * k1
     rhs += ((1.0 - DELTA) * dt) * k2
-    return _implicit(rhs, r, new)
+    return solve_circulant(rhs, r) if periodic else inverse.solve(rhs, new)
 
 
 def solve(initial: GridFunction, flux: FluxModel, cfg: SolverConfig,
@@ -220,8 +239,8 @@ def solve(initial: GridFunction, flux: FluxModel, cfg: SolverConfig,
             u = _ars222(u, dx, flux, cfg, dt, t)
             t = target if landing else t + dt
             step += 1
-            m = np.max(np.abs(u))
-            if not np.isfinite(m) or m > cap:
+            m = np.abs(u).max()
+            if not math.isfinite(m) or m > cap:
                 x = initial.x_left + dx * int(np.argmax(np.abs(u)))
                 raise InstabilityError(
                     f"solution blew up at step {step}, t={t:.6g}, dt={dt:.3g}: "

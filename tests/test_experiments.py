@@ -1,4 +1,6 @@
 """Experiment-layer plumbing: health checks, mesh rules, audit suites."""
+import math
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,8 @@ from shockzoom import (Clamped, ConfigError, GridFunction, Periodic, RescaleFram
                        burgers_plus_linear, build_scenario, exact_merging_wave,
                        solve, trapezoid)
 from shockzoom import experiments, solver
-from shockzoom.experiments import (COARSE_PECLET, SHIFT_DY, SHIFT_LATTICE, SHIFT_RANGE,
-                                   SHIFT_TIMES, ZOOM_STAGES, _zoom_field, contraction_check,
+from shockzoom.experiments import (COARSE_PECLET, REACH_DIFFUSION_LENGTHS, SHIFT_DY,
+                                   SHIFT_LATTICE, SHIFT_RANGE, SHIFT_TIMES, ZOOM_STAGES, _zoom_field, contraction_check,
                                    formation_zoom, mass_drift_check, merging_surrogate,
                                    merging_zoom, refined_dx, scenario_grid,
                                    single_shock_zoom, suite_cubic_bounds,
@@ -406,16 +408,18 @@ def test_zoom_local_solve_matches_full_solve(monkeypatch):
         return float(np.max(np.abs(local - ref))), float(np.max(np.abs(ref))), strides, cut
 
     # the single-shock and merging regression configurations, and a single
-    # shock at an eps small enough for the march to drop nodes from stage 2
+    # shock at an eps small enough for the march to drop nodes from stage 2;
+    # the data's flat ends leave every first cut shorter than the grid
     single = build_scenario("theorem1-single", burgers())
     merging = build_scenario("theorem1-merging", burgers())
     type1 = [(single, eps, Window(-2.0, 2.0, -4.0, 4.0), 5, 81) for eps in (0.08, 0.04, 0.01)]
     type1 += [(merging, eps, Window(-1.0, 1.0, -2.0, 2.0), 3, 41) for eps in (0.08, 0.04)]
     for scen, eps, window, nt, ny in type1:
-        sup_gap, sup_ref, strides, cut = gap(scen, eps, refined_dx(eps, 0.08, 4.0),
-                                             window, nt, ny)
+        dx = refined_dx(eps, 0.08, 4.0)
+        sup_gap, sup_ref, strides, cut = gap(scen, eps, dx, window, nt, ny)
         assert sup_gap <= 1e-9 * sup_ref, (scen.id, eps, sup_gap)
         assert strides == [1] * ZOOM_STAGES and cut, (scen.id, eps)
+        assert stages[0][0].n < scenario_grid(scen, dx).n, (scen.id, eps, stages[0][0].n)
 
     # the formation regression scenario at eps = 0.01, dx_hat = 0.04, where
     # the cut drops nodes and the coarse start engages: the stages before t0
@@ -432,14 +436,27 @@ def test_zoom_local_solve_matches_full_solve(monkeypatch):
     assert m >= 2 and coarse >= 1 and cut, (m, strides)
     assert strides == [m] * coarse + [1] * (ZOOM_STAGES + 1 - coarse), (m, strides)
     assert sup_gap < 0.1 * outcome.sup_error, (sup_gap, outcome.sup_error)
-    # a first cut that spans the whole grid, whose 783 cells are no multiple
-    # of m = 2: the coarse start still engages, on the grid's own lattice
+    # a grid of 783 cells, no multiple of m = 2, whose cone covers it all:
+    # the first cut drops the clamped plateau's flat ends, 5 coarse nodes
+    # at each, and stays on the grid's own lattice
     scen = build_scenario("theorem2-formation", burgers(), amplitude=1.0)
     eps, dx = 0.04, 0.1 * 0.04 ** 0.75
     (outcome,) = formation_zoom(scen, (eps,), 4.0, window=window, nt=3, ny=41, dx_hat=0.1)
     sup_gap, _, strides, cut = gap(scen, eps, dx, window, 3, 41)
-    assert stages[0][0].n == 783 // 2 + 1 and strides[0] == 2 and cut, (stages[0][0].n, strides)
+    first, full = stages[0][0], scenario_grid(scen, dx)
+    assert full.n == 784 and strides[0] == 2 and cut, (full.n, strides)
+    assert round((first.x_left - full.x_left) / dx) == 10 and first.n == 382, first
     assert sup_gap < 0.1 * outcome.sup_error, (sup_gap, outcome.sup_error)
+    # at eps = 0.08 the cone reaches past the plateau, so the first cut spans
+    # the grid, whose 465 cells are no multiple of m = 2 either: the coarse
+    # start still engages, on the grid's own lattice
+    eps2, dx2 = 0.08, 0.1 * 0.08 ** 0.75
+    (outcome2,) = formation_zoom(scen, (eps2,), 4.0, window=window, nt=3, ny=41, dx_hat=0.1)
+    sup_gap, _, strides, cut = gap(scen, eps2, dx2, window, 3, 41)
+    first, full = stages[0][0], scenario_grid(scen, dx2)
+    assert full.n == 466 and strides[0] == 2 and cut, (full.n, strides)
+    assert first.x_left == full.x_left and first.n == 465 // 2 + 1, first
+    assert sup_gap < 0.1 * outcome2.sup_error, (sup_gap, outcome2.sup_error)
     # a window of one time leaves the fine march no lead, so it starts fine;
     # sampled straight off the coarse start's prolongation, its gap was
     # 1.3e-4 of the reference sup, and the staged cuts leave 3.0e-6
@@ -447,6 +464,51 @@ def test_zoom_local_solve_matches_full_solve(monkeypatch):
         sup_gap, sup_ref, strides, cut = gap(scen, eps, dx, window, nt, 41)
         assert strides == [1] * ZOOM_STAGES and cut, strides
         assert sup_gap <= 1e-5 * sup_ref, (sup_gap, sup_ref)
+
+
+def test_zoom_cut_drops_the_datas_flat_ends(monkeypatch):
+    # the first stage marches only where its state can change: no march,
+    # the first cut is read off the first solve's input
+    class FirstStage(Exception):
+        pass
+
+    first = []
+
+    def record(initial, flux, cfg, t_final, snapshot_times):
+        first.append((initial, t_final))
+        raise FirstStage
+
+    monkeypatch.setattr(experiments, "solve", record)
+
+    def first_cut(scen, eps, dx, window, nt, ny):
+        first.clear()
+        with pytest.raises(FirstStage):
+            _zoom_field(scen, eps, dx, zoom_frame(scen, eps), window.t_samples(nt),
+                        window.x_samples(ny))
+        return first[0]
+
+    # the default merging zoom at eps = 0.01: the window's cone holds 6,801
+    # of the grid's 8,001 nodes, and the plateaus at 1 and -1 are dropped
+    # but for the nodes one stage's reach spans next to the varying data
+    scen = build_scenario("theorem1-merging", burgers())
+    eps, dx = 0.01, refined_dx(0.01, 0.04)
+    cut, duration = first_cut(scen, eps, dx, Window(-5.0, 5.0, -5.0, 5.0), 21, 401)
+    data = scenario_grid(scen, dx)
+    assert data.n == 8001 and cut.n == 3771, (data.n, cut.n)
+    k = round((cut.x_left - data.x_left) / dx)
+    np.testing.assert_array_equal(cut.values, data.values[k:k + cut.n])
+    speed = scen.flux.max_speed(data.values[[0, -1]])
+    keep = math.ceil((speed * duration + REACH_DIFFUSION_LENGTHS * math.sqrt(eps * duration))
+                     / dx)
+    left = np.flatnonzero(data.values != data.values[0])[0]
+    right = np.flatnonzero(data.values != data.values[-1])[-1]
+    assert (k, k + cut.n - 1) == (left - keep, right + keep), (k, cut.n, left, right, keep)
+    # control: the default formation zoom at eps = 0.01, whose cone holds no
+    # flat node, keeps its whole first cut of 1,268 coarse nodes
+    scen = build_scenario("theorem2-formation", burgers())
+    cut, _ = first_cut(scen, 0.01, 0.04 * 0.01 ** 0.75, Window(-3.0, 1.0, -4.0, 4.0), 17, 321)
+    assert cut.n == 1268, cut.n
+    assert cut.values[1] != cut.values[0] and cut.values[-2] != cut.values[-1]
 
 
 def test_zoom_march_is_step_capped_as_a_whole(monkeypatch):
