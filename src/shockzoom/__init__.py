@@ -15,8 +15,8 @@ from .grid import (GridFunction, Window, l1_distance, max_forward_slope,
 from .solver import (Clamped, OleinikReport, Periodic, SolverConfig,
                      oleinik_check, solve)
 from .inviscid import (SmoothData, ZBoundsReport, blowup_time,
-                       characteristic_value, two_shock, single_shock,
-                       z_bounds_audit, z_eval, z_exact, z_root)
+                       characteristic_value, z_bounds_audit, z_eval, z_exact,
+                       z_root)
 from .profiles import (CauchyReport, MergingTriple, TravelingWave,
                        ZLimitReport, eternal_z, eternal_z_limit,
                        exact_merging_wave, merging_initial, merging_wave,

@@ -463,16 +463,7 @@ def kuznetsov_sweep(scenario: Scenario, eps_list: Sequence[float], *,
     except OutOfDomainError as e:
         raise ConfigError(f"t_check={t_check:.6g}: {e}") from None
     ref_state = data.with_values(ref_vals)
-    shocks = []
-    if t_check >= scenario.formed_time:
-        trip = scenario.merging
-        if trip is not None and t_check < scenario.tau:
-            shocks = [trip.lambda1 * (t_check - scenario.tau),
-                      trip.lambda2 * (t_check - scenario.tau)]
-        elif trip is not None:
-            shocks = [scenario.shock.speed * (t_check - scenario.tau)]
-        else:
-            shocks = [scenario.shock.speed * t_check]
+    shocks = scenario.shocks(t_check)[0] if t_check >= scenario.formed_time else []
 
     finals = [solve(data, scenario.flux, SolverConfig(eps, Clamped()), t_check,
                     [t_check])[-1][1] for eps in eps_arr]

@@ -1,4 +1,4 @@
-"""Exact inviscid solutions: characteristics, shock patterns, and the
+"""Exact inviscid solutions: characteristics, blow-up times, and the
 backward self-similar cubic wave.
 
 The cubic wave z(t, x) is the decreasing root of
@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigError, ShockzoomError
-from .flux import FluxModel, ShockData, rankine_hugoniot
+from .flux import FluxModel
 
 _FD_RTOL = 1e-6
 # rows per block of ``characteristic_value``: 512 x 257 scan points, 1 MB an
@@ -143,38 +143,6 @@ def blowup_time(data: SmoothData, flux: FluxModel, xi):
     slope = data.du0(xi) * flux.d2f(data.u0(xi))
     with np.errstate(divide="ignore"):
         out = np.where(slope >= 0.0, np.inf, -1.0 / slope)
-    return out if out.ndim else float(out)
-
-
-def single_shock(shock: ShockData, t, x):
-    """Two-state pattern with the jump on the line x = speed * t.
-
-    Points on the line take the right state.
-    """
-    t = np.asarray(t, dtype=float)
-    x = np.asarray(x, dtype=float)
-    out = np.where(x < shock.speed * t, shock.u_minus, shock.u_plus)
-    return out if out.ndim else float(out)
-
-
-def two_shock(flux: FluxModel, u_minus: float, u_star: float, u_plus: float, t, x):
-    """Two shocks merging at the origin: three states for t < 0, two after.
-
-    Requires u_minus > u_star > u_plus.  Ties on a shock line take the state
-    to the right.
-    """
-    if not (u_minus > u_star > u_plus):
-        raise ConfigError(
-            f"need u_minus > u_star > u_plus, got {(u_minus, u_star, u_plus)}")
-    s1 = rankine_hugoniot(flux, u_minus, u_star)
-    s2 = rankine_hugoniot(flux, u_star, u_plus)
-    merged = rankine_hugoniot(flux, u_minus, u_plus)
-    t = np.asarray(t, dtype=float)
-    x = np.asarray(x, dtype=float)
-    pre = np.where(x < s1.speed * t, u_minus,
-                   np.where(x < s2.speed * t, u_star, u_plus))
-    post = np.where(x < merged.speed * t, u_minus, u_plus)
-    out = np.where(t < 0.0, pre, post)
     return out if out.ndim else float(out)
 
 

@@ -2,13 +2,13 @@
 
 Each scenario packages smooth initial data, the distinguished space-time
 point (tau, xi) where its singular pattern lives, a recommended solve domain, and,
-for the two shocked scenarios, a vectorised exact evaluator for the
-inviscid entropy solution wherever it is available in closed or
-root-solvable form.
+for the two shocked scenarios, their inviscid shock paths and a vectorised
+exact evaluator for the inviscid entropy solution wherever it is available
+in closed or root-solvable form.
 
 Ramped step data absorbs into clean shocks in finite time; the reference
-switches from characteristic tracing (before blow-up) to the piecewise
-pattern (after absorption) and refuses the messy regime in between.
+switches from characteristic tracing (before blow-up) to the states between
+the shocks (after absorption) and refuses the messy regime in between.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ConfigError, OutOfDomainError
 from .flux import FluxModel, ShockData, rankine_hugoniot
 from .inviscid import (SmoothData, blowup_time, bracketed_root, characteristic_value,
-                       single_shock, two_shock, z_root)
+                       z_root)
 from .profiles import MergingTriple
 from .rescale import FormationPoint
 
@@ -34,6 +34,8 @@ class Scenario:
 
     A shocked scenario's outer states are its limit shock's, ``shock.u_minus``
     and ``shock.u_plus``; a merging one's middle state is ``merging.u_star``.
+    Its ``shocks(t)``, from ``formed_time`` on, gives its inviscid shocks' x at
+    time t, in increasing order, and the states they separate.
     """
 
     id: str
@@ -45,6 +47,7 @@ class Scenario:
     formed_time: float
     blowup: float
     reference: Optional[Callable] = field(repr=False, compare=False, default=None)
+    shocks: Optional[Callable] = field(repr=False, compare=False, default=None)
     shock: Optional[ShockData] = None
     merging: Optional[MergingTriple] = None
     formation: Optional[FormationPoint] = None
@@ -62,14 +65,15 @@ def _ramp(center: float, width: float):
 
 
 def _reference(data: SmoothData, flux: FluxModel, blow: float, formed: float,
-               pattern: Callable) -> Callable:
+               shocks: Callable) -> Callable:
     """The exact inviscid solution reference(t, x): the data's characteristics
-    before 0.98 of the blow-up time, ``pattern(t, x)`` from the absorption
-    time on, and OutOfDomainError in between."""
+    before 0.98 of the blow-up time, the states between ``shocks(t)`` from the
+    absorption time on (the right one on a shock), and OutOfDomainError between."""
     def reference(t, x):
         t = float(t)
         if t >= formed:
-            return pattern(t, x)
+            positions, states = shocks(t)
+            return np.asarray(states)[np.searchsorted(positions, x, side="right")]
         if t < 0.98 * blow:
             return characteristic_value(data, flux, t, x)
         raise OutOfDomainError(
@@ -111,12 +115,15 @@ def single_shock_scenario(flux: FluxModel, u_minus: float = 1.0, u_plus: float =
         raise ValueError(
             f"ramp_width {w} absorbs only at t={formed:.3g}, after tau={tau}")
     blow = float(np.min(blowup_time(data, flux, np.linspace(-3.0 * w, 3.0 * w, 31))))
-    reference = _reference(data, flux, blow, formed,
-                           lambda t, x: single_shock(shock, t, x))
+
+    def shocks(t):
+        return [shock.speed * t], (u_minus, u_plus)
+
     lo = min(0.0, shock.speed * tau) - 2.0
     hi = max(0.0, shock.speed * tau) + 2.0
     return Scenario("theorem1-single", flux, data, tau, shock.speed * tau,
-                    (lo, hi), formed, blow, reference, shock=shock)
+                    (lo, hi), formed, blow, _reference(data, flux, blow, formed, shocks),
+                    shocks, shock=shock)
 
 
 def merging_shocks_scenario(flux: FluxModel, u_minus: float = 1.0, u_star: float = 0.0,
@@ -151,13 +158,19 @@ def merging_shocks_scenario(flux: FluxModel, u_minus: float = 1.0, u_star: float
     scan = np.concatenate([p1 + np.linspace(-3.0 * w, 3.0 * w, 21),
                            p2 + np.linspace(-3.0 * w, 3.0 * w, 21)])
     blow = float(np.min(blowup_time(data, flux, scan)))
-    reference = _reference(data, flux, blow, formed,
-                           lambda t, x: two_shock(flux, u_minus, u_star, u_plus, t - tau, x))
     merged = rankine_hugoniot(flux, u_minus, u_plus)
+
+    def shocks(t):
+        s = t - tau
+        if s < 0.0:
+            return [triple.lambda1 * s, triple.lambda2 * s], (u_minus, u_star, u_plus)
+        return [merged.speed * s], (u_minus, u_plus)
+
     lo = min(p1, merged.speed * tau) - 2.0
     hi = max(p2, merged.speed * tau) + 2.0
     return Scenario("theorem1-merging", flux, data, tau, 0.0, (lo, hi), formed, blow,
-                    reference, shock=merged, merging=triple)
+                    _reference(data, flux, blow, formed, shocks), shocks,
+                    shock=merged, merging=triple)
 
 
 def _cubic_profile_root(amplitude: float, flux: FluxModel, spread: float,

@@ -155,13 +155,6 @@ class TridiagonalInverse:
         return out
 
 
-def solve_tridiagonal(d: np.ndarray, r: float,
-                      ends: Tuple[float, float] = (0.0, 0.0)) -> np.ndarray:
-    """Solve (1 + 2r) x[i] - r (x[i-1] + x[i+1]) = d[i] with x[-1], x[n] = ends, r > 0,
-    through ``TridiagonalInverse``."""
-    return TridiagonalInverse(d.size, r).solve(d, ends)[1:-1]
-
-
 def solve_circulant(d: np.ndarray, r: float) -> np.ndarray:
     """Solve (1 + 2r) x[i] - r (x[i-1] + x[i+1]) = d[i] with periodic indices, r > 0."""
     n = d.size

@@ -11,8 +11,8 @@ from shockzoom import (Clamped, ConfigError, GridFunction, Periodic, RescaleFram
 from shockzoom import experiments, solver
 from shockzoom.experiments import (COARSE_PECLET, REACH_DIFFUSION_LENGTHS, SHIFT_DY,
                                    SHIFT_LATTICE, SHIFT_RANGE, SHIFT_TIMES, ZOOM_STAGES, _zoom_field, contraction_check,
-                                   formation_zoom, mass_drift_check, merging_surrogate,
-                                   merging_zoom, refined_dx, scenario_grid,
+                                   formation_zoom, kuznetsov_sweep, mass_drift_check,
+                                   merging_surrogate, merging_zoom, refined_dx, scenario_grid,
                                    single_shock_zoom, suite_cubic_bounds,
                                    suite_oleinik, zoom_frame)
 from shockzoom.scenarios import SCENARIOS
@@ -102,6 +102,15 @@ def test_oleinik_suite_positive_slope_decay():
     report, rows = suite_oleinik(n_nodes=256)
     assert report.violations == 0
     assert all(r[3] for r in rows)
+
+
+def test_sweep_stands_off_a_moving_shock():
+    # burgers-plus-linear at b = 0.5 moves the shock of (1, -1) to x = 0.5 t;
+    # the pointwise band must stand off it there, since a band that kept the
+    # shock's points would read errors of order the jump, 2
+    scen = build_scenario("theorem1-single", burgers_plus_linear(0.5))
+    report = kuznetsov_sweep(scen, (0.04, 0.02, 0.01), n_nodes=1024)
+    assert all(err < 1e-3 for err, _ in report.pointwise), report.pointwise
 
 
 # Coarse versions of the three zooms, about two seconds together.  Their

@@ -1,4 +1,4 @@
-"""Exact-solution oracles: characteristics, shock patterns, cubic wave."""
+"""Exact-solution oracles: characteristics, blow-up times, cubic wave."""
 import dataclasses
 
 import numpy as np
@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shockzoom import (ConfigError, ShockData, ShockzoomError, SmoothData,
-                       blowup_time, build_scenario, burgers, characteristic_value, inviscid, single_shock,
-                       two_shock, z_bounds_audit, z_eval, z_exact, z_root)
+from shockzoom import (ConfigError, ShockzoomError, SmoothData, blowup_time,
+                       build_scenario, burgers, characteristic_value, inviscid,
+                       z_bounds_audit, z_eval, z_exact, z_root)
 from shockzoom.flux import burgers_plus_linear, quartic_perturbed
 
 # where each pair below is cross-checked against finite differences
@@ -135,26 +135,6 @@ def test_smooth_data_rejects_nan():
     with pytest.raises(ValueError, match="disagrees"):
         SmoothData(lambda x: np.full_like(np.asarray(x, dtype=float), np.nan),
                    lambda x: np.zeros_like(np.asarray(x, dtype=float)), CHECK_POINTS)
-
-
-def test_single_shock_pattern():
-    shock = ShockData(1.0, -1.0, 0.0, 0.5)
-    assert single_shock(shock, 3.0, -0.1) == 1.0
-    assert single_shock(shock, 3.0, 0.1) == -1.0
-    assert single_shock(shock, 3.0, 0.0) == -1.0  # line takes the right state
-
-
-def test_two_shock_wedge_and_merge():
-    flux = burgers()
-    # speeds 1/2 and -1/2 merge at the origin at t = 0
-    um, us, up = 1.0, 0.0, -1.0
-    assert two_shock(flux, um, us, up, -1.0, 0.0) == us
-    assert two_shock(flux, um, us, up, -1.0, -0.6) == um
-    assert two_shock(flux, um, us, up, -1.0, 0.6) == up
-    assert two_shock(flux, um, us, up, 1.0, -0.1) == um
-    assert two_shock(flux, um, us, up, 1.0, 0.1) == up
-    with pytest.raises(ConfigError, match="need u_minus > u_star > u_plus"):
-        two_shock(flux, -1.0, 0.0, 1.0, -1.0, 0.0)
 
 
 def test_z_known_points():

@@ -82,6 +82,33 @@ def test_merging_reference_regimes():
         assert np.array_equal(scen.reference(t, x), np.where(x < 0.0, 1.0, -1.0))
 
 
+def test_single_shock_pattern():
+    # burgers-plus-linear at b = 0.5 moves the shock of (1, -1) at speed 0.5;
+    # each side takes its own state, and a point on the line the right one
+    scen = build_scenario("theorem1-single", burgers_plus_linear(0.5))
+    for t in (scen.tau, 3.0):
+        x = 0.5 * t
+        assert scen.shocks(t) == ([x], (1.0, -1.0))
+        assert scen.reference(t, x - 0.1) == 1.0
+        assert scen.reference(t, x + 0.1) == -1.0
+        assert scen.reference(t, x) == -1.0
+
+
+def test_merging_shocks_wedge_and_merge():
+    # Burgers, states (1, 0, -1): shocks at speeds 1/2 and -1/2 hold the
+    # middle state between them until they merge at (tau, 0) = (1, 0) into
+    # one standing shock; a point on any line takes the state to its right
+    scen = build_scenario("theorem1-merging", burgers())
+    t = 0.5
+    assert scen.shocks(t) == ([-0.25, 0.25], (1.0, 0.0, -1.0))
+    for x, state in ((0.0, 0.0), (-0.6, 1.0), (0.6, -1.0), (-0.25, 0.0), (0.25, -1.0)):
+        assert scen.reference(t, x) == state, x
+    t = 2.0
+    assert scen.shocks(t) == ([0.0], (1.0, -1.0))
+    for x, state in ((-0.1, 1.0), (0.1, -1.0), (0.0, -1.0)):
+        assert scen.reference(t, x) == state, x
+
+
 def test_merging_validation():
     with pytest.raises(ValueError, match="ramp_width"):
         merging_shocks_scenario(burgers(), 1.0, 0.0, -1.0, ramp_width=0.2)

@@ -67,8 +67,8 @@ def test_snapshot_memory_is_capped(monkeypatch):
 def test_step_count_is_capped(monkeypatch):
     data = GridFunction.from_callable(np.sin, 0.0, 2.0 * np.pi, 2.0 * np.pi / 10)
     cfg = SolverConfig(1.0, Periodic())
-    # max|f'(u0)| = max|sin| at the nodes, 0.9 dx per unit speed
-    per_unit_time = float(np.max(np.abs(data.values))) / (0.9 * data.dx)
+    # max|f'(u0)| = max|sin| at the nodes, cfl_advection dx per unit speed
+    per_unit_time = float(np.max(np.abs(data.values))) / (SolverConfig.cfl_advection * data.dx)
     monkeypatch.setattr(solver, "MAX_STEPS", 10)
     assert len(solve(data, burgers(), cfg, 9.0 / per_unit_time)) == 1
     # a longer horizon is refused before the first step, and so is one that
@@ -196,7 +196,7 @@ def test_steps_are_advective(monkeypatch):
     stable_dt = solver.stable_dt
 
     def recorded(values, dx, flux, cfg):
-        bounds.append(0.9 * dx / np.max(np.abs(values)))
+        bounds.append(SolverConfig.cfl_advection * dx / np.max(np.abs(values)))
         return stable_dt(values, dx, flux, cfg)
 
     monkeypatch.setattr(solver, "stable_dt", recorded)
@@ -227,7 +227,10 @@ def test_implicit_solves_match_dense(periodic):
             else:
                 matrix[i[1:], i[:-1]] = matrix[i[:-1], i[1:]] = -r
             d = rng.standard_normal(n)
-            x = (solver.solve_circulant if periodic else solver.solve_tridiagonal)(d, r)
+            if periodic:
+                x = solver.solve_circulant(d, r)
+            else:
+                x = solver.TridiagonalInverse(d.size, r).solve(d, (0.0, 0.0))[1:-1]
             want = np.linalg.solve(matrix, d)
             # the forward error of a stable solve, LAPACK's included, grows
             # with the condition number 1 + 4r: 1e-13 up to r = 200, in
