@@ -30,7 +30,12 @@ data are still smooth before the window (t0, a quarter of the window's
 duration before it opens, lies before the blow-up time) and the grid is at
 least twice as fine as a cell Peclet number of 0.5 needs, the stages before
 t0 march on every m-th node of the grid, counted from its left end, and the
-state is prolonged to the fine nodes at t0.
+state is prolonged to the fine nodes at t0.  A stage that ends at least
+TRANSIT_LEAD eps = 10 eps before the window's first time only carries the
+data there, so it steps at TRANSIT_CFL = 1.8 of the advective bound, below
+the scheme's linear stability bound of 2.27; every other stage, and every
+solve outside the zoom march, steps at the solver's 0.9.  The default
+merging run takes 2,117 steps, where 0.9 throughout takes 3,068.
 """
 from __future__ import annotations
 
@@ -76,6 +81,14 @@ ZOOM_STAGES = 8
 # The fine solve takes over this fraction of the window's duration before
 # the window opens, so the prolongation's error is smoothed before it is seen.
 COARSE_LEAD = 0.25
+# A stage that ends at least TRANSIT_LEAD eps before the window's first time
+# only carries the data to the window, so it steps at TRANSIT_CFL of the
+# advective bound, twice the solver's default 0.9 and below its stability
+# bound 2.27.  With no lead, so that every stage that lands no row steps at
+# 1.8, the merging run's reported L1 at eps = 0.01 rises 6.4%; a lead of
+# 5 eps moves the single-shock sup at eps = 0.08 by 2.2%.
+TRANSIT_CFL = 1.8
+TRANSIT_LEAD = 10.0
 # The coarse start's cell Peclet number, a quarter of the solver's limit of
 # 2: on the acceptance gate's formation study (eps = 0.01, 0.004, 0.0016)
 # it moves the zoom errors by at most 0.15%, against 0.72% at 1.
@@ -191,6 +204,10 @@ def _zoom_field(scenario: Scenario, eps: float, dx: float, frame: RescaleFrame,
     the grid's nodes whose index is a multiple of m, each cut at least three
     coarse cells long, and the state is prolonged to the fine nodes by cubic
     interpolation at t0, which is one more stage start.
+
+    A stage that ends at or before t_first - TRANSIT_LEAD eps, so lands no
+    row, steps at TRANSIT_CFL of the advective bound; every other stage at
+    the solver's default.  The whole march is step-capped at the default.
     """
     # each row's time, once: the march lands on it and the row is read there
     t_rows = frame.to_physical(s_grid, 0.0)[0].tolist()
@@ -242,9 +259,11 @@ def _zoom_field(scenario: Scenario, eps: float, dx: float, frame: RescaleFrame,
     if not (m >= 2 and 0.0 < t0 < min(times[0], scenario.blowup) and 3 * m <= last):
         m = 1
     i, j = cone(0.0, speed, 0, last, m)
+    steady, transit = SolverConfig(eps, Clamped()), SolverConfig(eps, Clamped(), TRANSIT_CFL)
     # the whole march's steps at the data's speed, its coarse stretch at
-    # stride m, are capped before any step, as one solve's would be
-    check_step_count(t_end - t0 * (m - 1) / m, speed, dx)
+    # stride m, are capped before any step, as one solve's would be; counted
+    # at the steady fraction, they bound the transit stages' steps too
+    check_step_count(t_end - t0 * (m - 1) / m, speed, dx, steady.cfl_advection)
     starts = sorted({t_end * k / ZOOM_STAGES for k in range(ZOOM_STAGES)}
                     | ({t0} if m > 1 else set()))
     # each row to the stage that ends at or after its time
@@ -265,7 +284,8 @@ def _zoom_field(scenario: Scenario, eps: float, dx: float, frame: RescaleFrame,
         i, j = i + m * p, i + m * q
         cut = GridFunction(lo + dx * i, m * dx, values)
         rows = np.flatnonzero(stage_of == k)
-        snaps = dict(solve(cut, flux, SolverConfig(eps, Clamped()), stop - start,
+        cfg = transit if stop <= times[0] - TRANSIT_LEAD * eps else steady
+        snaps = dict(solve(cut, flux, cfg, stop - start,
                            [t_rows[r] - start for r in rows] + [stop - start]))
         for r in rows:
             field[r] = np.interp(x_rows[r], cut.x, snaps[t_rows[r] - start].values)

@@ -6,11 +6,15 @@ max|f'(u)| dx / eps stays below 2, so a grid too coarse for its viscosity
 raises ConfigError.  Time: the two-stage second-order ARS(2,2,2) method
 (Ascher, Ruuth and Spiteri, Appl. Numer. Math. 25, 1997): the flux
 difference is explicit and the viscosity implicit, so the step obeys only
-the advective CFL bound.  Each implicit stage solves one constant-
-coefficient tridiagonal system, by FFT on a periodic grid and, on a
-clamped one, through its exact inverse (``TridiagonalInverse``), whose
-constants are built once per step for both stages; the inner stage's
-diffusion is read off its own solve.
+the advective bound: it is cfl_advection dx / max|f'(u)|, with the fraction
+0.9 by default.  With central advection one step is linearly stable up to
+the fraction MAX_CFL = 2.27 at every cell Peclet number below 2, so a
+``SolverConfig`` takes any fraction in (0, MAX_CFL); the zoom march of
+``experiments`` steps at 1.8 where it only carries the data to the window.
+Each implicit stage solves one constant-coefficient tridiagonal system, by
+FFT on a periodic grid and, on a clamped one, through its exact inverse
+(``TridiagonalInverse``), whose constants are built once per step for both
+stages; the inner stage's diffusion is read off its own solve.
 Clamped end nodes are pinned and only the interior is marched: they hold
 the data's end values, or, when the boundary carries ``ends(t)``, are set
 once per step to its values at the new time, and the inner stage takes
@@ -22,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -39,6 +43,11 @@ MAX_STEPS = 10**7
 # ARS(2,2,2): the implicit stage weight and the explicit tableau's last row
 GAMMA = 1.0 - 1.0 / math.sqrt(2.0)
 DELTA = 1.0 - 1.0 / (2.0 * GAMMA)
+# The step's fraction of the advective bound below which one ARS(2,2,2) step
+# with central advection is linearly stable at every cell Peclet number
+# below 2: von Neumann's max |g| over the modes first exceeds 1 at 2.85 for
+# Peclet number 1 and at 2.27 as it nears 2.
+MAX_CFL = 2.27
 
 # a recurrence term damped below this fraction is dropped
 _NEGLIGIBLE = 1e-18
@@ -64,11 +73,15 @@ class Clamped:
 class SolverConfig:
     viscosity: float
     boundary: Union[Periodic, Clamped] = field(default_factory=Periodic)
-    cfl_advection: ClassVar[float] = 0.9
+    # the step's fraction of the advective bound dx / max|f'(u)|
+    cfl_advection: float = 0.9
 
     def __post_init__(self):
         if not 0.0 < self.viscosity < np.inf:
             raise ValueError("viscosity must be positive and finite")
+        if not 0.0 < self.cfl_advection < MAX_CFL:
+            raise ValueError(f"cfl_advection must lie in (0, {MAX_CFL}), where one step "
+                             f"is linearly stable; got {self.cfl_advection!r}")
 
 
 def stable_dt(values: np.ndarray, dx: float, flux: FluxModel, cfg: SolverConfig) -> float:
@@ -81,11 +94,11 @@ def stable_dt(values: np.ndarray, dx: float, flux: FluxModel, cfg: SolverConfig)
     return float(cfg.cfl_advection * dx / speed) if speed > 0.0 else np.inf
 
 
-def check_step_count(t_final: float, speed: float, dx: float) -> None:
+def check_step_count(t_final: float, speed: float, dx: float, cfl: float) -> None:
     """ConfigError if a march to t_final takes more than MAX_STEPS steps at
-    the advective bound of ``speed`` on the mesh dx."""
+    the fraction ``cfl`` of the advective bound of ``speed`` on the mesh dx."""
     with np.errstate(over="ignore"):
-        steps = np.float64(t_final) * speed / (SolverConfig.cfl_advection * dx)
+        steps = np.float64(t_final) * speed / (cfl * dx)
     if not steps <= MAX_STEPS:
         raise ConfigError(f"t_final={t_final:.3g} takes about {steps:.3g} steps at "
                           f"dx={dx:.3g}, more than {MAX_STEPS}")
@@ -215,7 +228,7 @@ def solve(initial: GridFunction, flux: FluxModel, cfg: SolverConfig,
     if len(targets) * initial.n > MAX_SNAPSHOT_VALUES:
         raise ConfigError(f"{len(targets)} snapshots of {initial.n} nodes exceed "
                           f"{MAX_SNAPSHOT_VALUES} stored values")
-    check_step_count(t_final, flux.max_speed(initial.values), initial.dx)
+    check_step_count(t_final, flux.max_speed(initial.values), initial.dx, cfg.cfl_advection)
 
     dx = initial.dx
     u = initial.values.copy()

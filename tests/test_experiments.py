@@ -10,7 +10,8 @@ from shockzoom import (Clamped, ConfigError, GridFunction, Periodic, RescaleFram
                        solve, trapezoid)
 from shockzoom import experiments, solver
 from shockzoom.experiments import (COARSE_PECLET, REACH_DIFFUSION_LENGTHS, SHIFT_DY,
-                                   SHIFT_LATTICE, SHIFT_RANGE, SHIFT_TIMES, ZOOM_STAGES, _zoom_field, contraction_check,
+                                   SHIFT_LATTICE, SHIFT_RANGE, SHIFT_TIMES, TRANSIT_CFL,
+                                   TRANSIT_LEAD, ZOOM_STAGES, _zoom_field, contraction_check,
                                    formation_zoom, kuznetsov_sweep, mass_drift_check,
                                    merging_surrogate, merging_zoom, refined_dx, scenario_grid,
                                    single_shock_zoom, suite_cubic_bounds,
@@ -131,7 +132,7 @@ def test_single_shock_zoom_regression():
                                  nt=5, ny=81, base_divisor=4.0)
     _pinned(outcomes, [
         (0.08, 0.005718736679536929, 0.05835791912329614, 5.329070518200751e-15, 0.0),
-        (0.04, 0.0010681210712590872, 0.011824967655463814, -4.15371174904422e-05, 0.0),
+        (0.04, 0.001067635609088402, 0.011808400691630238, -4.153724526867464e-05, 0.0),
     ])
 
 
@@ -145,7 +146,7 @@ def test_merging_zoom_regression():
                             nt=3, ny=41, base_divisor=4.0)
     _pinned(outcomes, [
         (0.08, 0.021359978509083333, 0.09236164284966134, 0.009406976085400228, 1.0),
-        (0.04, 0.00277154067609231, 0.009969416715997968, 0.006315686132863524, 0.453125),
+        (0.04, 0.0027795368927817643, 0.009954169757913191, 0.006315685243077322, 0.453125),
     ])
 
 
@@ -301,8 +302,8 @@ def test_formation_zoom_regression():
     outcomes = formation_zoom(scen, (0.04, 0.02), 4.0, window=window,
                               nt=3, ny=41, dx_hat=0.1)
     _pinned(outcomes, [
-        (0.04, 0.012643830628607411, 0.048956037348334265, 0.0, 0.0),
-        (0.02, 0.020976333498858746, 0.08299255213702225, 0.0, 0.0),
+        (0.04, 0.01265632534904182, 0.049002354365652506, 0.0, 0.0),
+        (0.02, 0.020947413868634746, 0.08289091971704611, 0.0, 0.0),
     ])
 
 
@@ -373,12 +374,12 @@ def test_zoom_sample_bound_counts_the_merging_shifts(monkeypatch):
 
 
 def test_zoom_local_solve_matches_full_solve(monkeypatch):
-    # every stage of a zoom's march, against one full-domain solve at the
-    # zoom's dx that lands on the same stage times
+    # every stage of a zoom's march, against a full-domain march at the
+    # zoom's dx that takes the same stages, each at its own step fraction
     stages = []
 
     def recording(initial, flux, cfg, t_final, snapshot_times):
-        stages.append((initial, t_final))
+        stages.append((initial, cfg, t_final, snapshot_times))
         return solve(initial, flux, cfg, t_final, snapshot_times)
 
     monkeypatch.setattr(experiments, "solve", recording)
@@ -391,8 +392,10 @@ def test_zoom_local_solve_matches_full_solve(monkeypatch):
         stages.clear()
         local = _zoom_field(scen, eps, dx, frame, s_grid, y_grid)
         full = scenario_grid(scen, dx)
-        strides, ends, inside = [], [], (0, full.n - 1)
-        for g, duration in stages:
+        strides, inside = [], (0, full.n - 1)
+        # the full grid marched stage by stage, landing where each stage lands
+        state, start, landed = full, 0.0, []
+        for g, cfg, duration, times in stages:
             # a node offset and a stride into the full grid, inside the last cut
             k, m = round((g.x_left - full.x_left) / dx), round(g.dx / dx)
             assert inside[0] <= k and k + m * (g.n - 1) <= inside[1], (inside, k, m, g.n)
@@ -402,16 +405,17 @@ def test_zoom_local_solve_matches_full_solve(monkeypatch):
                                        rtol=0.0, atol=1e-12)
             inside = (k, k + m * (g.n - 1))
             strides.append(m)
-            ends.append((ends[-1] if ends else 0.0) + duration)
-        t_rows = [float(frame.to_physical(s, 0.0)[0]) for s in s_grid]
-        snaps = dict(solve(full, scen.flux, SolverConfig(eps, Clamped()), max(t_rows),
-                           t_rows + ends[:-1]))
-        # each row read off the full solve's snapshot at its time, at the
+            snaps = solve(state, scen.flux, cfg, duration, times)
+            landed += [(start + t, snap) for t, snap in snaps]
+            state, start = snaps[-1][1], start + duration
+        # each row read off the full march's snapshot at its time, at the
         # frame's physical points
         ref = []
-        for s, t in zip(s_grid, t_rows):
+        for s in s_grid:
+            t = float(frame.to_physical(s, 0.0)[0])
             _, x = frame.to_physical(s, y_grid)
-            ref.append(frame.rescale_values(np.interp(x, full.x, snaps[t].values)))
+            _, snap = min(landed, key=lambda pair: abs(pair[0] - t))
+            ref.append(frame.rescale_values(np.interp(x, full.x, snap.values)))
         ref = np.array(ref)
         cut = stages[-1][0].n < full.n
         return float(np.max(np.abs(local - ref))), float(np.max(np.abs(ref))), strides, cut
@@ -473,6 +477,44 @@ def test_zoom_local_solve_matches_full_solve(monkeypatch):
         sup_gap, sup_ref, strides, cut = gap(scen, eps, dx, window, nt, 41)
         assert strides == [1] * ZOOM_STAGES and cut, strides
         assert sup_gap <= 1e-5 * sup_ref, (sup_gap, sup_ref)
+
+
+def test_zoom_transit_stages_step_at_twice_the_fraction(monkeypatch):
+    # on the three regression configurations: a stage steps at TRANSIT_CFL
+    # exactly when it ends TRANSIT_LEAD eps or more before the window's first
+    # time, so every stage that lands a row steps at the default fraction
+    stages = []
+
+    def recording(initial, flux, cfg, t_final, snapshot_times):
+        stages.append((cfg.cfl_advection, t_final))
+        return solve(initial, flux, cfg, t_final, snapshot_times)
+
+    monkeypatch.setattr(experiments, "solve", recording)
+    single = build_scenario("theorem1-single", burgers())
+    merging = build_scenario("theorem1-merging", burgers())
+    formation = build_scenario("theorem2-formation", burgers_plus_linear(0.5), amplitude=2.0)
+    cases = [(single, (0.08, 0.04), Window(-2.0, 2.0, -4.0, 4.0), 5, 81, {"base_divisor": 4.0}),
+             (merging, (0.08, 0.04), Window(-1.0, 1.0, -2.0, 2.0), 3, 41, {"base_divisor": 4.0}),
+             (formation, (0.04, 0.02), Window(-1.0, 0.5, -2.0, 2.0), 3, 41, {"dx_hat": 0.1})]
+    transits = {}
+    for scen, eps_list, window, nt, ny, mesh in cases:
+        s_grid, _, fields = experiments.zooms(scen, eps_list, window, nt, ny, **mesh)
+        for eps, _ in fields:
+            t_rows = zoom_frame(scen, eps).to_physical(s_grid, 0.0)[0]
+            first = float(np.min(t_rows))
+            start, count = 0.0, 0
+            for fraction, duration in stages:
+                stop = start + duration
+                lands = np.any((t_rows > start) & (t_rows <= stop))
+                transit = stop <= first - TRANSIT_LEAD * eps
+                assert fraction == (TRANSIT_CFL if transit else SolverConfig.cfl_advection)
+                assert not (lands and transit), (scen.id, eps, start, stop)
+                start, count = stop, count + transit
+            transits[scen.id, eps] = count
+            stages.clear()
+    assert transits == {("theorem1-single", 0.08): 0, ("theorem1-single", 0.04): 3,
+                        ("theorem1-merging", 0.08): 0, ("theorem1-merging", 0.04): 4,
+                        ("theorem2-formation", 0.04): 2, ("theorem2-formation", 0.02): 4}, transits
 
 
 def test_zoom_cut_drops_the_datas_flat_ends(monkeypatch):

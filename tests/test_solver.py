@@ -45,6 +45,35 @@ def test_viscosity_must_be_positive():
             SolverConfig(nu)
 
 
+def test_step_fraction_must_be_linearly_stable():
+    SolverConfig(1.0, cfl_advection=2.2)
+    for cfl in (0.0, -0.9, solver.MAX_CFL, 2.3, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=r"cfl_advection must lie in \(0, 2.27\)"):
+            SolverConfig(1.0, cfl_advection=cfl)
+
+
+def amplification(cfl, peclet, theta):
+    """|g| of one ARS(2,2,2) step with central advection, per mode theta: the
+    von Neumann factor at CFL number cfl and cell Peclet number peclet."""
+    g, delta = solver.GAMMA, solver.DELTA
+    a = -1j * cfl * np.sin(theta)
+    d = -4.0 * (cfl / peclet) * np.sin(theta / 2.0) ** 2
+    inner = (1.0 + g * a) / (1.0 - g * d)
+    return np.abs((1.0 + (1.0 - g) * d * inner + delta * a + (1.0 - delta) * a * inner)
+                  / (1.0 - g * d))
+
+
+def test_step_is_linearly_stable_below_the_bound():
+    # every cell Peclet number the guard admits, at the default fraction, at
+    # the zoom march's transit fraction and at the bound SolverConfig keeps
+    # below; past it, near Peclet number 2, a mode grows
+    theta = np.linspace(0.0, np.pi, 4097)
+    for peclet in (1 / 16, 1 / 8, 1 / 4, 1 / 2, 1.0, 1.99):
+        for cfl in (0.9, 1.8, solver.MAX_CFL):
+            assert np.max(amplification(cfl, peclet, theta)) <= 1.0 + 1e-14, (peclet, cfl)
+    assert np.max(amplification(2.3, 1.99, theta)) > 1.0
+
+
 def test_coarse_grid_fails_the_peclet_guard():
     # max|u| = 1 on dx = 0.25 needs viscosity above 0.125
     data = GridFunction.from_callable(lambda x: -np.tanh(x), -4.0, 4.0, 0.25)
@@ -75,6 +104,11 @@ def test_step_count_is_capped(monkeypatch):
     # overflows the count
     with pytest.raises(ConfigError, match="steps"):
         solve(data, burgers(), cfg, 11.0 / per_unit_time)
+    # twice the step fraction counts half the steps
+    twice = SolverConfig(1.0, Periodic(), 2.0 * SolverConfig.cfl_advection)
+    assert len(solve(data, burgers(), twice, 19.0 / per_unit_time)) == 1
+    with pytest.raises(ConfigError, match="steps"):
+        solve(data, burgers(), twice, 21.0 / per_unit_time)
     with pytest.raises(ConfigError, match="steps"):
         solve(data, burgers(), cfg, 1e308)
 
